@@ -47,6 +47,10 @@ class ConfigError(ValueError):
     pass
 
 
+class NonFiniteOutput(ArithmeticError):
+    """A result holds NaN or Inf, which strict JSON cannot carry."""
+
+
 def _load_scenario(path):
     try:
         with open(path) as fh:
@@ -98,12 +102,24 @@ def _lq_from_scenario(data):
 
 
 def _write_json(path, payload):
-    if path == "-" or path is None:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+    """Write strict JSON; a NaN or Inf in ``payload`` leaves no output behind.
+
+    Files are streamed, since outputs reach megabytes, and removed if the
+    encoding fails; standard output gets the text once all of it is encoded.
+    """
+    to_stdout = path == "-" or path is None
+    try:
+        if to_stdout:
+            text = json.dumps(payload, indent=2, allow_nan=False)
+        else:
+            with open(path, "w") as fh:
+                json.dump(payload, fh, indent=2, allow_nan=False)
+    except ValueError as exc:
+        if not to_stdout and os.path.exists(path):
+            os.remove(path)
+        raise NonFiniteOutput(f"output is not finite: {exc}") from exc
+    if to_stdout:
+        sys.stdout.write(text + "\n")
 
 
 def _output_paths(args, data, json_attr, csv_attr):
@@ -131,8 +147,11 @@ def _cmd_solve_finite(args):
     if data["kind"] != "finite":
         raise ConfigError(f"solve-finite needs a finite scenario, got kind {data['kind']!r}")
     model, mu0 = _finite_from_scenario(data)
-    budget = args.node_budget or int(data.get("run", {}).get("node_budget",
-                                                             dpp.DEFAULT_NODE_BUDGET))
+    budget = args.node_budget
+    if budget is None:
+        budget = int(data.get("run", {}).get("node_budget", dpp.DEFAULT_NODE_BUDGET))
+    if budget < 1:
+        raise ConfigError(f"node budget must be at least 1, got {budget}")
     result = dpp.solve(model, mu0, node_budget=budget)
     _, trajectory = dpp.rollforward(model, mu0, result.optimal_policy_sequence)
     payload = {
@@ -228,6 +247,9 @@ def _load_policy(args, model, data):
 
 
 def _cmd_simulate(args):
+    if args.n_particles < 2:
+        raise ConfigError(f"--n-particles must be at least 2 for a standard error, "
+                          f"got {args.n_particles}")
     data = _load_scenario(args.config)
     if data["kind"] in ("lq", "meanvariance"):
         model = _lq_from_scenario(data)
@@ -584,7 +606,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except (ConditionsNotMet, NotPositiveDefinite, dpp.BudgetExceeded,
-            np.linalg.LinAlgError) as exc:
+            np.linalg.LinAlgError, NonFiniteOutput) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (ValueError, KeyError, TypeError) as exc:

@@ -1,10 +1,11 @@
 """Exact dynamic programming on the space of laws of a finite mean-field model.
 
-The value recursion is solved over the tree of laws reachable from the
-initial one: every feedback map is enumerated at every node (the infimum over
-measurable maps collapses to this enumeration for finite grids), children are
-computed with :func:`mfctrl.measure.pushforward`, and values are memoized on
-quantized weight keys.
+For a finite state grid the lifted problem lives on the simplex: a law is a
+weight vector over the ``S`` grid states and a feedback map is a vector of
+``S`` action indices, one of the ``M^S`` maps.  :func:`solve` expands the
+tree of laws reachable from the initial one stage by stage: every frontier
+law is pushed through every map at once, children sharing a quantized weight
+key become one node, and the backward pass takes the minimum over maps.
 
 Oracles
 -------
@@ -14,46 +15,105 @@ Oracles
   induction when the model has no mean-field interaction.
 * :func:`first_order_check` compares against the pairwise tensor recursion
   when the model declares first-order interactions.
+
+All three evaluate the model through its scalar callables and
+:class:`~mfctrl.measure.DiscreteMeasure` laws, independently of the batched
+path :func:`solve` takes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .measure import DiscreteMeasure, TabularMap, pushforward
+from .measure import (
+    KEY_DECIMALS,
+    MASS_TOL,
+    WEIGHT_FLOOR,
+    DiscreteMeasure,
+    TabularMap,
+    pushforward,
+)
 from .model import (
     FiniteMFModel,
+    LawBatch,
     lifted_stage_cost,
     lifted_terminal_cost,
+    sum_last,
     validate,
 )
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_ENUMERATION_CAP = 10_000_000
+# kernel-tensor entries per expansion chunk: a chunk takes
+# EXPANSION_ENTRIES // S^2 (law, map) pairs, so its (pairs, S, S) tensor
+# stays near 2 MB whatever the tree size
+EXPANSION_ENTRIES = 1 << 18
 
 
 class BudgetExceeded(RuntimeError):
     """Raised when a reachable tree or an enumeration outgrows its budget."""
 
 
-@dataclass
 class ValueNode:
-    stage: int
-    measure: DiscreteMeasure
-    value: float
-    argmin_policy: Optional[TabularMap]  # None at the terminal stage
+    """Value of the law ``measure`` at ``stage`` and the map attaining it.
+
+    ``argmin_policy`` is None at the terminal stage.  Nodes made by
+    :func:`solve` hold the law as its weight vector on the state grid and
+    build ``measure`` from it on every access.
+    """
+
+    __slots__ = ("stage", "value", "argmin_policy", "_measure", "_grid", "_weights")
+
+    def __init__(self, stage: int, measure: DiscreteMeasure, value: float,
+                 argmin_policy: Optional[TabularMap]):
+        self.stage = stage
+        self.value = value
+        self.argmin_policy = argmin_policy
+        self._measure = measure
+        self._grid = self._weights = None
+
+    @classmethod
+    def _on_grid(cls, stage, grid, weights, value, argmin_policy) -> "ValueNode":
+        node = cls.__new__(cls)
+        node.stage, node.value, node.argmin_policy = stage, value, argmin_policy
+        node._measure, node._grid, node._weights = None, grid, weights
+        return node
+
+    @property
+    def measure(self) -> DiscreteMeasure:
+        if self._measure is not None:
+            return self._measure
+        return DiscreteMeasure(self._grid, self._weights)
+
+    def __repr__(self) -> str:
+        return f"ValueNode(stage={self.stage}, value={self.value!r})"
 
 
-@dataclass
 class SolveResult:
-    v0: float
-    optimal_policy_sequence: list
-    reachable_tree_size: int
-    value_cache: dict
+    """Value and optimal maps from the initial law, and every node of the tree.
+
+    ``value_cache`` maps ``(stage, key_on_grid)`` to the :class:`ValueNode`
+    of each node.  It may be given as a function returning that dict;
+    :func:`solve` does so, and the dict is built on first access, since most
+    callers read only ``v0`` and the policy sequence.
+    """
+
+    def __init__(self, v0: float, optimal_policy_sequence: list, reachable_tree_size: int,
+                 value_cache):
+        self.v0 = v0
+        self.optimal_policy_sequence = optimal_policy_sequence
+        self.reachable_tree_size = reachable_tree_size
+        self._value_cache = value_cache
+
+    @property
+    def value_cache(self) -> dict:
+        if callable(self._value_cache):
+            self._value_cache = self._value_cache()
+        return self._value_cache
 
     def node(self, stage: int, mu: DiscreteMeasure, grid) -> ValueNode:
         return self.value_cache[(stage, mu.key_on_grid(grid))]
@@ -65,68 +125,255 @@ def _policies(model: FiniteMFModel):
     return tuples, [model.tabular_policy(t) for t in tuples]
 
 
+def _map_actions(index: np.ndarray, n_states: int, n_actions: int) -> np.ndarray:
+    """Action indices, shape ``(len(index), S)``, of the maps numbered ``index``.
+
+    Maps are numbered in the lexicographic order of :func:`_policies`: the
+    first state's action is the most significant digit.
+    """
+    powers = n_actions ** np.arange(n_states - 1, -1, -1)
+    return (index[:, None] // powers) % n_actions
+
+
+def _canonical(weights: np.ndarray) -> np.ndarray:
+    """Normalize rows, zero entries below ``WEIGHT_FLOOR``, renormalize.
+
+    This is what :class:`DiscreteMeasure` does to the weights a pushforward
+    hands it, so keys and tree sizes match the measure representation.
+    """
+    weights = weights / sum_last(weights)[:, None]
+    weights[weights < WEIGHT_FLOOR] = 0.0
+    return weights / sum_last(weights)[:, None]
+
+
+class _ScalarLaws:
+    """``DiscreteMeasure`` arguments for the scalar callables of a chunk.
+
+    ``mu`` is built once per law and ``lam`` once per (law, map) pair, on
+    first use.
+    """
+
+    def __init__(self, model, laws, law_index, batch):
+        self.model, self.laws, self.batch = model, laws, batch
+        self.law_index = law_index.tolist()
+        self._mu: dict = {}
+        self._lam: dict = {}
+
+    def mu(self, p):
+        law = self.law_index[p]
+        if law not in self._mu:
+            self._mu[law] = DiscreteMeasure(self.model.states, self.laws[law])
+        return self._mu[law]
+
+    def lam(self, p):
+        if p not in self._lam:
+            self._lam[p] = DiscreteMeasure(self.model.actions, self.batch.action_mass[p, 0])
+        return self._lam[p]
+
+
+def _kernel_rows(model, k, batch, supported, scalar):
+    """Kernel rows, shape ``(P, S, S)``, checked on every supported state.
+
+    Rows at unsupported states are zero; small negative entries are clipped.
+    """
+    P, S = supported.shape
+    batched = getattr(model.kernel, "batched", None)
+    if batched is not None:
+        rows = np.broadcast_to(np.asarray(batched(k, batch), dtype=float), (P, S, S))
+        if not supported.all():
+            rows = np.where(supported[..., None], rows, 0.0)
+    else:
+        rows = np.zeros((P, S, S))
+        for p, i in np.argwhere(supported).tolist():
+            row = np.asarray(model.kernel(k, i, scalar.mu(p), int(batch.action[p, i]),
+                                          scalar.lam(p)), dtype=float)
+            if row.shape != (S,):
+                _bad_row(k, i)
+            rows[p, i] = row
+    # row masses only meet a tolerance here, so a BLAS sum is fine
+    bad = ~(np.abs(rows.reshape(-1, S) @ np.ones(S) - 1.0) <= MASS_TOL).reshape(P, S)
+    if rows.min() < 0.0:
+        bad |= rows.min(axis=-1) < -MASS_TOL
+        rows = np.maximum(rows, 0.0)
+    bad &= supported
+    if bad.any():
+        _bad_row(k, np.argwhere(bad)[0][1])
+    return rows
+
+
+def _bad_row(k, i):
+    raise ValueError(f"kernel row is not a probability vector at stage {k}, state index {int(i)}")
+
+
+def _stage_costs(model, k, batch, supported, scalar):
+    """Stage cost at every supported state, shape ``(P, S)``; zero elsewhere."""
+    batched = getattr(model.stage_cost, "batched", None)
+    if batched is not None:
+        costs = np.broadcast_to(np.asarray(batched(k, batch), dtype=float), supported.shape)
+        return np.where(supported, costs, 0.0)
+    costs = np.zeros(supported.shape)
+    for p, i in np.argwhere(supported).tolist():
+        costs[p, i] = float(model.stage_cost(k, i, scalar.mu(p), int(batch.action[p, i]),
+                                             scalar.lam(p)))
+    return costs
+
+
+def _terminal_values(model, laws):
+    """Lifted terminal cost of every law, shape ``(L,)``."""
+    supported = laws > 0
+    batched = getattr(model.terminal_cost, "batched", None)
+    if batched is not None:
+        costs = np.broadcast_to(np.asarray(batched(LawBatch.of(model, laws)), dtype=float),
+                                laws.shape)
+        costs = np.where(supported, costs, 0.0)
+    else:
+        costs = np.zeros(laws.shape)
+        for law, weights in enumerate(laws):
+            mu = DiscreteMeasure(model.states, weights)
+            for i in np.flatnonzero(supported[law]).tolist():
+                costs[law, i] = float(model.terminal_cost(i, mu))
+    return sum_last(laws * costs)
+
+
+def _expand(model, k, laws, pairs, n_maps):
+    """Children (canonical weights) and lifted stage costs of (law, map) pairs.
+
+    Pair ``p`` is law ``p // n_maps`` under map ``p % n_maps``.
+    """
+    law_index = pairs // n_maps
+    weights = laws[law_index]
+    action = _map_actions(pairs % n_maps, model.n_states, model.n_actions)
+    batch = LawBatch.of(model, weights, action)
+    scalar = _ScalarLaws(model, laws, law_index, batch)
+    supported = weights > 0
+    rows = _kernel_rows(model, k, batch, supported, scalar)
+    # as in measure.pushforward, the next weights accumulate state by state
+    children = _canonical(sum_last(np.moveaxis(weights[:, :, None] * rows, 1, -1)))
+    costs = sum_last(weights * _stage_costs(model, k, batch, supported, scalar))
+    return children, costs
+
+
+@dataclass
+class _Stage:
+    laws: np.ndarray                      # (L, S) canonical weights, one row per node
+    keys: list                            # value-cache key of each row
+    child: Optional[np.ndarray] = None    # (L * M^S,) child node of each (law, map)
+    cost: Optional[np.ndarray] = None     # (L * M^S,) lifted stage cost of each (law, map)
+    values: Optional[np.ndarray] = None   # (L,) value of each node
+    best: Optional[np.ndarray] = None     # (L,) number of each node's minimizing map
+
+
+def _value_cache(model, stages, policy) -> dict:
+    """The :class:`ValueNode` of every node of a solved tree."""
+    n = len(stages) - 1
+    cache = {}
+    for k, stage in enumerate(stages):
+        best = stage.best.tolist() if k < n else [None] * len(stage.keys)
+        cache.update({(k, key): ValueNode._on_grid(k, model.states, law, value,
+                                                   None if m is None else policy(m))
+                      for key, law, value, m in zip(stage.keys, stage.laws,
+                                                    stage.values.tolist(), best)})
+    return cache
+
+
 def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
           node_budget: int = DEFAULT_NODE_BUDGET,
           check_model: bool = True) -> SolveResult:
     """Backward value recursion over the tree of laws reachable from ``mu0``.
 
-    Ties between minimizing maps break toward the lexicographically smallest
-    map in (state index, action index) order, so outputs are deterministic.
+    The tree is expanded stage by stage on weight vectors, every map of a
+    frontier law at once; children whose weights agree to ``KEY_DECIMALS``
+    decimals are one node.  Ties between minimizing maps break toward the
+    lexicographically smallest map in (state index, action index) order, so
+    outputs are deterministic.
 
     Raises
     ------
     BudgetExceeded
         If the number of distinct (stage, law) nodes exceeds ``node_budget``.
     ValueError
-        If ``check_model`` and the model fails validation.
+        If ``check_model`` and the model fails validation, if a kernel row at
+        a supported state is not a probability vector, or if a candidate
+        value is not finite.
     """
     if check_model:
         report = validate(model, extra_measures=[mu0])
         if not report.ok:
             raise ValueError(f"invalid model: {report.summary()}")
-    kern = model.transition_kernel()
-    n = model.horizon
-    _, policies = _policies(model)
-    cache: dict = {}
+    S, M, n = model.n_states, model.n_actions, model.horizon
+    n_maps = M ** S
+    chunk = max(1, EXPANSION_ENTRIES // (S * S))
 
-    def value(k: int, mu: DiscreteMeasure) -> ValueNode:
-        key = (k, mu.key_on_grid(model.states))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if len(cache) >= node_budget:
-            bound = sum(min(len(policies) ** j, node_budget) for j in range(n + 1))
+    def check_budget(nodes):
+        if nodes > node_budget:
+            bound = sum(n_maps ** j for j in range(n + 1))
             raise BudgetExceeded(
                 f"node budget {node_budget} exceeded; the reachable tree needs more "
                 f"(worst-case bound {bound} nodes)")
-        if k == n:
-            node = ValueNode(k, mu, lifted_terminal_cost(model, mu), None)
-        else:
-            best = np.inf
-            best_policy = None
-            for policy in policies:
-                child = pushforward(mu, policy, kern, k)
-                cand = lifted_stage_cost(model, k, mu, policy) + value(k + 1, child).value
-                if cand < best:
-                    best = cand
-                    best_policy = policy
-            node = ValueNode(k, mu, float(best), best_policy)
-        cache[key] = node
-        return node
 
-    root = value(0, mu0)
+    root = mu0.weights_on_grid(model.states)[None, :]
+    root.setflags(write=False)
+    stages = [_Stage(root, [tuple(np.round(root[0], KEY_DECIMALS).tolist())])]
+    nodes = 1
+    check_budget(nodes)
+    for k in range(n):
+        stage = stages[k]
+        total = len(stage.laws) * n_maps
+        stage.child = np.empty(total, dtype=np.intp)
+        stage.cost = np.empty(total)
+        index: dict = {}     # key -> node number at stage k + 1
+        reps = []            # weights of the new nodes, in node order
+        for p0 in range(0, total, chunk):
+            p1 = min(p0 + chunk, total)
+            children, stage.cost[p0:p1] = _expand(model, k, stage.laws,
+                                                  np.arange(p0, p1), n_maps)
+            known = len(index)
+            ids = np.array([index.setdefault(key, len(index))
+                            for key in map(tuple, np.round(children, KEY_DECIMALS).tolist())])
+            stage.child[p0:p1] = ids
+            if len(index) > known:
+                # ids are handed out in order of first occurrence
+                _, first = np.unique(ids, return_index=True)
+                reps.append(children[first[known - len(index):]])
+            check_budget(nodes + len(index))
+        nodes += len(index)
+        laws = np.concatenate(reps)
+        laws.setflags(write=False)
+        stages.append(_Stage(laws, list(index)))
+
+    values = _terminal_values(model, stages[n].laws)
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite terminal value at stage {n}")
+    stages[n].values = values
+    for k in range(n - 1, -1, -1):
+        stage = stages[k]
+        cand = (stage.cost.reshape(-1, n_maps)
+                + stages[k + 1].values[stage.child].reshape(-1, n_maps))
+        if not np.isfinite(cand).all():
+            raise ValueError(f"non-finite candidate value at stage {k}")
+        stage.best = cand.argmin(axis=1)   # first minimum: lexicographic tie-break
+        stage.values = cand[np.arange(len(stage.best)), stage.best]
+
+    policies: dict = {}
+
+    def policy(m):
+        if m not in policies:
+            policies[m] = model.tabular_policy(_map_actions(np.array([m]), S, M)[0])
+        return policies[m]
 
     seq = []
-    mu = mu0
-    for k in range(n):
-        node = cache[(k, mu.key_on_grid(model.states))]
-        seq.append(node.argmin_policy)
-        mu = pushforward(mu, node.argmin_policy, kern, k)
+    law = 0
+    for stage in stages[:n]:
+        m = int(stage.best[law])
+        seq.append(policy(m))
+        law = int(stage.child[law * n_maps + m])
+    for stage in stages:
+        stage.child = stage.cost = None      # the value cache needs only the rest
     return SolveResult(
-        v0=root.value,
+        v0=float(stages[0].values[0]),
         optimal_policy_sequence=seq,
-        reachable_tree_size=len(cache),
-        value_cache=cache,
+        reachable_tree_size=nodes,
+        value_cache=lambda: _value_cache(model, stages, policy),
     )
 
 

@@ -38,6 +38,11 @@ def _as_points(points) -> np.ndarray:
     return arr
 
 
+def _as_point(point) -> np.ndarray:
+    """Coerce a scalar or a length-d vector to one point, shape ``(d,)``."""
+    return np.asarray(point, dtype=float).reshape(-1)
+
+
 def _merge_points(points: np.ndarray, weights: np.ndarray):
     """Merge support points within MERGE_TOL (max-norm), adding their weights.
 
@@ -132,7 +137,7 @@ class DiscreteMeasure:
     # -- constructors ----------------------------------------------------------
     @classmethod
     def dirac(cls, point) -> "DiscreteMeasure":
-        return cls(_as_points(point), [1.0])
+        return cls(_as_point(point)[None, :], [1.0])
 
     @classmethod
     def uniform(cls, points) -> "DiscreteMeasure":
@@ -154,16 +159,18 @@ class DiscreteMeasure:
             raise ValueError("quadratic form is not symmetric")
         return lam
 
+    def _quadratic_moment(self, lam: np.ndarray) -> float:
+        return float(np.einsum("i,ij,jk,ik->", self._weights, self._support, lam, self._support))
+
     def quadratic_moment(self, quad) -> float:
         """``sum_i w_i x_i' Q x_i`` for a symmetric matrix ``Q``."""
-        lam = self._check_symmetric(quad)
-        return float(np.einsum("i,ij,jk,ik->", self._weights, self._support, lam, self._support))
+        return self._quadratic_moment(self._check_symmetric(quad))
 
     def variance_form(self, quad) -> float:
         """Quadratic moment minus ``mean' Q mean``; nonnegative for PSD ``Q``."""
         lam = self._check_symmetric(quad)
         m = self.mean()
-        return self.quadratic_moment(lam) - float(m @ lam @ m)
+        return self._quadratic_moment(lam) - float(m @ lam @ m)
 
     def covariance(self) -> np.ndarray:
         """Second central moment matrix, shape ``(d, d)``."""
@@ -173,7 +180,7 @@ class DiscreteMeasure:
 
     def mass_at(self, point) -> float:
         """Total weight within ``MERGE_TOL`` (max-norm) of ``point``."""
-        p = _as_points(point)[0]
+        p = _as_point(point)
         hit = np.max(np.abs(self._support - p), axis=1) <= MERGE_TOL
         return float(self._weights[hit].sum())
 
@@ -273,7 +280,7 @@ class TabularMap:
         return len(self._domain)
 
     def index_of(self, point) -> int:
-        p = _as_points(point)[0]
+        p = _as_point(point)
         i = self._index.get(tuple(np.round(p, 9)))
         if i is not None:
             return i

@@ -102,6 +102,51 @@ class TestSolveFinite:
         cfg = _stage(tmp_path, "lq_mean_variance.json")
         assert main(["solve-finite", cfg, "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_budget_message_reports_full_tree_bound(self, tmp_path, capsys):
+        cfg = _stage(tmp_path, "finite_mean_reverting.json")   # S=3, M=2, n=3
+        assert main(["solve-finite", cfg, "--node-budget", "10",
+                     "--out", str(tmp_path / "x.json")]) == 3
+        assert "worst-case bound 585 nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, run_budget", [("0", None), ("-5", None), (None, 0)])
+    def test_budget_below_one_is_config_error(self, tmp_path, capsys, flag, run_budget):
+        data = json.loads(fixture_text("finite_mean_reverting.json"))
+        if run_budget is not None:
+            data["run"] = {"node_budget": run_budget}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "x.json"
+        argv = ["solve-finite", str(cfg), "--out", str(out)]
+        if flag is not None:
+            argv += ["--node-budget", flag]
+        assert main(argv) == 2
+        assert "node budget must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("states, actions", [
+        ([[-1.0, 0.5], [0.0, 0.0], [1.0, -0.5]], [[0.0], [1.0]]),
+        ([[-1.0], [0.0], [1.0]], [[0.0, 0.0], [1.0, -1.0]]),
+    ], ids=["states_2d", "actions_2d"])
+    def test_multi_coordinate_grids(self, tmp_path, states, actions):
+        from mfctrl import dpp
+        from mfctrl.measure import DiscreteMeasure
+        from mfctrl.model import finite_model_from_config
+
+        data = json.loads(fixture_text("finite_mean_reverting.json"))
+        data["model"].update(states=states, actions=actions, horizon=2)
+        data["model"]["stage_cost"] = {"tag": "quadratic", "params": {
+            "qx": 0.3, "qm": 0.2, "qv": 0.1, "cxm": -0.2, "ra": 0.2, "rm": 0.1, "cam": -0.3}}
+        data["initial_law"] = {"support": states, "weights": [0.2, 0.3, 0.5]}
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "solve.json"
+        assert main(["solve-finite", str(cfg), "--out", str(out),
+                     "--trajectory-csv", str(tmp_path / "flow.csv")]) == 0
+        payload = json.loads(out.read_text())
+        model = finite_model_from_config(data["model"])
+        mu0 = DiscreteMeasure.from_json(data["initial_law"])
+        assert payload["v0"] == pytest.approx(dpp.brute_force_value(model, mu0), abs=1e-10)
+
 
 class TestRiccati:
     def test_multivariate_round_trip(self, tmp_path):
@@ -159,6 +204,16 @@ class TestSimulate:
         assert code == 0
         assert (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("count", ["1", "0"])
+    def test_too_few_particles_is_config_error(self, tmp_path, capsys, count):
+        cfg = _stage(tmp_path, "lq_mean_variance.json")
+        out = tmp_path / "sim.json"
+        assert main(["simulate", cfg, "--n-particles", count, "--seed", "3",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "n-particles" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_riccati_policy_invalid_for_finite(self, tmp_path):
         cfg = _stage(tmp_path, "finite_mean_clamp.json")
         assert main(["simulate", cfg, "--n-particles", "10", "--seed", "1",
@@ -175,6 +230,19 @@ def test_run_block_output_paths(tmp_path):
     assert main(["solve-finite", str(cfg)]) == 0
     assert json.loads(out.read_text())["v0"] == 0.0
     assert csv_path.exists()
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_non_finite_output_is_numerical_failure_and_writes_nothing(tmp_path, capsys, to_file):
+    out = tmp_path / "mv.json"
+    code = main(["meanvariance", "--gamma", "1", "--b", "0.5", "--sigma", "1",
+                 "--delta", "1", "--n", "2", "--x0", "nan",
+                 "--out", str(out) if to_file else "-"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "not finite" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestErrors:

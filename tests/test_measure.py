@@ -236,3 +236,14 @@ def test_image_measure_mean_identity(raw, seed):
     img = image_measure(mu, policy)
     assert abs(img.weights.sum() - 1.0) <= 1e-12
     assert np.allclose(img.mean(), mu.weights @ actions, atol=1e-12)
+
+
+def test_single_points_with_several_coordinates():
+    point = [1.0, -0.5]
+    mu = DiscreteMeasure.dirac(point)
+    assert mu.support.shape == (1, 2)
+    grid = DiscreteMeasure([[0.0, 0.0], point], [0.25, 0.75])
+    assert grid.mass_at(point) == pytest.approx(0.75, abs=1e-15)
+    policy = TabularMap([[0.0, 0.0], point], [[0.0], [1.0]])
+    assert policy.index_of(point) == 1
+    assert policy(np.array(point))[0] == 1.0

@@ -178,3 +178,14 @@ class TestConfig:
                             for iy, w in enumerate(mu0.weights_on_grid(model.states)))
                 np.testing.assert_allclose(
                     mixed, model.kernel(0, i, mu0, a, lam), atol=1e-14)
+
+
+@pytest.mark.parametrize("field", ["states", "actions"])
+def test_coinciding_grid_points_rejected(field):
+    grids = {"states": [[-1.0], [0.0], [1.0]], "actions": [[0.0], [1.0]]}
+    grids[field] = grids[field] + [[1e-10]]
+    with pytest.raises(ValueError, match=f"{field} .* coincide"):
+        FiniteMFModel(grids["states"], grids["actions"], 1,
+                      lambda k, i, mu, a, lam: np.full(len(grids["states"]),
+                                                       1.0 / len(grids["states"])),
+                      lambda k, i, mu, a, lam: 0.0, lambda i, mu: 0.0)
