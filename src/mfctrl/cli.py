@@ -397,7 +397,7 @@ def _verify_rows(quick=False):
         if node.argmin_policy is None:
             continue
         child = pushforward(node.measure, node.argmin_policy, kern, k)
-        child_node = res.value_cache[(k + 1, child.key_on_grid(model.states))]
+        child_node = res.node(k + 1, child, model.states)
         recomputed = lifted_stage_cost(model, k, node.measure, node.argmin_policy) \
             + child_node.value
         worst = max(worst, abs(node.value - recomputed))

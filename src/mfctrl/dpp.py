@@ -58,65 +58,70 @@ class BudgetExceeded(RuntimeError):
     """Raised when a reachable tree or an enumeration outgrows its budget."""
 
 
+@dataclass
 class ValueNode:
-    """Value of the law ``measure`` at ``stage`` and the map attaining it.
+    stage: int
+    measure: DiscreteMeasure
+    value: float
+    argmin_policy: Optional[TabularMap]  # None at the terminal stage
 
-    ``argmin_policy`` is None at the terminal stage.  Nodes made by
-    :func:`solve` hold the law as its weight vector on the state grid and
-    build ``measure`` from it on every access.
+
+class _BuiltOnRead:
+    """Dataclass field whose value may be given as a function building it.
+
+    The function runs on the first read, and its result replaces it.
     """
 
-    __slots__ = ("stage", "value", "argmin_policy", "_measure", "_grid", "_weights")
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
 
-    def __init__(self, stage: int, measure: DiscreteMeasure, value: float,
-                 argmin_policy: Optional[TabularMap]):
-        self.stage = stage
-        self.value = value
-        self.argmin_policy = argmin_policy
-        self._measure = measure
-        self._grid = self._weights = None
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot)      # the field has no default
+        value = getattr(obj, self.slot)
+        if callable(value):
+            value = value()
+            setattr(obj, self.slot, value)
+        return value
 
-    @classmethod
-    def _on_grid(cls, stage, grid, weights, value, argmin_policy) -> "ValueNode":
-        node = cls.__new__(cls)
-        node.stage, node.value, node.argmin_policy = stage, value, argmin_policy
-        node._measure, node._grid, node._weights = None, grid, weights
-        return node
-
-    @property
-    def measure(self) -> DiscreteMeasure:
-        if self._measure is not None:
-            return self._measure
-        return DiscreteMeasure(self._grid, self._weights)
-
-    def __repr__(self) -> str:
-        return f"ValueNode(stage={self.stage}, value={self.value!r})"
+    def __set__(self, obj, value):
+        setattr(obj, self.slot, value)
 
 
+@dataclass
 class SolveResult:
     """Value and optimal maps from the initial law, and every node of the tree.
 
     ``value_cache`` maps ``(stage, key_on_grid)`` to the :class:`ValueNode`
-    of each node.  It may be given as a function returning that dict;
-    :func:`solve` does so, and the dict is built on first access, since most
-    callers read only ``v0`` and the policy sequence.
+    of each node.  :func:`solve` builds it on first read, since most callers
+    read only ``v0`` and the policy sequence.
     """
 
-    def __init__(self, v0: float, optimal_policy_sequence: list, reachable_tree_size: int,
-                 value_cache):
-        self.v0 = v0
-        self.optimal_policy_sequence = optimal_policy_sequence
-        self.reachable_tree_size = reachable_tree_size
-        self._value_cache = value_cache
-
-    @property
-    def value_cache(self) -> dict:
-        if callable(self._value_cache):
-            self._value_cache = self._value_cache()
-        return self._value_cache
+    v0: float
+    optimal_policy_sequence: list
+    reachable_tree_size: int
+    value_cache: dict = _BuiltOnRead()
 
     def node(self, stage: int, mu: DiscreteMeasure, grid) -> ValueNode:
-        return self.value_cache[(stage, mu.key_on_grid(grid))]
+        """The node of ``mu`` at ``stage``.
+
+        A law computed along another path than the solver's, such as a
+        scalar pushforward of a node's measure, may differ from the stored
+        law in its last bits and round to a neighbouring key.  When the key
+        of ``mu`` is missing, the node whose key lies nearest to ``mu``,
+        within one rounding unit, is returned.
+        """
+        key = mu.key_on_grid(grid)
+        node = self.value_cache.get((stage, key))
+        if node is not None:
+            return node
+        weights = mu.weights_on_grid(grid)
+        gap, node = min(((np.max(np.abs(np.asarray(other) - weights)), near)
+                         for (k, other), near in self.value_cache.items() if k == stage),
+                        key=lambda hit: hit[0], default=(np.inf, None))
+        if gap > 10.0 ** -KEY_DECIMALS:
+            raise KeyError((stage, key))
+        return node
 
 
 def _policies(model: FiniteMFModel):
@@ -171,6 +176,18 @@ class _ScalarLaws:
         return self._lam[p]
 
 
+def _from_batched(values, shape, what):
+    """The values of a ``batched`` form, broadcast to ``shape = (P, S, ...)``.
+
+    The pair axis may be a singleton, for values equal under every law and
+    map, and a cost may be one constant; any other shape is an error.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape not in (shape, (1,) + shape[1:]) and (values.ndim or what == "kernel"):
+        raise ValueError(f"batched {what} has shape {values.shape}, expected {shape}")
+    return np.broadcast_to(values, shape)
+
+
 def _kernel_rows(model, k, batch, supported, scalar):
     """Kernel rows, shape ``(P, S, S)``, checked on every supported state.
 
@@ -179,7 +196,7 @@ def _kernel_rows(model, k, batch, supported, scalar):
     P, S = supported.shape
     batched = getattr(model.kernel, "batched", None)
     if batched is not None:
-        rows = np.broadcast_to(np.asarray(batched(k, batch), dtype=float), (P, S, S))
+        rows = _from_batched(batched(k, batch), (P, S, S), "kernel")
         if not supported.all():
             rows = np.where(supported[..., None], rows, 0.0)
     else:
@@ -209,7 +226,7 @@ def _stage_costs(model, k, batch, supported, scalar):
     """Stage cost at every supported state, shape ``(P, S)``; zero elsewhere."""
     batched = getattr(model.stage_cost, "batched", None)
     if batched is not None:
-        costs = np.broadcast_to(np.asarray(batched(k, batch), dtype=float), supported.shape)
+        costs = _from_batched(batched(k, batch), supported.shape, "stage cost")
         return np.where(supported, costs, 0.0)
     costs = np.zeros(supported.shape)
     for p, i in np.argwhere(supported).tolist():
@@ -223,8 +240,7 @@ def _terminal_values(model, laws):
     supported = laws > 0
     batched = getattr(model.terminal_cost, "batched", None)
     if batched is not None:
-        costs = np.broadcast_to(np.asarray(batched(LawBatch.of(model, laws)), dtype=float),
-                                laws.shape)
+        costs = _from_batched(batched(LawBatch.of(model, laws)), laws.shape, "terminal cost")
         costs = np.where(supported, costs, 0.0)
     else:
         costs = np.zeros(laws.shape)
@@ -269,8 +285,8 @@ def _value_cache(model, stages, policy) -> dict:
     cache = {}
     for k, stage in enumerate(stages):
         best = stage.best.tolist() if k < n else [None] * len(stage.keys)
-        cache.update({(k, key): ValueNode._on_grid(k, model.states, law, value,
-                                                   None if m is None else policy(m))
+        cache.update({(k, key): ValueNode(k, DiscreteMeasure(model.states, law), value,
+                                          None if m is None else policy(m))
                       for key, law, value, m in zip(stage.keys, stage.laws,
                                                     stage.values.tolist(), best)})
     return cache

@@ -83,7 +83,9 @@ class FiniteMFModel:
         Indexed by grid indices; measures are passed as
         :class:`~mfctrl.measure.DiscreteMeasure` (state law, action law).
         A callable may carry a ``batched`` attribute computing the same
-        values from a :class:`LawBatch` (see the config families below).
+        values from a :class:`LawBatch` (see the config families below):
+        kernel rows of shape ``(P, S, S)``, costs of shape ``(P, S)``, where
+        the leading axis may be 1 and a cost may be one constant.
     mean_field_free : bool
         Declares that kernel and costs ignore the measure arguments.
     first_order : FirstOrderSpec, optional
@@ -320,14 +322,6 @@ def _dot(u, v):
     return sum_last(u * v)
 
 
-def _max_last(a):
-    """Maximum over the last axis."""
-    peak = a[..., 0]
-    for j in range(1, a.shape[-1]):
-        peak = np.maximum(peak, a[..., j])
-    return peak
-
-
 def _two_state_rows(p):
     """Rows ``[1 - p, p]`` over a two-state grid."""
     return np.stack([1.0 - p, p], axis=-1)
@@ -381,7 +375,7 @@ def _kernel_mean_reverting(states, actions, params):
     def formula(i, a, mbar):
         target = (1.0 - theta) * grid[i] + theta * mbar + eta * acts[a]
         logits = -((grid - target[..., None]) ** 2) / tau
-        w = np.exp(logits - _max_last(logits)[..., None])
+        w = np.exp(logits - logits.max(axis=-1, keepdims=True))
         return w / sum_last(w)[..., None]
 
     def rows(k, i, mu, a, lam):

@@ -6,17 +6,24 @@ recursion over ``DiscreteMeasure`` laws in ``dpp_reference``: same tree,
 same argmin maps, same values.
 """
 
+import dataclasses
 import itertools
+import os
+import sys
 
 import numpy as np
 import pytest
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "benchmarks"))
+
+import workloads  # noqa: E402
 from conftest import load_finite, random_classical_model, random_finite_model, random_initial_law
 from dpp_reference import reference_solve
 from mfctrl import dpp
 from mfctrl.fixtures import list_fixtures
-from mfctrl.measure import DiscreteMeasure, image_measure
-from mfctrl.model import FiniteMFModel, LawBatch, finite_model_from_config
+from mfctrl.measure import DiscreteMeasure, image_measure, pushforward
+from mfctrl.model import FiniteMFModel, LawBatch, finite_model_from_config, lifted_stage_cost
 
 FINITE_FIXTURES = sorted(name for name in list_fixtures() if name.startswith(("finite_", "fo_")))
 
@@ -130,15 +137,50 @@ def test_mixed_batched_and_scalar_components_match_reference():
     assert_matches_reference(mixed, mu0)
 
 
-def test_value_nodes_build_their_measure_on_access():
+def test_value_nodes_hold_the_measure_of_their_key():
     model, mu0 = load_finite("finite_mean_reverting.json")
     result = dpp.solve(model, mu0)
     for (k, key), node in result.value_cache.items():
-        first, second = node.measure, node.measure
-        assert first is not second
-        assert first.key_on_grid(model.states) == key
+        assert node.measure.key_on_grid(model.states) == key
         assert node.stage == k
     assert result.node(0, mu0, model.states).value == result.v0
+
+
+def test_solve_result_and_value_node_are_dataclasses():
+    model, mu0 = load_finite("finite_mean_reverting.json")
+    result = dpp.solve(model, mu0)
+    assert [f.name for f in dataclasses.fields(result)] == [
+        "v0", "optimal_policy_sequence", "reachable_tree_size", "value_cache"]
+    assert [f.name for f in dataclasses.fields(dpp.ValueNode)] == [
+        "stage", "measure", "value", "argmin_policy"]
+    # equality and replace read the value cache like any other field
+    copy = dataclasses.replace(result)
+    assert copy == result and copy.value_cache is result.value_cache
+    assert dataclasses.replace(result, value_cache={}) != result
+    node = result.node(0, mu0, model.states)
+    node.measure = mu0
+    assert result.node(0, mu0, model.states).measure is mu0
+    rebuilt = dpp.SolveResult(result.v0, result.optimal_policy_sequence,
+                              result.reachable_tree_size, dict(result.value_cache))
+    assert rebuilt == result
+
+
+def test_one_step_lookup_holds_on_a_dpp_tree_scenario():
+    # the one-step check recomputes each argmin child with the scalar pushforward
+    # and finds its node by key, as `mfctrl verify` does
+    scenario = workloads.tree_scenario(np.random.default_rng([401, 0]))
+    model = finite_model_from_config(scenario["model"])
+    mu0 = DiscreteMeasure.from_json(scenario["initial_law"])
+    result = dpp.solve(model, mu0)
+    assert result.reachable_tree_size == workloads.tree_bound(4, 2, 3)
+    kern = model.transition_kernel()
+    for (k, _key), node in result.value_cache.items():
+        if node.argmin_policy is None:
+            continue
+        child = pushforward(node.measure, node.argmin_policy, kern, k)
+        recomputed = (lifted_stage_cost(model, k, node.measure, node.argmin_policy)
+                      + result.node(k + 1, child, model.states).value)
+        assert node.value == pytest.approx(recomputed, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +277,32 @@ def test_batched_kernel_bad_row_raises():
         dpp.solve(model, mu0, check_model=False)
 
 
+
+def _with_batched(component, batched):
+    def wrapped(*args):
+        return component(*args)
+    wrapped.batched = batched
+    return wrapped
+
+
+@pytest.mark.parametrize("part,batched", [
+    ("kernel", lambda k, b: np.full(3, 1.0 / 3.0)),                  # one row for all states
+    ("kernel", lambda k, b: np.full((1, 1, 3), 1.0 / 3.0)),          # state axis missing
+    ("kernel", lambda k, b: 1.0 / 3.0),                              # a constant
+    ("stage_cost", lambda k, b: np.zeros(3)),                        # pair axis missing
+    ("terminal_cost", lambda b: np.zeros((1, 1))),                   # state axis missing
+])
+def test_batched_form_of_the_wrong_shape_raises(part, batched):
+    model = finite_model_from_config(TAG_CONFIGS["table3-quadratic"])
+    parts = {name: getattr(model, name) for name in ("kernel", "stage_cost", "terminal_cost")}
+    parts[part] = _with_batched(parts[part], batched)
+    model = FiniteMFModel(model.states, model.actions, model.horizon, **parts)
+    mu0 = DiscreteMeasure(model.states, [0.2, 0.3, 0.5])
+    name = part.replace("_", " ")
+    with pytest.raises(ValueError, match=f"batched {name} has shape"):
+        dpp.solve(model, mu0, check_model=False)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_candidate_raises_naming_the_stage(bad):
     def stage_cost(k, i, mu, a, lam):
@@ -304,3 +372,16 @@ def test_split_key_costs_a_duplicate_node_never_a_wrong_value():
     assert merged.reachable_tree_size == 2
     assert result.v0 == pytest.approx(merged.v0, abs=1e-12)
     assert_matches_reference(model, mu0)
+
+
+def test_node_lookup_takes_the_neighbouring_key_of_a_law_off_by_one_ulp():
+    model = _boundary_model(BELOW)
+    mu0 = DiscreteMeasure(model.states, [1.0, 0.0])
+    result = dpp.solve(model, mu0)
+    (key, leaf), = [(key, node) for (k, key), node in result.value_cache.items() if k == 1]
+    above = DiscreteMeasure(model.states, [ABOVE, 1.0 - ABOVE])
+    assert (1, above.key_on_grid(model.states)) not in result.value_cache
+    assert result.node(1, above, model.states) is leaf
+    far = DiscreteMeasure(model.states, [BELOW + 1e-11, 1.0 - BELOW - 1e-11])
+    with pytest.raises(KeyError):
+        result.node(1, far, model.states)
