@@ -59,6 +59,11 @@ def _load_scenario(path):
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path!r} must be a JSON object, got {type(data).__name__}")
+    run = data.get("run", {})
+    if not isinstance(run, dict):
+        raise ConfigError(f"config field 'run' must be an object, got {type(run).__name__}")
     kind = data.get("kind")
     if kind not in ("finite", "lq", "meanvariance"):
         raise ConfigError(f"config field 'kind' must be finite|lq|meanvariance, got {kind!r}")
@@ -125,6 +130,12 @@ def _write_json(path, payload):
 def _output_paths(args, data, json_attr, csv_attr):
     """Flag values win; the scenario's run block provides defaults."""
     outputs = data.get("run", {}).get("outputs", {})
+    if not isinstance(outputs, dict):
+        raise ConfigError(f"config field 'run.outputs' must be an object, "
+                          f"got {type(outputs).__name__}")
+    for key in ("json", "csv"):
+        if not isinstance(outputs.get(key, ""), str):
+            raise ConfigError(f"config field 'run.outputs.{key}' must be a path string")
     json_path = getattr(args, json_attr)
     if json_path == "-" and "json" in outputs:
         json_path = outputs["json"]
@@ -149,7 +160,10 @@ def _cmd_solve_finite(args):
     model, mu0 = _finite_from_scenario(data)
     budget = args.node_budget
     if budget is None:
-        budget = int(data.get("run", {}).get("node_budget", dpp.DEFAULT_NODE_BUDGET))
+        try:
+            budget = int(data.get("run", {}).get("node_budget", dpp.DEFAULT_NODE_BUDGET))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"run.node_budget must be an integer: {exc}") from exc
     if budget < 1:
         raise ConfigError(f"node budget must be at least 1, got {budget}")
     result = dpp.solve(model, mu0, node_budget=budget)
@@ -606,7 +620,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except (ConditionsNotMet, NotPositiveDefinite, dpp.BudgetExceeded,
-            np.linalg.LinAlgError, NonFiniteOutput) as exc:
+            np.linalg.LinAlgError, NonFiniteOutput, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (ValueError, KeyError, TypeError) as exc:

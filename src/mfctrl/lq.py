@@ -13,6 +13,12 @@ per-stage minimization is convex and coercive when the semidefiniteness and
 rank conditions checked by :func:`check_conditions` hold; positive
 definiteness of the two control Hessians is asserted at every stage anyway.
 
+One backward pass propagates the weights from the terminal cost and reads
+the conditions off them stage by stage: :func:`check_conditions` returns
+its report and :func:`solve_riccati` its solution.  The conditions on the
+model alone (semidefinite costs, definite control costs, full row rank of
+the control matrices) are tested once, batched over all stages.
+
 Matrix inverses are never formed: all solves go through symmetric
 positive-definite Cholesky factorizations.
 """
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -57,21 +63,22 @@ def _check_sym(name, mat):
     return _sym(mat)
 
 
-def _is_psd(mat) -> bool:
-    return float(np.linalg.eigvalsh(_sym(mat)).min()) >= PSD_EIG_TOL
+def _min_eig(mats) -> np.ndarray:
+    """Smallest eigenvalue of each symmetrized matrix of a stack."""
+    return np.linalg.eigvalsh(_sym(mats)).min(axis=-1)
 
 
 def _is_pd(mat) -> bool:
-    return float(np.linalg.eigvalsh(_sym(mat)).min()) > PD_EIG_TOL
+    return float(_min_eig(mat)) > PD_EIG_TOL
 
 
-def _has_full_row_rank(mat, d) -> bool:
-    if mat.shape[0] != d:
-        return False
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return False
-    return sv.size >= d and sv[d - 1] >= RANK_REL_TOL * sv[0]
+def _full_row_rank(mats) -> np.ndarray:
+    """Per matrix of an ``(n, d, m)`` stack: rank ``d`` within ``RANK_REL_TOL``."""
+    n, d, m = mats.shape
+    if m < d:
+        return np.zeros(n, dtype=bool)
+    sv = np.linalg.svd(mats, compute_uv=False)
+    return (sv[:, 0] != 0.0) & (sv[:, d - 1] >= RANK_REL_TOL * sv[:, 0])
 
 
 @dataclass(frozen=True)
@@ -117,12 +124,13 @@ class LQModel:
     initial_measure: Optional[DiscreteMeasure] = None
 
     def __post_init__(self):
-        as_f = lambda x: np.asarray(x, dtype=float)
-        stage_shapes = None
         for name in self.__dataclass_fields__:
             if name == "initial_measure":
                 continue
-            object.__setattr__(self, name, as_f(getattr(self, name)))
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} has non-finite entries")
+            object.__setattr__(self, name, value)
         n, d, _ = self.drift_state.shape
         m = self.drift_control.shape[2]
         stage_shapes = {
@@ -227,6 +235,15 @@ class LQModel:
         )
 
 
+def _check_mean_variance_params(gamma, b, sigma, delta, n, x0=0.0):
+    if not all(map(math.isfinite, (gamma, b, sigma, delta, x0))):
+        raise ValueError("mean-variance parameters must be finite")
+    if gamma <= 0 or sigma <= 0 or delta <= 0:
+        raise ValueError("need gamma > 0, sigma > 0, delta > 0")
+    if n < 1:
+        raise ValueError("need n >= 1")
+
+
 def mean_variance_model(gamma: float, b: float, sigma: float, delta: float,
                         n: int, x0: float) -> LQModel:
     """Wealth model for the mean-variance objective, encoded as an LQModel.
@@ -235,10 +252,7 @@ def mean_variance_model(gamma: float, b: float, sigma: float, delta: float,
     steps of length ``delta``; the control is the invested amount; the
     objective is ``(gamma/2) Var(X_n) - E[X_n]``.
     """
-    if gamma <= 0 or sigma <= 0 or delta <= 0:
-        raise ValueError("need gamma > 0, sigma > 0, delta > 0")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_mean_variance_params(gamma, b, sigma, delta, n, x0)
     zs = np.zeros((n, 1, 1))
     zv = np.zeros((n, 1))
     return LQModel(
@@ -270,24 +284,22 @@ def mean_variance_model(gamma: float, b: float, sigma: float, delta: float,
 # Backward pass
 # ---------------------------------------------------------------------------
 
-def _stage_pieces(model: LQModel, k: int):
-    B = model.drift_state[k]
-    Bq = B + model.drift_state_mean[k]
-    C = model.drift_control[k]
-    Cq = C + model.drift_control_mean[k]
-    D = model.noise_state[k]
-    Dq = D + model.noise_state_mean[k]
-    H = model.noise_control[k]
-    Hq = H + model.noise_control_mean[k]
-    return B, Bq, C, Cq, D, Dq, H, Hq
+def _stage_pieces(model: LQModel):
+    """Dynamics matrices stacked over stages, each next to its mean-augmented
+    sum: ``B, B + Bbar, C, C + Cbar, D, D + Dbar, H, H + Hbar``."""
+    B, C = model.drift_state, model.drift_control
+    D, H = model.noise_state, model.noise_control
+    return (B, B + model.drift_state_mean, C, C + model.drift_control_mean,
+            D, D + model.noise_state_mean, H, H + model.noise_control_mean)
 
 
-def _hessians(model: LQModel, k: int, lam: np.ndarray, gam: np.ndarray):
-    """Control Hessians and cross terms induced by the next-stage weights."""
-    B, Bq, C, Cq, D, Dq, H, Hq = _stage_pieces(model, k)
-    dev_hess = model.cost_control[k] + H.T @ lam @ H + C.T @ lam @ C
-    mean_hess = (model.cost_control[k] + model.cost_control_mean[k]
-                 + Cq.T @ gam @ Cq + Hq.T @ lam @ Hq)
+def _hessians(pieces, R, Rq, lam: np.ndarray, gam: np.ndarray):
+    """Control Hessians and cross terms of one stage, induced by its dynamics
+    ``pieces``, its control costs ``R`` and ``R + Rbar`` and the next-stage
+    weights."""
+    B, Bq, C, Cq, D, Dq, H, Hq = pieces
+    dev_hess = R + H.T @ lam @ H + C.T @ lam @ C
+    mean_hess = Rq + Cq.T @ gam @ Cq + Hq.T @ lam @ Hq
     cross_dev = D.T @ lam @ H + B.T @ lam @ C
     cross_mean = Dq.T @ lam @ Hq + Bq.T @ gam @ Cq
     return _sym(dev_hess), _sym(mean_hess), cross_dev, cross_mean
@@ -327,19 +339,13 @@ class RiccatiSolution:
         return self.dev_hessian.shape[1]
 
     def to_json(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in (
-            "var_weight", "mean_weight", "linear", "constant",
-            "dev_hessian", "mean_hessian", "dev_cross", "mean_cross",
-            "mean_transition")}
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_json(cls, payload) -> "RiccatiSolution":
         if isinstance(payload, str):
             payload = json.loads(payload)
-        return cls(**{name: np.asarray(payload[name], dtype=float) for name in (
-            "var_weight", "mean_weight", "linear", "constant",
-            "dev_hessian", "mean_hessian", "dev_cross", "mean_cross",
-            "mean_transition")})
+        return cls(**{f.name: np.asarray(payload[f.name], dtype=float) for f in fields(cls)})
 
 
 @dataclass
@@ -373,6 +379,133 @@ class ConditionReport:
         return f"conditions violated at stage {stage}: {what}"
 
 
+def _coercive_via(cost_pd, drift_rank, drift_weight, noise_rank, noise_weight):
+    """First coercivity alternative that holds: PD control cost, or full row
+    rank of the control-to-drift (then control-to-noise) matrix together with
+    positive definiteness of the weight it meets."""
+    if cost_pd:
+        return "control_cost"
+    if drift_rank and _is_pd(drift_weight):
+        return "drift_rank"
+    if noise_rank and _is_pd(noise_weight):
+        return "noise_rank"
+    return None
+
+
+def _hessian_error(k: int, dev_hess, mean_hess) -> NotPositiveDefinite:
+    """The error a forced solve raises at stage ``k``, the first stage whose
+    control Hessians fail the eigenvalue margin: named after the first
+    Hessian whose Cholesky factorization fails, if one does."""
+    for name, hess in (("centered control", dev_hess), ("mean control", mean_hess)):
+        try:
+            cho_factor(hess, lower=True)
+        except np.linalg.LinAlgError:
+            return NotPositiveDefinite(f"{name} Hessian not positive definite at stage {k}")
+    return NotPositiveDefinite(f"control Hessian not positive definite at stage {k}")
+
+
+def _stage_failures(row: StageConditions) -> list:
+    failures = list(row.nonneg_failures)
+    if row.evaluated:
+        if not row.dev_coercive_ok:
+            failures.append("per-state control minimization not coercive")
+        if not row.mean_coercive_ok:
+            failures.append("mean control minimization not coercive")
+        if not row.hessians_pd:
+            failures.append("control Hessian not positive definite")
+    return failures
+
+
+def _backward_pass(model: LQModel):
+    """The backward Riccati recursion together with its condition report.
+
+    Returns ``(report, solution, error)``: the solution when every control
+    Hessian passes the eigenvalue margin, else the
+    :class:`NotPositiveDefinite` error for the first stage (from the end)
+    where one fails; earlier stages are then reported unevaluated.  The tests
+    that depend only on the model run once, batched over all stages.
+    """
+    n, d, m = model.horizon, model.state_dim, model.control_dim
+    var_weight = np.zeros((n + 1, d, d))
+    mean_weight = np.zeros((n + 1, d, d))
+    linear = np.zeros((n + 1, d))
+    constant = np.zeros(n + 1)
+    dev_hessian = np.zeros((n, m, m))
+    mean_hessian = np.zeros((n, m, m))
+    dev_cross = np.zeros((n, d, m))
+    mean_cross = np.zeros((n, d, m))
+    mean_transition = np.zeros((n, d, d))
+    var_weight[n] = model.terminal_state
+    mean_weight[n] = model.terminal_state + model.terminal_state_mean
+    linear[n] = model.terminal_linear + model.terminal_linear_mean
+
+    # the conditions on the model alone, each batched over the stages
+    terminal_failures = [what for what, mat in (
+        ("terminal state cost not PSD", var_weight[n]),
+        ("terminal state+mean cost not PSD", mean_weight[n]))
+        if not _min_eig(mat) >= PSD_EIG_TOL]
+    pieces = _stage_pieces(model)
+    B, Bq, C, Cq, D, Dq, H, Hq = pieces
+    R, Rq = model.cost_control, model.cost_control + model.cost_control_mean
+    Qq = model.cost_state + model.cost_state_mean
+    r_eig, rq_eig = _min_eig(R), _min_eig(Rq)
+    psd = {"state cost not PSD": _min_eig(model.cost_state) >= PSD_EIG_TOL,
+           "state+mean cost not PSD": _min_eig(Qq) >= PSD_EIG_TOL,
+           "control cost not PSD": r_eig >= PSD_EIG_TOL,
+           "control+mean cost not PSD": rq_eig >= PSD_EIG_TOL}
+    nonneg_failures = [[what for what, ok in psd.items() if not ok[k]] for k in range(n)]
+    r_pd, rq_pd = r_eig > PD_EIG_TOL, rq_eig > PD_EIG_TOL
+    c_rank, cq_rank, h_rank, hq_rank = map(_full_row_rank, (C, Cq, H, Hq))
+
+    rows: list = [None] * n
+    error, unevaluated = None, 0
+    for k in range(n - 1, -1, -1):
+        lam, gam = var_weight[k + 1], mean_weight[k + 1]
+        dev_via = _coercive_via(r_pd[k], c_rank[k], lam, h_rank[k], lam)
+        mean_via = _coercive_via(rq_pd[k], cq_rank[k], gam, hq_rank[k], lam)
+        stage = [p[k] for p in pieces]
+        dev_hess, mean_hess, cross_dev, cross_mean = _hessians(stage, R[k], Rq[k], lam, gam)
+        hessians_pd = _is_pd(dev_hess) and _is_pd(mean_hess)
+        rows[k] = StageConditions(
+            stage=k, nonneg_ok=not nonneg_failures[k], nonneg_failures=nonneg_failures[k],
+            dev_coercive_ok=dev_via is not None, dev_coercive_via=dev_via,
+            mean_coercive_ok=mean_via is not None, mean_coercive_via=mean_via,
+            hessians_pd=hessians_pd, evaluated=True)
+        if not hessians_pd:
+            error, unevaluated = _hessian_error(k, dev_hess, mean_hess), k
+            break
+
+        chol_dev = cho_factor(dev_hess, lower=True)
+        chol_mean = cho_factor(mean_hess, lower=True)
+        mean_gain = cho_solve(chol_mean, cross_mean.T)
+        var_weight[k] = _sym(model.cost_state[k] + B[k].T @ lam @ B[k] + D[k].T @ lam @ D[k]
+                             - cross_dev @ cho_solve(chol_dev, cross_dev.T))
+        mean_weight[k] = _sym(Qq[k] + Bq[k].T @ gam @ Bq[k] + Dq[k].T @ lam @ Dq[k]
+                              - cross_mean @ mean_gain)
+        mean_transition[k] = Bq[k] - Cq[k] @ mean_gain
+        linear[k] = (model.cost_linear[k] + model.cost_linear_mean[k]
+                     + mean_transition[k].T @ linear[k + 1])
+        constant[k] = constant[k + 1] - 0.25 * float(
+            linear[k + 1] @ Cq[k] @ cho_solve(chol_mean, Cq[k].T @ linear[k + 1]))
+        dev_hessian[k] = dev_hess
+        mean_hessian[k] = mean_hess
+        dev_cross[k] = cross_dev
+        mean_cross[k] = cross_mean
+    # stages before a failed Hessian have no weights to test against
+    rows[:unevaluated] = [StageConditions(k, not f, f, False, None, False, None, False, False)
+                          for k, f in enumerate(nonneg_failures[:unevaluated])]
+
+    failures = [(k, _stage_failures(row)) for k, row in enumerate(rows)]
+    failures.append((n, terminal_failures))
+    first_failure = next(((k, "; ".join(f)) for k, f in failures if f), None)
+    report = ConditionReport(rows, not terminal_failures, terminal_failures, first_failure)
+    if error is not None:
+        return report, None, error
+    return report, RiccatiSolution(var_weight, mean_weight, linear, constant,
+                                   dev_hessian, mean_hessian, dev_cross, mean_cross,
+                                   mean_transition), None
+
+
 def check_conditions(model: LQModel) -> ConditionReport:
     """Per-stage report of the nonnegativity and coercivity conditions.
 
@@ -384,163 +517,28 @@ def check_conditions(model: LQModel) -> ConditionReport:
     ones actually propagated from the terminal stage, which at ``k = n-1``
     are exactly the terminal cost matrices.  The induced control Hessians are
     also tested directly; when one fails, earlier stages cannot be evaluated
-    and are reported as such.
+    and are reported as such.  This is the report of the same backward pass
+    :func:`solve_riccati` runs.
     """
-    n, d = model.horizon, model.state_dim
-    stage_rows: list = [None] * n
-    terminal_failures = []
-    if not _is_psd(model.terminal_state):
-        terminal_failures.append("terminal state cost not PSD")
-    if not _is_psd(model.terminal_state + model.terminal_state_mean):
-        terminal_failures.append("terminal state+mean cost not PSD")
-    failures_by_stage: dict = {}
-    if terminal_failures:
-        failures_by_stage[n] = "; ".join(terminal_failures)
-
-    lam = model.terminal_state.copy()
-    gam = model.terminal_state + model.terminal_state_mean
-    alive = True
-    for k in range(n - 1, -1, -1):
-        nonneg_failures = []
-        if not _is_psd(model.cost_state[k]):
-            nonneg_failures.append("state cost not PSD")
-        if not _is_psd(model.cost_state[k] + model.cost_state_mean[k]):
-            nonneg_failures.append("state+mean cost not PSD")
-        if not _is_psd(model.cost_control[k]):
-            nonneg_failures.append("control cost not PSD")
-        if not _is_psd(model.cost_control[k] + model.cost_control_mean[k]):
-            nonneg_failures.append("control+mean cost not PSD")
-
-        if not alive:
-            stage_rows[k] = StageConditions(k, not nonneg_failures, nonneg_failures,
-                                            False, None, False, None, False, False)
-            if nonneg_failures:
-                failures_by_stage[k] = "; ".join(nonneg_failures)
-            continue
-
-        B, Bq, C, Cq, D, Dq, H, Hq = _stage_pieces(model, k)
-        R = model.cost_control[k]
-        Rq = R + model.cost_control_mean[k]
-
-        dev_coercive_via = None
-        if _is_pd(R):
-            dev_coercive_via = "control_cost"
-        elif _has_full_row_rank(C, d) and _is_pd(lam):
-            dev_coercive_via = "drift_rank"
-        elif _has_full_row_rank(H, d) and _is_pd(lam):
-            dev_coercive_via = "noise_rank"
-        mean_coercive_via = None
-        if _is_pd(Rq):
-            mean_coercive_via = "control_cost"
-        elif _has_full_row_rank(Cq, d) and _is_pd(gam):
-            mean_coercive_via = "drift_rank"
-        elif _has_full_row_rank(Hq, d) and _is_pd(lam):
-            mean_coercive_via = "noise_rank"
-
-        dev_hess, mean_hess, cross_dev, cross_mean = _hessians(model, k, lam, gam)
-        hessians_pd = _is_pd(dev_hess) and _is_pd(mean_hess)
-
-        stage_rows[k] = StageConditions(
-            stage=k, nonneg_ok=not nonneg_failures, nonneg_failures=nonneg_failures,
-            dev_coercive_ok=dev_coercive_via is not None, dev_coercive_via=dev_coercive_via,
-            mean_coercive_ok=mean_coercive_via is not None, mean_coercive_via=mean_coercive_via,
-            hessians_pd=hessians_pd, evaluated=True)
-
-        failures = list(nonneg_failures)
-        if dev_coercive_via is None:
-            failures.append("per-state control minimization not coercive")
-        if mean_coercive_via is None:
-            failures.append("mean control minimization not coercive")
-        if not hessians_pd:
-            failures.append("control Hessian not positive definite")
-        if failures:
-            failures_by_stage[k] = "; ".join(failures)
-        if not hessians_pd:
-            alive = False
-            continue
-
-        chol_dev = cho_factor(dev_hess, lower=True)
-        chol_mean = cho_factor(mean_hess, lower=True)
-        new_lam = _sym(model.cost_state[k] + B.T @ lam @ B + D.T @ lam @ D
-                       - cross_dev @ cho_solve(chol_dev, cross_dev.T))
-        new_gam = _sym(model.cost_state[k] + model.cost_state_mean[k]
-                       + Bq.T @ gam @ Bq + Dq.T @ lam @ Dq
-                       - cross_mean @ cho_solve(chol_mean, cross_mean.T))
-        lam, gam = new_lam, new_gam
-
-    first_failure = None
-    if failures_by_stage:
-        stage = min(failures_by_stage)
-        first_failure = (stage, failures_by_stage[stage])
-    return ConditionReport(stage_rows, not terminal_failures, terminal_failures,
-                           first_failure)
+    return _backward_pass(model)[0]
 
 
 def solve_riccati(model: LQModel, force: bool = False) -> RiccatiSolution:
     """Backward Riccati recursion for the quadratic value function.
 
-    Refuses to run (raising :class:`ConditionsNotMet`) when
-    :func:`check_conditions` reports a failure, unless ``force`` is set.
-    Positive definiteness of both control Hessians is asserted at every
-    stage; the weight matrices are re-symmetrized after each update.
+    One backward pass computes the weights and the condition report of
+    :func:`check_conditions`.  A failed report raises
+    :class:`ConditionsNotMet` unless ``force`` is set; positive definiteness
+    of both control Hessians is required at every stage even then
+    (:class:`NotPositiveDefinite`).  The weight matrices are re-symmetrized
+    after each update.
     """
-    if not force:
-        report = check_conditions(model)
-        if not report.ok:
-            raise ConditionsNotMet(report)
-    n, d, m = model.horizon, model.state_dim, model.control_dim
-    var_weight = np.zeros((n + 1, d, d))
-    mean_weight = np.zeros((n + 1, d, d))
-    linear = np.zeros((n + 1, d))
-    constant = np.zeros(n + 1)
-    dev_hessian = np.zeros((n, m, m))
-    mean_hessian = np.zeros((n, m, m))
-    dev_cross = np.zeros((n, d, m))
-    mean_cross = np.zeros((n, d, m))
-    mean_transition = np.zeros((n, d, d))
-
-    var_weight[n] = model.terminal_state
-    mean_weight[n] = model.terminal_state + model.terminal_state_mean
-    linear[n] = model.terminal_linear + model.terminal_linear_mean
-    constant[n] = 0.0
-
-    for k in range(n - 1, -1, -1):
-        lam, gam = var_weight[k + 1], mean_weight[k + 1]
-        dev_hess, mean_hess, cross_dev, cross_mean = _hessians(model, k, lam, gam)
-        try:
-            chol_dev = cho_factor(dev_hess, lower=True)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(
-                f"centered control Hessian not positive definite at stage {k}") from None
-        try:
-            chol_mean = cho_factor(mean_hess, lower=True)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(
-                f"mean control Hessian not positive definite at stage {k}") from None
-        if not (_is_pd(dev_hess) and _is_pd(mean_hess)):
-            raise NotPositiveDefinite(
-                f"control Hessian not positive definite at stage {k}")
-
-        B, Bq, C, Cq, D, Dq, H, Hq = _stage_pieces(model, k)
-        var_weight[k] = _sym(model.cost_state[k] + B.T @ lam @ B + D.T @ lam @ D
-                             - cross_dev @ cho_solve(chol_dev, cross_dev.T))
-        mean_weight[k] = _sym(model.cost_state[k] + model.cost_state_mean[k]
-                              + Bq.T @ gam @ Bq + Dq.T @ lam @ Dq
-                              - cross_mean @ cho_solve(chol_mean, cross_mean.T))
-        transition = Bq - Cq @ cho_solve(chol_mean, cross_mean.T)
-        mean_transition[k] = transition
-        linear[k] = (model.cost_linear[k] + model.cost_linear_mean[k]
-                     + transition.T @ linear[k + 1])
-        constant[k] = constant[k + 1] - 0.25 * float(
-            linear[k + 1] @ Cq @ cho_solve(chol_mean, Cq.T @ linear[k + 1]))
-        dev_hessian[k] = dev_hess
-        mean_hessian[k] = mean_hess
-        dev_cross[k] = cross_dev
-        mean_cross[k] = cross_mean
-
-    return RiccatiSolution(var_weight, mean_weight, linear, constant,
-                           dev_hessian, mean_hessian, dev_cross, mean_cross,
-                           mean_transition)
+    report, sol, error = _backward_pass(model)
+    if not (force or report.ok):
+        raise ConditionsNotMet(report)
+    if error is not None:
+        raise error
+    return sol
 
 
 def mean_variance_closed_form(gamma: float, b: float, sigma: float, delta: float,
@@ -555,10 +553,7 @@ def mean_variance_closed_form(gamma: float, b: float, sigma: float, delta: float
 
     The per-stage intermediates follow from the same sequences.
     """
-    if gamma <= 0 or sigma <= 0 or delta <= 0:
-        raise ValueError("need gamma > 0, sigma > 0, delta > 0")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_mean_variance_params(gamma, b, sigma, delta, n)
     ratio = sigma**2 / (sigma**2 + b**2 * delta)
     ks = np.arange(n + 1)
     lam = (gamma / 2.0) * ratio ** (n - ks)

@@ -82,7 +82,8 @@ class DiscreteMeasure:
     Raises
     ------
     ValueError
-        On negative weights, mass away from one, or shape mismatch.
+        On non-finite points or weights, negative weights, mass away from
+        one, or shape mismatch.
     """
 
     __slots__ = ("_support", "_weights")
@@ -92,8 +93,11 @@ class DiscreteMeasure:
         wts = np.asarray(weights, dtype=float).reshape(-1)
         if len(pts) != len(wts):
             raise ValueError(f"{len(pts)} support points but {len(wts)} weights")
-        if len(pts) == 0:
-            raise ValueError("a measure needs at least one support point")
+        if pts.size == 0:
+            raise ValueError("a measure needs at least one support point, "
+                             "with at least one coordinate")
+        if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
+            raise ValueError("support points and weights must be finite")
         if np.any(wts < -MASS_TOL):
             raise ValueError(f"negative weight {wts.min():.3e}")
         wts = np.clip(wts, 0.0, None)

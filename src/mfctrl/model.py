@@ -67,6 +67,13 @@ class FirstOrderSpec:
     gtilde: Callable[[int, int], float]
 
 
+def _check_grid(name: str, grid: np.ndarray) -> None:
+    if grid.size == 0:
+        raise ValueError(f"{name} grid is empty or its points have no coordinates")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"{name} grid has non-finite entries")
+
+
 @dataclass(frozen=True)
 class FiniteMFModel:
     """Finite mean-field control model.
@@ -111,6 +118,7 @@ class FiniteMFModel:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         # a law is a weight vector over the grid, one entry per point
         for name, grid in (("states", self.states), ("actions", self.actions)):
+            _check_grid(name, grid)
             first = match_indices(grid, grid)
             if np.any(first != np.arange(len(grid))):
                 i = int(np.flatnonzero(first != np.arange(len(grid)))[0])
@@ -551,6 +559,15 @@ def _terminal_fo_bilinear(states, params):
     return g, gtilde
 
 
+def _tagged(config: dict, name: str):
+    """The ``tag`` and ``params`` of a kernel or cost block."""
+    block = config[name]
+    params = block.get("params", {}) if isinstance(block, dict) else None
+    if not isinstance(params, dict):
+        raise ValueError(f"{name} must be an object with a 'params' object")
+    return block["tag"], params
+
+
 def finite_model_from_config(config) -> FiniteMFModel:
     """Build a :class:`FiniteMFModel` from its declarative JSON description.
 
@@ -558,15 +575,16 @@ def finite_model_from_config(config) -> FiniteMFModel:
     """
     if isinstance(config, str):
         config = json.loads(config)
+    if not isinstance(config, dict):
+        raise ValueError(f"model config must be an object, got {type(config).__name__}")
     states = _as_points(config["states"])
     actions = _as_points(config["actions"])
+    _check_grid("states", states)
+    _check_grid("actions", actions)
     horizon = int(config["horizon"])
-    ktag = config["kernel"]["tag"]
-    kparams = config["kernel"].get("params", {})
-    ctag = config["stage_cost"]["tag"]
-    cparams = config["stage_cost"].get("params", {})
-    ttag = config["terminal_cost"]["tag"]
-    tparams = config["terminal_cost"].get("params", {})
+    ktag, kparams = _tagged(config, "kernel")
+    ctag, cparams = _tagged(config, "stage_cost")
+    ttag, tparams = _tagged(config, "terminal_cost")
 
     first_order = None
     if ktag == "first_order":

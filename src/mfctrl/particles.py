@@ -256,7 +256,7 @@ def _simulate_finite(model: FiniteMFModel, policy: TabularMap, n: int, seed: int
 
 
 def simulate(model: Union[LQModel, FiniteMFModel], policy, n_particles: int,
-             seed: int, closure: str = "empirical", keep_clouds: bool = True,
+             seed: int, closure: str = "empirical", keep_clouds: bool = False,
              initial_law: Optional[DiscreteMeasure] = None) -> SimulationResult:
     """Simulate the N-particle system and estimate the cost functional.
 
@@ -272,6 +272,9 @@ def simulate(model: Union[LQModel, FiniteMFModel], policy, n_particles: int,
     closure : "empirical" or "oracle-law"
         What stands in for the theoretical marginals: the cloud's empirical
         measures, or the exactly propagated law.
+    keep_clouds : bool
+        Return a copy of every stage's cloud in ``clouds`` (``None`` when
+        off); at large ``n_particles`` the copies dominate memory.
     initial_law : DiscreteMeasure, optional
         Required for finite models; ignored for LQ models (their initial law
         is part of the model).

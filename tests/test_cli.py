@@ -1,10 +1,18 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mfctrl.cli import main
-from mfctrl.fixtures import fixture_text
+from mfctrl.fixtures import fixture_text, list_fixtures
 from mfctrl.lq import (
     AffinePolicy,
     RiccatiSolution,
@@ -234,10 +242,12 @@ def test_run_block_output_paths(tmp_path):
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
 def test_non_finite_output_is_numerical_failure_and_writes_nothing(tmp_path, capsys, to_file):
+    # finite parameters whose closed-form constant overflows
     out = tmp_path / "mv.json"
-    code = main(["meanvariance", "--gamma", "1", "--b", "0.5", "--sigma", "1",
-                 "--delta", "1", "--n", "2", "--x0", "nan",
-                 "--out", str(out) if to_file else "-"])
+    with np.errstate(over="ignore", divide="ignore"):
+        code = main(["meanvariance", "--gamma", "1", "--b", "1e100", "--sigma", "1",
+                     "--delta", "1", "--n", "2", "--x0", "1",
+                     "--out", str(out) if to_file else "-"])
     assert code == 3
     captured = capsys.readouterr()
     assert "not finite" in captured.err and "Traceback" not in captured.err
@@ -272,3 +282,170 @@ def test_verify_quick_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "checks passed" in out
+
+
+def _scenario(tmp_path, data, name="scenario.json"):
+    cfg = tmp_path / name
+    cfg.write_text(json.dumps(data))
+    return str(cfg)
+
+
+class TestNonFiniteInput:
+    def test_meanvariance_nan_x0_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "mv.json"
+        code = main(["meanvariance", "--gamma", "1", "--b", "0.5", "--sigma", "1",
+                     "--delta", "1", "--n", "2", "--x0", "nan", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_simulate_nan_x0_scenario_is_config_error(self, tmp_path, capsys):
+        data = json.loads(fixture_text("lq_mean_variance.json"))
+        data["model"]["x0"] = float("nan")
+        out = tmp_path / "sim.json"
+        code = main(["simulate", _scenario(tmp_path, data), "--n-particles", "10",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_riccati_nan_cost_state_is_config_error(self, tmp_path, capsys):
+        data = json.loads(fixture_text("lq_multivariate.json"))
+        data["model"]["stages"][1]["cost_state"][0][0] = float("nan")
+        code = main(["riccati", _scenario(tmp_path, data), "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cost_state has non-finite entries" in err and "not PSD" not in err
+
+    @pytest.mark.parametrize("where", ["states", "initial_law"])
+    def test_finite_nan_grid_or_law_is_config_error(self, tmp_path, capsys, where):
+        data = json.loads(fixture_text("finite_mean_reverting.json"))
+        if where == "states":
+            data["model"]["states"][1] = [float("inf")]
+        else:
+            data["initial_law"]["weights"][0] = float("nan")
+        code = main(["solve-finite", _scenario(tmp_path, data),
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+
+class TestNonObjectScenario:
+    def test_top_level_array(self, tmp_path, capsys):
+        cfg = _scenario(tmp_path, [json.loads(fixture_text("finite_zero.json"))])
+        assert main(["solve-finite", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "JSON object" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("run", [[1], "x", 3])
+    def test_run_block_not_an_object(self, tmp_path, capsys, run):
+        data = json.loads(fixture_text("finite_mean_reverting.json"))
+        data["run"] = run
+        assert main(["solve-finite", _scenario(tmp_path, data)]) == 2
+        err = capsys.readouterr().err
+        assert "'run'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("outputs", [[1], "out.json", {"json": 5}, {"csv": ["a"]}])
+    def test_run_outputs_not_an_object_of_paths(self, tmp_path, capsys, outputs):
+        data = json.loads(fixture_text("lq_mean_variance.json"))
+        data["run"] = {"outputs": outputs}
+        assert main(["riccati", _scenario(tmp_path, data)]) == 2
+        err = capsys.readouterr().err
+        assert "run.outputs" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("budget", ["many", [1], float("inf"), None])
+    def test_run_node_budget_not_an_integer(self, tmp_path, capsys, budget):
+        data = json.loads(fixture_text("finite_zero.json"))
+        data["run"] = {"node_budget": budget}
+        assert main(["solve-finite", _scenario(tmp_path, data)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+# -- CLI contract fuzz ---------------------------------------------------------
+
+_REPLACEMENTS = [None, True, "x", -1, 0.5, [], {}, [[1.0]], [1.0, 2.0]]
+
+
+def _json_paths(node, prefix=()):
+    """Every path into a JSON tree, the root first."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    name = draw(st.sampled_from(list_fixtures()))
+    data = json.loads(fixture_text(name))
+    data["run"] = {"node_budget": 100_000, "outputs": {"csv": "run.csv"}}
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_json_paths(data))))
+        kind = draw(st.sampled_from(["drop", "retype", "nan", "empty", "reshape"]))
+        if kind == "drop" and path:
+            new = None
+        elif kind == "retype":
+            new = copy.deepcopy(draw(st.sampled_from(_REPLACEMENTS)))
+        elif kind == "nan":
+            new = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        elif kind == "empty":
+            new = []
+        else:
+            old = data
+            for key in path:
+                old = old[key]
+            new = copy.deepcopy(draw(st.sampled_from([
+                [old], old[:-1] if isinstance(old, list) else old,
+                old + old[-1:] if isinstance(old, list) and old else [old, old]])))
+        if not path:
+            data = new
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+    finite = name.startswith(("finite_", "fo_"))
+    command = draw(st.sampled_from(["solve-finite" if finite else "riccati", "simulate"]))
+    return data, command, finite
+
+
+def _strict(constant):
+    raise ValueError(f"non-standard JSON token {constant}")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_mutated_scenarios())
+def test_cli_contract_on_mutated_fixtures(case):
+    """Mutated shipped scenarios either succeed with strict-JSON output or fail
+    with a config (2) or numerical (3) exit code, never with a traceback."""
+    data, command, finite = case
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative run.outputs paths land here
+        try:
+            with open("scenario.json", "w") as fh:
+                json.dump(data, fh)
+            argv = [command, "scenario.json", "--out", "out.json"]
+            if command == "simulate":
+                argv += ["--n-particles", "20", "--seed", "1"]
+                argv += ["--policy", "zero"] if finite else []
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    np.errstate(all="ignore"):
+                code = main(argv)
+            assert code in (0, 2, 3), (code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                assert os.path.exists("out.json")
+            for path in os.listdir("."):
+                if path.endswith(".json") and path != "scenario.json":
+                    with open(path) as fh:
+                        json.load(fh, parse_constant=_strict)
+        finally:
+            os.chdir(cwd)

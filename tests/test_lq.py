@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfctrl import moments
+from mfctrl import lq, moments
 from mfctrl.cli import _random_lq
 from mfctrl.lq import (
     AffinePolicy,
@@ -203,6 +203,51 @@ class TestConditions:
         with pytest.raises(NotPositiveDefinite, match="stage 0"):
             solve_riccati(model, force=True)
 
+    @pytest.mark.parametrize("costs, message", [
+        (dict(R=0.0), "centered control Hessian not positive definite at stage 0"),
+        (dict(R=1.0, Rbar=-1.0), "mean control Hessian not positive definite at stage 0"),
+        # both Hessians factor, but their eigenvalue 1e-11 is inside the margin
+        (dict(R=1e-11), "control Hessian not positive definite at stage 0"),
+    ], ids=["centered", "mean", "margin"])
+    def test_forced_solve_names_the_failing_hessian(self, costs, message):
+        model = scalar_lq(n=2, B=1.0, C=1.0, R=1.0, QT=1.0)
+        payload = model.to_json()
+        payload["stages"][0]["drift_control"] = [[0.0]]
+        payload["stages"][0]["cost_control"] = [[costs["R"]]]
+        payload["stages"][0]["cost_control_mean"] = [[costs.get("Rbar", 0.0)]]
+        with pytest.raises(NotPositiveDefinite, match=f"^{message}$"):
+            solve_riccati(LQModel.from_json(payload), force=True)
+
+    def test_one_backward_pass_per_solve(self, monkeypatch):
+        calls = []
+        hessians = lq._hessians
+        monkeypatch.setattr(lq, "_hessians", lambda *a: calls.append(1) or hessians(*a))
+        solve_riccati(_random_lq(np.random.default_rng(5), 2, 2, 5))
+        assert len(calls) == 5
+
+    def test_refusal_carries_the_checked_report(self):
+        model = mean_variance_model(1.0, 0.5, 1.0, 1.0, 3, 1.0)
+        payload = model.to_json()
+        payload["stages"][1]["drift_control"] = [[0.0]]
+        payload["stages"][1]["noise_control"] = [[0.0]]
+        degenerate = LQModel.from_json(payload)
+        with pytest.raises(ConditionsNotMet) as info:
+            solve_riccati(degenerate)
+        assert info.value.report == check_conditions(degenerate)
+
+    def test_stages_before_a_failed_hessian_are_unevaluated(self):
+        payload = scalar_lq(n=4, B=1.0, C=1.0, R=1.0, QT=1.0).to_json()
+        payload["stages"][2]["drift_control"] = [[0.0]]
+        payload["stages"][2]["cost_control"] = [[0.0]]
+        payload["stages"][0]["cost_state"] = [[-1.0]]
+        payload["stages"][0]["cost_state_mean"] = [[2.0]]
+        report = check_conditions(LQModel.from_json(payload))
+        assert [row.evaluated for row in report.stages] == [False, False, True, True]
+        assert not report.stages[2].hessians_pd and report.stages[3].hessians_pd
+        assert report.stages[0].nonneg_failures == ["state cost not PSD"]
+        assert report.stages[1].nonneg_ok
+        assert report.first_failure == (0, "state cost not PSD")
+
 
 class TestPolicyAndValues:
     def test_classical_gain_when_noise_is_control_free(self):
@@ -356,6 +401,20 @@ class TestSerialization:
         back = AffinePolicy.from_json(pol.to_json())
         np.testing.assert_array_equal(back.gain_state, pol.gain_state)
         np.testing.assert_array_equal(back.offset, pol.offset)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_coefficients_rejected(self, value):
+        payload = scalar_lq(n=2, B=1.0, C=1.0, R=1.0, QT=1.0).to_json()
+        payload["stages"][1]["cost_state"] = [[value]]
+        with pytest.raises(ValueError, match="cost_state has non-finite entries"):
+            LQModel.from_json(payload)
+
+    @pytest.mark.parametrize("param", ["gamma", "b", "sigma", "delta", "x0"])
+    def test_non_finite_mean_variance_parameters_rejected(self, param):
+        params = dict(gamma=1.0, b=0.5, sigma=1.0, delta=1.0, n=2, x0=1.0)
+        params[param] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            mean_variance_model(**params)
 
     def test_declared_dims_cross_checked(self):
         payload = mean_variance_model(1.0, 0.5, 1.0, 1.0, 2, 1.0).to_json()

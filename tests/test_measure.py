@@ -60,6 +60,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             DiscreteMeasure([0.0, 1.0], [1.1, -0.1])
 
+    @pytest.mark.parametrize("support, weights", [
+        ([[0.0], [1.0]], [float("nan"), 1.0]),
+        ([[0.0], [float("inf")]], [0.5, 0.5]),
+        ([[], []], [0.5, 0.5]),
+    ], ids=["nan-weight", "inf-point", "no-coordinates"])
+    def test_non_finite_or_empty_input_rejected(self, support, weights):
+        with pytest.raises(ValueError):
+            DiscreteMeasure(support, weights)
+
     def test_close_points_merge(self):
         mu = DiscreteMeasure([0.0, 1e-10, 1.0], [0.25, 0.25, 0.5])
         assert len(mu) == 2

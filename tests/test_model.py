@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import load_finite
-from mfctrl.fixtures import list_fixtures
+from mfctrl.fixtures import list_fixtures, load_fixture
 from mfctrl.measure import DiscreteMeasure
 from mfctrl.model import (
     FiniteMFModel,
@@ -189,3 +189,26 @@ def test_coinciding_grid_points_rejected(field):
                       lambda k, i, mu, a, lam: np.full(len(grids["states"]),
                                                        1.0 / len(grids["states"])),
                       lambda k, i, mu, a, lam: 0.0, lambda i, mu: 0.0)
+
+
+@pytest.mark.parametrize("states, message", [
+    ([[-1.0], [float("nan")]], "non-finite"),
+    ([], "empty"),
+    ([[], []], "no coordinates"),
+], ids=["nan", "empty", "no-coordinates"])
+def test_bad_state_grids_rejected(states, message):
+    with pytest.raises(ValueError, match=f"states grid .*{message}"):
+        FiniteMFModel(states, [[0.0]], 1, lambda k, i, mu, a, lam: np.ones(1),
+                      lambda k, i, mu, a, lam: 0.0, lambda i, mu: 0.0)
+    config = load_fixture("finite_mean_reverting.json")["model"]
+    config["states"] = states
+    with pytest.raises(ValueError, match=f"states grid .*{message}"):
+        finite_model_from_config(config)
+
+
+@pytest.mark.parametrize("params", [[], None, 1.0])
+def test_non_object_params_rejected(params):
+    config = load_fixture("finite_mean_reverting.json")["model"]
+    config["kernel"]["params"] = params
+    with pytest.raises(ValueError, match="kernel must be an object"):
+        finite_model_from_config(config)

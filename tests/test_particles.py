@@ -50,6 +50,13 @@ class TestLQSimulation:
         for ca, cb in zip(a.clouds, b.clouds):
             assert np.array_equal(ca.positions, cb.positions)
 
+    def test_clouds_kept_only_on_request(self):
+        model = mean_variance_model(1.0, 0.5, 1.0, 1.0, 2, 1.0)
+        policy = optimal_policy(model, solve_riccati(model))
+        assert simulate(model, policy, 100, seed=9).clouds is None
+        kept = simulate(model, policy, 100, seed=9, keep_clouds=True).clouds
+        assert [c.stage for c in kept] == [0, 1, 2]
+
     def test_zero_noise_dirac_start_is_deterministic(self):
         model = scalar_lq(n=2, B=1.0, C=1.0, R=1.0, QT=1.0, x0=0.8)
         policy = AffinePolicy(np.full((2, 1, 1), -0.3), np.zeros((2, 1, 1)),
