@@ -495,9 +495,8 @@ def _backward_pass(model: LQModel):
     rows[:unevaluated] = [StageConditions(k, not f, f, False, None, False, None, False, False)
                           for k, f in enumerate(nonneg_failures[:unevaluated])]
 
-    failures = [(k, _stage_failures(row)) for k, row in enumerate(rows)]
-    failures.append((n, terminal_failures))
-    first_failure = next(((k, "; ".join(f)) for k, f in failures if f), None)
+    failures = [_stage_failures(row) for row in rows] + [terminal_failures]
+    first_failure = next(((k, "; ".join(f)) for k, f in enumerate(failures) if f), None)
     report = ConditionReport(rows, not terminal_failures, terminal_failures, first_failure)
     if error is not None:
         return report, None, error
