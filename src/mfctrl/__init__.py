@@ -8,6 +8,7 @@ dpp        exact value recursion on laws, brute-force and factorization oracles
 lq         linear-quadratic models, Riccati recursion, policies, closed forms
 moments    exact cost evaluation by second-moment propagation
 particles  seeded N-particle Monte Carlo evaluation
+verify     cross-oracle invariants behind ``mfctrl verify`` and the acceptance tests
 cli        scenario runner (``mfctrl`` console script)
 
 Imports are lazy so the CLI can apply the ``MFCTRL_THREADS`` cap to BLAS
@@ -18,52 +19,23 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "DiscreteMeasure": "measure",
-    "TabularMap": "measure",
-    "image_measure": "measure",
-    "pushforward": "measure",
-    "FiniteMFModel": "model",
-    "TransitionKernel": "model",
-    "FirstOrderSpec": "model",
-    "lifted_stage_cost": "model",
-    "lifted_terminal_cost": "model",
-    "validate": "model",
-    "finite_model_from_config": "model",
-    "solve": "dpp",
-    "brute_force_value": "dpp",
-    "rollforward": "dpp",
-    "classical_factorization_check": "dpp",
-    "first_order_value_tensor": "dpp",
-    "first_order_value_tensors": "dpp",
-    "first_order_check": "dpp",
-    "SolveResult": "dpp",
-    "ValueNode": "dpp",
-    "BudgetExceeded": "dpp",
-    "LQModel": "lq",
-    "RiccatiSolution": "lq",
-    "AffinePolicy": "lq",
-    "check_conditions": "lq",
-    "solve_riccati": "lq",
-    "mean_variance_model": "lq",
-    "mean_variance_closed_form": "lq",
-    "optimal_policy": "lq",
-    "explicit_control_coefficients": "lq",
-    "value_at": "lq",
-    "stationarity_residual": "lq",
-    "ConditionsNotMet": "lq",
-    "NotPositiveDefinite": "lq",
-    "GaussianState": "moments",
-    "exact_moment_step": "moments",
-    "exact_cost": "moments",
-    "exact_trajectory": "moments",
-    "ParticleCloud": "particles",
-    "SimulationResult": "particles",
-    "simulate": "particles",
-}
+_EXPORTS = {name: module for module, names in {
+    "measure": ("DiscreteMeasure", "TabularMap", "image_measure", "pushforward"),
+    "model": ("FiniteMFModel", "TransitionKernel", "FirstOrderSpec", "lifted_stage_cost",
+              "lifted_terminal_cost", "validate", "finite_model_from_config"),
+    "dpp": ("solve", "brute_force_value", "rollforward", "classical_factorization_check",
+            "first_order_value_tensor", "first_order_value_tensors", "first_order_check",
+            "SolveResult", "ValueNode", "BudgetExceeded"),
+    "lq": ("LQModel", "RiccatiSolution", "AffinePolicy", "check_conditions", "solve_riccati",
+           "mean_variance_model", "mean_variance_closed_form", "optimal_policy",
+           "explicit_control_coefficients", "value_at", "stationarity_residual",
+           "ConditionsNotMet", "NotPositiveDefinite"),
+    "moments": ("GaussianState", "exact_moment_step", "exact_cost", "exact_trajectory"),
+    "particles": ("ParticleCloud", "SimulationResult", "simulate"),
+}.items() for name in names}
 
 _SUBMODULES = ("measure", "model", "dpp", "lq", "moments", "particles",
-               "fixtures", "cli")
+               "fixtures", "verify", "cli")
 
 __all__ = sorted(_EXPORTS) + list(_SUBMODULES)
 

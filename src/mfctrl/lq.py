@@ -191,10 +191,7 @@ class LQModel:
                 "cost_linear": self.terminal_linear.tolist(),
                 "cost_linear_mean": self.terminal_linear_mean.tolist(),
             },
-            "initial_law": {
-                "mean": self.initial_mean.tolist(),
-                "cov": self.initial_cov.tolist(),
-            },
+            "initial_law": {"mean": self.initial_mean.tolist(), "cov": self.initial_cov.tolist()},
         }
         if self.initial_measure is not None:
             payload["initial_law"]["measure"] = self.initial_measure.to_json()
@@ -256,27 +253,15 @@ def mean_variance_model(gamma: float, b: float, sigma: float, delta: float,
     zs = np.zeros((n, 1, 1))
     zv = np.zeros((n, 1))
     return LQModel(
-        drift_state=np.ones((n, 1, 1)),
-        drift_state_mean=zs,
-        drift_control=np.full((n, 1, 1), b * delta),
-        drift_control_mean=zs,
-        noise_state=zs,
-        noise_state_mean=zs,
-        noise_control=np.full((n, 1, 1), sigma * math.sqrt(delta)),
-        noise_control_mean=zs,
-        cost_state=zs,
-        cost_state_mean=zs,
-        cost_control=zs,
-        cost_control_mean=zs,
-        cost_linear=zv,
-        cost_linear_mean=zv,
-        terminal_state=[[gamma / 2.0]],
-        terminal_state_mean=[[-gamma / 2.0]],
-        terminal_linear=[0.0],
-        terminal_linear_mean=[-1.0],
-        initial_mean=[x0],
-        initial_cov=[[0.0]],
-        initial_measure=DiscreteMeasure.dirac([x0]),
+        drift_state=np.ones((n, 1, 1)), drift_state_mean=zs,
+        drift_control=np.full((n, 1, 1), b * delta), drift_control_mean=zs,
+        noise_state=zs, noise_state_mean=zs,
+        noise_control=np.full((n, 1, 1), sigma * math.sqrt(delta)), noise_control_mean=zs,
+        cost_state=zs, cost_state_mean=zs, cost_control=zs, cost_control_mean=zs,
+        cost_linear=zv, cost_linear_mean=zv,
+        terminal_state=[[gamma / 2.0]], terminal_state_mean=[[-gamma / 2.0]],
+        terminal_linear=[0.0], terminal_linear_mean=[-1.0],
+        initial_mean=[x0], initial_cov=[[0.0]], initial_measure=DiscreteMeasure.dirac([x0]),
     )
 
 
@@ -563,14 +548,10 @@ def mean_variance_closed_form(gamma: float, b: float, sigma: float, delta: float
     cross = b * delta * lam_next
     shape4 = lambda v, extra: v.reshape((-1,) + extra)
     return RiccatiSolution(
-        var_weight=shape4(lam, (1, 1)),
-        mean_weight=np.zeros((n + 1, 1, 1)),
-        linear=np.full((n + 1, 1), -1.0),
-        constant=chi,
-        dev_hessian=shape4(dev, (1, 1)),
-        mean_hessian=shape4(mean_h, (1, 1)),
-        dev_cross=shape4(cross, (1, 1)),
-        mean_cross=np.zeros((n, 1, 1)),
+        var_weight=shape4(lam, (1, 1)), mean_weight=np.zeros((n + 1, 1, 1)),
+        linear=np.full((n + 1, 1), -1.0), constant=chi,
+        dev_hessian=shape4(dev, (1, 1)), mean_hessian=shape4(mean_h, (1, 1)),
+        dev_cross=shape4(cross, (1, 1)), mean_cross=np.zeros((n, 1, 1)),
         mean_transition=np.ones((n, 1, 1)),
     )
 
@@ -598,6 +579,9 @@ class AffinePolicy:
         n, m, d = self.gain_state.shape
         if self.gain_mean.shape != (n, m, d) or self.offset.shape != (n, m):
             raise ValueError("inconsistent policy coefficient shapes")
+        for name in ("gain_state", "gain_mean", "offset"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"policy {name} has non-finite entries")
 
     @property
     def horizon(self) -> int:
@@ -686,28 +670,27 @@ class ExplicitControls:
                 "state_means": self.state_means.tolist()}
 
 
-def explicit_control_coefficients(model: LQModel, sol: RiccatiSolution) -> ExplicitControls:
+def explicit_control_coefficients(model: LQModel, sol: RiccatiSolution,
+                                  policy: AffinePolicy) -> ExplicitControls:
     """Optimal control as a function of the state realization only.
 
-    Substitutes the deterministic optimal mean flow into the feedback rule:
-    the mean follows ``mean_{k+1} = mean_transition[k] @ mean_k +
-    (drift_control + drift_control_mean) @ offset_k``, starting from the
-    initial mean, so the returned coefficients reproduce the feedback policy
-    along the optimal flow for every state realization.
+    Substitutes the deterministic optimal mean flow into the feedback rule
+    ``policy = optimal_policy(model, sol)``: the mean follows
+    ``mean_{k+1} = mean_transition[k] @ mean_k + (drift_control +
+    drift_control_mean) @ offset_k``, starting from the initial mean, so the
+    returned coefficients reproduce the feedback policy along the optimal
+    flow for every state realization.
     """
-    policy = optimal_policy(model, sol)
     n, d, m = model.horizon, model.state_dim, model.control_dim
     means = np.zeros((n + 1, d))
     means[0] = model.initial_mean
+    constant = np.zeros((n, m))
     for k in range(n):
         Cq = model.drift_control[k] + model.drift_control_mean[k]
         means[k + 1] = sol.mean_transition[k] @ means[k] + Cq @ policy.offset[k]
-    feedback = policy.gain_state.copy()
-    constant = np.zeros((n, m))
-    for k in range(n):
         constant[k] = ((policy.gain_mean[k] - policy.gain_state[k]) @ means[k]
                        + policy.offset[k])
-    return ExplicitControls(feedback, constant, means)
+    return ExplicitControls(policy.gain_state.copy(), constant, means)
 
 
 def value_at(sol: RiccatiSolution, stage: int, law) -> float:

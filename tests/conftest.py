@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from mfctrl.fixtures import load_fixture
 from mfctrl.measure import DiscreteMeasure
-from mfctrl.model import FiniteMFModel, finite_model_from_config
-
-
-def load_finite(name):
-    data = load_fixture(name)
-    model = finite_model_from_config(data["model"])
-    mu0 = DiscreteMeasure.from_json(data["initial_law"])
-    return model, mu0
+from mfctrl.model import FiniteMFModel
+from mfctrl.verify import load_finite  # noqa: F401  (re-exported to the test modules)
 
 
 def random_finite_model(rng, n_states, n_actions, horizon):

@@ -10,25 +10,17 @@ import numpy as np
 import pytest
 
 from conftest import load_finite, random_classical_model, random_finite_model, random_initial_law
-from mfctrl import dpp
-from mfctrl.cli import _random_lq
+from mfctrl import dpp, verify
 from mfctrl.lq import (
-    AffinePolicy,
     ConditionsNotMet,
-    LQModel,
     check_conditions,
     explicit_control_coefficients,
-    mean_variance_closed_form,
     mean_variance_model,
     optimal_policy,
     solve_riccati,
-    value_at,
 )
 from mfctrl.moments import exact_cost
 from mfctrl.particles import simulate
-
-SOLUTION_FIELDS = ("var_weight", "mean_weight", "linear", "constant", "dev_hessian",
-                   "mean_hessian", "dev_cross", "mean_cross", "mean_transition")
 
 MV_GRID = [(gamma, b, sigma, n)
            for gamma in (0.5, 1.0, 2.0)
@@ -67,7 +59,7 @@ def lq_model_suite():
         d = int(rng.integers(1, 4))
         m = int(rng.integers(1, 3))
         n = int(rng.integers(1, 6))
-        model = _random_lq(rng, d, m, n)
+        model = verify.random_lq_model(rng, d, m, n)
         if check_conditions(model).ok:
             models.append(model)
     return models
@@ -75,14 +67,7 @@ def lq_model_suite():
 
 def test_criterion_1_mean_variance_closed_form():
     with _Timer() as timer:
-        worst = 0.0
-        for gamma, b, sigma, n in MV_GRID:
-            delta = 1.0 / n
-            sol = solve_riccati(mean_variance_model(gamma, b, sigma, delta, n, 1.0))
-            closed = mean_variance_closed_form(gamma, b, sigma, delta, n)
-            for name in SOLUTION_FIELDS:
-                worst = max(worst, float(np.max(np.abs(
-                    getattr(sol, name) - getattr(closed, name)))))
+        worst = verify.closed_form_gap(MV_GRID)
     _report(1, worst <= 1e-12,
             f"{len(MV_GRID)} parameter tuples, max componentwise dev {worst:.2e}",
             timer, limit=1.0)
@@ -90,13 +75,7 @@ def test_criterion_1_mean_variance_closed_form():
 
 def test_criterion_2_verification_identity(lq_model_suite):
     with _Timer() as timer:
-        worst = 0.0
-        for model in lq_model_suite:
-            sol = solve_riccati(model)
-            policy = optimal_policy(model, sol)
-            cost = exact_cost(model, policy)
-            value = value_at(sol, 0, (model.initial_mean, model.initial_cov))
-            worst = max(worst, abs(cost - value))
+        worst = verify.verification_gap(lq_model_suite)
     _report(2, worst <= 1e-9,
             f"{len(lq_model_suite)} models, max |cost - value| {worst:.2e}",
             timer, limit=5.0)
@@ -104,20 +83,7 @@ def test_criterion_2_verification_identity(lq_model_suite):
 
 def test_criterion_3_perturbation_optimality(lq_model_suite):
     with _Timer() as timer:
-        rng = np.random.default_rng(2468)
-        worst_gap = np.inf
-        for model in lq_model_suite:
-            sol = solve_riccati(model)
-            policy = optimal_policy(model, sol)
-            base = exact_cost(model, policy)
-            for _ in range(50):
-                direction = AffinePolicy(
-                    rng.normal(size=policy.gain_state.shape),
-                    rng.normal(size=policy.gain_mean.shape),
-                    rng.normal(size=policy.offset.shape))
-                for eps in (1e-3, 1e-2):
-                    gap = exact_cost(model, policy.perturbed(direction, eps)) - base
-                    worst_gap = min(worst_gap, gap)
+        worst_gap = verify.perturbation_gap(lq_model_suite, np.random.default_rng(2468), 50)
     _report(3, worst_gap >= -1e-9,
             f"{len(lq_model_suite)} models x 50 perturbations x 2 scales, "
             f"min cost increase {worst_gap:.2e}", timer, limit=30.0)
@@ -127,17 +93,12 @@ def test_criterion_4_finite_dpp_vs_brute_force():
     with _Timer() as timer:
         rng = np.random.default_rng(1357)
         shapes = [(2, 2, 2), (3, 2, 2), (2, 2, 3), (3, 2, 3)]
-        worst_value = 0.0
-        worst_roll = 0.0
+        cases = []
         for trial in range(10):
-            S, M, n = shapes[trial % len(shapes)]
-            model = random_finite_model(rng, S, M, n)
-            mu0 = random_initial_law(rng, model)
-            result = dpp.solve(model, mu0)
-            worst_value = max(worst_value,
-                              abs(result.v0 - dpp.brute_force_value(model, mu0)))
-            cost, _ = dpp.rollforward(model, mu0, result.optimal_policy_sequence)
-            worst_roll = max(worst_roll, abs(cost - result.v0))
+            model = random_finite_model(rng, *shapes[trial % len(shapes)])
+            cases.append((model, random_initial_law(rng, model)))
+        worst_value = verify.brute_force_gap(cases)
+        worst_roll = verify.rollforward_gap(cases)
     _report(4, worst_value <= 1e-10 and worst_roll <= 1e-12,
             f"10 randomized models, max |solve - brute| {worst_value:.2e}, "
             f"max roll-forward dev {worst_roll:.2e}", timer, limit=60.0)
@@ -151,22 +112,19 @@ def test_criterion_5_classical_factorization():
         for _ in range(3):
             model = random_classical_model(rng, 3, 2, 3)
             cases.append((model, random_initial_law(rng, model)))
-        worst = max(dpp.classical_factorization_check(model, mu0).max_discrepancy
-                    for model, mu0 in cases)
+        worst = verify.classical_gap(cases)
     _report(5, worst <= 1e-12, f"5 no-interaction fixtures, max discrepancy {worst:.2e}",
             timer)
 
 
 def test_criterion_6_first_order_interaction():
     with _Timer() as timer:
-        worst = 0.0
         names = ("fo_coupled_costs.json", "fo_degenerate.json", "fo_kernel_coupled.json")
-        for name in names:
-            model, mu0 = load_finite(name)
+        cases = [load_finite(name) for name in names]
+        for model, mu0 in cases:
             assert model.n_states == 2 and model.n_actions == 2 and model.horizon == 2
-            report = dpp.first_order_check(model, mu0)
-            assert set(report.per_stage) == {0, 1, 2}
-            worst = max(worst, report.max_discrepancy)
+            assert set(dpp.first_order_check(model, mu0).per_stage) == {0, 1, 2}
+        worst = verify.first_order_gap(cases)
     _report(6, worst <= 1e-10,
             f"3 pairwise-interaction fixtures, max discrepancy over all stages {worst:.2e}",
             timer)
@@ -201,7 +159,8 @@ def test_criterion_8_continuous_time_limit():
         gamma, b, sigma, x0, T = 1.0, 0.5, 1.0, 1.0, 1.0
         n = 10_000
         model = mean_variance_model(gamma, b, sigma, T / n, n, x0)
-        controls = explicit_control_coefficients(model, solve_riccati(model))
+        sol = solve_riccati(model)
+        controls = explicit_control_coefficients(model, sol, optimal_policy(model, sol))
         fb = controls.feedback[0, 0, 0]
         const = controls.constant[0, 0]
         fb_limit = -b / sigma**2
@@ -216,10 +175,7 @@ def test_criterion_8_continuous_time_limit():
 def test_criterion_9_condition_checker():
     with _Timer() as timer:
         good = check_conditions(mean_variance_model(1.0, 0.5, 1.0, 1.0, 3, 1.0))
-        payload = mean_variance_model(1.0, 0.5, 1.0, 1.0, 3, 1.0).to_json()
-        payload["stages"][1]["drift_control"] = [[0.0]]
-        payload["stages"][1]["noise_control"] = [[0.0]]
-        degenerate = LQModel.from_json(payload)
+        degenerate = verify.degenerate_mean_variance_model()
         bad = check_conditions(degenerate)
         rejected_at_stage = (not bad.ok) and bad.first_failure[0] == 1
         try:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
@@ -277,11 +278,54 @@ class TestErrors:
         assert main(["solve-finite", str(cfg)]) == 2
 
 
+VERIFY_ROWS = [
+    "measure.pushforward_mass", "measure.image_mean_identity", "measure.variance_form_psd",
+    "measure.pushforward_mixture_linearity", "model.lifted_cost_mixture_affine",
+    "model.validate_fixtures", "dpp.solve_equals_brute_force", "dpp.rollforward_reproduces_v0",
+    "dpp.one_step_consistency", "dpp.monotone_constant_shift", "dpp.random_policies_suboptimal",
+    "dpp.classical_factorization", "dpp.first_order_factorization", "lq.closed_form_agreement",
+    "lq.conditions", "lq.verification_identity", "lq.weights_psd", "lq.stationarity",
+    "lq.perturbation_optimality", "mc.matches_exact_cost", "mc.seed_determinism",
+    "mc.moment_chain_consistency", "mc.propagated_cov_psd", "mc.mean_tracking",
+    "mc.finite_oracle_law",
+]
+
+
 def test_verify_quick_passes(capsys):
     assert main(["verify", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert "checks passed" in out
+    assert "25/25 checks passed" in out
+    assert [line.split()[1] for line in out.splitlines()[:-2]] == VERIFY_ROWS
+
+
+_WRITERS = {
+    "solve-finite": ("finite_mean_reverting.json", ["--out", "--trajectory-csv"]),
+    "riccati": ("lq_multivariate.json", ["--out", "--stages-csv"]),
+    "meanvariance": (None, ["--out"]),
+    "simulate": ("lq_mean_variance.json", ["--out", "--stages-csv"]),
+}
+
+
+@pytest.mark.parametrize("target", ["directory", "missing_parent"])
+@pytest.mark.parametrize("command, flag", [(c, f) for c, (_, flags) in _WRITERS.items()
+                                           for f in flags])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, command, flag, target):
+    fixture, _ = _WRITERS[command]
+    if fixture is None:
+        argv = [command, "--gamma", "1", "--b", "0.5", "--sigma", "1", "--delta", "1",
+                "--n", "2", "--x0", "1"]
+    else:
+        argv = [command, _stage(tmp_path, fixture)]
+    if command == "simulate":
+        argv += ["--n-particles", "10", "--seed", "1"]
+    bad = tmp_path / "missing" / "x.out" if target == "missing_parent" else tmp_path
+    if flag != "--out":
+        argv += ["--out", str(tmp_path / "ok.json")]
+    argv += [flag, str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and "Traceback" not in err
 
 
 def _scenario(tmp_path, data, name="scenario.json"):
@@ -331,6 +375,40 @@ class TestNonFiniteInput:
         assert "finite" in capsys.readouterr().err
 
 
+class TestNonFinitePolicy:
+    @pytest.mark.parametrize("field, value", [("gain_state", math.nan),
+                                              ("gain_mean", math.inf), ("offset", -math.inf)])
+    def test_simulate_non_finite_policy_file_is_config_error(self, tmp_path, capsys,
+                                                             monkeypatch, field, value):
+        import mfctrl.cli
+
+        policy = AffinePolicy.zero(2, 1, 1).to_json()
+        policy[field] = np.full(np.shape(policy[field]), value).tolist()
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(policy))
+        out = tmp_path / "sim.json"
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated with a non-finite policy")
+
+        monkeypatch.setattr(mfctrl.cli, "simulate", no_simulation)
+        code = main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
+                     "10", "--seed", "1", "--policy", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"policy {field} has non-finite entries" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_meanvariance_division_by_zero_is_numerical_failure(capsys):
+    # sigma^2 underflows to 0, so the closed form divides by zero
+    code = main(["meanvariance", "--gamma", "1", "--b", "1", "--sigma", "1e-200",
+                 "--delta", "1", "--n", "2", "--x0", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+
+
 class TestNonObjectScenario:
     def test_top_level_array(self, tmp_path, capsys):
         cfg = _scenario(tmp_path, [json.loads(fixture_text("finite_zero.json"))])
@@ -376,12 +454,9 @@ def _json_paths(node, prefix=()):
         yield from _json_paths(child, prefix + (key,))
 
 
-@st.composite
-def _mutated_scenarios(draw):
-    name = draw(st.sampled_from(list_fixtures()))
-    data = json.loads(fixture_text(name))
-    data["run"] = {"node_budget": 100_000, "outputs": {"csv": "run.csv"}}
-    for _ in range(draw(st.integers(1, 2))):
+def _mutate(draw, data, rounds):
+    """Drop, retype, NaN/Inf, empty or reshape ``rounds`` nodes of ``data``."""
+    for _ in range(rounds):
         path = draw(st.sampled_from(list(_json_paths(data))))
         kind = draw(st.sampled_from(["drop", "retype", "nan", "empty", "reshape"]))
         if kind == "drop" and path:
@@ -409,6 +484,15 @@ def _mutated_scenarios(draw):
             del parent[path[-1]]
         else:
             parent[path[-1]] = new
+    return data
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    name = draw(st.sampled_from(list_fixtures()))
+    data = json.loads(fixture_text(name))
+    data["run"] = {"node_budget": 100_000, "outputs": {"csv": "run.csv"}}
+    data = _mutate(draw, data, draw(st.integers(1, 2)))
     finite = name.startswith(("finite_", "fo_"))
     command = draw(st.sampled_from(["solve-finite" if finite else "riccati", "simulate"]))
     return data, command, finite
@@ -418,6 +502,32 @@ def _strict(constant):
     raise ValueError(f"non-standard JSON token {constant}")
 
 
+def _assert_contract(files, argv):
+    """Run ``argv`` in a scratch directory holding ``files``: exit 0, 2 or 3,
+    no traceback, every output strict JSON."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative run.outputs paths land here
+        try:
+            for name, data in files.items():
+                with open(name, "w") as fh:
+                    json.dump(data, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    np.errstate(all="ignore"):
+                code = main(argv + ["--out", "out.json"])
+            assert code in (0, 2, 3), (code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                assert os.path.exists("out.json")
+            for path in os.listdir("."):
+                if path.endswith(".json") and path not in files:
+                    with open(path) as fh:
+                        json.load(fh, parse_constant=_strict)
+        finally:
+            os.chdir(cwd)
+
+
 @settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(_mutated_scenarios())
@@ -425,27 +535,45 @@ def test_cli_contract_on_mutated_fixtures(case):
     """Mutated shipped scenarios either succeed with strict-JSON output or fail
     with a config (2) or numerical (3) exit code, never with a traceback."""
     data, command, finite = case
-    cwd = os.getcwd()
+    argv = [command, "scenario.json"]
+    if command == "simulate":
+        argv += ["--n-particles", "20", "--seed", "1"]
+        argv += ["--policy", "zero"] if finite else []
+    _assert_contract({"scenario.json": data}, argv)
+
+
+@functools.lru_cache(maxsize=None)
+def _policy_files():
+    """The policy blocks ``riccati`` and ``solve-finite`` write for two fixtures."""
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # relative run.outputs paths land here
-        try:
-            with open("scenario.json", "w") as fh:
-                json.dump(data, fh)
-            argv = [command, "scenario.json", "--out", "out.json"]
-            if command == "simulate":
-                argv += ["--n-particles", "20", "--seed", "1"]
-                argv += ["--policy", "zero"] if finite else []
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-                    np.errstate(all="ignore"):
-                code = main(argv)
-            assert code in (0, 2, 3), (code, err.getvalue())
-            assert "Traceback" not in err.getvalue()
-            if code == 0:
-                assert os.path.exists("out.json")
-            for path in os.listdir("."):
-                if path.endswith(".json") and path != "scenario.json":
-                    with open(path) as fh:
-                        json.load(fh, parse_constant=_strict)
-        finally:
-            os.chdir(cwd)
+        policies = {}
+        for command, name, key in [("riccati", "lq_multivariate.json", "policy"),
+                                   ("solve-finite", "finite_mean_reverting.json",
+                                    "policy_sequence")]:
+            cfg, out = os.path.join(tmp, name), os.path.join(tmp, "out.json")
+            with open(cfg, "w") as fh:
+                fh.write(fixture_text(name))
+            assert main([command, cfg, "--out", out]) == 0
+            with open(out) as fh:
+                policy = json.load(fh)[key]
+            policies[name] = policy[0] if command == "solve-finite" else policy
+        return json.dumps(policies)
+
+
+@st.composite
+def _mutated_policies(draw):
+    name = draw(st.sampled_from(["lq_multivariate.json", "finite_mean_reverting.json"]))
+    policy = json.loads(_policy_files())[name]
+    return name, _mutate(draw, policy, 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_mutated_policies())
+def test_cli_contract_on_mutated_policy_files(case):
+    """``simulate --policy`` on a mutated ``AffinePolicy`` or ``TabularMap`` file
+    keeps the same contract as mutated scenarios."""
+    name, policy = case
+    _assert_contract({"scenario.json": json.loads(fixture_text(name)), "policy.json": policy},
+                     ["simulate", "scenario.json", "--n-particles", "20", "--seed", "1",
+                      "--policy", "policy.json"])

@@ -1,10 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from mfctrl import lq, moments
-from mfctrl.cli import _random_lq
 from mfctrl.lq import (
     AffinePolicy,
     ConditionsNotMet,
@@ -21,9 +21,7 @@ from mfctrl.lq import (
     value_at,
 )
 from mfctrl.measure import DiscreteMeasure
-
-SOLUTION_FIELDS = ("var_weight", "mean_weight", "linear", "constant", "dev_hessian",
-                   "mean_hessian", "dev_cross", "mean_cross", "mean_transition")
+from mfctrl.verify import SOLUTION_FIELDS, random_lq_model
 
 
 def scalar_lq(n=1, **over):
@@ -111,7 +109,7 @@ class TestRiccatiRecursion:
         # the linear coefficient must propagate through the transpose of the
         # closed-loop mean transition; the verification identity breaks otherwise
         rng = np.random.default_rng(11)
-        model = _random_lq(rng, 3, 2, 4)
+        model = random_lq_model(rng, 3, 2, 4)
         sol = solve_riccati(model)
         pol = optimal_policy(model, sol)
         cost = moments.exact_cost(model, pol)
@@ -192,7 +190,7 @@ class TestConditions:
 
     def test_strengthened_condition_passes(self):
         rng = np.random.default_rng(3)
-        model = _random_lq(rng, 2, 2, 3)  # PD control costs, PSD state costs
+        model = random_lq_model(rng, 2, 2, 3)  # PD control costs, PSD state costs
         report = check_conditions(model)
         assert report.ok
         assert all(r.dev_coercive_via == "control_cost" and r.mean_coercive_via == "control_cost"
@@ -222,7 +220,7 @@ class TestConditions:
         calls = []
         hessians = lq._hessians
         monkeypatch.setattr(lq, "_hessians", lambda *a: calls.append(1) or hessians(*a))
-        solve_riccati(_random_lq(np.random.default_rng(5), 2, 2, 5))
+        solve_riccati(random_lq_model(np.random.default_rng(5), 2, 2, 5))
         assert len(calls) == 5
 
     def test_refusal_carries_the_checked_report(self):
@@ -252,7 +250,7 @@ class TestConditions:
 class TestPolicyAndValues:
     def test_classical_gain_when_noise_is_control_free(self):
         rng = np.random.default_rng(8)
-        model = _random_lq(rng, 2, 2, 3)
+        model = random_lq_model(rng, 2, 2, 3)
         payload = model.to_json()
         for stage in payload["stages"]:
             stage["noise_control"] = np.zeros((2, 2)).tolist()
@@ -294,8 +292,8 @@ class TestPolicyAndValues:
     def test_stationarity_residual_vanishes_at_optimum(self):
         rng = np.random.default_rng(21)
         for _ in range(3):
-            model = _random_lq(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
-                               int(rng.integers(1, 5)))
+            model = random_lq_model(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
+                                    int(rng.integers(1, 5)))
             sol = solve_riccati(model)
             pol = optimal_policy(model, sol)
             for k in range(model.horizon):
@@ -309,8 +307,8 @@ class TestPolicyAndValues:
         # difference in the scale can never go negative
         rng = np.random.default_rng(29)
         for _ in range(2):
-            model = _random_lq(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
-                               int(rng.integers(1, 5)))
+            model = random_lq_model(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
+                                    int(rng.integers(1, 5)))
             pol = optimal_policy(model, solve_riccati(model))
             base = moments.exact_cost(model, pol)
             for _ in range(20):
@@ -326,8 +324,8 @@ class TestPolicyAndValues:
     def test_weights_psd_under_conditions(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
-            model = _random_lq(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
-                               int(rng.integers(1, 6)))
+            model = random_lq_model(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
+                                    int(rng.integers(1, 6)))
             sol = solve_riccati(model)
             assert float(np.linalg.eigvalsh(sol.var_weight).min()) >= -1e-10
             assert float(np.linalg.eigvalsh(sol.mean_weight).min()) >= -1e-10
@@ -336,10 +334,10 @@ class TestPolicyAndValues:
 class TestExplicitControls:
     def test_stage_zero_constant_uses_initial_mean(self):
         rng = np.random.default_rng(17)
-        model = _random_lq(rng, 2, 2, 3)
+        model = random_lq_model(rng, 2, 2, 3)
         sol = solve_riccati(model)
         pol = optimal_policy(model, sol)
-        controls = explicit_control_coefficients(model, sol)
+        controls = explicit_control_coefficients(model, sol, pol)
         np.testing.assert_allclose(controls.state_means[0], model.initial_mean)
         x = rng.normal(size=2)
         np.testing.assert_allclose(controls.action(0, x),
@@ -347,10 +345,10 @@ class TestExplicitControls:
 
     def test_reproduces_policy_along_optimal_flow(self):
         rng = np.random.default_rng(19)
-        model = _random_lq(rng, 3, 2, 5)
+        model = random_lq_model(rng, 3, 2, 5)
         sol = solve_riccati(model)
         pol = optimal_policy(model, sol)
-        controls = explicit_control_coefficients(model, sol)
+        controls = explicit_control_coefficients(model, sol, pol)
         states = moments.exact_trajectory(model, pol)
         for k in range(model.horizon):
             np.testing.assert_allclose(controls.state_means[k], states[k].mean,
@@ -363,7 +361,8 @@ class TestExplicitControls:
         # the explicit rule is stage-independent: -c [x - x0 - r^n / gamma]
         gamma, b, sigma, delta, n, x0 = 1.0, 0.5, 1.0, 1.0, 2, 1.0
         model = mean_variance_model(gamma, b, sigma, delta, n, x0)
-        controls = explicit_control_coefficients(model, solve_riccati(model))
+        sol = solve_riccati(model)
+        controls = explicit_control_coefficients(model, sol, optimal_policy(model, sol))
         c = b / (sigma**2 + b**2 * delta)
         target = x0 + (1.0 / gamma) * (1.0 + b**2 * delta / sigma**2) ** n
         for k in range(n):
@@ -374,7 +373,8 @@ class TestExplicitControls:
         gamma, b, sigma, x0, T = 1.0, 0.5, 1.0, 1.0, 1.0
         n = 10_000
         model = mean_variance_model(gamma, b, sigma, T / n, n, x0)
-        controls = explicit_control_coefficients(model, solve_riccati(model))
+        sol = solve_riccati(model)
+        controls = explicit_control_coefficients(model, sol, optimal_policy(model, sol))
         fb_limit = -b / sigma**2
         const_limit = (b / sigma**2) * (x0 + math.exp(b**2 / sigma**2 * T) / gamma)
         assert abs(controls.feedback[0, 0, 0] - fb_limit) <= 1e-2 * abs(fb_limit)
@@ -401,6 +401,18 @@ class TestSerialization:
         back = AffinePolicy.from_json(pol.to_json())
         np.testing.assert_array_equal(back.gain_state, pol.gain_state)
         np.testing.assert_array_equal(back.offset, pol.offset)
+
+    @pytest.mark.parametrize("field", ["gain_state", "gain_mean", "offset"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_policy_coefficients_rejected(self, field, value):
+        coefficients = AffinePolicy.zero(3, 2, 1).to_json()
+        arr = np.asarray(coefficients[field])
+        arr.flat[-1] = value
+        coefficients[field] = arr
+        with pytest.raises(ValueError, match=f"policy {field} has non-finite entries"):
+            AffinePolicy(**coefficients)
+        with pytest.raises(ValueError, match="non-finite"):
+            AffinePolicy.from_json(json.dumps(coefficients | {field: arr.tolist()}))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_coefficients_rejected(self, value):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mfctrl.cli import _random_lq
 from mfctrl.lq import (
     AffinePolicy,
     mean_variance_model,
@@ -18,6 +17,7 @@ from mfctrl.moments import (
     stage_cost_moments,
     terminal_cost_moments,
 )
+from mfctrl.verify import random_lq_model
 from mfctrl.particles import simulate
 from test_lq import scalar_lq
 
@@ -93,7 +93,7 @@ class TestMomentStep:
 
     def test_covariance_stays_psd_along_random_policies(self):
         rng = np.random.default_rng(2)
-        model = _random_lq(rng, 3, 2, 5)
+        model = random_lq_model(rng, 3, 2, 5)
         policy = AffinePolicy(rng.normal(size=(5, 2, 3)), rng.normal(size=(5, 2, 3)),
                               rng.normal(size=(5, 2)))
         for state in exact_trajectory(model, policy):
@@ -120,7 +120,7 @@ class TestExactCost:
 
     def test_stagewise_decomposition_consistent(self):
         rng = np.random.default_rng(4)
-        model = _random_lq(rng, 2, 2, 4)
+        model = random_lq_model(rng, 2, 2, 4)
         policy = optimal_policy(model, solve_riccati(model))
         states = exact_trajectory(model, policy)
         total = sum(stage_cost_moments(model, k, states[k], policy)
@@ -142,7 +142,7 @@ class TestOneStepValueIdentity:
             d = int(rng.integers(1, 4))
             m = int(rng.integers(1, 3))
             n = int(rng.integers(1, 6))
-            model = _random_lq(rng, d, m, n)
+            model = random_lq_model(rng, d, m, n)
             sol = solve_riccati(model)
             policy = optimal_policy(model, sol)
             for k in range(n):

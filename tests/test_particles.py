@@ -3,7 +3,6 @@ import pytest
 
 from conftest import load_finite
 from mfctrl import dpp
-from mfctrl.cli import _random_lq
 from mfctrl.lq import (
     AffinePolicy,
     explicit_control_coefficients,
@@ -13,6 +12,7 @@ from mfctrl.lq import (
 )
 from mfctrl.moments import exact_cost
 from mfctrl.particles import normals, simulate, uniforms
+from mfctrl.verify import random_lq_model
 from test_lq import scalar_lq
 
 
@@ -74,7 +74,7 @@ class TestLQSimulation:
 
     def test_perturbed_policy_also_agrees(self):
         rng = np.random.default_rng(14)
-        model = _random_lq(rng, 2, 2, 3)
+        model = random_lq_model(rng, 2, 2, 3)
         base = optimal_policy(model, solve_riccati(model))
         direction = AffinePolicy(rng.normal(size=base.gain_state.shape),
                                  rng.normal(size=base.gain_mean.shape),
@@ -93,7 +93,7 @@ class TestLQSimulation:
         model = mean_variance_model(1.0, 0.5, 1.0, 1.0, 3, 1.0)
         sol = solve_riccati(model)
         policy = optimal_policy(model, sol)
-        controls = explicit_control_coefficients(model, sol)
+        controls = explicit_control_coefficients(model, sol, policy)
         sim = simulate(model, policy, 50_000, seed=12)
         for k in range(model.horizon + 1):
             tol = 4 * np.sqrt(sim.stage_variances[k]) / np.sqrt(sim.n_particles)
@@ -101,7 +101,7 @@ class TestLQSimulation:
                           <= tol + 1e-12)
 
     def test_gaussian_initial_law_sampling(self):
-        model = _random_lq(np.random.default_rng(23), 2, 1, 2)
+        model = random_lq_model(np.random.default_rng(23), 2, 1, 2)
         policy = AffinePolicy.zero(2, 2, 1)
         sim = simulate(model, policy, 200_000, seed=8, keep_clouds=True)
         cloud = sim.clouds[0].positions
