@@ -152,7 +152,7 @@ def _state_label(point):
 
 
 def _joined(values):
-    return ";".join(map(repr, values.ravel()))
+    return ";".join(repr(float(v)) for v in values.ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,17 @@ per-stage minimization is convex and coercive when the semidefiniteness and
 rank conditions checked by :func:`check_conditions` hold; positive
 definiteness of the two control Hessians is asserted at every stage anyway.
 
-One backward pass propagates the weights from the terminal cost and reads
-the conditions off them stage by stage: :func:`check_conditions` returns
-its report and :func:`solve_riccati` its solution.  The conditions on the
-model alone (semidefinite costs, definite control costs, full row rank of
-the control matrices) are tested once, batched over all stages.
+One backward pass propagates the weights from the terminal cost:
+:func:`check_conditions` returns its report and :func:`solve_riccati` its
+solution.  The dynamics are stacked once as ``Z = [[B C]; [D H]]``; each stage
+builds one symmetrized matrix ``K + Z' W Z`` holding both control Hessians,
+cross terms and next-weight parts, tested by one eigenvalue call and solved by
+LAPACK ``potrf``/``potrs``.  The coercivity conditions never feed the
+recursion and are tested after the loop, batched.  :func:`optimal_policy`
+solves every stage at once.
 
-Matrix inverses are never formed: all solves go through symmetric
-positive-definite Cholesky factorizations.
+Matrix inverses are never formed: the recursion solves through Cholesky
+factors, the policy through batched linear solves.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .measure import DiscreteMeasure
 
@@ -68,17 +71,13 @@ def _min_eig(mats) -> np.ndarray:
     return np.linalg.eigvalsh(_sym(mats)).min(axis=-1)
 
 
-def _is_pd(mat) -> bool:
-    return float(_min_eig(mat)) > PD_EIG_TOL
-
-
 def _full_row_rank(mats) -> np.ndarray:
-    """Per matrix of an ``(n, d, m)`` stack: rank ``d`` within ``RANK_REL_TOL``."""
-    n, d, m = mats.shape
+    """Per matrix of a ``(..., d, m)`` stack: rank ``d`` within ``RANK_REL_TOL``."""
+    d, m = mats.shape[-2:]
     if m < d:
-        return np.zeros(n, dtype=bool)
+        return np.zeros(mats.shape[:-2], dtype=bool)
     sv = np.linalg.svd(mats, compute_uv=False)
-    return (sv[:, 0] != 0.0) & (sv[:, d - 1] >= RANK_REL_TOL * sv[:, 0])
+    return (sv[..., 0] != 0.0) & (sv[..., d - 1] >= RANK_REL_TOL * sv[..., 0])
 
 
 @dataclass(frozen=True)
@@ -269,25 +268,37 @@ def mean_variance_model(gamma: float, b: float, sigma: float, delta: float,
 # Backward pass
 # ---------------------------------------------------------------------------
 
-def _stage_pieces(model: LQModel):
-    """Dynamics matrices stacked over stages, each next to its mean-augmented
-    sum: ``B, B + Bbar, C, C + Cbar, D, D + Dbar, H, H + Hbar``."""
-    B, C = model.drift_state, model.drift_control
-    D, H = model.noise_state, model.noise_control
-    return (B, B + model.drift_state_mean, C, C + model.drift_control_mean,
-            D, D + model.noise_state_mean, H, H + model.noise_control_mean)
+def _stacked_stages(model: LQModel):
+    """``Z = [[B C]; [D H]]``, shape ``(n, 2, 2d, d+m)``, and ``K = blkdiag(Q, R)``,
+    shape ``(n, 2, d+m, d+m)``, of every stage; index 1 holds ``B + Bbar`` etc."""
+    n, d, m = model.horizon, model.state_dim, model.control_dim
+    dyn, cost = np.empty((n, 2, 2 * d, d + m)), np.zeros((n, 2, d + m, d + m))
+    lo, hi = slice(None, d), slice(d, None)
+    for out, rows, cols, name in ((dyn, lo, lo, "drift_state"), (dyn, lo, hi, "drift_control"),
+                                  (dyn, hi, lo, "noise_state"), (dyn, hi, hi, "noise_control"),
+                                  (cost, lo, lo, "cost_state"), (cost, hi, hi, "cost_control")):
+        out[:, 0, rows, cols] = getattr(model, name)
+        np.add(getattr(model, name), getattr(model, name + "_mean"), out=out[:, 1, rows, cols])
+    return dyn, cost
 
 
-def _hessians(pieces, R, Rq, lam: np.ndarray, gam: np.ndarray):
-    """Control Hessians and cross terms of one stage, induced by its dynamics
-    ``pieces``, its control costs ``R`` and ``R + Rbar`` and the next-stage
-    weights."""
-    B, Bq, C, Cq, D, Dq, H, Hq = pieces
-    dev_hess = R + H.T @ lam @ H + C.T @ lam @ C
-    mean_hess = Rq + Cq.T @ gam @ Cq + Hq.T @ lam @ Hq
-    cross_dev = D.T @ lam @ H + B.T @ lam @ C
-    cross_mean = Dq.T @ lam @ Hq + Bq.T @ gam @ Cq
-    return _sym(dev_hess), _sym(mean_hess), cross_dev, cross_mean
+def _stage_matrix(cost, dyn, weights):
+    """Symmetrized ``K + Z' W Z`` of one stage, ``W = blkdiag(lam, lam | gam, lam)``: per
+    component, the next weights' quadratic part, cross term and control Hessian."""
+    return _sym(cost + dyn.swapaxes(-1, -2) @ weights @ dyn)
+
+
+def _potrf(mat):
+    """Lower Cholesky factor by LAPACK, without SciPy's checks (``mat`` is finite)."""
+    factor, info = dpotrf(mat, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    return factor
+
+
+def _not_finite(k: int) -> FloatingPointError:
+    return FloatingPointError(f"Riccati recursion not finite at stage {k}")
 
 
 @dataclass
@@ -364,27 +375,19 @@ class ConditionReport:
         return f"conditions violated at stage {stage}: {what}"
 
 
-def _coercive_via(cost_pd, drift_rank, drift_weight, noise_rank, noise_weight):
+def _coercive_via(cost_pd, drift_ok, noise_ok):
     """First coercivity alternative that holds: PD control cost, or full row
-    rank of the control-to-drift (then control-to-noise) matrix together with
-    positive definiteness of the weight it meets."""
-    if cost_pd:
-        return "control_cost"
-    if drift_rank and _is_pd(drift_weight):
-        return "drift_rank"
-    if noise_rank and _is_pd(noise_weight):
-        return "noise_rank"
-    return None
+    rank of the control-to-drift (then control-to-noise) matrix and a PD weight."""
+    return ("control_cost" if cost_pd else "drift_rank" if drift_ok
+            else "noise_rank" if noise_ok else None)
 
 
-def _hessian_error(k: int, dev_hess, mean_hess) -> NotPositiveDefinite:
+def _hessian_error(k: int, hessians) -> NotPositiveDefinite:
     """The error a forced solve raises at stage ``k``, the first stage whose
     control Hessians fail the eigenvalue margin: named after the first
     Hessian whose Cholesky factorization fails, if one does."""
-    for name, hess in (("centered control", dev_hess), ("mean control", mean_hess)):
-        try:
-            cho_factor(hess, lower=True)
-        except np.linalg.LinAlgError:
+    for name, hess in zip(("centered control", "mean control"), hessians):
+        if dpotrf(hess, lower=1, clean=0)[1] > 0:
             return NotPositiveDefinite(f"{name} Hessian not positive definite at stage {k}")
     return NotPositiveDefinite(f"control Hessian not positive definite at stage {k}")
 
@@ -407,19 +410,17 @@ def _backward_pass(model: LQModel):
     Returns ``(report, solution, error)``: the solution when every control
     Hessian passes the eigenvalue margin, else the
     :class:`NotPositiveDefinite` error for the first stage (from the end)
-    where one fails; earlier stages are then reported unevaluated.  The tests
-    that depend only on the model run once, batched over all stages.
+    where one fails; earlier stages are then reported unevaluated.  A stage
+    matrix or coefficient that is not finite raises ``FloatingPointError``
+    naming its stage.
     """
     n, d, m = model.horizon, model.state_dim, model.control_dim
     var_weight = np.zeros((n + 1, d, d))
     mean_weight = np.zeros((n + 1, d, d))
     linear = np.zeros((n + 1, d))
     constant = np.zeros(n + 1)
-    dev_hessian = np.zeros((n, m, m))
-    mean_hessian = np.zeros((n, m, m))
-    dev_cross = np.zeros((n, d, m))
-    mean_cross = np.zeros((n, d, m))
     mean_transition = np.zeros((n, d, d))
+    hessian_mats, cross_mats = np.zeros((2, n, m, m)), np.zeros((2, n, d, m))
     var_weight[n] = model.terminal_state
     mean_weight[n] = model.terminal_state + model.terminal_state_mean
     linear[n] = model.terminal_linear + model.terminal_linear_mean
@@ -429,65 +430,71 @@ def _backward_pass(model: LQModel):
         ("terminal state cost not PSD", var_weight[n]),
         ("terminal state+mean cost not PSD", mean_weight[n]))
         if not _min_eig(mat) >= PSD_EIG_TOL]
-    pieces = _stage_pieces(model)
-    B, Bq, C, Cq, D, Dq, H, Hq = pieces
-    R, Rq = model.cost_control, model.cost_control + model.cost_control_mean
-    Qq = model.cost_state + model.cost_state_mean
-    r_eig, rq_eig = _min_eig(R), _min_eig(Rq)
-    psd = {"state cost not PSD": _min_eig(model.cost_state) >= PSD_EIG_TOL,
-           "state+mean cost not PSD": _min_eig(Qq) >= PSD_EIG_TOL,
-           "control cost not PSD": r_eig >= PSD_EIG_TOL,
-           "control+mean cost not PSD": rq_eig >= PSD_EIG_TOL}
-    nonneg_failures = [[what for what, ok in psd.items() if not ok[k]] for k in range(n)]
-    r_pd, rq_pd = r_eig > PD_EIG_TOL, rq_eig > PD_EIG_TOL
-    c_rank, cq_rank, h_rank, hq_rank = map(_full_row_rank, (C, Cq, H, Hq))
+    dyn, cost = _stacked_stages(model)
+    control_eig = _min_eig(cost[:, :, d:, d:])
+    psd = np.concatenate([_min_eig(cost[:, :, :d, :d]), control_eig], axis=1) >= PSD_EIG_TOL
+    labels = [f"{what} cost not PSD" for what in ("state", "state+mean", "control", "control+mean")]
+    nonneg_failures = [[what for what, ok in zip(labels, row) if not ok]
+                       for row in psd.tolist()]
+    r_pd, rq_pd = (control_eig > PD_EIG_TOL).T.tolist()
+    c_rank, cq_rank = _full_row_rank(dyn[:, :, :d, d:]).T.tolist()
+    h_rank, hq_rank = _full_row_rank(dyn[:, :, d:, d:]).T.tolist()
+    cost_linear = model.cost_linear + model.cost_linear_mean
 
-    rows: list = [None] * n
-    error, unevaluated = None, 0
+    weights = np.zeros((2, 2 * d, 2 * d))
+    rhs, gains = np.zeros((m, d + 1)), np.zeros((2, m, d))
+    first, error = 0, None
     for k in range(n - 1, -1, -1):
-        lam, gam = var_weight[k + 1], mean_weight[k + 1]
-        dev_via = _coercive_via(r_pd[k], c_rank[k], lam, h_rank[k], lam)
-        mean_via = _coercive_via(rq_pd[k], cq_rank[k], gam, hq_rank[k], lam)
-        stage = [p[k] for p in pieces]
-        dev_hess, mean_hess, cross_dev, cross_mean = _hessians(stage, R[k], Rq[k], lam, gam)
-        hessians_pd = _is_pd(dev_hess) and _is_pd(mean_hess)
-        rows[k] = StageConditions(
+        lam, gam, ell = var_weight[k + 1], mean_weight[k + 1], linear[k + 1]
+        weights[0, :d, :d] = weights[:, d:, d:] = lam
+        weights[1, :d, :d] = gam
+        stage = _stage_matrix(cost[k], dyn[k], weights)
+        if not np.isfinite(stage).all():
+            raise _not_finite(k)
+        hessians = stage[:, d:, d:]
+        if not np.linalg.eigvalsh(hessians).min() > PD_EIG_TOL:
+            first, error = k, _hessian_error(k, hessians)
+            break
+        # the mean solve carries the offset's right-hand side as one more column
+        mean_control = dyn[k, 1, :d, d:]
+        rhs[:, :d] = stage[1, d:, :d]
+        rhs[:, d] = ell @ mean_control
+        gains[0] = dpotrs(_potrf(hessians[0]), stage[0, d:, :d], lower=1)[0]
+        mean_gain = dpotrs(_potrf(hessians[1]), rhs, lower=1)[0]
+        gains[1] = mean_gain[:, :d]
+        var_weight[k], mean_weight[k] = _sym(stage[:, :d, :d] - stage[:, :d, d:] @ gains)
+        mean_transition[k] = dyn[k, 1, :d, :d] - mean_control @ gains[1]
+        linear[k] = cost_linear[k] + ell @ mean_transition[k]
+        constant[k] = constant[k + 1] - 0.25 * float(rhs[:, d] @ mean_gain[:, d])
+        hessian_mats[:, k], cross_mats[:, k] = hessians, stage[:, :d, d:]
+    finite = np.isfinite(linear).all(axis=1) & np.isfinite(constant)
+    for weight in (var_weight, mean_weight):
+        finite &= np.isfinite(weight).all(axis=(1, 2))
+    if not finite.all():
+        raise _not_finite(int(np.flatnonzero(~finite)[-1]))
+
+    # the coercivity alternatives meet the weights of the next stage
+    lam_pd = (_min_eig(var_weight[first + 1:]) > PD_EIG_TOL).tolist()
+    gam_pd = (_min_eig(mean_weight[first + 1:]) > PD_EIG_TOL).tolist()
+    # stages before a failed Hessian have no weights to test against
+    rows = [StageConditions(k, not f, f, False, None, False, None, False, False)
+            for k, f in enumerate(nonneg_failures[:first])]
+    for k, lam_ok, gam_ok in zip(range(first, n), lam_pd, gam_pd):
+        dev_via = _coercive_via(r_pd[k], c_rank[k] and lam_ok, h_rank[k] and lam_ok)
+        mean_via = _coercive_via(rq_pd[k], cq_rank[k] and gam_ok, hq_rank[k] and lam_ok)
+        rows.append(StageConditions(
             stage=k, nonneg_ok=not nonneg_failures[k], nonneg_failures=nonneg_failures[k],
             dev_coercive_ok=dev_via is not None, dev_coercive_via=dev_via,
             mean_coercive_ok=mean_via is not None, mean_coercive_via=mean_via,
-            hessians_pd=hessians_pd, evaluated=True)
-        if not hessians_pd:
-            error, unevaluated = _hessian_error(k, dev_hess, mean_hess), k
-            break
-
-        chol_dev = cho_factor(dev_hess, lower=True)
-        chol_mean = cho_factor(mean_hess, lower=True)
-        mean_gain = cho_solve(chol_mean, cross_mean.T)
-        var_weight[k] = _sym(model.cost_state[k] + B[k].T @ lam @ B[k] + D[k].T @ lam @ D[k]
-                             - cross_dev @ cho_solve(chol_dev, cross_dev.T))
-        mean_weight[k] = _sym(Qq[k] + Bq[k].T @ gam @ Bq[k] + Dq[k].T @ lam @ Dq[k]
-                              - cross_mean @ mean_gain)
-        mean_transition[k] = Bq[k] - Cq[k] @ mean_gain
-        linear[k] = (model.cost_linear[k] + model.cost_linear_mean[k]
-                     + mean_transition[k].T @ linear[k + 1])
-        constant[k] = constant[k + 1] - 0.25 * float(
-            linear[k + 1] @ Cq[k] @ cho_solve(chol_mean, Cq[k].T @ linear[k + 1]))
-        dev_hessian[k] = dev_hess
-        mean_hessian[k] = mean_hess
-        dev_cross[k] = cross_dev
-        mean_cross[k] = cross_mean
-    # stages before a failed Hessian have no weights to test against
-    rows[:unevaluated] = [StageConditions(k, not f, f, False, None, False, None, False, False)
-                          for k, f in enumerate(nonneg_failures[:unevaluated])]
+            hessians_pd=error is None or k > first, evaluated=True))
 
     failures = [_stage_failures(row) for row in rows] + [terminal_failures]
     first_failure = next(((k, "; ".join(f)) for k, f in enumerate(failures) if f), None)
     report = ConditionReport(rows, not terminal_failures, terminal_failures, first_failure)
     if error is not None:
         return report, None, error
-    return report, RiccatiSolution(var_weight, mean_weight, linear, constant,
-                                   dev_hessian, mean_hessian, dev_cross, mean_cross,
-                                   mean_transition), None
+    return report, RiccatiSolution(var_weight, mean_weight, linear, constant, *hessian_mats,
+                                   *cross_mats, mean_transition), None
 
 
 def check_conditions(model: LQModel) -> ConditionReport:
@@ -497,12 +504,10 @@ def check_conditions(model: LQModel) -> ConditionReport:
     mean-augmented sums (terminal included).  The coercivity alternatives at
     stage ``k`` are: positive definite control cost, or full row rank of the
     control-to-drift (resp. control-to-noise) matrix combined with positive
-    definiteness of the backward weight matrix it meets.  The weights are the
-    ones actually propagated from the terminal stage, which at ``k = n-1``
-    are exactly the terminal cost matrices.  The induced control Hessians are
-    also tested directly; when one fails, earlier stages cannot be evaluated
-    and are reported as such.  This is the report of the same backward pass
-    :func:`solve_riccati` runs.
+    definiteness of the backward weight matrix it meets: the weights
+    propagated from the terminal cost, which they are at ``k = n-1``.  The
+    control Hessians are tested directly; when one fails, earlier stages
+    cannot be evaluated.  :func:`solve_riccati` runs the same pass.
     """
     return _backward_pass(model)[0]
 
@@ -514,8 +519,9 @@ def solve_riccati(model: LQModel, force: bool = False) -> RiccatiSolution:
     :func:`check_conditions`.  A failed report raises
     :class:`ConditionsNotMet` unless ``force`` is set; positive definiteness
     of both control Hessians is required at every stage even then
-    (:class:`NotPositiveDefinite`).  The weight matrices are re-symmetrized
-    after each update.
+    (:class:`NotPositiveDefinite`).  A recursion that leaves the finite
+    numbers raises ``FloatingPointError`` naming the stage.  The weight
+    matrices are re-symmetrized after each update.
     """
     report, sol, error = _backward_pass(model)
     if not (force or report.ok):
@@ -632,18 +638,12 @@ class AffinePolicy:
 
 def optimal_policy(model: LQModel, sol: RiccatiSolution) -> AffinePolicy:
     """Minimizing affine feedback, including the offset driven by the linear
-    coefficient of the value function."""
-    n, d, m = model.horizon, model.state_dim, model.control_dim
-    gain_state = np.zeros((n, m, d))
-    gain_mean = np.zeros((n, m, d))
-    offset = np.zeros((n, m))
-    for k in range(n):
-        chol_dev = cho_factor(sol.dev_hessian[k], lower=True)
-        chol_mean = cho_factor(sol.mean_hessian[k], lower=True)
-        Cq = model.drift_control[k] + model.drift_control_mean[k]
-        gain_state[k] = -cho_solve(chol_dev, sol.dev_cross[k].T)
-        gain_mean[k] = -cho_solve(chol_mean, sol.mean_cross[k].T)
-        offset[k] = -0.5 * cho_solve(chol_mean, Cq.T @ sol.linear[k + 1])
+    coefficient of the value function, solved for every stage at once."""
+    mean_control = model.drift_control + model.drift_control_mean
+    offset_rhs = sol.linear[1:, None, :] @ mean_control
+    gain_state = -np.linalg.solve(sol.dev_hessian, sol.dev_cross.swapaxes(1, 2))
+    gain_mean = -np.linalg.solve(sol.mean_hessian, sol.mean_cross.swapaxes(1, 2))
+    offset = -0.5 * np.linalg.solve(sol.mean_hessian, offset_rhs.swapaxes(1, 2))[..., 0]
     return AffinePolicy(gain_state, gain_mean, offset)
 
 
@@ -681,15 +681,15 @@ def explicit_control_coefficients(model: LQModel, sol: RiccatiSolution,
     returned coefficients reproduce the feedback policy along the optimal
     flow for every state realization.
     """
-    n, d, m = model.horizon, model.state_dim, model.control_dim
+    n, d = model.horizon, model.state_dim
+    drive = np.einsum("kdm,km->kd", model.drift_control + model.drift_control_mean,
+                      policy.offset)
     means = np.zeros((n + 1, d))
     means[0] = model.initial_mean
-    constant = np.zeros((n, m))
     for k in range(n):
-        Cq = model.drift_control[k] + model.drift_control_mean[k]
-        means[k + 1] = sol.mean_transition[k] @ means[k] + Cq @ policy.offset[k]
-        constant[k] = ((policy.gain_mean[k] - policy.gain_state[k]) @ means[k]
-                       + policy.offset[k])
+        means[k + 1] = sol.mean_transition[k] @ means[k] + drive[k]
+    constant = np.einsum("kmd,kd->km", policy.gain_mean - policy.gain_state,
+                         means[:-1]) + policy.offset
     return ExplicitControls(policy.gain_state.copy(), constant, means)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import functools
 import io
 import json
@@ -398,6 +399,37 @@ class TestNonFinitePolicy:
         err = capsys.readouterr().err
         assert f"policy {field} has non-finite entries" in err and "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+def test_overflowing_recursion_is_numerical_failure(tmp_path, capsys, force):
+    # stage 0's control Hessian overflows: a numerical failure, not a config error
+    data = json.loads(fixture_text("lq_multivariate.json"))
+    stage = data["model"]["stages"][0]
+    stage["drift_control"] = (np.asarray(stage["drift_control"]) * 1e200).tolist()
+    out = tmp_path / "x.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["riccati", _scenario(tmp_path, data), "--out", str(out), *force])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "at stage 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_stage_csv_cells_are_plain_floats(tmp_path):
+    cfg = _stage(tmp_path, "lq_mean_variance.json")
+    riccati_csv, simulate_csv = tmp_path / "riccati.csv", tmp_path / "simulate.csv"
+    assert main(["riccati", cfg, "--out", str(tmp_path / "r.json"),
+                 "--stages-csv", str(riccati_csv)]) == 0
+    assert main(["simulate", cfg, "--n-particles", "100", "--seed", "1",
+                 "--out", str(tmp_path / "s.json"), "--stages-csv", str(simulate_csv)]) == 0
+    for path in (riccati_csv, simulate_csv):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        cells = [cell for row in rows for cell in row if cell]
+        assert len(cells) > len(rows)
+        for cell in cells:
+            float(cell)
 
 
 def test_meanvariance_division_by_zero_is_numerical_failure(capsys):

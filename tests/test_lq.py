@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from mfctrl import lq, moments
+from mfctrl.fixtures import load_fixture
 from mfctrl.lq import (
     AffinePolicy,
     ConditionsNotMet,
@@ -22,6 +24,9 @@ from mfctrl.lq import (
 )
 from mfctrl.measure import DiscreteMeasure
 from mfctrl.verify import SOLUTION_FIELDS, random_lq_model
+import lq_reference
+
+PARITY_RTOL = 1e-12
 
 
 def scalar_lq(n=1, **over):
@@ -216,10 +221,21 @@ class TestConditions:
         with pytest.raises(NotPositiveDefinite, match=f"^{message}$"):
             solve_riccati(LQModel.from_json(payload), force=True)
 
+    @pytest.mark.parametrize("coefficients, stage", [
+        (dict(C=1e200, R=1.0, Q=1.0), 1),  # the stage-1 control Hessian overflows
+        (dict(B=1e200, R=1.0, LT=1e200), 2),  # only the linear part overflows
+    ], ids=["hessian", "linear"])
+    def test_non_finite_recursion_names_the_stage(self, coefficients, stage):
+        model = scalar_lq(n=3, **coefficients)
+        for solve in (check_conditions, solve_riccati, lambda m: solve_riccati(m, force=True)):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                    FloatingPointError, match=f"^Riccati recursion not finite at stage {stage}$"):
+                solve(model)
+
     def test_one_backward_pass_per_solve(self, monkeypatch):
         calls = []
-        hessians = lq._hessians
-        monkeypatch.setattr(lq, "_hessians", lambda *a: calls.append(1) or hessians(*a))
+        stage_matrix = lq._stage_matrix
+        monkeypatch.setattr(lq, "_stage_matrix", lambda *a: calls.append(1) or stage_matrix(*a))
         solve_riccati(random_lq_model(np.random.default_rng(5), 2, 2, 5))
         assert len(calls) == 5
 
@@ -437,3 +453,79 @@ class TestSerialization:
         payload["horizon"] = 5
         with pytest.raises(ValueError, match="declared horizon"):
             LQModel.from_json(payload)
+
+
+def _parity_models():
+    """Both LQ fixtures and 200 seeded random models.  Every other random
+    model has one stage's control cost, or its mean part, rescaled by a factor
+    in [-8, 1], which makes conditions and often control Hessians fail."""
+    mv = load_fixture("lq_mean_variance.json")["model"]
+    models = [mean_variance_model(**mv),
+              LQModel.from_json(load_fixture("lq_multivariate.json")["model"])]
+    rng = np.random.default_rng(20260601)
+    for i in range(200):
+        model = random_lq_model(rng, *(int(v) for v in rng.integers(1, 4, size=2)),
+                                int(rng.integers(1, 7)))
+        if i % 2:
+            name = ("cost_control", "cost_control_mean")[i // 2 % 2]
+            coefficients = getattr(model, name).copy()
+            coefficients[rng.integers(model.horizon)] *= rng.uniform(-8.0, 1.0)
+            model = dataclasses.replace(model, **{name: coefficients})
+        models.append(model)
+    return models
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs), None
+    except Exception as exc:  # the parity check compares the exceptions themselves
+        return None, (type(exc), str(exc))
+
+
+def _assert_close(got, want):
+    scale = float(np.max(np.abs(want), initial=0.0))
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= PARITY_RTOL * scale
+
+
+class TestReferenceParity:
+    """The stacked LAPACK pass against the per-stage ``cho_factor`` recursion
+    of ``lq_reference``: equal reports and exceptions, coefficients within
+    1e-12 relative."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return _parity_models()
+
+    def test_reports_and_exceptions_match(self, models):
+        outcomes = set()
+        for model in models:
+            assert _outcome(check_conditions, model) == _outcome(
+                lq_reference.check_conditions, model)
+            for force in (False, True):
+                error = _outcome(solve_riccati, model, force=force)[1]
+                assert error == _outcome(lq_reference.solve_riccati, model, force=force)[1]
+                outcomes.add(error and (error[0], error[1].split(" at stage")[0]))
+        # the set exercises every way a solve can end
+        assert outcomes == {None, (ConditionsNotMet, "conditions violated"),
+                            (NotPositiveDefinite, "centered control Hessian not positive definite"),
+                            (NotPositiveDefinite, "mean control Hessian not positive definite")}
+
+    def test_solutions_policies_and_controls_match(self, models):
+        solved = 0
+        for model in models:
+            sol, error = _outcome(solve_riccati, model, force=True)
+            if error:
+                continue
+            solved += 1
+            ref = lq_reference.solve_riccati(model, force=True)
+            for name in SOLUTION_FIELDS:
+                _assert_close(getattr(sol, name), getattr(ref, name))
+            policy, ref_policy = optimal_policy(model, sol), lq_reference.optimal_policy(model, ref)
+            for name in ("gain_state", "gain_mean", "offset"):
+                _assert_close(getattr(policy, name), getattr(ref_policy, name))
+            controls = explicit_control_coefficients(model, sol, policy)
+            ref_constant, ref_means = lq_reference.explicit_controls(model, ref, ref_policy)
+            _assert_close(controls.constant, ref_constant)
+            _assert_close(controls.state_means, ref_means)
+        assert solved >= len(models) // 2
