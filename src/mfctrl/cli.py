@@ -2,7 +2,7 @@
 preset, Monte Carlo simulation, and the cross-oracle verification table.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed config or usage,
-3 numerical failure.
+3 numerical failure (running out of memory included).
 """
 
 import os
@@ -350,6 +350,10 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError, ArithmeticError) as exc:
         # ArithmeticError covers NonFiniteOutput, overflows and divisions by zero
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -404,6 +404,7 @@ def _stage_failures(row: StageConditions) -> list:
     return failures
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite stage raises below
 def _backward_pass(model: LQModel):
     """The backward Riccati recursion together with its condition report.
 

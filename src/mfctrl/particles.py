@@ -8,9 +8,14 @@ isolating pure sampling error.
 
 Randomness is counter-based: every draw comes from a Philox generator keyed
 by ``(seed, stream)`` where the stream id encodes its role (stage noise,
-initial-law component, kernel draws).  All draws are made in particle-index
-order with one vectorized call per stream, so trajectories are bit-identical
-for a given ``(seed, n_particles)`` regardless of scheduling.
+initial-law component, kernel draws).  Particle ``i`` always gets draw ``i``
+of a stream, also when the draws are made block by block, so trajectories are
+bit-identical for a given ``(seed, n_particles)`` regardless of scheduling.
+
+The linear-quadratic cloud is a ``(d, N)`` array.  Each stage folds the affine
+policy into its coefficients and makes one pass over the cloud in blocks of
+``_BLOCK`` particles: one matrix product per block gives the costs and the
+step, and stage moments are combined from per-block moments in block order.
 """
 
 from __future__ import annotations
@@ -31,21 +36,27 @@ _STREAM_INIT_COMPONENT = 2**32   # + coordinate index
 _STREAM_INIT_DISCRETE = 2**33
 _STREAM_KERNEL = 2**34           # + stage
 
+_BLOCK = 2**16   # particles per block of an LQ pass; a multiple of 4
 
-def _raw(seed: int, stream: int, count: int) -> np.ndarray:
+
+def _raw(seed: int, stream: int, count: int, start: int) -> np.ndarray:
+    if start < 0 or start % 4:
+        raise ValueError(f"stream start must be a nonnegative multiple of 4, got {start}")
     gen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    gen.advance(start // 4)   # one counter step yields four outputs
     return gen.random_raw(count)
 
 
-def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
-    """Deterministic uniforms in (0, 1) from the (seed, stream) counter stream."""
-    bits = _raw(seed, stream, count) >> np.uint64(11)
+def uniforms(seed: int, stream: int, count: int, *, start: int = 0) -> np.ndarray:
+    """Deterministic uniforms in (0, 1): draws ``start`` to ``start + count`` of
+    the (seed, stream) counter stream; ``start`` must be a multiple of 4."""
+    bits = _raw(seed, stream, count, start) >> np.uint64(11)
     return (bits.astype(np.float64) + 0.5) * 2.0**-53
 
 
-def normals(seed: int, stream: int, count: int) -> np.ndarray:
+def normals(seed: int, stream: int, count: int, *, start: int = 0) -> np.ndarray:
     """Deterministic standard normals via the inverse CDF of the uniforms."""
-    return ndtri(uniforms(seed, stream, count))
+    return ndtri(uniforms(seed, stream, count, start=start))
 
 
 @dataclass
@@ -103,18 +114,41 @@ class SimulationResult:
         )
 
 
-def _sample_initial_lq(model: LQModel, n: int, seed: int) -> np.ndarray:
-    if model.initial_measure is not None:
-        mu = model.initial_measure
-        cum = np.cumsum(mu.weights)
-        u = uniforms(seed, _STREAM_INIT_DISCRETE, n)
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-        return mu.support[idx]
-    d = model.state_dim
-    z = np.column_stack([normals(seed, _STREAM_INIT_COMPONENT + j, n) for j in range(d)])
+def _blocks(x: np.ndarray):
+    """``(start, view)`` of each block of particles (columns) of ``x``, in order."""
+    for start in range(0, x.shape[1], _BLOCK):
+        yield start, x[:, start:start + _BLOCK]
+
+
+def _fold(moments, xb: np.ndarray):
+    """Chan's update of the running ``(count, mean, M2)`` by the block ``xb``."""
+    size, mean = xb.shape[1], xb.mean(axis=1)
+    dev = xb - mean[:, None]
+    m2 = np.square(dev, out=dev).sum(axis=1)
+    if moments is None:
+        return size, mean, m2
+    count, prev_mean, prev_m2 = moments
+    total, delta = count + size, mean - prev_mean
+    return (total, prev_mean + delta * (size / total),
+            prev_m2 + m2 + np.square(delta) * (count * size / total))
+
+
+def _sample_initial_lq(model: LQModel, n: int, seed: int):
+    """The initial ``(d, N)`` cloud, drawn block by block, and its moments."""
+    x, mu, moments = np.empty((model.state_dim, n)), model.initial_measure, None
     evals, evecs = np.linalg.eigh(model.initial_cov)
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    return model.initial_mean + z @ root.T
+    for start, xb in _blocks(x):
+        if mu is not None:
+            u = uniforms(seed, _STREAM_INIT_DISCRETE, xb.shape[1], start=start)
+            idx = np.searchsorted(np.cumsum(mu.weights), u, side="right")
+            xb[...] = mu.support.T[:, np.minimum(idx, len(mu.weights) - 1)]
+        else:
+            z = [normals(seed, _STREAM_INIT_COMPONENT + j, xb.shape[1], start=start)
+                 for j in range(len(x))]
+            xb[...] = root @ z + model.initial_mean[:, None]
+        moments = _fold(moments, xb)
+    return x, moments
 
 
 def _variance(x: np.ndarray) -> np.ndarray:
@@ -134,6 +168,31 @@ def _finalize(costs: np.ndarray, means, variances, n: int, seed: int,
                             np.array(means), np.array(variances), clouds)
 
 
+def _stage_coefficients(model: LQModel, policy: AffinePolicy, k: int, mean: np.ndarray):
+    """Stage ``k`` at the reference ``mean``, with ``a = G x + a0``: ``W = [A + B G;
+    S + D G; Q + G'RG; (l + 2 G'R a0)']``, the cost constant, and the drift and
+    noise-scale offsets as one column; the terminal stage has ``W = [Q; l']``."""
+    if k == model.horizon:
+        return (np.vstack([model.terminal_state, model.terminal_linear]),
+                mean @ model.terminal_state_mean @ mean + model.terminal_linear_mean @ mean,
+                None)
+    G, R = policy.gain_state[k], model.cost_control[k]
+    abar = policy.mean_action(k, mean)
+    a0 = abar - G @ mean
+    RG = R @ G
+    W = np.vstack([model.drift_state[k] + model.drift_control[k] @ G,
+                   model.noise_state[k] + model.noise_control[k] @ G,
+                   model.cost_state[k] + G.T @ RG,
+                   model.cost_linear[k] + 2.0 * a0 @ RG])
+    const = (mean @ model.cost_state_mean[k] @ mean + model.cost_linear_mean[k] @ mean
+             + a0 @ R @ a0 + abar @ model.cost_control_mean[k] @ abar)
+    offset = (np.vstack([model.drift_state_mean[k], model.noise_state_mean[k]]) @ mean
+              + np.vstack([model.drift_control[k], model.noise_control[k]]) @ a0
+              + np.vstack([model.drift_control_mean[k], model.noise_control_mean[k]]) @ abar)
+    return W, const, offset[:, None]
+
+
+@np.errstate(over="ignore", invalid="ignore")   # overflow shows as a non-finite result
 def _simulate_lq(model: LQModel, policy: AffinePolicy, n: int, seed: int,
                  closure: str, keep_clouds: bool) -> SimulationResult:
     if policy.horizon != model.horizon:
@@ -141,46 +200,30 @@ def _simulate_lq(model: LQModel, policy: AffinePolicy, n: int, seed: int,
     if policy.state_dim != model.state_dim or policy.control_dim != model.control_dim:
         raise ValueError("policy dimensions do not match the model")
     oracle = exact_trajectory(model, policy) if closure == "oracle-law" else None
-    x = _sample_initial_lq(model, n, seed)
+    d = model.state_dim
     costs = np.zeros(n)
     means, variances, clouds = [], [], ([] if keep_clouds else None)
-    for k in range(model.horizon):
-        means.append(x.mean(axis=0))
-        variances.append(_variance(x))
+    x, moments = _sample_initial_lq(model, n, seed)
+    scratch = np.empty((3 * d + 1, min(n, _BLOCK)))
+    for k in range(model.horizon + 1):
+        _, mean, m2 = moments
+        means.append(mean)
+        variances.append(m2 / (n - 1) if n > 1 else np.zeros(d))
         if keep_clouds:
-            clouds.append(ParticleCloud(x.copy(), k, seed))
-        ref_mean = oracle[k].mean if oracle is not None else x.mean(axis=0)
-        a = policy.action(k, x, ref_mean)
-        ref_abar = (policy.mean_action(k, ref_mean) if oracle is not None
-                    else a.mean(axis=0))
-
-        Q = model.cost_state[k]
-        Qm = model.cost_state_mean[k]
-        R = model.cost_control[k]
-        Rm = model.cost_control_mean[k]
-        costs += np.einsum("ij,jk,ik->i", x, Q, x)
-        costs += float(ref_mean @ Qm @ ref_mean)
-        costs += x @ model.cost_linear[k]
-        costs += float(model.cost_linear_mean[k] @ ref_mean)
-        costs += np.einsum("ij,jk,ik->i", a, R, a)
-        costs += float(ref_abar @ Rm @ ref_abar)
-
-        eps = normals(seed, _STREAM_STAGE_NOISE + k, n)
-        drift = (x @ model.drift_state[k].T + ref_mean @ model.drift_state_mean[k].T
-                 + a @ model.drift_control[k].T + ref_abar @ model.drift_control_mean[k].T)
-        scale = (x @ model.noise_state[k].T + ref_mean @ model.noise_state_mean[k].T
-                 + a @ model.noise_control[k].T + ref_abar @ model.noise_control_mean[k].T)
-        x = drift + scale * eps[:, None]
-
-    means.append(x.mean(axis=0))
-    variances.append(_variance(x))
-    if keep_clouds:
-        clouds.append(ParticleCloud(x.copy(), model.horizon, seed))
-    ref_mean = oracle[-1].mean if oracle is not None else x.mean(axis=0)
-    costs += np.einsum("ij,jk,ik->i", x, model.terminal_state, x)
-    costs += float(ref_mean @ model.terminal_state_mean @ ref_mean)
-    costs += x @ model.terminal_linear
-    costs += float(model.terminal_linear_mean @ ref_mean)
+            clouds.append(ParticleCloud(x.T.copy(), k, seed))
+        ref = oracle[k].mean if oracle is not None else mean
+        W, const, offset = _stage_coefficients(model, policy, k, ref)
+        for start, xb in _blocks(x):
+            y = np.matmul(W, xb, out=scratch[:len(W), :xb.shape[1]])
+            quad = np.multiply(y[-d - 1:-1], xb, out=y[-d - 1:-1])
+            costs[start:start + xb.shape[1]] += quad.sum(axis=0) + (y[-1] + const)
+            if offset is not None:
+                # x <- (drift + drift offset) + (scale + scale offset) * eps, in place
+                step = y[:2 * d]
+                step += offset
+                step[d:] *= normals(seed, _STREAM_STAGE_NOISE + k, xb.shape[1], start=start)
+                np.add(step[:d], step[d:], out=xb)
+                moments = _fold(moments if start else None, xb)   # restarts at block 0
     return _finalize(costs, means, variances, n, seed, closure, clouds)
 
 

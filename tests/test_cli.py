@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -413,6 +414,50 @@ def test_overflowing_recursion_is_numerical_failure(tmp_path, capsys, force):
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "at stage 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_overflow_prints_only_the_stage_error(tmp_path, capsys):
+    # NumPy's overflow warnings stay silent even when warnings are errors
+    data = json.loads(fixture_text("lq_multivariate.json"))
+    stage = data["model"]["stages"][0]
+    stage["drift_control"] = (np.asarray(stage["drift_control"]) * 1e200).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["riccati", _scenario(tmp_path, data), "--out", str(tmp_path / "x.json")])
+    assert code == 3
+    assert capsys.readouterr().err == ("numerical failure: Riccati recursion not finite "
+                                       "at stage 0\n")
+
+
+def test_overflowing_simulation_prints_only_the_output_error(tmp_path, capsys):
+    policy = AffinePolicy(np.zeros((2, 1, 1)), np.full((2, 1, 1), 1e200), np.zeros((2, 1)))
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(policy.to_json()))
+    out = tmp_path / "sim.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
+                     "10", "--seed", "1", "--policy", str(path), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: output is not finite") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_out_of_memory_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    import mfctrl.cli
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)")
+
+    monkeypatch.setattr(mfctrl.cli, "simulate", no_memory)
+    out = tmp_path / "sim.json"
+    code = main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
+                 "10", "--seed", "1", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == ("numerical failure: out of memory: Unable to allocate "
+                                       "7.45 GiB for an array with shape (1000000000,)\n")
     assert not out.exists()
 
 

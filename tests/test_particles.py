@@ -1,19 +1,28 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import load_finite
 from mfctrl import dpp
+from mfctrl.fixtures import load_fixture
 from mfctrl.lq import (
     AffinePolicy,
+    LQModel,
     explicit_control_coefficients,
     mean_variance_model,
     optimal_policy,
     solve_riccati,
 )
+from mfctrl.measure import DiscreteMeasure
 from mfctrl.moments import exact_cost
-from mfctrl.particles import normals, simulate, uniforms
+from mfctrl.particles import _BLOCK, normals, simulate, uniforms
 from mfctrl.verify import random_lq_model
+from particles_reference import simulate_lq as reference_simulate
 from test_lq import scalar_lq
+
+PARITY_RTOL = 1e-12
 
 
 class TestStreams:
@@ -37,6 +46,30 @@ class TestStreams:
         z = normals(0, 0, 200_000)
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
+
+    def test_default_start_is_the_plain_philox_stream(self):
+        raw = np.random.Philox(key=np.array([42, 3], dtype=np.uint64)).random_raw(1001)
+        expected = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        assert np.array_equal(uniforms(42, 3, 1001), expected)
+        assert np.array_equal(uniforms(42, 3, 1001, start=0), expected)
+
+    @pytest.mark.parametrize("n", [5, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 7])
+    def test_blocks_are_slices_of_the_full_draw(self, n):
+        # the last block is ragged unless n is a multiple of the block
+        for draw in (uniforms, normals):
+            full = draw(11, 4, n)
+            for start in range(0, n, _BLOCK):
+                size = min(_BLOCK, n - start)
+                assert np.array_equal(draw(11, 4, size, start=start),
+                                      full[start:start + size])
+            start = 4 * (n // 8)   # any multiple of 4 starts a slice, not just block starts
+            assert np.array_equal(draw(11, 4, n - start, start=start), full[start:])
+
+    @pytest.mark.parametrize("start", [1, 2, 3, 6, _BLOCK + 1, -4])
+    def test_start_must_be_a_nonnegative_multiple_of_four(self, start):
+        for draw in (uniforms, normals):
+            with pytest.raises(ValueError, match="multiple of 4"):
+                draw(1, 0, 10, start=start)
 
 
 class TestLQSimulation:
@@ -119,6 +152,97 @@ class TestLQSimulation:
             simulate(model, policy, 10, seed=1, closure="magic")
         with pytest.raises(TypeError, match="AffinePolicy"):
             simulate(model, "not a policy", 10, seed=1)
+
+
+def _assert_parity(actual, desired):
+    """Within ``PARITY_RTOL`` of ``desired``, relative to its largest entry at least."""
+    desired = np.asarray(desired, dtype=float)
+    np.testing.assert_allclose(actual, desired, rtol=PARITY_RTOL,
+                               atol=PARITY_RTOL * np.abs(desired).max())
+
+
+def _assert_matches_reference(model, policy, n, closure, keep_clouds=False):
+    sim = simulate(model, policy, n, seed=17, closure=closure, keep_clouds=keep_clouds)
+    ref = reference_simulate(model, policy, n, 17, closure, keep_clouds)
+    for name in ("estimate", "std_error", "stage_means", "stage_variances"):
+        if n > 1 or name != "std_error":
+            _assert_parity(getattr(sim, name), getattr(ref, name))
+    for cloud, ref_cloud in zip(sim.clouds or (), ref.clouds or ()):
+        assert cloud.positions.shape == (n, model.state_dim) and cloud.stage == ref_cloud.stage
+        _assert_parity(cloud.positions, ref_cloud.positions)
+    return sim
+
+
+def _multivariate():
+    return LQModel.from_json(load_fixture("lq_multivariate.json")["model"])
+
+
+def _discrete_start(model, rng):
+    """``model`` started from a three-atom law instead of its Gaussian one."""
+    mu = DiscreteMeasure(rng.normal(size=(3, model.state_dim)), [0.5, 0.3, 0.2])
+    return dataclasses.replace(model, initial_mean=mu.mean(), initial_cov=mu.covariance(),
+                               initial_measure=mu)
+
+
+def _parity_models():
+    rng = np.random.default_rng(77)
+    models = {"mean-variance": mean_variance_model(1.0, 0.5, 1.0, 1.0, 3, 1.0),
+              "multivariate": _multivariate(),
+              "multivariate-discrete": _discrete_start(_multivariate(), rng)}
+    for d, m in [(1, 1), (1, 3), (2, 2), (3, 1), (3, 3)]:
+        models[f"random-d{d}-m{m}"] = random_lq_model(rng, d, m, 3)
+    models["random-d3-m2-discrete"] = _discrete_start(random_lq_model(rng, 3, 2, 2), rng)
+    return models
+
+
+PARITY_MODELS = _parity_models()
+
+
+class TestReferenceParity:
+    """The blocked ``(d, N)`` pass against the per-term reference simulator."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_MODELS))
+    @pytest.mark.parametrize("closure", ["empirical", "oracle-law"])
+    def test_models_across_one_block_boundary(self, name, closure):
+        model = PARITY_MODELS[name]
+        policy = optimal_policy(model, solve_riccati(model))
+        _assert_matches_reference(model, policy, _BLOCK + 5, closure)
+
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("closure", ["empirical", "oracle-law"])
+    def test_block_sizes_with_kept_clouds(self, n, closure):
+        model = PARITY_MODELS["multivariate"]
+        policy = optimal_policy(model, solve_riccati(model))
+        sim = _assert_matches_reference(model, policy, n, closure, keep_clouds=True)
+        if n == 1:
+            assert np.isnan(sim.std_error)
+            assert not sim.stage_variances.any()
+
+    def test_same_seed_reruns_are_bit_identical(self):
+        model = PARITY_MODELS["random-d3-m3"]
+        policy = optimal_policy(model, solve_riccati(model))
+        a, b = (simulate(model, policy, 3 * _BLOCK + 7, seed=4) for _ in range(2))
+        assert (a.estimate, a.std_error) == (b.estimate, b.std_error)
+        assert np.array_equal(a.stage_means, b.stage_means)
+        assert np.array_equal(a.stage_variances, b.stage_variances)
+
+
+def test_memory_is_the_cloud_plus_block_scratch():
+    # the per-term passes of particles_reference peak at about 32 MB here: five (N, d)
+    # temporaries on top of the cloud
+    d, n = 3, 200_000
+    model = random_lq_model(np.random.default_rng(3), d, 2, 5)
+    policy = optimal_policy(model, solve_riccati(model))
+    simulate(model, policy, 10, seed=1)   # first-call allocations stay out of the count
+    allowance = 2 * (3 * d + 1) * _BLOCK * 8   # twice the per-block matrix product
+    for closure in ("empirical", "oracle-law"):
+        tracemalloc.start()
+        try:
+            simulate(model, policy, n, seed=1, closure=closure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (d + 1) * n * 8 + allowance, (closure, peak)
 
 
 class TestFiniteSimulation:
