@@ -29,19 +29,13 @@ from typing import Optional
 
 import numpy as np
 
-from .measure import (
-    KEY_DECIMALS,
-    MASS_TOL,
-    WEIGHT_FLOOR,
-    DiscreteMeasure,
-    TabularMap,
-    pushforward,
-)
+from .measure import KEY_DECIMALS, DiscreteMeasure, TabularMap, pushforward
 from .model import (
     FiniteMFModel,
-    LawBatch,
+    evaluate,
     lifted_stage_cost,
     lifted_terminal_cost,
+    push,
     sum_last,
     validate,
 )
@@ -140,114 +134,9 @@ def _map_actions(index: np.ndarray, n_states: int, n_actions: int) -> np.ndarray
     return (index[:, None] // powers) % n_actions
 
 
-def _canonical(weights: np.ndarray) -> np.ndarray:
-    """Normalize rows, zero entries below ``WEIGHT_FLOOR``, renormalize.
-
-    This is what :class:`DiscreteMeasure` does to the weights a pushforward
-    hands it, so keys and tree sizes match the measure representation.
-    """
-    weights = weights / sum_last(weights)[:, None]
-    weights[weights < WEIGHT_FLOOR] = 0.0
-    return weights / sum_last(weights)[:, None]
-
-
-class _ScalarLaws:
-    """``DiscreteMeasure`` arguments for the scalar callables of a chunk.
-
-    ``mu`` is built once per law and ``lam`` once per (law, map) pair, on
-    first use.
-    """
-
-    def __init__(self, model, laws, law_index, batch):
-        self.model, self.laws, self.batch = model, laws, batch
-        self.law_index = law_index.tolist()
-        self._mu: dict = {}
-        self._lam: dict = {}
-
-    def mu(self, p):
-        law = self.law_index[p]
-        if law not in self._mu:
-            self._mu[law] = DiscreteMeasure(self.model.states, self.laws[law])
-        return self._mu[law]
-
-    def lam(self, p):
-        if p not in self._lam:
-            self._lam[p] = DiscreteMeasure(self.model.actions, self.batch.action_mass[p, 0])
-        return self._lam[p]
-
-
-def _from_batched(values, shape, what):
-    """The values of a ``batched`` form, broadcast to ``shape = (P, S, ...)``.
-
-    The pair axis may be a singleton, for values equal under every law and
-    map, and a cost may be one constant; any other shape is an error.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape not in (shape, (1,) + shape[1:]) and (values.ndim or what == "kernel"):
-        raise ValueError(f"batched {what} has shape {values.shape}, expected {shape}")
-    return np.broadcast_to(values, shape)
-
-
-def _kernel_rows(model, k, batch, supported, scalar):
-    """Kernel rows, shape ``(P, S, S)``, checked on every supported state.
-
-    Rows at unsupported states are zero; small negative entries are clipped.
-    """
-    P, S = supported.shape
-    batched = getattr(model.kernel, "batched", None)
-    if batched is not None:
-        rows = _from_batched(batched(k, batch), (P, S, S), "kernel")
-        if not supported.all():
-            rows = np.where(supported[..., None], rows, 0.0)
-    else:
-        rows = np.zeros((P, S, S))
-        for p, i in np.argwhere(supported).tolist():
-            row = np.asarray(model.kernel(k, i, scalar.mu(p), int(batch.action[p, i]),
-                                          scalar.lam(p)), dtype=float)
-            if row.shape != (S,):
-                _bad_row(k, i)
-            rows[p, i] = row
-    # row masses only meet a tolerance here, so a BLAS sum is fine
-    bad = ~(np.abs(rows.reshape(-1, S) @ np.ones(S) - 1.0) <= MASS_TOL).reshape(P, S)
-    if rows.min() < 0.0:
-        bad |= rows.min(axis=-1) < -MASS_TOL
-        rows = np.maximum(rows, 0.0)
-    bad &= supported
-    if bad.any():
-        _bad_row(k, np.argwhere(bad)[0][1])
-    return rows
-
-
-def _bad_row(k, i):
-    raise ValueError(f"kernel row is not a probability vector at stage {k}, state index {int(i)}")
-
-
-def _stage_costs(model, k, batch, supported, scalar):
-    """Stage cost at every supported state, shape ``(P, S)``; zero elsewhere."""
-    batched = getattr(model.stage_cost, "batched", None)
-    if batched is not None:
-        costs = _from_batched(batched(k, batch), supported.shape, "stage cost")
-        return np.where(supported, costs, 0.0)
-    costs = np.zeros(supported.shape)
-    for p, i in np.argwhere(supported).tolist():
-        costs[p, i] = float(model.stage_cost(k, i, scalar.mu(p), int(batch.action[p, i]),
-                                             scalar.lam(p)))
-    return costs
-
-
 def _terminal_values(model, laws):
     """Lifted terminal cost of every law, shape ``(L,)``."""
-    supported = laws > 0
-    batched = getattr(model.terminal_cost, "batched", None)
-    if batched is not None:
-        costs = _from_batched(batched(LawBatch.of(model, laws)), laws.shape, "terminal cost")
-        costs = np.where(supported, costs, 0.0)
-    else:
-        costs = np.zeros(laws.shape)
-        for law, weights in enumerate(laws):
-            mu = DiscreteMeasure(model.states, weights)
-            for i in np.flatnonzero(supported[law]).tolist():
-                costs[law, i] = float(model.terminal_cost(i, mu))
+    costs = evaluate(model, model.horizon, laws, laws > 0).costs
     return sum_last(laws * costs)
 
 
@@ -256,17 +145,10 @@ def _expand(model, k, laws, pairs, n_maps):
 
     Pair ``p`` is law ``p // n_maps`` under map ``p % n_maps``.
     """
-    law_index = pairs // n_maps
-    weights = laws[law_index]
+    weights = laws[pairs // n_maps]
     action = _map_actions(pairs % n_maps, model.n_states, model.n_actions)
-    batch = LawBatch.of(model, weights, action)
-    scalar = _ScalarLaws(model, laws, law_index, batch)
-    supported = weights > 0
-    rows = _kernel_rows(model, k, batch, supported, scalar)
-    # as in measure.pushforward, the next weights accumulate state by state
-    children = _canonical(sum_last(np.moveaxis(weights[:, :, None] * rows, 1, -1)))
-    costs = sum_last(weights * _stage_costs(model, k, batch, supported, scalar))
-    return children, costs
+    ev = evaluate(model, k, weights, weights > 0, action).checked()
+    return push(weights, ev.rows), sum_last(weights * ev.costs)
 
 
 @dataclass

@@ -189,13 +189,6 @@ class DiscreteMeasure:
         return float(self._weights[hit].sum())
 
     # -- hashable keys -----------------------------------------------------------
-    def key(self) -> tuple:
-        """Quantized key: support rounded to 9, weights to ``KEY_DECIMALS`` decimals."""
-        return (
-            tuple(map(tuple, np.round(self._support, 9))),
-            tuple(np.round(self._weights, KEY_DECIMALS)),
-        )
-
     def key_on_grid(self, grid: np.ndarray) -> tuple:
         """Weights aligned to a fixed grid and rounded to ``KEY_DECIMALS`` decimals.
 
@@ -275,10 +268,6 @@ class TabularMap:
     @property
     def values(self) -> np.ndarray:
         return self._values
-
-    @property
-    def action_dim(self) -> int:
-        return self._values.shape[1]
 
     def __len__(self) -> int:
         return len(self._domain)

@@ -10,14 +10,16 @@ functional of the law and the feedback map), a sampling validator, and a JSON
 config loader with a small set of documented kernel/cost families.  Each
 family's callables also carry a ``batched`` form that evaluates the same
 formula for many (law, feedback map) pairs at once from a :class:`LawBatch`
-of moments; the DPP engine uses it when present.
+of moments.  :func:`evaluate` evaluates a model's components on laws given as
+weight vectors, through ``batched`` when present; the DPP engine, the finite
+particle pass and :func:`validate` all go through it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,6 +27,7 @@ import numpy as np
 from .measure import (
     MASS_TOL,
     MERGE_TOL,
+    WEIGHT_FLOOR,
     DiscreteMeasure,
     TabularMap,
     _as_points,
@@ -191,54 +194,58 @@ def validate(model: FiniteMFModel, extra_measures=(), max_tuples: int = 512,
     """Spot-check row-stochasticity and cost finiteness on sampled argument tuples.
 
     Sampled laws are the Diracs at each grid point, the uniform law, and any
-    ``extra_measures``; action laws are the Diracs and the uniform over actions.
+    ``extra_measures`` (which must live on the state grid); action laws are
+    the Diracs and the uniform over actions.  Each stage's tuples are
+    evaluated in one :func:`evaluate` call.
     """
     report = ValidationReport()
     S, M, n = model.n_states, model.n_actions, model.horizon
-    mus = [DiscreteMeasure.dirac(x) for x in model.states]
-    mus.append(DiscreteMeasure.uniform(model.states))
-    mus.extend(extra_measures)
-    lams = [DiscreteMeasure.dirac(a) for a in model.actions]
-    lams.append(DiscreteMeasure.uniform(model.actions))
+    laws = np.vstack([np.eye(S), np.full(S, 1.0 / S)]
+                     + [mu.weights_on_grid(model.states) for mu in extra_measures])
+    action_laws = np.vstack([np.eye(M), np.full(M, 1.0 / M)])
 
     combos = list(itertools.product(range(n), range(S), range(M)))
-    pairs = list(itertools.product(range(len(mus)), range(len(lams))))
+    pairs = list(itertools.product(range(len(laws)), range(len(action_laws))))
     rng = np.random.default_rng(seed)
     tuples = [(k, i, a, mi, li) for (k, i, a) in combos for (mi, li) in pairs]
     if len(tuples) > max_tuples:
         pick = rng.choice(len(tuples), size=max_tuples, replace=False)
         tuples = [tuples[j] for j in pick]
 
-    for k, i, a, mi, li in tuples:
-        mu, lam = mus[mi], lams[li]
+    def violation(kind, k, i, a, detail):
+        report.violations.append({"kind": kind, "stage": k, "state": i, "action": a,
+                                  "detail": detail})
+
+    tuples = np.array(tuples).reshape(-1, 5)
+    evals, slot = {}, np.empty(len(tuples), dtype=int)   # tuple j is pair slot[j] of its stage
+    for k in range(n):
+        at = np.flatnonzero(tuples[:, 0] == k)
+        if len(at):
+            _, i, a, mi, li = tuples[at].T
+            slot[at] = np.arange(len(at))
+            cells = np.zeros((len(at), S), dtype=bool)
+            cells[slot[at], i] = True
+            ev = evaluate(model, k, laws[mi], cells, np.repeat(a[:, None], S, axis=1),
+                          action_laws[li])
+            evals[k] = (ev, *ev.bad)
+    for (k, i, a, _, _), p in zip(tuples.tolist(), slot.tolist()):
         report.checked += 1
-        row = np.asarray(model.kernel(k, i, mu, a, lam), dtype=float)
-        if row.shape != (S,):
-            report.violations.append({
-                "kind": "row_shape", "stage": k, "state": i, "action": a,
-                "detail": f"stage {k} state {i}: row shape {row.shape}"})
+        ev, negative, off_mass = evals[k]
+        where = f"stage {k} state {i}"
+        if (p, i) in ev.shapes:
+            violation("row_shape", k, i, a, f"{where}: row shape {ev.shapes[p, i]}")
             continue
-        if np.any(row < -MASS_TOL):
-            report.violations.append({
-                "kind": "row_negative", "stage": k, "state": i, "action": a,
-                "detail": f"stage {k} state {i}: negative entry {row.min():.3e}"})
-        if abs(row.sum() - 1.0) > MASS_TOL:
-            report.violations.append({
-                "kind": "row_mass", "stage": k, "state": i, "action": a,
-                "detail": f"stage {k} state {i}: row mass {row.sum()!r}"})
-        c = model.stage_cost(k, i, mu, a, lam)
-        if not np.isfinite(c):
-            report.violations.append({
-                "kind": "cost", "stage": k, "state": i, "action": a,
-                "detail": f"stage {k} state {i}: non-finite stage cost"})
-    for i in range(S):
-        for mi, mu in enumerate(mus):
-            report.checked += 1
-            g = model.terminal_cost(i, mu)
-            if not np.isfinite(g):
-                report.violations.append({
-                    "kind": "terminal", "stage": n, "state": i, "action": None,
-                    "detail": f"terminal state {i}: non-finite cost"})
+        if negative[p, i]:
+            violation("row_negative", k, i, a, f"{where}: negative entry {ev.low[p, i]:.3e}")
+        if off_mass[p, i]:
+            violation("row_mass", k, i, a, f"{where}: row mass {float(ev.mass[p, i])!r}")
+        if not np.isfinite(ev.costs[p, i]):
+            violation("cost", k, i, a, f"{where}: non-finite stage cost")
+
+    terminal = evaluate(model, n, laws, np.ones(laws.shape, bool)).costs
+    report.checked += terminal.size
+    for i, _ in np.argwhere(~np.isfinite(terminal.T)).tolist():
+        violation("terminal", n, i, None, f"terminal state {i}: non-finite cost")
     return report
 
 
@@ -291,13 +298,12 @@ class LawBatch:
         P, S = weights.shape
         mean = sum_last(weights[:, None, :] * model.states.T)
         second = sum_last(weights * sum_last(model.states * model.states))
-        action_mass = action_mean = None
+        action_law = {"action_mass": None, "action_mean": None}
         if action is not None:
             M = model.n_actions
             flat = (np.arange(P)[:, None] * M + action).ravel()
             lam = np.bincount(flat, weights=weights.ravel(), minlength=P * M).reshape(P, M)
-            action_mass = lam[:, None, :]
-            action_mean = sum_last(lam[:, None, :] * model.actions.T)[:, None, :]
+            action_law = _action_moments(model, lam)
         return cls(
             state=np.arange(S)[None, :],
             action=action,
@@ -305,9 +311,154 @@ class LawBatch:
             mean=mean[:, None, :],
             second=second[:, None],
             variance=(second - sum_last(mean * mean))[:, None],
-            action_mass=action_mass,
-            action_mean=action_mean,
+            **action_law,
         )
+
+
+def _action_moments(model: FiniteMFModel, lam: np.ndarray) -> dict:
+    """The action-law fields of a :class:`LawBatch` for the action laws ``lam`` (P, M)."""
+    return {"action_mass": lam[:, None, :],
+            "action_mean": sum_last(lam[:, None, :] * model.actions.T)[:, None, :]}
+
+
+# ---------------------------------------------------------------------------
+# Evaluation on weight vectors
+#
+# The one place that decides how a model's components meet laws given as
+# weight vectors: through a component's ``batched`` form when it has one,
+# otherwise by calling the plain callable at each evaluated cell with
+# ``DiscreteMeasure`` arguments.  ``dpp.solve``, the finite particle pass and
+# ``validate`` all evaluate here.
+# ---------------------------------------------------------------------------
+
+def _canonical(weights: np.ndarray) -> np.ndarray:
+    """Normalize rows, zero entries below ``WEIGHT_FLOOR``, renormalize.
+
+    This is what :class:`DiscreteMeasure` does to the weights a pushforward
+    hands it, so keys and tree sizes match the measure representation.
+    """
+    weights = weights / sum_last(weights)[:, None]
+    weights[weights < WEIGHT_FLOOR] = 0.0
+    return weights / sum_last(weights)[:, None]
+
+
+def push(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Canonical next laws ``(P, S)`` of the laws ``weights`` under their kernel ``rows``.
+
+    As in :func:`~mfctrl.measure.pushforward`, the next weights accumulate
+    state by state.
+    """
+    return _canonical(sum_last(np.moveaxis(weights[:, :, None] * rows, 1, -1)))
+
+
+def _from_batched(values, shape, what):
+    """The values of a ``batched`` form, broadcast to ``shape = (P, S, ...)``.
+
+    The pair axis may be a singleton, for values equal under every law and
+    map, and a cost may be one constant; any other shape is an error.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape not in (shape, (1,) + shape[1:]) and (values.ndim or what == "kernel"):
+        raise ValueError(f"batched {what} has shape {values.shape}, expected {shape}")
+    return np.broadcast_to(values, shape)
+
+
+def _costs(component, batched_args, scalar_args, cells, what):
+    """A cost component at every cell, shape ``(P, S)``; zero elsewhere."""
+    batched = getattr(component, "batched", None)
+    if batched is not None:
+        return np.where(cells, _from_batched(batched(*batched_args), cells.shape, what), 0.0)
+    costs = np.zeros(cells.shape)
+    for p, i in np.argwhere(cells).tolist():
+        costs[p, i] = float(component(*scalar_args(p, i)))
+    return costs
+
+
+@dataclass
+class Evaluation:
+    """A model's components on the (pair, state) cells of a batch of laws.
+
+    Arrays have shape ``(P, S)``, or ``(P, S, S)`` for ``rows``, and hold
+    zeros off the evaluated cells (``mass`` holds 1 there).  At the terminal
+    stage there are no kernel rows: ``rows``, ``low`` and ``mass`` are ``None``.
+    """
+
+    stage: int
+    costs: np.ndarray                     # stage or terminal cost
+    rows: Optional[np.ndarray] = None     # kernel rows, entries below 0 clipped to 0
+    low: Optional[np.ndarray] = None      # smallest entry of each row as returned
+    mass: Optional[np.ndarray] = None     # entry sum of each row as returned
+    shapes: dict = field(default_factory=dict)   # (p, i) -> shape of a misshapen row
+
+    @property
+    def bad(self):
+        """The row check per cell: (an entry below ``-MASS_TOL``, mass off 1 by more
+        than ``MASS_TOL``).  A misshapen row is evaluated as zeros, so fails the mass."""
+        return self.low < -MASS_TOL, ~(np.abs(self.mass - 1.0) <= MASS_TOL)
+
+    def checked(self) -> "Evaluation":
+        """This evaluation; raises ``ValueError`` naming the first cell whose row is bad."""
+        bad = np.logical_or(*self.bad) if self.rows is not None else np.zeros(0, bool)
+        if bad.any():
+            raise ValueError(f"kernel row is not a probability vector at stage {self.stage}, "
+                             f"state index {int(np.argwhere(bad)[0][1])}")
+        return self
+
+
+def evaluate(model: FiniteMFModel, stage: int, weights: np.ndarray, cells: np.ndarray,
+             action: Optional[np.ndarray] = None,
+             action_law: Optional[np.ndarray] = None) -> Evaluation:
+    """Kernel rows and stage costs at ``cells``, or terminal costs at ``stage == horizon``.
+
+    Pair ``p`` is the state law ``weights[p]`` (a weight vector over the grid)
+    under the action indices ``action[p]`` (one per state).  Its action law
+    is the image of the state law under them, unless ``action_law[p]``
+    (weights over the actions) gives it.  ``cells`` (P, S) marks the states
+    evaluated for each pair.  A component with a ``batched`` form is
+    evaluated once for all pairs; a plain callable is called at each cell,
+    with each distinct law built once as a ``DiscreteMeasure``.  Every
+    evaluated kernel row is checked (see :attr:`Evaluation.bad`).
+    """
+    batch = LawBatch.of(model, weights, action)
+    if action_law is not None:
+        batch = replace(batch, **_action_moments(model, action_law))
+    built = {}
+
+    def measure(grid, w):
+        key = (grid is model.states, w.tobytes())
+        if key not in built:
+            built[key] = DiscreteMeasure(grid, w)
+        return built[key]
+
+    if stage == model.horizon:
+        return Evaluation(stage, _costs(model.terminal_cost, (batch,),
+                                        lambda p, i: (i, measure(model.states, weights[p])),
+                                        cells, "terminal cost"))
+
+    def args(p, i):
+        return (stage, i, measure(model.states, weights[p]), int(batch.action[p, i]),
+                measure(model.actions, batch.action_mass[p, 0]))
+
+    P, S = cells.shape
+    shapes = {}
+    batched = getattr(model.kernel, "batched", None)
+    if batched is not None:
+        rows = _from_batched(batched(stage, batch), (P, S, S), "kernel")
+        if not cells.all():
+            rows = np.where(cells[..., None], rows, 0.0)
+    else:
+        rows = np.zeros((P, S, S))
+        for p, i in np.argwhere(cells).tolist():
+            row = np.asarray(model.kernel(*args(p, i)), dtype=float)
+            if row.shape == (S,):
+                rows[p, i] = row
+            else:
+                shapes[p, i] = row.shape
+    low, mass = rows.min(axis=-1), np.where(cells, rows.sum(axis=-1), 1.0)
+    if (low < 0.0).any():
+        rows = np.maximum(rows, 0.0)
+    return Evaluation(stage, _costs(model.stage_cost, (stage, batch), args, cells, "stage cost"),
+                      rows, low, mass, shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +468,7 @@ class LawBatch:
 # moments.  The scalar callable computes the moments from its measure
 # arguments; its ``batched`` attribute reads them from a :class:`LawBatch`
 # (kernels and stage costs take ``(stage, batch)``, terminal costs take
-# ``batch``).  The DPP engine evaluates a component through ``batched`` when
-# it has one.
+# ``batch``).  :func:`evaluate` uses ``batched`` when a component has one.
 # ---------------------------------------------------------------------------
 
 def _first_coord(v) -> float:
@@ -559,12 +709,24 @@ def _terminal_fo_bilinear(states, params):
     return g, gtilde
 
 
+def _finite_leaves(value) -> bool:
+    """Whether every float in a JSON value, nested lists and objects included, is finite."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return all(_finite_leaves(v) for v in value)
+    return not isinstance(value, float) or np.isfinite(value)
+
+
 def _tagged(config: dict, name: str):
     """The ``tag`` and ``params`` of a kernel or cost block."""
     block = config[name]
     params = block.get("params", {}) if isinstance(block, dict) else None
     if not isinstance(params, dict):
         raise ValueError(f"{name} must be an object with a 'params' object")
+    for key, value in params.items():
+        if not _finite_leaves(value):
+            raise ValueError(f"{name} param {key!r} has non-finite entries")
     return block["tag"], params
 
 

@@ -16,6 +16,12 @@ The linear-quadratic cloud is a ``(d, N)`` array.  Each stage folds the affine
 policy into its coefficients and makes one pass over the cloud in blocks of
 ``_BLOCK`` particles: one matrix product per block gives the costs and the
 step, and stage moments are combined from per-block moments in block order.
+
+A finite-model cloud is the grid index of each particle.  Each stage
+evaluates the kernel rows and costs of the stage's law (the empirical one, or
+the oracle law stepped like the DPP engine's) at the states present in one
+:func:`~mfctrl.model.evaluate` call, then draws the moves block by block;
+stage moments come from the state counts.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .lq import AffinePolicy, LQModel
-from .measure import DiscreteMeasure, TabularMap, image_measure, match_indices, pushforward
-from .model import FiniteMFModel
+from .measure import DiscreteMeasure, TabularMap, match_indices
+from .model import FiniteMFModel, evaluate, push
 from .moments import exact_trajectory
 
 _STREAM_STAGE_NOISE = 0          # + stage
@@ -67,17 +73,6 @@ class ParticleCloud:
     stage: int
     seed: int
 
-    @property
-    def n_particles(self) -> int:
-        return self.positions.shape[0]
-
-    def mean(self) -> np.ndarray:
-        return self.positions.mean(axis=0)
-
-    def empirical_measure(self) -> DiscreteMeasure:
-        n = self.n_particles
-        return DiscreteMeasure(self.positions, np.full(n, 1.0 / n))
-
 
 @dataclass
 class SimulationResult:
@@ -115,9 +110,9 @@ class SimulationResult:
 
 
 def _blocks(x: np.ndarray):
-    """``(start, view)`` of each block of particles (columns) of ``x``, in order."""
-    for start in range(0, x.shape[1], _BLOCK):
-        yield start, x[:, start:start + _BLOCK]
+    """``(start, view)`` of each block of particles (the last axis) of ``x``, in order."""
+    for start in range(0, x.shape[-1], _BLOCK):
+        yield start, x[..., start:start + _BLOCK]
 
 
 def _fold(moments, xb: np.ndarray):
@@ -149,12 +144,6 @@ def _sample_initial_lq(model: LQModel, n: int, seed: int):
             xb[...] = root @ z + model.initial_mean[:, None]
         moments = _fold(moments, xb)
     return x, moments
-
-
-def _variance(x: np.ndarray) -> np.ndarray:
-    if x.shape[0] < 2:
-        return np.zeros(x.shape[1])
-    return x.var(axis=0, ddof=1)
 
 
 def _finalize(costs: np.ndarray, means, variances, n: int, seed: int,
@@ -227,74 +216,51 @@ def _simulate_lq(model: LQModel, policy: AffinePolicy, n: int, seed: int,
     return _finalize(costs, means, variances, n, seed, closure, clouds)
 
 
-def _oracle_flow_finite(model: FiniteMFModel, policy: TabularMap, mu0: DiscreteMeasure):
-    kern = model.transition_kernel()
-    flow = [mu0]
-    for k in range(model.horizon):
-        flow.append(pushforward(flow[-1], policy, kern, k))
-    return flow
-
-
 def _simulate_finite(model: FiniteMFModel, policy: TabularMap, n: int, seed: int,
                      closure: str, keep_clouds: bool,
                      initial_law: Optional[DiscreteMeasure]) -> SimulationResult:
     if initial_law is None:
         raise ValueError("finite-model simulation needs an initial law")
-    pol_idx = model.policy_action_indices(policy)
-    S = model.n_states
-    oracle = (_oracle_flow_finite(model, policy, initial_law)
-              if closure == "oracle-law" else None)
-
+    action = model.policy_action_indices(policy)[None, :]
+    states = model.states
     cum0 = np.cumsum(initial_law.weights)
-    u0 = uniforms(seed, _STREAM_INIT_DISCRETE, n)
-    pick = np.minimum(np.searchsorted(cum0, u0, side="right"), len(cum0) - 1)
-    support_to_grid = match_indices(initial_law.support, model.states)
-    idx = support_to_grid[pick]
+    support_to_grid = match_indices(initial_law.support, states)
+    idx = np.empty(n, dtype=np.intp)      # grid index of each particle
+    for start, block in _blocks(idx):
+        u = uniforms(seed, _STREAM_INIT_DISCRETE, len(block), start=start)
+        block[...] = support_to_grid[np.minimum(np.searchsorted(cum0, u, side="right"),
+                                                len(cum0) - 1)]
 
+    law = initial_law.weights_on_grid(states)[None, :]   # the oracle law
     costs = np.zeros(n)
     means, variances, clouds = [], [], ([] if keep_clouds else None)
-    for k in range(model.horizon):
-        pos = model.states[idx]
-        means.append(pos.mean(axis=0))
-        variances.append(_variance(pos))
+    for k in range(model.horizon + 1):
+        counts = np.bincount(idx, minlength=model.n_states)
+        mean = counts @ states / n
+        means.append(mean)
+        variances.append(counts @ np.square(states - mean) / (n - 1) if n > 1
+                         else np.zeros(states.shape[1]))
         if keep_clouds:
-            clouds.append(ParticleCloud(pos.copy(), k, seed))
-        if oracle is not None:
-            mu_ref = oracle[k]
-        else:
-            mu_ref = DiscreteMeasure(model.states,
-                                     np.bincount(idx, minlength=S) / n)
-        lam_ref = image_measure(mu_ref, policy)
-
-        present = np.unique(idx)
-        stage_costs = np.zeros(S)
-        rows = {}
-        for s in present:
-            stage_costs[s] = model.stage_cost(k, int(s), mu_ref, int(pol_idx[s]), lam_ref)
-            rows[int(s)] = np.cumsum(np.clip(np.asarray(
-                model.kernel(k, int(s), mu_ref, int(pol_idx[s]), lam_ref),
-                dtype=float), 0.0, None))
-        costs += stage_costs[idx]
-
-        u = uniforms(seed, _STREAM_KERNEL + k, n)
-        new_idx = np.empty_like(idx)
-        for s in present:
-            members = idx == s
-            new_idx[members] = np.minimum(
-                np.searchsorted(rows[int(s)], u[members], side="right"), S - 1)
-        idx = new_idx
-
-    pos = model.states[idx]
-    means.append(pos.mean(axis=0))
-    variances.append(_variance(pos))
-    if keep_clouds:
-        clouds.append(ParticleCloud(pos.copy(), model.horizon, seed))
-    if oracle is not None:
-        mu_ref = oracle[-1]
-    else:
-        mu_ref = DiscreteMeasure(model.states, np.bincount(idx, minlength=S) / n)
-    terminal = np.array([model.terminal_cost(int(s), mu_ref) for s in range(S)])
-    costs += terminal[idx]
+            clouds.append(ParticleCloud(states[idx], k, seed))
+        if closure == "empirical":
+            law = counts[None, :] / n
+        # the oracle law's support is evaluated too, to step it
+        ev = evaluate(model, k, law, (counts > 0) | (law > 0), action).checked()
+        table = ev.costs[0]
+        if k < model.horizon:
+            # a particle moves to the number of entries <= u of its row's CDF without
+            # the last entry: searchsorted(cdf, u, side="right") capped at S - 1
+            entries = np.cumsum(ev.rows[0], axis=-1).T[:-1].copy()   # entry j of every CDF
+        for start, block in _blocks(idx):
+            costs[start:start + len(block)] += table[block]
+            if k < model.horizon:
+                u = uniforms(seed, _STREAM_KERNEL + k, len(block), start=start)
+                moved = np.zeros(len(block), dtype=np.intp)
+                for entry in entries:
+                    moved += entry[block] <= u
+                block[...] = moved
+        if closure == "oracle-law" and k < model.horizon:
+            law = push(law, ev.rows)
     return _finalize(costs, means, variances, n, seed, closure, clouds)
 
 

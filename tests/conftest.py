@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,16 @@ def random_classical_model(rng, n_states, n_actions, horizon):
 
     return FiniteMFModel(states, actions, horizon, kernel, stage_cost, terminal_cost,
                          mean_field_free=True)
+
+
+def scalar_only(model):
+    """``model`` with the same kernel and costs, stripped of their ``batched`` forms,
+    so every evaluation goes through the scalar adapter."""
+    def plain(component):
+        return lambda *args: component(*args)
+    return dataclasses.replace(model, kernel=plain(model.kernel),
+                               stage_cost=plain(model.stage_cost),
+                               terminal_cost=plain(model.terminal_cost))
 
 
 def random_initial_law(rng, model):

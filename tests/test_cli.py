@@ -225,6 +225,19 @@ class TestSimulate:
         assert "n-particles" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("closure", ["empirical", "oracle-law"])
+    @pytest.mark.parametrize("row", [[0.4, 0.2, 0.1], [1.2, -0.3, 0.1]], ids=["mass", "negative"])
+    def test_bad_kernel_row_is_config_error(self, tmp_path, capsys, closure, row):
+        data = json.loads(fixture_text("finite_classical_table.json"))
+        data["model"]["kernel"]["params"]["rows"][0][0] = row    # state 0, action 0
+        out = tmp_path / "sim.json"
+        code = main(["simulate", _scenario(tmp_path, data), "--n-particles", "1000",
+                     "--seed", "1", "--policy", "zero", "--closure", closure, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "kernel row is not a probability vector at stage 0, state index 0" in err
+        assert not out.exists()
+
     def test_riccati_policy_invalid_for_finite(self, tmp_path):
         cfg = _stage(tmp_path, "finite_mean_clamp.json")
         assert main(["simulate", cfg, "--n-particles", "10", "--seed", "1",
@@ -375,6 +388,20 @@ class TestNonFiniteInput:
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+
+    def test_simulate_infinite_cost_param_is_config_error(self, tmp_path, capsys):
+        text = fixture_text("finite_mean_reverting.json").replace('"qx": 0.3', '"qx": Infinity', 1)
+        assert "Infinity" in text
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(text)
+        out = tmp_path / "sim.json"
+        code = main(["simulate", str(cfg), "--n-particles", "100", "--seed", "1",
+                     "--policy", "zero", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == ("config error: bad finite model config: "
+                                           "stage_cost param 'qx' has non-finite entries\n")
+        assert not out.exists()
 
 
 class TestNonFinitePolicy:

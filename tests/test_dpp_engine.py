@@ -18,7 +18,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "benchmarks"))
 
 import workloads  # noqa: E402
-from conftest import load_finite, random_classical_model, random_finite_model, random_initial_law
+from conftest import (load_finite, random_classical_model, random_finite_model,
+                      random_initial_law, scalar_only)
 from dpp_reference import reference_solve
 from mfctrl import dpp
 from mfctrl.fixtures import list_fixtures
@@ -135,6 +136,13 @@ def test_mixed_batched_and_scalar_components_match_reference():
                           model.stage_cost, lambda i, mu: g(i, mu) + 0.25 * i)
     assert not hasattr(mixed.terminal_cost, "batched")
     assert_matches_reference(mixed, mu0)
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_scalar_only_components_match_reference(name):
+    # every component through the scalar adapter
+    model, mu0 = load_finite(name)
+    assert_matches_reference(scalar_only(model), mu0)
 
 
 def test_value_nodes_hold_the_measure_of_their_key():

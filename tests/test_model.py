@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import load_finite
+from conftest import load_finite, scalar_only
+from test_dpp_engine import TAG_CONFIGS
 from mfctrl.fixtures import list_fixtures, load_fixture
 from mfctrl.measure import DiscreteMeasure
 from mfctrl.model import (
@@ -114,6 +117,39 @@ class TestValidate:
         report = validate(bad)
         assert any(v["kind"] == "row_negative" for v in report.violations)
 
+    @pytest.mark.parametrize("row, kind, detail", [
+        ([0.5, 0.6], "row_mass", "row mass 1.1"),
+        ([np.nan, 1.0], "row_mass", "row mass nan"),
+        ([1.0, 0.0, 0.0], "row_shape", "row shape (3,)"),
+        ([1.5, -0.5], "row_negative", "negative entry -5.000e-01"),
+    ], ids=["mass", "nan", "shape", "negative"])
+    def test_bad_rows_are_reported_with_plain_numbers(self, row, kind, detail):
+        model = _simple_model(lambda k, i, mu, a, lam: 0.0, lambda i, mu: 0.0)
+        bad = FiniteMFModel(model.states, model.actions, 1,
+                            kernel=lambda k, i, mu, a, lam: np.array(row),
+                            stage_cost=model.stage_cost,
+                            terminal_cost=model.terminal_cost)
+        report = validate(bad)
+        # every sampled tuple has the bad row, and a misshapen row is reported only as such
+        assert report.checked == 36 + 6     # (stage, state, action, law, action law) + terminal
+        assert [v["kind"] for v in report.violations] == [kind] * 36
+        assert report.violations[0] == {"kind": kind, "stage": 0, "state": 0, "action": 0,
+                                         "detail": f"stage 0 state 0: {detail}"}
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_stage_and_terminal_costs(self, bad):
+        model = _simple_model(lambda k, i, mu, a, lam: bad if a == 1 else 0.0,
+                              lambda i, mu: bad if mu.mass_at(model.states[1]) == 1.0 else 0.0)
+        report = validate(model)
+        costs = [v for v in report.violations if v["kind"] == "cost"]
+        assert costs and all(v["action"] == 1 for v in costs)
+        assert costs[0]["detail"].endswith(": non-finite stage cost")
+        terminal = [v for v in report.violations if v["kind"] == "terminal"]
+        # the Dirac at the second state, seen from both states
+        assert [(v["stage"], v["state"], v["detail"]) for v in terminal] == [
+            (2, 0, "terminal state 0: non-finite cost"),
+            (2, 1, "terminal state 1: non-finite cost")]
+
     def test_all_shipped_fixtures_validate(self):
         names = [n for n in list_fixtures() if n.startswith(("finite_", "fo_"))]
         assert names
@@ -211,4 +247,44 @@ def test_non_object_params_rejected(params):
     config = load_fixture("finite_mean_reverting.json")["model"]
     config["kernel"]["params"] = params
     with pytest.raises(ValueError, match="kernel must be an object"):
+        finite_model_from_config(config)
+
+
+FINITE_FIXTURES = sorted(name for name in list_fixtures() if name.startswith(("finite_", "fo_")))
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES + ["tag:" + name for name in sorted(TAG_CONFIGS)])
+def test_scalar_adapter_validates_alike(name):
+    if name.startswith("tag:"):
+        model, extra = finite_model_from_config(TAG_CONFIGS[name[4:]]), []
+    else:
+        model, mu0 = load_finite(name)
+        extra = [mu0]
+    report = validate(model, extra_measures=extra)
+    assert report.ok
+    assert report == validate(scalar_only(model), extra_measures=extra)
+
+
+# one non-finite entry in each tag's params: (fixture, block, path into params, value)
+NON_FINITE_PARAMS = [
+    ("finite_classical_table.json", "kernel", ("rows", 2, 1, 0), math.nan),
+    ("finite_mean_reverting.json", "kernel", ("theta",), math.inf),
+    ("finite_mean_clamp.json", "kernel", ("shift",), -math.inf),
+    ("fo_coupled_costs.json", "kernel", ("beta_y",), math.nan),
+    ("finite_mean_reverting.json", "stage_cost", ("qx",), math.inf),
+    ("finite_mean_reverting.json", "terminal_cost", ("qv",), math.nan),
+    ("fo_coupled_costs.json", "stage_cost", ("kappa",), math.inf),
+    ("fo_coupled_costs.json", "terminal_cost", ("t_xy",), -math.inf),
+]
+
+
+@pytest.mark.parametrize("fixture, block, path, value", NON_FINITE_PARAMS,
+                         ids=[f"{b}-{p[0]}" for _, b, p, _ in NON_FINITE_PARAMS])
+def test_non_finite_params_rejected(fixture, block, path, value):
+    config = load_fixture(fixture)["model"]
+    target = config[block]["params"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError, match=f"{block} param '{path[0]}' has non-finite entries"):
         finite_model_from_config(config)

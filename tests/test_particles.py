@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import load_finite
+from conftest import load_finite, scalar_only
 from mfctrl import dpp
-from mfctrl.fixtures import load_fixture
+from mfctrl.fixtures import list_fixtures, load_fixture
 from mfctrl.lq import (
     AffinePolicy,
     LQModel,
@@ -19,6 +19,7 @@ from mfctrl.measure import DiscreteMeasure
 from mfctrl.moments import exact_cost
 from mfctrl.particles import _BLOCK, normals, simulate, uniforms
 from mfctrl.verify import random_lq_model
+from particles_reference import simulate_finite as reference_simulate_finite
 from particles_reference import simulate_lq as reference_simulate
 from test_lq import scalar_lq
 
@@ -278,6 +279,67 @@ class TestFiniteSimulation:
         model, mu0 = load_finite("finite_mean_clamp.json")
         with pytest.raises(TypeError, match="TabularMap"):
             simulate(model, AffinePolicy.zero(2, 1, 1), 100, seed=1, initial_law=mu0)
+
+
+FINITE_FIXTURES = sorted(name for name in list_fixtures() if name.startswith(("finite_", "fo_")))
+
+
+def _finite_case(name):
+    model, mu0 = load_finite(name)
+    return model, mu0, model.tabular_policy(np.arange(model.n_states) % model.n_actions)
+
+
+class TestFiniteReferenceParity:
+    """The per-stage batched pass against the per-state reference simulator."""
+
+    @pytest.mark.parametrize("n", [2, _BLOCK + 5, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("closure", ["empirical", "oracle-law"])
+    @pytest.mark.parametrize("name", FINITE_FIXTURES)
+    def test_fixtures(self, name, closure, n):
+        model, mu0, policy = _finite_case(name)
+        sim = simulate(model, policy, n, seed=5, closure=closure, keep_clouds=True,
+                       initial_law=mu0)
+        ref = reference_simulate_finite(model, policy, n, 5, closure, True, mu0)
+        # a kernel CDF off by one ulp could move a draw; count the particles it moved
+        moved = sum(np.count_nonzero(np.any(c.positions != r.positions, axis=1))
+                    for c, r in zip(sim.clouds, ref.clouds))
+        assert moved == 0
+        assert sim.estimate == ref.estimate
+        assert np.array_equal(sim.stage_means, ref.stage_means)
+        assert abs(sim.std_error - ref.std_error) <= np.spacing(ref.std_error)
+        np.testing.assert_allclose(sim.stage_variances, ref.stage_variances, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("closure", ["empirical", "oracle-law"])
+    @pytest.mark.parametrize("name", FINITE_FIXTURES)
+    def test_scalar_adapter_simulates_alike(self, name, closure):
+        model, mu0, policy = _finite_case(name)
+        a, b = (simulate(m, policy, _BLOCK + 5, seed=5, closure=closure, initial_law=mu0)
+                for m in (model, scalar_only(model)))
+        assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("closure", ["empirical", "oracle-law"])
+    def test_same_seed_reruns_are_bit_identical(self, closure):
+        model, mu0, policy = _finite_case("finite_mean_reverting.json")
+        a, b = (simulate(model, policy, 3 * _BLOCK + 7, seed=4, closure=closure,
+                         initial_law=mu0).to_json() for _ in range(2))
+        assert a == b
+
+
+def test_finite_pass_memory_is_indices_costs_and_block_scratch():
+    # no (N, d) positions unless clouds are kept: this pass peaks at 5.0 MB here, the per-state
+    # reference in particles_reference at 13.0 MB
+    model, mu0, policy = _finite_case("finite_mean_reverting.json")
+    n = 200_000
+    simulate(model, policy, 10, seed=1, initial_law=mu0)
+    allowance = 4 * model.n_states * _BLOCK * 8
+    for closure in ("empirical", "oracle-law"):
+        tracemalloc.start()
+        try:
+            simulate(model, policy, n, seed=1, closure=closure, initial_law=mu0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * 8 + allowance, (closure, peak)
 
 
 def test_chaos_convergence_no_error_growth():
