@@ -17,12 +17,15 @@ if _cap:
 import argparse
 import csv
 import json
+import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import dpp, verify
-from .lq import (AffinePolicy, ConditionsNotMet, LQModel, NotPositiveDefinite,
+from .lq import (AffinePolicy, ConditionsNotMet, LQModel, NotPositiveDefinite, array_fields,
                  explicit_control_coefficients, mean_variance_closed_form, mean_variance_model,
                  optimal_policy, solve_riccati, value_at)
 from .measure import DiscreteMeasure, TabularMap
@@ -77,12 +80,22 @@ def _finite_from_scenario(data):
     return model, mu0
 
 
+def _integer(value, what):
+    """``value`` as an int. JSON integers and integral floats pass; other
+    numbers, bools and strings are config errors, never truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _mv_params(payload):
     try:
-        return {k: float(payload[k]) for k in ("gamma", "b", "sigma", "delta", "x0")} | {
-            "n": int(payload["n"])}
+        params = {k: float(payload[k]) for k in ("gamma", "b", "sigma", "delta", "x0")}
+        n = payload["n"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"mean-variance model needs gamma, b, sigma, delta, n, x0: {exc}")
+    return params | {"n": _integer(n, "mean-variance model field 'n'")}
 
 
 def _lq_from_scenario(data):
@@ -109,24 +122,164 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, payload):
-    """Write strict JSON; a NaN or Inf in ``payload`` leaves no output behind.
+    """Write ``json.dumps(payload, indent=2, allow_nan=False)``, byte for byte,
+    where each NumPy array in ``payload`` counts as its ``tolist()``.
 
-    Files are streamed, since outputs reach megabytes, and removed if the
-    encoding fails; standard output gets the text once all of it is encoded.
+    A NaN or Inf in ``payload`` raises ``NonFiniteOutput`` and leaves no output
+    behind. Files are streamed, since outputs reach megabytes, and removed if
+    the encoding fails; standard output gets the text, and a newline, once all
+    of it is encoded.
     """
-    fh = None if path == "-" or path is None else _open_output(path)
+    chunks = _json_chunks(payload, 0)
+    if path == "-" or path is None:
+        sys.stdout.write("".join(chunks) + "\n")
+        return
+    fh = _open_output(path)
     try:
-        if fh is None:
-            text = json.dumps(payload, indent=2, allow_nan=False)
+        with fh:
+            fh.writelines(chunks)
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+# The indent-2 layout of the standard library's pure-Python encoder, which
+# ``json.dump`` always runs when given an indent. Rectangular nested lists of
+# plain floats, the per-stage matrices of the LQ outputs, are written in one
+# pass each, as is a float array, from its flat ``ravel().tolist()``; anything
+# else takes the recursive path below, another array as its ``tolist()``.
+
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+def _not_finite(value):
+    return NonFiniteOutput("output is not finite: Out of range float values are "
+                           f"not JSON compliant: {value!r}")
+
+
+def _scalar_text(value):
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise _not_finite(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key_text(key):
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _scalar_text(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _json_chunks(value, level):
+    if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.size and value.ndim:
+            return iter((_block_text(value.shape, value.ravel().tolist(), level),))
+        value = value.tolist()
+    if isinstance(value, dict):
+        return _dict_chunks(value, level)
+    if isinstance(value, (list, tuple)):
+        return _list_chunks(value, level)
+    return iter((_scalar_text(value),))
+
+
+def _dict_chunks(dct, level):
+    if not dct:
+        yield "{}"
+        return
+    newline = "\n" + "  " * (level + 1)
+    sep = "{" + newline
+    for key, value in dct.items():
+        head = sep + _key_text(key) + ": "
+        if isinstance(value, _CONTAINERS):
+            yield head
+            yield from _json_chunks(value, level + 1)
         else:
-            with fh:
-                json.dump(payload, fh, indent=2, allow_nan=False)
-    except ValueError as exc:
-        if fh is not None:
-            os.remove(path)
-        raise NonFiniteOutput(f"output is not finite: {exc}") from exc
-    if fh is None:
-        sys.stdout.write(text + "\n")
+            yield head + _scalar_text(value)
+        sep = "," + newline
+    yield "\n" + "  " * level + "}"
+
+
+def _list_chunks(lst, level):
+    block = _float_block(lst, level)
+    if block is not None:
+        yield block
+        return
+    if not lst:
+        yield "[]"
+        return
+    newline = "\n" + "  " * (level + 1)
+    sep = "[" + newline
+    for value in lst:
+        if isinstance(value, _CONTAINERS):
+            yield sep
+            yield from _json_chunks(value, level + 1)
+        else:
+            yield sep + _scalar_text(value)
+        sep = "," + newline
+    yield "\n" + "  " * level + "]"
+
+
+def _float_block(lst, level):
+    """The text of ``lst`` if it is a nonempty rectangular nested list of
+    floats (the exact type), else None.
+
+    Shape detection walks one axis at a time, so a ragged or mixed list costs
+    no more than one pass over what lies above its first irregular axis.
+    """
+    shape = []
+    rows = [lst]
+    while True:
+        lengths = set(map(len, rows))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        items = list(chain.from_iterable(rows))
+        kinds = set(map(type, items))
+        if kinds == {float}:
+            break
+        if kinds != {list}:
+            return None
+        rows = items
+    return _block_text(shape, items, level)
+
+
+def _block_text(shape, items, level):
+    """The text of a nested list of the given shape whose floats, in row-major
+    order, are ``items``."""
+    if not all(map(math.isfinite, items)):
+        raise _not_finite(next(v for v in items if not math.isfinite(v)))
+    # The separator after a value depends only on how many of the innermost
+    # axes roll over there: it closes that many lists and, after the comma,
+    # opens as many. After the loop, ``opening`` opens and ``close`` closes all.
+    seps, close, opening = [], "", ""
+    for lvl in range(level + len(shape) - 1, level - 1, -1):
+        seps.append(close + ",\n" + "  " * (lvl + 1) + opening)
+        close += "\n" + "  " * lvl + "]"
+        opening = "[\n" + "  " * (lvl + 1) + opening
+    gaps = [seps[0]] * len(items)
+    period = 1
+    for j, n in enumerate(reversed(shape[1:]), start=1):
+        period *= n
+        gaps[period - 1::period] = [seps[j]] * (len(items) // period)
+    gaps[-1] = close
+    # One %-format puts each value's repr (``float.__repr__`` for the exact
+    # type) between the separators; unlike a join of mapped reprs, it never
+    # holds every value's string at once.
+    return (opening + "%r" + "%r".join(gaps)) % tuple(items)
 
 
 def _output_paths(args, data, json_attr, csv_attr):
@@ -166,10 +319,8 @@ def _cmd_solve_finite(args):
     model, mu0 = _finite_from_scenario(data)
     budget = args.node_budget
     if budget is None:
-        try:
-            budget = int(data.get("run", {}).get("node_budget", dpp.DEFAULT_NODE_BUDGET))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"run.node_budget must be an integer: {exc}") from exc
+        budget = _integer(data.get("run", {}).get("node_budget", dpp.DEFAULT_NODE_BUDGET),
+                          "run.node_budget")
     if budget < 1:
         raise ConfigError(f"node budget must be at least 1, got {budget}")
     result = dpp.solve(model, mu0, node_budget=budget)
@@ -199,9 +350,9 @@ def _cmd_riccati(args):
     policy = optimal_policy(model, sol)
     controls = explicit_control_coefficients(model, sol, policy)
     payload = {
-        "solution": sol.to_json(),
-        "policy": policy.to_json(),
-        "explicit_controls": controls.to_json(),
+        "solution": array_fields(sol),
+        "policy": array_fields(policy),
+        "explicit_controls": array_fields(controls),
         "value_at_initial": value_at(sol, 0, (model.initial_mean, model.initial_cov)),
     }
     out_json, out_csv = _output_paths(args, data, "out", "stages_csv")
@@ -228,9 +379,9 @@ def _cmd_meanvariance(args):
     payload = {
         "params": {"gamma": args.gamma, "b": args.b, "sigma": args.sigma,
                    "delta": args.delta, "n": args.n, "x0": args.x0},
-        "solution": closed.to_json(),
-        "policy": policy.to_json(),
-        "explicit_controls": controls.to_json(),
+        "solution": array_fields(closed),
+        "policy": array_fields(policy),
+        "explicit_controls": array_fields(controls),
         "value_at_initial": value_at(closed, 0, DiscreteMeasure.dirac([args.x0])),
     }
     _write_json(args.out, payload)

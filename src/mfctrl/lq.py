@@ -297,6 +297,13 @@ def _potrf(mat):
     return factor
 
 
+def array_fields(record) -> dict:
+    """The arrays of a ``RiccatiSolution``, ``AffinePolicy`` or
+    ``ExplicitControls`` by field name: its ``to_json()`` before each array
+    becomes nested lists."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def _not_finite(k: int) -> FloatingPointError:
     return FloatingPointError(f"Riccati recursion not finite at stage {k}")
 
@@ -335,7 +342,7 @@ class RiccatiSolution:
         return self.dev_hessian.shape[1]
 
     def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
+        return {name: value.tolist() for name, value in array_fields(self).items()}
 
     @classmethod
     def from_json(cls, payload) -> "RiccatiSolution":
@@ -624,9 +631,7 @@ class AffinePolicy:
                             self.offset + eps * other.offset)
 
     def to_json(self) -> dict:
-        return {"gain_state": self.gain_state.tolist(),
-                "gain_mean": self.gain_mean.tolist(),
-                "offset": self.offset.tolist()}
+        return {name: value.tolist() for name, value in array_fields(self).items()}
 
     @classmethod
     def from_json(cls, payload) -> "AffinePolicy":
@@ -666,9 +671,7 @@ class ExplicitControls:
         return x @ self.feedback[stage].T + self.constant[stage]
 
     def to_json(self) -> dict:
-        return {"feedback": self.feedback.tolist(),
-                "constant": self.constant.tolist(),
-                "state_means": self.state_means.tolist()}
+        return {name: value.tolist() for name, value in array_fields(self).items()}
 
 
 def explicit_control_coefficients(model: LQModel, sol: RiccatiSolution,

@@ -14,15 +14,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mfctrl import cli
 from mfctrl.cli import main
 from mfctrl.fixtures import fixture_text, list_fixtures
 from mfctrl.lq import (
     AffinePolicy,
+    LQModel,
     RiccatiSolution,
+    array_fields,
+    explicit_control_coefficients,
     mean_variance_closed_form,
     mean_variance_model,
     optimal_policy,
     solve_riccati,
+    value_at,
 )
 from mfctrl.particles import SimulationResult
 
@@ -267,6 +272,30 @@ def test_non_finite_output_is_numerical_failure_and_writes_nothing(tmp_path, cap
     assert code == 3
     captured = capsys.readouterr()
     assert "not finite" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_non_finite_entry_deep_in_a_tensor_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                           to_file, bad):
+    # the last entry of the (n + 1, d, d) var_weight array, written in one block
+    def poisoned(record):
+        arrays = array_fields(record)
+        if isinstance(record, RiccatiSolution):
+            arrays["var_weight"] = arrays["var_weight"].copy()
+            arrays["var_weight"][-1, -1, -1] = bad
+        return arrays
+
+    monkeypatch.setattr(cli, "array_fields", poisoned)
+    out = tmp_path / "lq.json"
+    code = main(["riccati", _stage(tmp_path, "lq_multivariate.json"),
+                 "--out", str(out) if to_file else "-"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: output is not finite")
+    assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -543,6 +572,37 @@ class TestNonObjectScenario:
         assert main(["solve-finite", _scenario(tmp_path, data)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", [100_000.5, True, "100000"])
+    def test_run_node_budget_not_integral_is_not_truncated(self, tmp_path, capsys, budget):
+        data = json.loads(fixture_text("finite_zero.json"))
+        data["run"] = {"node_budget": budget}
+        assert main(["solve-finite", _scenario(tmp_path, data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.node_budget must be an integer")
+
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_meanvariance_horizon_not_integral_is_not_truncated(self, tmp_path, capsys, n):
+        data = json.loads(fixture_text("lq_mean_variance.json"))
+        data["model"]["n"] = n
+        out = tmp_path / "out.json"
+        assert main(["riccati", _scenario(tmp_path, data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mean-variance model field 'n' must be an integer")
+        assert not out.exists()
+
+    def test_integral_floats_count_as_integers(self, tmp_path):
+        data = json.loads(fixture_text("finite_zero.json"))
+        data["run"] = {"node_budget": 1e5}
+        assert main(["solve-finite", _scenario(tmp_path, data),
+                     "--out", str(tmp_path / "finite.json")]) == 0
+        data = json.loads(fixture_text("lq_mean_variance.json"))
+        outs = []
+        for n in (2, 2.0):
+            data["model"]["n"] = n
+            outs.append(tmp_path / f"mv-{n!r}.json")
+            assert main(["riccati", _scenario(tmp_path, data), "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 # -- CLI contract fuzz ---------------------------------------------------------
 
@@ -681,3 +741,126 @@ def test_cli_contract_on_mutated_policy_files(case):
     _assert_contract({"scenario.json": json.loads(fixture_text(name)), "policy.json": policy},
                      ["simulate", "scenario.json", "--n-particles", "20", "--seed", "1",
                       "--policy", "policy.json"])
+
+
+# -- JSON output layout --------------------------------------------------------
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7, 0.1, 1.0 / 3.0]
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_FLOATS))
+
+
+@st.composite
+def _float_tensors(draw):
+    """A rectangular tensor of depth 1-4, zero-length axes included: a nested
+    list of floats or of ``np.float64``, or a float or int NumPy array."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    size = math.prod(shape)
+    values = draw(st.lists(_FLOATS, min_size=size, max_size=size))
+    tensor = np.array(values, dtype=float).reshape(shape)
+    kind = draw(st.sampled_from(["floats", "np.float64", "array", "int array"]))
+    if kind == "floats":
+        return tensor.tolist()
+    if kind == "np.float64":
+        return tensor.astype(object).tolist()
+    return tensor if kind == "array" else np.arange(size).reshape(shape)
+
+
+_STRINGS = ["", "\u00e9\u4e2d\U0001f600", '"\\/\b\f\n\r\t\x00\x1f\x7f']
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS,
+                     st.builds(np.float64, _FLOATS), st.builds(np.array, _FLOATS),
+                     st.text(), st.sampled_from(_STRINGS))
+_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), _FLOATS)
+_PAYLOADS = st.recursive(
+    st.one_of(_SCALARS, _float_tensors(), st.lists(st.one_of(st.integers(), _FLOATS))),
+    lambda children: st.one_of(st.lists(children, max_size=4), st.tuples(children, children),
+                               st.dictionaries(_KEYS, children, max_size=4)),
+    max_leaves=12)
+
+
+def _lists(value):
+    """``value`` with each NumPy array replaced by its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_lists(item) for item in value]
+    return value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(payload=_PAYLOADS)
+def test_json_writer_matches_the_standard_library(capsys, payload):
+    text = json.dumps(_lists(payload), indent=2, allow_nan=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        cli._write_json(path, payload)
+        with open(path, "rb") as fh:
+            assert fh.read() == text.encode("ascii")
+    capsys.readouterr()
+    cli._write_json("-", payload)
+    assert capsys.readouterr().out == text + "\n"
+
+
+def _fixture_runs():
+    for name in list_fixtures():
+        kind = json.loads(fixture_text(name))["kind"]
+        if kind == "finite":
+            yield name, ["solve-finite"]
+            yield name, ["simulate", "--n-particles", "50", "--seed", "3", "--policy", "zero"]
+        else:
+            yield name, ["riccati", "--force"]
+            yield name, ["simulate", "--n-particles", "50", "--seed", "3"]
+        if kind == "meanvariance":
+            yield name, ["meanvariance"]
+
+
+@pytest.mark.parametrize("name, command", list(_fixture_runs()),
+                         ids=lambda v: v if isinstance(v, str) else v[0])
+def test_cli_outputs_keep_the_indent_2_layout(tmp_path, capsys, name, command):
+    """Every output is exactly what ``json.dumps(..., indent=2, allow_nan=False)``
+    makes of its own parse; standard output adds one newline."""
+    cfg = _stage(tmp_path, name)
+    if command[0] == "meanvariance":
+        model = json.loads(fixture_text(name))["model"]
+        argv = command + [a for key in ("gamma", "b", "sigma", "delta", "n", "x0")
+                          for a in (f"--{key}", str(model[key]))]
+    else:
+        argv = command[:1] + [cfg] + command[1:]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, allow_nan=False)
+    capsys.readouterr()
+    assert main(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == text + "\n"
+
+
+def test_lq_outputs_are_the_to_json_payloads(tmp_path):
+    """``riccati`` and ``meanvariance`` write their arrays as they reach them;
+    the bytes are those of the ``to_json()`` lists."""
+    model = LQModel.from_json(json.loads(fixture_text("lq_multivariate.json"))["model"])
+    sol = solve_riccati(model)
+    policy = optimal_policy(model, sol)
+    expected = {"solution": sol.to_json(), "policy": policy.to_json(),
+                "explicit_controls": explicit_control_coefficients(model, sol, policy).to_json(),
+                "value_at_initial": value_at(sol, 0, (model.initial_mean, model.initial_cov))}
+    out = tmp_path / "riccati.json"
+    assert main(["riccati", _stage(tmp_path, "lq_multivariate.json"), "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(expected, indent=2, allow_nan=False)
+
+    params = {"gamma": 2.0, "b": 0.2, "sigma": 0.5, "delta": 0.1, "n": 5, "x0": 0.7}
+    model = mean_variance_model(**params)
+    closed = mean_variance_closed_form(*list(params.values())[:5])
+    policy = optimal_policy(model, closed)
+    expected = {"params": params, "solution": closed.to_json(), "policy": policy.to_json(),
+                "explicit_controls": explicit_control_coefficients(model, closed,
+                                                                   policy).to_json(),
+                "value_at_initial": value_at(closed, 0, model.initial_measure)}
+    out = tmp_path / "mv.json"
+    assert main(["meanvariance", *(a for k, v in params.items() for a in (f"--{k}", str(v))),
+                 "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(expected, indent=2, allow_nan=False)
