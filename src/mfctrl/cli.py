@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -144,12 +143,12 @@ def _write_json(path, payload):
 
 
 # The indent-2 layout of the standard library's pure-Python encoder, which
-# ``json.dump`` always runs when given an indent. Rectangular nested lists of
-# plain floats, the per-stage matrices of the LQ outputs, are written in one
-# pass each, as is a float array, from its flat ``ravel().tolist()``; anything
-# else takes the recursive path below, another array as its ``tolist()``.
+# ``json.dump`` always runs when given an indent. A float array, such as the
+# per-stage matrices of the LQ outputs, is written in one pass from its flat
+# ``ravel().tolist()``; anything else takes the recursive path below, another
+# array as its ``tolist()``.
 
-_CONTAINERS = (dict, list, tuple, np.ndarray)
+_CONTAINERS = (dict, list, np.ndarray)
 
 
 def _not_finite(value):
@@ -178,10 +177,7 @@ def _scalar_text(value):
 def _key_text(key):
     if isinstance(key, str):
         return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return '"' + _scalar_text(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
+    raise TypeError(f"keys must be str, not {type(key).__name__}")
 
 
 def _json_chunks(value, level):
@@ -191,7 +187,7 @@ def _json_chunks(value, level):
         value = value.tolist()
     if isinstance(value, dict):
         return _dict_chunks(value, level)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return _list_chunks(value, level)
     return iter((_scalar_text(value),))
 
@@ -214,10 +210,6 @@ def _dict_chunks(dct, level):
 
 
 def _list_chunks(lst, level):
-    block = _float_block(lst, level)
-    if block is not None:
-        yield block
-        return
     if not lst:
         yield "[]"
         return
@@ -233,32 +225,8 @@ def _list_chunks(lst, level):
     yield "\n" + "  " * level + "]"
 
 
-def _float_block(lst, level):
-    """The text of ``lst`` if it is a nonempty rectangular nested list of
-    floats (the exact type), else None.
-
-    Shape detection walks one axis at a time, so a ragged or mixed list costs
-    no more than one pass over what lies above its first irregular axis.
-    """
-    shape = []
-    rows = [lst]
-    while True:
-        lengths = set(map(len, rows))
-        if len(lengths) != 1:
-            return None
-        shape.append(lengths.pop())
-        items = list(chain.from_iterable(rows))
-        kinds = set(map(type, items))
-        if kinds == {float}:
-            break
-        if kinds != {list}:
-            return None
-        rows = items
-    return _block_text(shape, items, level)
-
-
 def _block_text(shape, items, level):
-    """The text of a nested list of the given shape whose floats, in row-major
+    """The text of a float array of the given shape whose values, in row-major
     order, are ``items``."""
     if not all(map(math.isfinite, items)):
         raise _not_finite(next(v for v in items if not math.isfinite(v)))
