@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {name: module for module, names in {
     "measure": ("DiscreteMeasure", "TabularMap", "image_measure", "pushforward"),
-    "model": ("FiniteMFModel", "TransitionKernel", "FirstOrderSpec", "lifted_stage_cost",
+    "model": ("FiniteMFModel", "FirstOrderSpec", "lifted_stage_cost",
               "lifted_terminal_cost", "validate", "finite_model_from_config"),
     "dpp": ("solve", "brute_force_value", "rollforward", "classical_factorization_check",
             "first_order_value_tensor", "first_order_value_tensors", "first_order_check",

@@ -16,6 +16,7 @@ if _cap:
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -88,13 +89,22 @@ def _integer(value, what):
     return int(value)
 
 
+def _real(value, what):
+    """``value`` as a float. JSON numbers pass; bools and strings are config
+    errors, never converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _mv_params(payload):
     try:
-        params = {k: float(payload[k]) for k in ("gamma", "b", "sigma", "delta", "x0")}
-        n = payload["n"]
-    except (KeyError, TypeError, ValueError) as exc:
+        fields = {k: payload[k] for k in ("gamma", "b", "sigma", "delta", "x0", "n")}
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"mean-variance model needs gamma, b, sigma, delta, n, x0: {exc}")
-    return params | {"n": _integer(n, "mean-variance model field 'n'")}
+    n = fields.pop("n")
+    return ({k: _real(v, f"mean-variance model field {k!r}") for k, v in fields.items()}
+            | {"n": _integer(n, "mean-variance model field 'n'")})
 
 
 def _lq_from_scenario(data):
@@ -268,10 +278,6 @@ def _output_paths(args, data, json_attr, csv_attr):
     return json_path, csv_path
 
 
-def _state_label(point):
-    return ";".join(repr(float(c)) for c in point)
-
-
 def _joined(values):
     return ";".join(repr(float(v)) for v in values.ravel())
 
@@ -303,10 +309,22 @@ def _cmd_solve_finite(args):
     _write_json(out_json, payload)
     if out_csv:
         _write_csv(out_csv, ["stage", "state_index", "state", "weight"],
-                   ([k, i, _state_label(model.states[i]), repr(float(w))]
+                   ([k, i, _joined(model.states[i]), repr(float(w))]
                     for k, mu in enumerate(trajectory)
                     for i, w in enumerate(mu.weights_on_grid(model.states))))
     return 0
+
+
+def _lq_payload(model, sol, initial_law):
+    """The optimal policy of ``sol`` and the output fields the LQ subcommands share."""
+    policy = optimal_policy(model, sol)
+    controls = explicit_control_coefficients(model, sol, policy)
+    return policy, {
+        "solution": array_fields(sol),
+        "policy": array_fields(policy),
+        "explicit_controls": array_fields(controls),
+        "value_at_initial": value_at(sol, 0, initial_law),
+    }
 
 
 def _cmd_riccati(args):
@@ -315,14 +333,7 @@ def _cmd_riccati(args):
         raise ConfigError(f"riccati needs an lq/meanvariance scenario, got {data['kind']!r}")
     model = _lq_from_scenario(data)
     sol = solve_riccati(model, force=args.force)
-    policy = optimal_policy(model, sol)
-    controls = explicit_control_coefficients(model, sol, policy)
-    payload = {
-        "solution": array_fields(sol),
-        "policy": array_fields(policy),
-        "explicit_controls": array_fields(controls),
-        "value_at_initial": value_at(sol, 0, (model.initial_mean, model.initial_cov)),
-    }
+    policy, payload = _lq_payload(model, sol, (model.initial_mean, model.initial_cov))
     out_json, out_csv = _output_paths(args, data, "out", "stages_csv")
     _write_json(out_json, payload)
     if out_csv:
@@ -342,17 +353,10 @@ def _cmd_meanvariance(args):
                                 args.n, args.x0)
     closed = mean_variance_closed_form(args.gamma, args.b, args.sigma,
                                        args.delta, args.n)
-    policy = optimal_policy(model, closed)
-    controls = explicit_control_coefficients(model, closed, policy)
-    payload = {
-        "params": {"gamma": args.gamma, "b": args.b, "sigma": args.sigma,
-                   "delta": args.delta, "n": args.n, "x0": args.x0},
-        "solution": array_fields(closed),
-        "policy": array_fields(policy),
-        "explicit_controls": array_fields(controls),
-        "value_at_initial": value_at(closed, 0, DiscreteMeasure.dirac([args.x0])),
-    }
-    _write_json(args.out, payload)
+    params = {"gamma": args.gamma, "b": args.b, "sigma": args.sigma,
+              "delta": args.delta, "n": args.n, "x0": args.x0}
+    _, payload = _lq_payload(model, closed, DiscreteMeasure.dirac([args.x0]))
+    _write_json(args.out, {"params": params} | payload)
     return 0
 
 
@@ -410,7 +414,9 @@ def _cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The ``mfctrl`` parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="mfctrl",
         description="Solvers and Monte Carlo validation for discrete-time "

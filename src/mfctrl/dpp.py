@@ -280,13 +280,12 @@ def rollforward(model: FiniteMFModel, mu0: DiscreteMeasure, policy_sequence):
     if len(policy_sequence) != model.horizon:
         raise ValueError(
             f"need {model.horizon} maps, got {len(policy_sequence)}")
-    kern = model.transition_kernel()
     mu = mu0
     trajectory = [mu]
     total = 0.0
     for k, policy in enumerate(policy_sequence):
         total += lifted_stage_cost(model, k, mu, policy)
-        mu = pushforward(mu, policy, kern, k)
+        mu = pushforward(mu, policy, model, k)
         trajectory.append(mu)
     total += lifted_terminal_cost(model, mu)
     return float(total), trajectory

@@ -218,20 +218,29 @@ class DiscreteMeasure:
         return cls(payload["support"], payload["weights"])
 
 
-def match_indices(points: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Index of each point inside ``grid`` (max-norm match within MERGE_TOL).
+class NotOnGrid(ValueError):
+    """Raised by :func:`match_indices`; ``point`` is the first point not found, as a list."""
 
-    Raises ``ValueError`` naming the first point that is absent from the grid.
+    def __init__(self, point):
+        super().__init__(f"point {point} is not on the grid")
+        self.point = point
+
+
+def match_indices(points: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Index of each point inside ``grid``: the first grid row within MERGE_TOL
+    in max-norm.
+
+    One comparison of every point with every row, so it holds ``n * G * d``
+    floats. Raises :class:`NotOnGrid` naming the first point that is absent
+    from the grid.
     """
     points = _as_points(points)
     grid = _as_points(grid)
-    idx = np.empty(len(points), dtype=int)
-    for i, p in enumerate(points):
-        hits = np.nonzero(np.max(np.abs(grid - p), axis=1) <= MERGE_TOL)[0]
-        if len(hits) == 0:
-            raise ValueError(f"point {p.tolist()} is not on the grid")
-        idx[i] = hits[0]
-    return idx
+    hits = np.max(np.abs(points[:, None, :] - grid[None, :, :]), axis=2) <= MERGE_TOL
+    found = hits.any(axis=1)
+    if not found.all():
+        raise NotOnGrid(points[np.argmin(found)].tolist())
+    return hits.argmax(axis=1)
 
 
 class TabularMap:
@@ -245,7 +254,7 @@ class TabularMap:
         One action point per domain point.
     """
 
-    __slots__ = ("_domain", "_values", "_index")
+    __slots__ = ("_domain", "_values")
 
     def __init__(self, domain, values):
         dom = _as_points(domain)
@@ -256,7 +265,6 @@ class TabularMap:
         val.setflags(write=False)
         object.__setattr__(self, "_domain", dom)
         object.__setattr__(self, "_values", val)
-        object.__setattr__(self, "_index", {tuple(np.round(p, 9)): i for i, p in enumerate(dom)})
 
     def __setattr__(self, name, value):
         raise AttributeError("TabularMap is immutable")
@@ -272,19 +280,22 @@ class TabularMap:
     def __len__(self) -> int:
         return len(self._domain)
 
+    def _indices(self, points) -> np.ndarray:
+        try:
+            return match_indices(points, self._domain)
+        except NotOnGrid as exc:
+            raise ValueError(f"map is not defined at point {exc.point}") from None
+
     def index_of(self, point) -> int:
-        p = _as_point(point)
-        i = self._index.get(tuple(np.round(p, 9)))
-        if i is not None:
-            return i
-        # rounding can split near-identical floats across buckets; fall back to a scan
-        hits = np.nonzero(np.max(np.abs(self._domain - p), axis=1) <= MERGE_TOL)[0]
-        if len(hits) == 0:
-            raise ValueError(f"map is not defined at point {p.tolist()}")
-        return int(hits[0])
+        """Index of the first domain point within MERGE_TOL of ``point``."""
+        return int(self._indices(_as_point(point)[None, :])[0])
 
     def __call__(self, point) -> np.ndarray:
         return self._values[self.index_of(point)]
+
+    def at(self, points) -> np.ndarray:
+        """Values at each of ``points`` (shape ``(n, m)``), by the rule of :meth:`index_of`."""
+        return self._values[self._indices(points)]
 
     def to_json(self) -> dict:
         return {
@@ -304,12 +315,19 @@ def image_measure(mu: DiscreteMeasure, policy: TabularMap) -> DiscreteMeasure:
 
     Weights of support points mapped to the same action are merged.
     """
-    actions = np.array([policy(p) for p in mu.support])
-    return DiscreteMeasure(actions, mu.weights)
+    return DiscreteMeasure(policy.at(mu.support), mu.weights)
 
 
-def pushforward(mu: DiscreteMeasure, policy: TabularMap, kernel, stage: int) -> DiscreteMeasure:
-    """One-step update of the state law under a feedback map and a kernel.
+def _feedback(mu: DiscreteMeasure, policy: TabularMap, model):
+    """Grid indices of the support of ``mu`` in ``model.states``, the action
+    law under ``policy``, and the grid indices of the actions in ``model.actions``."""
+    state_idx = match_indices(mu.support, model.states)
+    actions = policy.at(mu.support)
+    return state_idx, DiscreteMeasure(actions, mu.weights), match_indices(actions, model.actions)
+
+
+def pushforward(mu: DiscreteMeasure, policy: TabularMap, model, stage: int) -> DiscreteMeasure:
+    """One-step update of the state law under a feedback map and the model's kernel.
 
     The next law mixes the kernel rows with the current weights; the kernel
     sees the current law and the action law, so the update is nonlinear in
@@ -318,26 +336,24 @@ def pushforward(mu: DiscreteMeasure, policy: TabularMap, kernel, stage: int) -> 
     Parameters
     ----------
     mu : DiscreteMeasure
-        Current law, supported on the kernel's state grid.
+        Current law, supported on ``model.states``.
     policy : TabularMap
         Feedback map, total on the support of ``mu``.
-    kernel : TransitionKernel
-        Row-stochastic kernel over the state grid (see :mod:`mfctrl.model`).
+    model : FiniteMFModel
+        Gives the grids ``states`` and ``actions`` and the row-stochastic
+        ``kernel(stage, state_index, mu, action_index, lam)`` over ``states``
+        (see :mod:`mfctrl.model`).
     stage : int
         Time index passed through to the kernel.
     """
-    state_idx = match_indices(mu.support, kernel.states)
-    lam = image_measure(mu, policy)
-    action_idx = match_indices(
-        np.array([policy(p) for p in mu.support]), kernel.actions
-    )
-    n_states = len(kernel.states)
+    state_idx, lam, action_idx = _feedback(mu, policy, model)
+    n_states = len(model.states)
     new_weights = np.zeros(n_states)
     for w, i, a in zip(mu.weights, state_idx, action_idx):
-        row = np.asarray(kernel(stage, int(i), mu, int(a), lam), dtype=float)
+        row = np.asarray(model.kernel(stage, int(i), mu, int(a), lam), dtype=float)
         if row.shape != (n_states,) or np.any(row < -MASS_TOL) or abs(row.sum() - 1.0) > MASS_TOL:
             raise ValueError(
                 f"kernel row is not a probability vector at stage {stage}, state index {int(i)}"
             )
         new_weights += w * np.clip(row, 0.0, None)
-    return DiscreteMeasure(kernel.states, new_weights / new_weights.sum())
+    return DiscreteMeasure(model.states, new_weights / new_weights.sum())

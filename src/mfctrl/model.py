@@ -31,29 +31,13 @@ from .measure import (
     DiscreteMeasure,
     TabularMap,
     _as_points,
-    image_measure,
+    _feedback,
     match_indices,
 )
 
 KernelFn = Callable[[int, int, DiscreteMeasure, int, DiscreteMeasure], np.ndarray]
 StageCostFn = Callable[[int, int, DiscreteMeasure, int, DiscreteMeasure], float]
 TerminalCostFn = Callable[[int, DiscreteMeasure], float]
-
-
-@dataclass(frozen=True)
-class TransitionKernel:
-    """Row-stochastic kernel over a state grid, exposed for measure pushforwards.
-
-    ``rows(stage, state_index, mu, action_index, lam)`` returns the probability
-    vector of the next state over ``states``.
-    """
-
-    states: np.ndarray
-    actions: np.ndarray
-    rows: KernelFn
-
-    def __call__(self, stage, state_index, mu, action_index, lam):
-        return self.rows(stage, state_index, mu, action_index, lam)
 
 
 @dataclass(frozen=True)
@@ -136,9 +120,6 @@ class FiniteMFModel:
     def n_actions(self) -> int:
         return len(self.actions)
 
-    def transition_kernel(self) -> TransitionKernel:
-        return TransitionKernel(self.states, self.actions, self.kernel)
-
     def tabular_policy(self, action_indices: Sequence[int]) -> TabularMap:
         """Feedback map over the full state grid from per-state action indices."""
         idx = np.asarray(action_indices, dtype=int)
@@ -148,8 +129,7 @@ class FiniteMFModel:
 
     def policy_action_indices(self, policy: TabularMap) -> np.ndarray:
         """Per-state action indices of a tabular policy on this model's grids."""
-        pts = np.array([policy(x) for x in self.states])
-        return match_indices(pts, self.actions)
+        return match_indices(policy.at(self.states), self.actions)
 
 
 def lifted_stage_cost(model: FiniteMFModel, stage: int, mu: DiscreteMeasure,
@@ -157,9 +137,7 @@ def lifted_stage_cost(model: FiniteMFModel, stage: int, mu: DiscreteMeasure,
     """Expected stage cost of the law ``mu`` under the feedback map ``policy``."""
     if not 0 <= stage < model.horizon:
         raise ValueError(f"stage {stage} out of range [0, {model.horizon})")
-    state_idx = match_indices(mu.support, model.states)
-    lam = image_measure(mu, policy)
-    action_idx = match_indices(np.array([policy(x) for x in mu.support]), model.actions)
+    state_idx, lam, action_idx = _feedback(mu, policy, model)
     total = 0.0
     for w, i, a in zip(mu.weights, state_idx, action_idx):
         total += w * float(model.stage_cost(stage, int(i), mu, int(a), lam))

@@ -71,14 +71,13 @@ def degenerate_mean_variance_model():
 
 def measure_gaps(model, rng, draws):
     """Worst ``(|mass - 1|, image-mean deviation, variance-form negativity)`` on random laws."""
-    kern = model.transition_kernel()
     mass, image, negativity = 0.0, 0.0, 0.0
     for _ in range(draws):
         mu = DiscreteMeasure(model.states, rng.dirichlet(np.ones(model.n_states)))
         policy = model.tabular_policy(rng.integers(0, model.n_actions, model.n_states))
-        nxt = pushforward(mu, policy, kern, int(rng.integers(0, model.horizon)))
+        nxt = pushforward(mu, policy, model, int(rng.integers(0, model.horizon)))
         mass = max(mass, abs(nxt.weights.sum() - 1.0))
-        acts = np.array([policy(x) for x in mu.support])
+        acts = policy.at(mu.support)
         image = max(image, float(np.max(np.abs(
             image_measure(mu, policy).mean() - mu.weights @ acts))))
         root = rng.normal(size=(mu.dim, mu.dim))
@@ -93,10 +92,9 @@ def mixture_gaps(model, policy, weights_a, weights_b, alpha):
     mu_a, mu_b = DiscreteMeasure(grid, weights_a), DiscreteMeasure(grid, weights_b)
     mix = DiscreteMeasure(grid, alpha * mu_a.weights_on_grid(grid)
                           + (1 - alpha) * mu_b.weights_on_grid(grid))
-    kern = model.transition_kernel()
 
     def push(mu):
-        return pushforward(mu, policy, kern, 0).weights_on_grid(grid)
+        return pushforward(mu, policy, model, 0).weights_on_grid(grid)
 
     push_gap = np.max(np.abs(push(mix) - (alpha * push(mu_a) + (1 - alpha) * push(mu_b))))
     cost_gap = abs(lifted_stage_cost(model, 0, mix, policy)
@@ -122,12 +120,11 @@ def rollforward_gap(cases):
 def one_step_gap(model, mu0):
     """Largest gap between a node's value and its argmin cost plus its child's value."""
     res = dpp.solve(model, mu0)
-    kern = model.transition_kernel()
     worst = 0.0
     for (k, _key), node in res.value_cache.items():
         if node.argmin_policy is None:
             continue
-        child = pushforward(node.measure, node.argmin_policy, kern, k)
+        child = pushforward(node.measure, node.argmin_policy, model, k)
         recomputed = (lifted_stage_cost(model, k, node.measure, node.argmin_policy)
                       + res.node(k + 1, child, model.states).value)
         worst = max(worst, abs(node.value - recomputed))

@@ -15,7 +15,6 @@ from mfctrl.model import lifted_stage_cost, lifted_terminal_cost
 
 
 def reference_solve(model, mu0, node_budget=2_000_000):
-    kern = model.transition_kernel()
     n = model.horizon
     _, policies = _policies(model)
     cache = {}
@@ -33,7 +32,7 @@ def reference_solve(model, mu0, node_budget=2_000_000):
             best = np.inf
             best_policy = None
             for policy in policies:
-                child = pushforward(mu, policy, kern, k)
+                child = pushforward(mu, policy, model, k)
                 cand = lifted_stage_cost(model, k, mu, policy) + value(k + 1, child).value
                 if cand < best:
                     best = cand
@@ -48,6 +47,6 @@ def reference_solve(model, mu0, node_budget=2_000_000):
     for k in range(n):
         node = cache[(k, mu.key_on_grid(model.states))]
         seq.append(node.argmin_policy)
-        mu = pushforward(mu, node.argmin_policy, kern, k)
+        mu = pushforward(mu, node.argmin_policy, model, k)
     return SolveResult(v0=root.value, optimal_policy_sequence=seq,
                        reachable_tree_size=len(cache), value_cache=cache)

@@ -88,10 +88,9 @@ def simulate_lq(model, policy, n, seed, closure="empirical", keep_clouds=False):
 
 
 def _oracle_flow_finite(model, policy, mu0):
-    kern = model.transition_kernel()
     flow = [mu0]
     for k in range(model.horizon):
-        flow.append(pushforward(flow[-1], policy, kern, k))
+        flow.append(pushforward(flow[-1], policy, model, k))
     return flow
 
 

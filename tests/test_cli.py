@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import csv
@@ -375,6 +376,25 @@ def test_unwritable_output_path_is_config_error(tmp_path, capsys, command, flag,
     assert "cannot write output" in err and "Traceback" not in err
 
 
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    assert main(["meanvariance", "--gamma", "1", "--b", "0.5", "--sigma", "1", "--delta",
+                 "1", "--n", "2", "--x0", "1", "--out", str(tmp_path / "mv.json")]) == 0
+    once = len(built)
+    assert once > 0
+    assert main(["solve-finite", _stage(tmp_path, "finite_zero.json"),
+                 "--out", str(tmp_path / "finite.json")]) == 0
+    assert len(built) == once
+
+
 def _scenario(tmp_path, data, name="scenario.json"):
     cfg = tmp_path / name
     cfg.write_text(json.dumps(data))
@@ -592,6 +612,24 @@ class TestNonObjectScenario:
         err = capsys.readouterr().err
         assert err.startswith("config error: mean-variance model field 'n' must be an integer")
         assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["gamma", "b", "sigma", "delta", "x0"])
+    def test_meanvariance_float_fields_take_only_numbers(self, tmp_path, capsys, field):
+        data = json.loads(fixture_text("lq_mean_variance.json"))
+        out = tmp_path / "out.json"
+        for bad in ("1.0", True):
+            data["model"][field] = bad
+            assert main(["riccati", _scenario(tmp_path, data), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"config error: mean-variance model field {field!r} must be a number")
+            assert not out.exists()
+        outs = []
+        for good in (1, 1.0):
+            data["model"][field] = good
+            outs.append(tmp_path / f"mv-{good!r}.json")
+            assert main(["riccati", _scenario(tmp_path, data), "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_integral_floats_count_as_integers(self, tmp_path):
         data = json.loads(fixture_text("finite_zero.json"))

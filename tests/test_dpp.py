@@ -50,12 +50,11 @@ def test_rollforward_reproduces_v0():
 def test_cached_nodes_satisfy_one_step_recursion():
     model, mu0 = load_finite("finite_mean_reverting.json")
     result = dpp.solve(model, mu0)
-    kern = model.transition_kernel()
     for (k, _key), node in result.value_cache.items():
         if node.argmin_policy is None:
             assert k == model.horizon
             continue
-        child = pushforward(node.measure, node.argmin_policy, kern, k)
+        child = pushforward(node.measure, node.argmin_policy, model, k)
         child_value = result.value_cache[(k + 1, child.key_on_grid(model.states))].value
         recomputed = lifted_stage_cost(model, k, node.measure, node.argmin_policy) + child_value
         assert node.value == pytest.approx(recomputed, abs=1e-12)

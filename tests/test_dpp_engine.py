@@ -181,11 +181,10 @@ def test_one_step_lookup_holds_on_a_dpp_tree_scenario():
     mu0 = DiscreteMeasure.from_json(scenario["initial_law"])
     result = dpp.solve(model, mu0)
     assert result.reachable_tree_size == workloads.tree_bound(4, 2, 3)
-    kern = model.transition_kernel()
     for (k, _key), node in result.value_cache.items():
         if node.argmin_policy is None:
             continue
-        child = pushforward(node.measure, node.argmin_policy, kern, k)
+        child = pushforward(node.measure, node.argmin_policy, model, k)
         recomputed = (lifted_stage_cost(model, k, node.measure, node.argmin_policy)
                       + result.node(k + 1, child, model.states).value)
         assert node.value == pytest.approx(recomputed, abs=1e-12)

@@ -1,16 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfctrl.measure import (
+    MERGE_TOL,
     DiscreteMeasure,
     TabularMap,
     image_measure,
     match_indices,
     pushforward,
 )
-from mfctrl.model import TransitionKernel
+from mfctrl.model import FiniteMFModel
 
 
 class TestMoments:
@@ -122,28 +125,27 @@ class TestImageMeasure:
             image_measure(mu, policy)
 
 
-def _kernel(states, actions, rows):
-    return TransitionKernel(np.asarray(states, dtype=float).reshape(-1, 1),
-                            np.asarray(actions, dtype=float).reshape(-1, 1),
-                            rows)
+def _model(states, actions, rows):
+    return FiniteMFModel(states, actions, 4, rows, lambda k, i, mu, a, lam: 0.0,
+                         lambda i, mu: 0.0)
 
 
 class TestPushforward:
     def test_identity_kernel_fixes_measure(self):
         states = [0.0, 1.0]
-        kern = _kernel(states, [0.0], lambda k, i, mu, a, lam: np.eye(2)[i])
+        model = _model(states, [0.0], lambda k, i, mu, a, lam: np.eye(2)[i])
         mu = DiscreteMeasure(states, [0.3, 0.7])
         policy = TabularMap(states, [0.0, 0.0])
-        out = pushforward(mu, policy, kern, 0)
-        assert np.allclose(out.weights_on_grid(kern.states), [0.3, 0.7], atol=1e-15)
+        out = pushforward(mu, policy, model, 0)
+        assert np.allclose(out.weights_on_grid(model.states), [0.3, 0.7], atol=1e-15)
 
     def test_single_row_uniform(self):
         states = [0.0, 1.0]
-        kern = _kernel(states, [0.0], lambda k, i, mu, a, lam: np.array([0.5, 0.5]))
+        model = _model(states, [0.0], lambda k, i, mu, a, lam: np.array([0.5, 0.5]))
         mu = DiscreteMeasure.dirac(0.0)
         policy = TabularMap([0.0], [0.0])
-        out = pushforward(mu, policy, kern, 0)
-        assert np.allclose(out.weights_on_grid(kern.states), [0.5, 0.5], atol=1e-15)
+        out = pushforward(mu, policy, model, 0)
+        assert np.allclose(out.weights_on_grid(model.states), [0.5, 0.5], atol=1e-15)
 
     def test_mean_clamp_row(self):
         # next weight on the second state equals the current mean, for every row
@@ -153,34 +155,34 @@ class TestPushforward:
             p = float(np.clip(mu.mean()[0], 0.0, 1.0))
             return np.array([1.0 - p, p])
 
-        kern = _kernel(states, [0.0], rows)
+        model = _model(states, [0.0], rows)
         mu = DiscreteMeasure(states, [0.25, 0.75])
         policy = TabularMap(states, [0.0, 0.0])
-        out = pushforward(mu, policy, kern, 0)
-        assert np.allclose(out.weights_on_grid(kern.states), [0.25, 0.75], atol=1e-15)
+        out = pushforward(mu, policy, model, 0)
+        assert np.allclose(out.weights_on_grid(model.states), [0.25, 0.75], atol=1e-15)
 
     def test_invalid_row_names_stage_and_state(self):
         states = [0.0, 1.0]
-        kern = _kernel(states, [0.0], lambda k, i, mu, a, lam: np.array([0.5, 0.6]))
+        model = _model(states, [0.0], lambda k, i, mu, a, lam: np.array([0.5, 0.6]))
         mu = DiscreteMeasure(states, [0.5, 0.5])
         policy = TabularMap(states, [0.0, 0.0])
         with pytest.raises(ValueError, match="stage 3, state index 0"):
-            pushforward(mu, policy, kern, 3)
+            pushforward(mu, policy, model, 3)
 
     def test_mixture_linearity_for_measure_free_kernel(self):
         states = [0.0, 1.0, 2.0]
         table = np.array([[0.2, 0.5, 0.3], [0.6, 0.2, 0.2], [0.1, 0.1, 0.8]])
-        kern = _kernel(states, [0.0], lambda k, i, mu, a, lam: table[i])
+        model = _model(states, [0.0], lambda k, i, mu, a, lam: table[i])
         policy = TabularMap(states, [0.0, 0.0, 0.0])
         wa = np.array([0.5, 0.2, 0.3])
         wb = np.array([0.1, 0.6, 0.3])
         alpha = 0.4
         mix = DiscreteMeasure(states, alpha * wa + (1 - alpha) * wb)
-        lhs = pushforward(mix, policy, kern, 0).weights_on_grid(kern.states)
-        rhs = (alpha * pushforward(DiscreteMeasure(states, wa), policy, kern, 0)
-               .weights_on_grid(kern.states)
-               + (1 - alpha) * pushforward(DiscreteMeasure(states, wb), policy, kern, 0)
-               .weights_on_grid(kern.states))
+        lhs = pushforward(mix, policy, model, 0).weights_on_grid(model.states)
+        rhs = (alpha * pushforward(DiscreteMeasure(states, wa), policy, model, 0)
+               .weights_on_grid(model.states)
+               + (1 - alpha) * pushforward(DiscreteMeasure(states, wb), policy, model, 0)
+               .weights_on_grid(model.states))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -204,6 +206,66 @@ class TestTabularMap:
         back = TabularMap.from_json(policy.to_json())
         assert np.array_equal(back.domain, policy.domain)
         assert np.array_equal(back.values, policy.values)
+
+
+def _first_hits(points, grid):
+    """Per-point reference: the first grid row within MERGE_TOL, or None."""
+    out = []
+    for p in points:
+        hits = [j for j, g in enumerate(grid) if np.max(np.abs(g - p)) <= MERGE_TOL]
+        out.append(hits[0] if hits else None)
+    return out
+
+
+# offsets on and around the MERGE_TOL boundary
+_NEAR = [0.0, 0.5 * MERGE_TOL, MERGE_TOL, 1.5 * MERGE_TOL, 2.5 * MERGE_TOL]
+
+
+@st.composite
+def _near_grid_points(draw):
+    d = draw(st.integers(1, 2))
+    coords = st.tuples(*[st.integers(-2, 2)] * d)
+    jitter = st.tuples(*[st.sampled_from(_NEAR + [-x for x in _NEAR])] * d)
+    grid = np.array([np.multiply(c, 0.25) + j for c, j in
+                     draw(st.lists(st.tuples(coords, jitter), min_size=1, max_size=6))])
+    rows = draw(st.lists(st.tuples(st.integers(0, len(grid) - 1), jitter),
+                         min_size=1, max_size=8))
+    points = np.array([grid[i] + j for i, j in rows])
+    if draw(st.booleans()):  # one point far from every row
+        at = draw(st.integers(0, len(points)))
+        points = np.insert(points, at, np.full(d, 7.0), axis=0)
+    return grid, points
+
+
+@given(_near_grid_points())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_lookups_match_a_per_point_first_hit_loop(case):
+    grid, points = case
+    values = np.arange(len(grid), dtype=float)[:, None] * 10.0
+    policy = TabularMap(grid, values)
+    ref = _first_hits(points, grid)
+    if None in ref:
+        missing = points[ref.index(None)].tolist()
+        with pytest.raises(ValueError, match=re.escape(f"point {missing} is not on the grid")):
+            match_indices(points, grid)
+        with pytest.raises(ValueError, match=re.escape(f"map is not defined at point {missing}")):
+            policy.at(points)
+        return
+    assert match_indices(points, grid).tolist() == ref
+    assert np.array_equal(policy.at(points), values[ref])
+    assert [policy.index_of(p) for p in points] == ref
+    assert [policy(p)[0] for p in points] == values[ref, 0].tolist()
+
+
+def test_repeated_domain_point_resolves_to_the_first_listed():
+    policy = TabularMap([[0.0], [1.0], [0.0]], [[10.0], [11.0], [12.0]])
+    assert policy.index_of(0.0) == 0
+    assert policy(0.0)[0] == 10.0
+    assert policy.at([[1.0], [0.0]]).tolist() == [[11.0], [10.0]]
+    # within MERGE_TOL of both rows: the first listed wins over the exact match
+    near = TabularMap([[0.0], [0.9 * MERGE_TOL]], [[10.0], [11.0]])
+    assert near.index_of(0.9 * MERGE_TOL) == 0
+    assert near.at([[0.9 * MERGE_TOL]]).tolist() == [[10.0]]
 
 
 def test_match_indices_names_missing_point():
