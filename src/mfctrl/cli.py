@@ -298,20 +298,21 @@ def _cmd_solve_finite(args):
     if budget < 1:
         raise ConfigError(f"node budget must be at least 1, got {budget}")
     result = dpp.solve(model, mu0, node_budget=budget)
-    _, trajectory = dpp.rollforward(model, mu0, result.optimal_policy_sequence)
+    path = result.optimal_law_path
     payload = {
         "v0": result.v0,
         "tree_size": result.reachable_tree_size,
         "policy_sequence": [p.to_json() for p in result.optimal_policy_sequence],
-        "law_trajectory": [mu.to_json() for mu in trajectory],
+        "law_trajectory": [mu0.to_json()] + [DiscreteMeasure(model.states, w).to_json()
+                                             for w in path[1:]],
     }
     out_json, out_csv = _output_paths(args, data, "out", "trajectory_csv")
     _write_json(out_json, payload)
     if out_csv:
         _write_csv(out_csv, ["stage", "state_index", "state", "weight"],
-                   ([k, i, _joined(model.states[i]), repr(float(w))]
-                    for k, mu in enumerate(trajectory)
-                    for i, w in enumerate(mu.weights_on_grid(model.states))))
+                   ([k, i, _joined(model.states[i]), repr(w)]
+                    for k, weights in enumerate(path)
+                    for i, w in enumerate(weights.tolist())))
     return 0
 
 

@@ -86,13 +86,16 @@ class _BuiltOnRead:
 class SolveResult:
     """Value and optimal maps from the initial law, and every node of the tree.
 
-    ``value_cache`` maps ``(stage, key_on_grid)`` to the :class:`ValueNode`
-    of each node.  :func:`solve` builds it on first read, since most callers
-    read only ``v0`` and the policy sequence.
+    ``optimal_law_path`` holds the ``(S,)`` grid weights of the node laws the
+    optimal maps visit, stages ``0..n``.  ``value_cache`` maps
+    ``(stage, key_on_grid)`` to the :class:`ValueNode` of each node.
+    :func:`solve` builds it on first read, since most callers read only
+    ``v0``, the policy sequence and the law path.
     """
 
     v0: float
     optimal_policy_sequence: list
+    optimal_law_path: list
     reachable_tree_size: int
     value_cache: dict = _BuiltOnRead()
 
@@ -259,24 +262,26 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
             policies[m] = model.tabular_policy(_map_actions(np.array([m]), S, M)[0])
         return policies[m]
 
-    seq = []
+    seq, path = [], [root[0]]
     law = 0
-    for stage in stages[:n]:
+    for stage, after in zip(stages[:n], stages[1:]):
         m = int(stage.best[law])
         seq.append(policy(m))
         law = int(stage.child[law * n_maps + m])
+        path.append(after.laws[law])
     for stage in stages:
         stage.child = stage.cost = None      # the value cache needs only the rest
     return SolveResult(
         v0=float(stages[0].values[0]),
         optimal_policy_sequence=seq,
+        optimal_law_path=path,
         reachable_tree_size=nodes,
         value_cache=lambda: _value_cache(model, stages, policy),
     )
 
 
 def rollforward(model: FiniteMFModel, mu0: DiscreteMeasure, policy_sequence):
-    """Total lifted cost and law trajectory of a feedback-map sequence."""
+    """Total lifted cost and law trajectory of a feedback-map sequence (scalar oracle)."""
     if len(policy_sequence) != model.horizon:
         raise ValueError(
             f"need {model.horizon} maps, got {len(policy_sequence)}")
@@ -430,13 +435,6 @@ def first_order_value_tensors(model: FiniteMFModel, max_states: int = 3,
         perm = list(range(0, 2 * pairs, 2)) + list(range(1, 2 * pairs, 2))
         tensors[k] = np.transpose(interleaved, perm)
     return tensors
-
-
-def first_order_value_tensor(model: FiniteMFModel, stage: int, **kwargs) -> np.ndarray:
-    """Pairwise value tensor at one stage (see :func:`first_order_value_tensors`)."""
-    if not 0 <= stage <= model.horizon:
-        raise ValueError(f"stage {stage} out of range [0, {model.horizon}]")
-    return first_order_value_tensors(model, **kwargs)[stage]
 
 
 def _integrate_tensor(tensor: np.ndarray, weights: np.ndarray) -> float:

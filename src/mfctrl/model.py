@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -173,52 +174,51 @@ def validate(model: FiniteMFModel, extra_measures=(), max_tuples: int = 512,
 
     Sampled laws are the Diracs at each grid point, the uniform law, and any
     ``extra_measures`` (which must live on the state grid); action laws are
-    the Diracs and the uniform over actions.  Each stage's tuples are
-    evaluated in one :func:`evaluate` call.
+    the Diracs and the uniform over actions.  A seeded draw of ``max_tuples``
+    tuple numbers (C order over stage, state, action, law and action law) is
+    decoded by index arithmetic; each stage's tuples are evaluated in one
+    :func:`evaluate` call.
     """
-    report = ValidationReport()
     S, M, n = model.n_states, model.n_actions, model.horizon
     laws = np.vstack([np.eye(S), np.full(S, 1.0 / S)]
                      + [mu.weights_on_grid(model.states) for mu in extra_measures])
     action_laws = np.vstack([np.eye(M), np.full(M, 1.0 / M)])
-
-    combos = list(itertools.product(range(n), range(S), range(M)))
-    pairs = list(itertools.product(range(len(laws)), range(len(action_laws))))
-    rng = np.random.default_rng(seed)
-    tuples = [(k, i, a, mi, li) for (k, i, a) in combos for (mi, li) in pairs]
-    if len(tuples) > max_tuples:
-        pick = rng.choice(len(tuples), size=max_tuples, replace=False)
-        tuples = [tuples[j] for j in pick]
+    shape = (n, S, M, len(laws), len(action_laws))
+    total = math.prod(shape)
+    pick = (np.random.default_rng(seed).choice(total, size=max_tuples, replace=False)
+            if total > max_tuples else np.arange(total))
+    stage, i, a, mi, li = np.unravel_index(pick, shape)
+    report = ValidationReport(checked=len(pick))
 
     def violation(kind, k, i, a, detail):
         report.violations.append({"kind": kind, "stage": k, "state": i, "action": a,
                                   "detail": detail})
 
-    tuples = np.array(tuples).reshape(-1, 5)
-    evals, slot = {}, np.empty(len(tuples), dtype=int)   # tuple j is pair slot[j] of its stage
+    evals, slot = {}, np.empty(len(pick), dtype=int)   # tuple j is pair slot[j] of its stage
+    flags = np.zeros((3, len(pick)), dtype=bool)       # negative entry, mass, cost
     for k in range(n):
-        at = np.flatnonzero(tuples[:, 0] == k)
+        at = np.flatnonzero(stage == k)
         if len(at):
-            _, i, a, mi, li = tuples[at].T
-            slot[at] = np.arange(len(at))
+            p = slot[at] = np.arange(len(at))
             cells = np.zeros((len(at), S), dtype=bool)
-            cells[slot[at], i] = True
-            ev = evaluate(model, k, laws[mi], cells, np.repeat(a[:, None], S, axis=1),
-                          action_laws[li])
-            evals[k] = (ev, *ev.bad)
-    for (k, i, a, _, _), p in zip(tuples.tolist(), slot.tolist()):
-        report.checked += 1
-        ev, negative, off_mass = evals[k]
-        where = f"stage {k} state {i}"
-        if (p, i) in ev.shapes:
-            violation("row_shape", k, i, a, f"{where}: row shape {ev.shapes[p, i]}")
+            cells[p, i[at]] = True
+            ev = evals[k] = evaluate(model, k, laws[mi[at]], cells,
+                                     np.repeat(a[at, None], S, axis=1), action_laws[li[at]])
+            flags[:, at] = [bad[p, i[at]] for bad in (*ev.bad, ~np.isfinite(ev.costs))]
+    # a misshapen row is evaluated as zeros, so it is among the tuples flagged
+    for j in np.flatnonzero(flags.any(axis=0)).tolist():
+        k, p, ij, aj = int(stage[j]), int(slot[j]), int(i[j]), int(a[j])
+        ev, where = evals[k], f"stage {k} state {ij}"
+        if (p, ij) in ev.shapes:
+            violation("row_shape", k, ij, aj, f"{where}: row shape {ev.shapes[p, ij]}")
             continue
-        if negative[p, i]:
-            violation("row_negative", k, i, a, f"{where}: negative entry {ev.low[p, i]:.3e}")
-        if off_mass[p, i]:
-            violation("row_mass", k, i, a, f"{where}: row mass {float(ev.mass[p, i])!r}")
-        if not np.isfinite(ev.costs[p, i]):
-            violation("cost", k, i, a, f"{where}: non-finite stage cost")
+        negative, off_mass, cost = flags[:, j]
+        if negative:
+            violation("row_negative", k, ij, aj, f"{where}: negative entry {ev.low[p, ij]:.3e}")
+        if off_mass:
+            violation("row_mass", k, ij, aj, f"{where}: row mass {float(ev.mass[p, ij])!r}")
+        if cost:
+            violation("cost", k, ij, aj, f"{where}: non-finite stage cost")
 
     terminal = evaluate(model, n, laws, np.ones(laws.shape, bool)).costs
     report.checked += terminal.size

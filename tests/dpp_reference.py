@@ -44,9 +44,11 @@ def reference_solve(model, mu0, node_budget=2_000_000):
     root = value(0, mu0)
     seq = []
     mu = mu0
+    path = [mu.weights_on_grid(model.states)]
     for k in range(n):
         node = cache[(k, mu.key_on_grid(model.states))]
         seq.append(node.argmin_policy)
         mu = pushforward(mu, node.argmin_policy, model, k)
-    return SolveResult(v0=root.value, optimal_policy_sequence=seq,
+        path.append(mu.weights_on_grid(model.states))
+    return SolveResult(v0=root.value, optimal_policy_sequence=seq, optimal_law_path=path,
                        reachable_tree_size=len(cache), value_cache=cache)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 
@@ -15,6 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "benchmarks"))
+
+import workloads  # noqa: E402
 from mfctrl import cli
 from mfctrl.cli import main
 from mfctrl.fixtures import fixture_text, list_fixtures
@@ -109,6 +114,44 @@ class TestSolveFinite:
             parsed = DiscreteMeasure.from_json(got)
             assert np.array_equal(parsed.weights, direct.weights)
             assert np.array_equal(parsed.support, direct.support)
+
+    @pytest.mark.parametrize("case", sorted(n for n in list_fixtures()
+                                            if n.startswith(("finite_", "fo_")))
+                             + [f"{w}:{seed}" for w in ("dpp-sweep", "dpp-tree")
+                                for seed in (1, 2024)])
+    def test_law_trajectory_is_the_scalar_rollout_within_one_key_quantum(self, tmp_path, case):
+        # a shipped fixture, or every scenario of a benchmark workload at one seed
+        from mfctrl import dpp
+        from mfctrl.measure import DiscreteMeasure
+        from mfctrl.model import finite_model_from_config
+
+        if case.endswith(".json"):
+            runs = [(json.loads(fixture_text(case)), ["solve-finite", _stage(tmp_path, case)])]
+        else:
+            workload, seed = case.split(":")
+            runs = [(op.scenario, op.argv[:2])
+                    for op in workloads.build(workload, int(seed), str(tmp_path))]
+        out, flow = tmp_path / "solve.json", tmp_path / "flow.csv"
+        for scenario, argv in runs:
+            assert main(argv + ["--out", str(out), "--trajectory-csv", str(flow)]) == 0
+            laws = [DiscreteMeasure.from_json(law)
+                    for law in json.loads(out.read_text())["law_trajectory"]]
+            with open(flow) as fh:
+                rows = [(int(r["stage"]), int(r["state_index"]), float(r["weight"]))
+                        for r in csv.DictReader(fh)]
+            model = finite_model_from_config(scenario["model"])
+            mu0 = DiscreteMeasure.from_json(scenario["initial_law"])
+            result = dpp.solve(model, mu0)
+            _, rollout = dpp.rollforward(model, mu0, result.optimal_policy_sequence)
+            assert len(laws) == len(rollout) == model.horizon + 1
+            for k, (got, direct) in enumerate(zip(laws, rollout)):
+                assert np.array_equal(got.support, direct.support)
+                assert np.max(np.abs(got.weights - direct.weights)) <= 1e-12
+                assert (k, got.key_on_grid(model.states)) in result.value_cache
+            grid = [law.weights_on_grid(model.states) for law in laws]
+            assert [(k, i) for k, i, _ in rows] == [(k, i) for k in range(len(laws))
+                                                    for i in range(model.n_states)]
+            assert max(abs(w - grid[k][i]) for k, i, w in rows) <= 1e-12
 
     def test_node_budget_failure_is_numerical(self, tmp_path):
         cfg = _stage(tmp_path, "finite_mean_reverting.json")
@@ -729,6 +772,7 @@ def _assert_contract(files, argv):
                 if path.endswith(".json") and path not in files:
                     with open(path) as fh:
                         json.load(fh, parse_constant=_strict)
+            return code
         finally:
             os.chdir(cwd)
 
@@ -745,6 +789,27 @@ def test_cli_contract_on_mutated_fixtures(case):
         argv += ["--n-particles", "20", "--seed", "1"]
         argv += ["--policy", "zero"] if finite else []
     _assert_contract({"scenario.json": data}, argv)
+
+
+@functools.cache
+def _finite_zero_tree_size():
+    from conftest import load_finite
+    from mfctrl import dpp
+    return dpp.solve(*load_finite("finite_zero.json")).reachable_tree_size
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(st.integers(), st.integers(-3, 12),
+                 st.sampled_from([0, -1, 2**63, -(2**63), 10**100, -(10**100)])))
+def test_cli_contract_on_node_budget_flag(budget):
+    """``solve-finite --node-budget`` on a small fixture: budgets below 1 exit 2,
+    budgets below the tree size exit 3, and any larger budget solves it; a
+    huge budget only lifts the cap, so nothing larger than the tree is built."""
+    data = json.loads(fixture_text("finite_zero.json"))
+    code = _assert_contract({"scenario.json": data},
+                            ["solve-finite", "scenario.json", "--node-budget", str(budget)])
+    assert code == (2 if budget < 1 else 3 if budget < _finite_zero_tree_size() else 0)
 
 
 @functools.lru_cache(maxsize=None)

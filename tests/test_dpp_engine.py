@@ -92,6 +92,8 @@ def assert_matches_reference(model, mu0):
     assert result.reachable_tree_size == ref.reachable_tree_size
     assert _action_indices(model, result) == _action_indices(model, ref)
     assert result.v0 == pytest.approx(ref.v0, abs=1e-12)
+    assert len(result.optimal_law_path) == model.horizon + 1
+    np.testing.assert_allclose(result.optimal_law_path, ref.optimal_law_path, rtol=0, atol=1e-12)
     assert set(result.value_cache) == set(ref.value_cache)
     for key, node in ref.value_cache.items():
         got = result.value_cache[key]
@@ -158,7 +160,8 @@ def test_solve_result_and_value_node_are_dataclasses():
     model, mu0 = load_finite("finite_mean_reverting.json")
     result = dpp.solve(model, mu0)
     assert [f.name for f in dataclasses.fields(result)] == [
-        "v0", "optimal_policy_sequence", "reachable_tree_size", "value_cache"]
+        "v0", "optimal_policy_sequence", "optimal_law_path", "reachable_tree_size",
+        "value_cache"]
     assert [f.name for f in dataclasses.fields(dpp.ValueNode)] == [
         "stage", "measure", "value", "argmin_policy"]
     # equality and replace read the value cache like any other field
@@ -169,7 +172,8 @@ def test_solve_result_and_value_node_are_dataclasses():
     node.measure = mu0
     assert result.node(0, mu0, model.states).measure is mu0
     rebuilt = dpp.SolveResult(result.v0, result.optimal_policy_sequence,
-                              result.reachable_tree_size, dict(result.value_cache))
+                              result.optimal_law_path, result.reachable_tree_size,
+                              dict(result.value_cache))
     assert rebuilt == result
 
 

@@ -19,7 +19,7 @@ def test_terminal_tensor_with_state_only_pair_cost():
                           model.stage_cost,
                           lambda i, mu: float(model.states[i][0]),
                           first_order=spec)
-    tensor = dpp.first_order_value_tensor(probe, probe.horizon)
+    tensor = dpp.first_order_value_tensors(probe)[probe.horizon]
     np.testing.assert_allclose(tensor, [[0.0, 0.0], [1.0, 1.0]], atol=1e-15)
     integral = dpp._integrate_tensor(tensor, mu0.weights_on_grid(model.states))
     assert integral == pytest.approx(float(mu0.mean()[0]), abs=1e-15)
@@ -67,9 +67,3 @@ def test_size_guard():
                         first_order=model.first_order)
     with pytest.raises(dpp.BudgetExceeded):
         dpp.first_order_value_tensors(big)
-
-
-def test_stage_bounds_checked():
-    model, _ = load_finite("fo_coupled_costs.json")
-    with pytest.raises(ValueError, match="out of range"):
-        dpp.first_order_value_tensor(model, model.horizon + 1)

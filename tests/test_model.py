@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import load_finite, scalar_only
+from conftest import load_finite, random_finite_model, scalar_only
 from test_dpp_engine import TAG_CONFIGS
+from validate_reference import reference_validate
 from mfctrl.fixtures import list_fixtures, load_fixture
 from mfctrl.measure import DiscreteMeasure
 from mfctrl.model import (
@@ -288,3 +289,62 @@ def test_non_finite_params_rejected(fixture, block, path, value):
     target[path[-1]] = value
     with pytest.raises(ValueError, match=f"{block} param '{path[0]}' has non-finite entries"):
         finite_model_from_config(config)
+
+
+def _injected(model, rows=None, costs=None, terminal=None):
+    """``model`` with the kernel row ``rows[k, i, a]``, the stage cost ``costs[k, i, a]``
+    and the terminal cost ``terminal[i]`` put in at the listed cells."""
+    rows, costs, terminal = rows or {}, costs or {}, terminal or {}
+
+    def kernel(k, i, mu, a, lam):
+        return np.array(rows[k, i, a]) if (k, i, a) in rows else model.kernel(k, i, mu, a, lam)
+
+    def stage_cost(k, i, mu, a, lam):
+        return costs.get((k, i, a), model.stage_cost(k, i, mu, a, lam))
+
+    def terminal_cost(i, mu):
+        return terminal.get(i, model.terminal_cost(i, mu))
+
+    return FiniteMFModel(model.states, model.actions, model.horizon, kernel, stage_cost,
+                         terminal_cost)
+
+
+def _validate_cases():
+    base = random_finite_model(np.random.default_rng(5), 4, 3, 3)   # 720 stage tuples
+    cases = {}
+    for name in FINITE_FIXTURES:
+        model, mu0 = load_finite(name)
+        cases[name] = (model, [mu0])
+    cases["injected:rows_costs"] = (_injected(
+        base,
+        rows={(0, 1, 0): [0.5, 0.6, 0.1, 0.0], (1, 3, 2): [1.2, -0.3, 0.1, 0.0],
+              (2, 0, 1): [1.2, -0.3, 0.5, 0.0], (2, 2, 2): [np.nan, 1.0, 0.0, 0.0]},
+        costs={(0, 2, 1): np.inf, (1, 3, 2): np.nan, (2, 0, 0): -np.inf},
+        terminal={1: np.nan}), [])
+    cases["injected:misshapen"] = (_injected(
+        base,
+        rows={(0, 0, 1): [1.0, 0.0], (1, 2, 0): [[0.25] * 4], (2, 3, 2): [0.7, 0.7, 0.0, 0.0]},
+        costs={(0, 0, 1): np.inf, (2, 3, 2): np.nan}), [DiscreteMeasure.uniform(base.states)])
+    return cases
+
+
+VALIDATE_CASES = _validate_cases()
+INJECTED_KINDS = {"injected:rows_costs": {"row_mass", "row_negative", "cost", "terminal"},
+                  "injected:misshapen": {"row_shape", "row_mass", "cost"}}
+
+
+@pytest.mark.parametrize("max_tuples", [5, 64, 512, 10**6])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
+def test_validate_draws_and_reports_like_the_tuple_lists(name, seed, max_tuples):
+    model, extra = VALIDATE_CASES[name]
+    report = validate(model, extra_measures=extra, max_tuples=max_tuples, seed=seed)
+    assert report == reference_validate(model, extra_measures=extra, max_tuples=max_tuples,
+                                        seed=seed)
+    if max_tuples >= 512:
+        assert report.ok == (not name.startswith("injected:"))
+    if max_tuples == 10**6 and name.startswith("injected:"):
+        assert {v["kind"] for v in report.violations} == INJECTED_KINDS[name]
+        # a misshapen row hides the non-finite cost at its cell
+        assert not any(v["kind"] == "cost" and (v["stage"], v["state"], v["action"]) == (0, 0, 1)
+                       for v in report.violations)
