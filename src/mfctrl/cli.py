@@ -26,14 +26,17 @@ import numpy as np
 
 from . import dpp, verify
 from .lq import (AffinePolicy, ConditionsNotMet, LQModel, NotPositiveDefinite, array_fields,
-                 explicit_control_coefficients, mean_variance_closed_form, mean_variance_model,
-                 optimal_policy, solve_riccati, value_at)
+                 as_integer, explicit_control_coefficients, mean_variance_closed_form,
+                 mean_variance_model, optimal_policy, solve_riccati, value_at)
 from .measure import DiscreteMeasure, TabularMap
 from .model import finite_model_from_config
 from .particles import simulate
 
 CONFIG_ERROR = 2
 NUMERICAL_ERROR = 3
+# the largest ``meanvariance --n`` and ``simulate --n-particles``, checked before any work
+MAX_STAGES = 10**6
+MAX_PARTICLES = 10**8
 
 
 class ConfigError(ValueError):
@@ -80,15 +83,6 @@ def _finite_from_scenario(data):
     return model, mu0
 
 
-def _integer(value, what):
-    """``value`` as an int. JSON integers and integral floats pass; other
-    numbers, bools and strings are config errors, never truncated."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _real(value, what):
     """``value`` as a float. JSON numbers pass; bools and strings are config
     errors, never converted."""
@@ -104,7 +98,7 @@ def _mv_params(payload):
         raise ConfigError(f"mean-variance model needs gamma, b, sigma, delta, n, x0: {exc}")
     n = fields.pop("n")
     return ({k: _real(v, f"mean-variance model field {k!r}") for k, v in fields.items()}
-            | {"n": _integer(n, "mean-variance model field 'n'")})
+            | {"n": as_integer(n, "mean-variance model field 'n'")})
 
 
 def _lq_from_scenario(data):
@@ -293,8 +287,8 @@ def _cmd_solve_finite(args):
     model, mu0 = _finite_from_scenario(data)
     budget = args.node_budget
     if budget is None:
-        budget = _integer(data.get("run", {}).get("node_budget", dpp.DEFAULT_NODE_BUDGET),
-                          "run.node_budget")
+        budget = as_integer(data.get("run", {}).get("node_budget", dpp.DEFAULT_NODE_BUDGET),
+                            "run.node_budget")
     if budget < 1:
         raise ConfigError(f"node budget must be at least 1, got {budget}")
     result = dpp.solve(model, mu0, node_budget=budget)
@@ -350,12 +344,11 @@ def _cmd_riccati(args):
 
 
 def _cmd_meanvariance(args):
-    model = mean_variance_model(args.gamma, args.b, args.sigma, args.delta,
-                                args.n, args.x0)
-    closed = mean_variance_closed_form(args.gamma, args.b, args.sigma,
-                                       args.delta, args.n)
-    params = {"gamma": args.gamma, "b": args.b, "sigma": args.sigma,
-              "delta": args.delta, "n": args.n, "x0": args.x0}
+    if args.n > MAX_STAGES:
+        raise ConfigError(f"--n must be at most {MAX_STAGES}, got {args.n}")
+    params = {key: getattr(args, key) for key in ("gamma", "b", "sigma", "delta", "n", "x0")}
+    model = mean_variance_model(**params)
+    closed = mean_variance_closed_form(args.gamma, args.b, args.sigma, args.delta, args.n)
     _, payload = _lq_payload(model, closed, DiscreteMeasure.dirac([args.x0]))
     _write_json(args.out, {"params": params} | payload)
     return 0
@@ -379,9 +372,9 @@ def _load_policy(args, model, data):
 
 
 def _cmd_simulate(args):
-    if args.n_particles < 2:
-        raise ConfigError(f"--n-particles must be at least 2 for a standard error, "
-                          f"got {args.n_particles}")
+    if not 2 <= args.n_particles <= MAX_PARTICLES:
+        raise ConfigError(f"--n-particles must be from 2 (for a standard error) to "
+                          f"{MAX_PARTICLES}, got {args.n_particles}")
     data = _load_scenario(args.config)
     if data["kind"] in ("lq", "meanvariance"):
         model = _lq_from_scenario(data)

@@ -17,9 +17,10 @@ One backward pass propagates the weights from the terminal cost:
 :func:`check_conditions` returns its report and :func:`solve_riccati` its
 solution.  The dynamics are stacked once as ``Z = [[B C]; [D H]]``; each stage
 builds one symmetrized matrix ``K + Z' W Z`` holding both control Hessians,
-cross terms and next-weight parts, tested by one eigenvalue call and solved by
-LAPACK ``potrf``/``potrs``.  The coercivity conditions never feed the
-recursion and are tested after the loop, batched.  :func:`optimal_policy`
+cross terms and next-weight parts, and solves it by LAPACK ``potrf``/``potrs``;
+the loop runs only this recursion.  After it, one batch tests the stored stage
+matrices for finiteness and their Hessians for the eigenvalue margin, and the
+coercivity conditions, which never feed the recursion.  :func:`optimal_policy`
 solves every stage at once.
 
 Matrix inverses are never formed: the recursion solves through Cholesky
@@ -64,6 +65,15 @@ def _check_sym(name, mat):
     if np.max(np.abs(mat - mat.swapaxes(-1, -2))) > SYM_TOL:
         raise ValueError(f"{name} is not symmetric within {SYM_TOL}")
     return _sym(mat)
+
+
+def as_integer(value, what) -> int:
+    """``value`` as an int. JSON integers and integral floats pass; other
+    numbers, bools and strings raise ``ValueError``, never truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _min_eig(mats) -> np.ndarray:
@@ -203,21 +213,22 @@ class LQModel:
         stages = payload["stages"]
         fields = {key: np.array([s[key] for s in stages], dtype=float)
                   for key in cls._STAGE_KEYS}
-        if "horizon" in payload and int(payload["horizon"]) != len(stages):
-            raise ValueError(f"declared horizon {payload['horizon']} but "
+        declared = {key: as_integer(payload[key], key)
+                    for key in ("horizon", "state_dim", "control_dim") if key in payload}
+        if declared.get("horizon", len(stages)) != len(stages):
+            raise ValueError(f"declared horizon {declared['horizon']} but "
                              f"{len(stages)} stage blocks")
-        declared = (payload.get("state_dim"), payload.get("control_dim"))
+        dims = (declared.get("state_dim"), declared.get("control_dim"))
         got = fields["drift_control"].shape[1:]
-        if any(v is not None and int(v) != g for v, g in zip(declared, got)):
-            raise ValueError(f"declared dims {declared} do not match stage blocks {got}")
+        if any(v is not None and v != g for v, g in zip(dims, got)):
+            raise ValueError(f"declared dims {dims} do not match stage blocks {got}")
         init = payload["initial_law"]
         measure = None
         if "measure" in init:
             measure = DiscreteMeasure.from_json(init["measure"])
             mean, cov = measure.mean(), measure.covariance()
         else:
-            mean = np.asarray(init["mean"], dtype=float)
-            cov = np.asarray(init["cov"], dtype=float)
+            mean, cov = np.asarray(init["mean"], dtype=float), np.asarray(init["cov"], dtype=float)
         term = payload["terminal"]
         return cls(
             terminal_state=np.asarray(term["cost_state"], dtype=float),
@@ -282,19 +293,11 @@ def _stacked_stages(model: LQModel):
     return dyn, cost
 
 
-def _stage_matrix(cost, dyn, weights):
-    """Symmetrized ``K + Z' W Z`` of one stage, ``W = blkdiag(lam, lam | gam, lam)``: per
-    component, the next weights' quadratic part, cross term and control Hessian."""
-    return _sym(cost + dyn.swapaxes(-1, -2) @ weights @ dyn)
-
-
-def _potrf(mat):
-    """Lower Cholesky factor by LAPACK, without SciPy's checks (``mat`` is finite)."""
-    factor, info = dpotrf(mat, lower=1, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    return factor
+def _stage_matrix(cost, dyn, weights, out):
+    """Write ``_sym(K + Z' W Z)`` of one stage, ``W = blkdiag(lam, lam | gam, lam)``, into
+    ``out``: per component, the next weights' quadratic part, cross term and control Hessian."""
+    full = cost + dyn.swapaxes(-1, -2) @ weights @ dyn
+    np.multiply(0.5, np.add(full, full.swapaxes(-1, -2), out=out), out=out)
 
 
 def array_fields(record) -> dict:
@@ -423,20 +426,15 @@ def _backward_pass(model: LQModel):
     naming its stage.
     """
     n, d, m = model.horizon, model.state_dim, model.control_dim
-    var_weight = np.zeros((n + 1, d, d))
-    mean_weight = np.zeros((n + 1, d, d))
-    linear = np.zeros((n + 1, d))
-    constant = np.zeros(n + 1)
-    mean_transition = np.zeros((n, d, d))
-    hessian_mats, cross_mats = np.zeros((2, n, m, m)), np.zeros((2, n, d, m))
-    var_weight[n] = model.terminal_state
-    mean_weight[n] = model.terminal_state + model.terminal_state_mean
+    weight = np.zeros((n + 1, 2, d, d))   # per stage, var_weight and mean_weight
+    linear, constant = np.zeros((n + 1, d)), np.zeros(n + 1)
+    mean_transition, stages = np.zeros((n, d, d)), np.zeros((n, 2, d + m, d + m))
+    weight[n] = model.terminal_state, model.terminal_state + model.terminal_state_mean
     linear[n] = model.terminal_linear + model.terminal_linear_mean
 
     # the conditions on the model alone, each batched over the stages
-    terminal_failures = [what for what, mat in (
-        ("terminal state cost not PSD", var_weight[n]),
-        ("terminal state+mean cost not PSD", mean_weight[n]))
+    terminal_failures = [what for what, mat in zip(
+        ("terminal state cost not PSD", "terminal state+mean cost not PSD"), weight[n])
         if not _min_eig(mat) >= PSD_EIG_TOL]
     dyn, cost = _stacked_stages(model)
     control_eig = _min_eig(cost[:, :, d:, d:])
@@ -451,35 +449,50 @@ def _backward_pass(model: LQModel):
 
     weights = np.zeros((2, 2 * d, 2 * d))
     rhs, gains = np.zeros((m, d + 1)), np.zeros((2, m, d))
-    first, error = 0, None
+    low, info = 0, 0
     for k in range(n - 1, -1, -1):
-        lam, gam, ell = var_weight[k + 1], mean_weight[k + 1], linear[k + 1]
+        (lam, gam), ell, stage = weight[k + 1], linear[k + 1], stages[k]
         weights[0, :d, :d] = weights[:, d:, d:] = lam
         weights[1, :d, :d] = gam
-        stage = _stage_matrix(cost[k], dyn[k], weights)
-        if not np.isfinite(stage).all():
-            raise _not_finite(k)
-        hessians = stage[:, d:, d:]
-        if not np.linalg.eigvalsh(hessians).min() > PD_EIG_TOL:
-            first, error = k, _hessian_error(k, hessians)
+        _stage_matrix(cost[k], dyn[k], weights, stage)
+        dev_factor, dev_info = dpotrf(stage[0, d:, d:], lower=1, clean=0)
+        mean_factor, mean_info = dpotrf(stage[1, d:, d:], lower=1, clean=0)
+        if dev_info or mean_info:
+            low, info = k, dev_info or mean_info
             break
         # the mean solve carries the offset's right-hand side as one more column
         mean_control = dyn[k, 1, :d, d:]
         rhs[:, :d] = stage[1, d:, :d]
         rhs[:, d] = ell @ mean_control
-        gains[0] = dpotrs(_potrf(hessians[0]), stage[0, d:, :d], lower=1)[0]
-        mean_gain = dpotrs(_potrf(hessians[1]), rhs, lower=1)[0]
+        gains[0] = dpotrs(dev_factor, stage[0, d:, :d], lower=1)[0]
+        mean_gain = dpotrs(mean_factor, rhs, lower=1)[0]
         gains[1] = mean_gain[:, :d]
-        var_weight[k], mean_weight[k] = _sym(stage[:, :d, :d] - stage[:, :d, d:] @ gains)
+        weight[k] = _sym(stage[:, :d, :d] - stage[:, :d, d:] @ gains)
         mean_transition[k] = dyn[k, 1, :d, :d] - mean_control @ gains[1]
         linear[k] = cost_linear[k] + ell @ mean_transition[k]
         constant[k] = constant[k + 1] - 0.25 * float(rhs[:, d] @ mean_gain[:, d])
-        hessian_mats[:, k], cross_mats[:, k] = hessians, stage[:, :d, d:]
+
+    # the stage tests, in the order of the recursion: the highest failing stage
+    # decides, a non-finite stage matrix before its margin; eigvalsh sees no NaN
+    finite = np.isfinite(stages[low:]).all(axis=(1, 2, 3))
+    failed = ~finite
+    failed[finite] = ~(np.linalg.eigvalsh(stages[low:][finite, :, d:, d:]).min(axis=(1, 2))
+                       > PD_EIG_TOL)
+    first, error = 0, None
+    if failed.any():
+        first = low + int(np.flatnonzero(failed)[-1])
+        if not finite[first - low]:
+            raise _not_finite(first)
+        error = _hessian_error(first, stages[first, :, d:, d:])
+        weight[:first + 1] = linear[:first + 1] = constant[:first + 1] = 0.0
+    elif info:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
     finite = np.isfinite(linear).all(axis=1) & np.isfinite(constant)
-    for weight in (var_weight, mean_weight):
-        finite &= np.isfinite(weight).all(axis=(1, 2))
+    finite &= np.isfinite(weight).all(axis=(1, 2, 3))
     if not finite.all():
         raise _not_finite(int(np.flatnonzero(~finite)[-1]))
+    var_weight, mean_weight = weight.swapaxes(0, 1).copy()
 
     # the coercivity alternatives meet the weights of the next stage
     lam_pd = (_min_eig(var_weight[first + 1:]) > PD_EIG_TOL).tolist()
@@ -501,8 +514,10 @@ def _backward_pass(model: LQModel):
     report = ConditionReport(rows, not terminal_failures, terminal_failures, first_failure)
     if error is not None:
         return report, None, error
-    return report, RiccatiSolution(var_weight, mean_weight, linear, constant, *hessian_mats,
-                                   *cross_mats, mean_transition), None
+    parts = stages.swapaxes(0, 1)   # the stage matrices by component, (2, n, d+m, d+m)
+    return report, RiccatiSolution(var_weight, mean_weight, linear, constant,
+                                   *parts[..., d:, d:].copy(), *parts[..., :d, d:].copy(),
+                                   mean_transition), None
 
 
 def check_conditions(model: LQModel) -> ConditionReport:
@@ -560,12 +575,11 @@ def mean_variance_closed_form(gamma: float, b: float, sigma: float, delta: float
     dev = (sigma**2 * delta + b**2 * delta**2) * lam_next
     mean_h = sigma**2 * delta * lam_next
     cross = b * delta * lam_next
-    shape4 = lambda v, extra: v.reshape((-1,) + extra)
     return RiccatiSolution(
-        var_weight=shape4(lam, (1, 1)), mean_weight=np.zeros((n + 1, 1, 1)),
+        var_weight=lam.reshape(-1, 1, 1), mean_weight=np.zeros((n + 1, 1, 1)),
         linear=np.full((n + 1, 1), -1.0), constant=chi,
-        dev_hessian=shape4(dev, (1, 1)), mean_hessian=shape4(mean_h, (1, 1)),
-        dev_cross=shape4(cross, (1, 1)), mean_cross=np.zeros((n, 1, 1)),
+        dev_hessian=dev.reshape(-1, 1, 1), mean_hessian=mean_h.reshape(-1, 1, 1),
+        dev_cross=cross.reshape(-1, 1, 1), mean_cross=np.zeros((n, 1, 1)),
         mean_transition=np.ones((n, 1, 1)),
     )
 
@@ -587,9 +601,8 @@ class AffinePolicy:
     offset: np.ndarray       # (n, m)
 
     def __post_init__(self):
-        self.gain_state = np.asarray(self.gain_state, dtype=float)
-        self.gain_mean = np.asarray(self.gain_mean, dtype=float)
-        self.offset = np.asarray(self.offset, dtype=float)
+        for name in ("gain_state", "gain_mean", "offset"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         n, m, d = self.gain_state.shape
         if self.gain_mean.shape != (n, m, d) or self.offset.shape != (n, m):
             raise ValueError("inconsistent policy coefficient shapes")
@@ -637,9 +650,7 @@ class AffinePolicy:
     def from_json(cls, payload) -> "AffinePolicy":
         if isinstance(payload, str):
             payload = json.loads(payload)
-        return cls(np.asarray(payload["gain_state"], dtype=float),
-                   np.asarray(payload["gain_mean"], dtype=float),
-                   np.asarray(payload["offset"], dtype=float))
+        return cls(payload["gain_state"], payload["gain_mean"], payload["offset"])
 
 
 def optimal_policy(model: LQModel, sol: RiccatiSolution) -> AffinePolicy:
@@ -706,13 +717,8 @@ def value_at(sol: RiccatiSolution, stage: int, law) -> float:
         disp = law.variance_form(sol.var_weight[stage])
         mean = law.mean()
     else:
-        if hasattr(law, "mean") and hasattr(law, "cov"):
-            mean = np.asarray(law.mean, dtype=float)
-            cov = np.asarray(law.cov, dtype=float)
-        else:
-            mean, cov = law
-            mean = np.asarray(mean, dtype=float)
-            cov = np.asarray(cov, dtype=float)
+        mean, cov = (law.mean, law.cov) if hasattr(law, "mean") and hasattr(law, "cov") else law
+        mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
         if mean.shape != (sol.state_dim,) or cov.shape != (sol.state_dim,) * 2:
             raise ValueError("law dimensions do not match the solution")
         disp = float(np.trace(sol.var_weight[stage] @ cov))

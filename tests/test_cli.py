@@ -687,6 +687,85 @@ class TestNonObjectScenario:
             assert main(["riccati", _scenario(tmp_path, data), "--out", str(outs[-1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.parametrize("command", ["riccati", "simulate"])
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 3.5), ("horizon", "3"), ("horizon", True), ("state_dim", "2"),
+        ("state_dim", 2.9), ("control_dim", False), ("control_dim", None)])
+    def test_lq_integer_fields_are_not_truncated(self, tmp_path, capsys, command, field, value):
+        data = json.loads(fixture_text("lq_multivariate.json"))
+        data["model"][field] = value
+        out = tmp_path / "out.json"
+        argv = [command, _scenario(tmp_path, data), "--out", str(out)]
+        argv += ["--n-particles", "10", "--seed", "1"] if command == "simulate" else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad LQ model config: {field} must be an integer, "
+                              f"got {value!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["riccati", "simulate"])
+    def test_lq_integral_float_fields_count_as_integers(self, tmp_path, command):
+        data = json.loads(fixture_text("lq_multivariate.json"))
+        outs = []
+        for cast in (int, float):
+            for field in ("horizon", "state_dim", "control_dim"):
+                data["model"][field] = cast(data["model"][field])
+            outs.append(tmp_path / f"{command}-{cast.__name__}.json")
+            argv = [command, _scenario(tmp_path, data), "--out", str(outs[-1])]
+            argv += ["--n-particles", "10", "--seed", "1"] if command == "simulate" else []
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+class TestSizeGuards:
+    """Sizes above the fixed maxima exit 2 on the arguments alone; nothing that
+    would allocate them is reached."""
+
+    @staticmethod
+    def _unreachable(*args, **kwargs):
+        raise AssertionError("reached past the size guard")
+
+    def test_maxima_lie_far_above_every_test_and_benchmark_size(self):
+        assert cli.MAX_STAGES >= 100 * workloads.MV_STAGES
+        assert cli.MAX_PARTICLES >= 100 * workloads.N_PARTICLES
+
+    @pytest.mark.parametrize("excess", [1, 10**12])
+    def test_meanvariance_horizon_above_the_maximum(self, tmp_path, capsys, monkeypatch,
+                                                    excess):
+        monkeypatch.setattr(cli, "mean_variance_model", self._unreachable)
+        monkeypatch.setattr(cli, "mean_variance_closed_form", self._unreachable)
+        out = tmp_path / "mv.json"
+        assert main(["meanvariance", "--gamma", "1", "--b", "0.5", "--sigma", "1", "--delta",
+                     "1", "--n", str(cli.MAX_STAGES + excess), "--x0", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --n must be at most {cli.MAX_STAGES}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("excess", [1, 10**12])
+    def test_simulate_particles_above_the_maximum(self, tmp_path, capsys, monkeypatch, excess):
+        monkeypatch.setattr(cli, "_load_scenario", self._unreachable)
+        monkeypatch.setattr(cli, "simulate", self._unreachable)
+        out = tmp_path / "sim.json"
+        assert main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
+                     str(cli.MAX_PARTICLES + excess), "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --n-particles must be from 2")
+        assert str(cli.MAX_PARTICLES) in err and not out.exists()
+
+    def test_the_maxima_themselves_pass(self, tmp_path, capsys, monkeypatch):
+        def reached(*args, **kwargs):
+            raise ValueError("reached")
+
+        monkeypatch.setattr(cli, "mean_variance_model", reached)
+        monkeypatch.setattr(cli, "simulate", reached)
+        assert main(["meanvariance", "--gamma", "1", "--b", "0.5", "--sigma", "1", "--delta",
+                     "1", "--n", str(cli.MAX_STAGES), "--x0", "1"]) == 2
+        assert main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
+                     str(cli.MAX_PARTICLES), "--seed", "1", "--out",
+                     str(tmp_path / "sim.json")]) == 2
+        assert capsys.readouterr().err == "config error: reached\n" * 2
+
 
 # -- CLI contract fuzz ---------------------------------------------------------
 
@@ -810,6 +889,43 @@ def test_cli_contract_on_node_budget_flag(budget):
     code = _assert_contract({"scenario.json": data},
                             ["solve-finite", "scenario.json", "--node-budget", str(budget)])
     assert code == (2 if budget < 1 else 3 if budget < _finite_zero_tree_size() else 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["lq_mean_variance.json", "lq_multivariate.json",
+                        "finite_mean_reverting.json"]),
+       st.one_of(st.integers(-3, 10**4), st.sampled_from([-(2**63), 0, 1, 2, 10**4])),
+       st.one_of(st.integers(0, 2**32), st.integers(),
+                 st.sampled_from([-1, 0, 2**64 - 1, 2**64, -(2**64)])))
+def test_cli_contract_on_simulate_flags(name, n_particles, seed):
+    """``simulate --n-particles/--seed`` on small fixtures, at most 10^4
+    particles: counts below 2 and seeds outside [0, 2^64) exit 2, the rest run."""
+    argv = ["simulate", "scenario.json", f"--n-particles={n_particles}", f"--seed={seed}"]
+    argv += ["--policy", "zero"] if name.startswith("finite_") else []
+    code = _assert_contract({"scenario.json": json.loads(fixture_text(name))}, argv)
+    assert code == (0 if n_particles >= 2 and 0 <= seed < 2**64 else 2)
+
+
+# three draws in four lie in the model's domain
+_MV_FLOATS = st.one_of(*[st.floats(0.05, 4.0)] * 3, st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-200, 1e200, 1.7e308])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.fixed_dictionaries({flag: _MV_FLOATS for flag in ("gamma", "b", "sigma", "delta",
+                                                            "x0")}),
+       st.one_of(st.integers(1, 1000), st.integers(-2, 0)))
+def test_cli_contract_on_meanvariance_flags(params, n):
+    """The ``meanvariance`` float flags, NaN and infinities included, at horizons
+    of at most 10^3, keep the contract; parameters outside the model's domain
+    exit 2 (so do those whose model coefficients overflow)."""
+    argv = ["meanvariance", f"--n={n}"] + [f"--{flag}={value!r}" for flag, value in params.items()]
+    code = _assert_contract({}, argv)
+    if not (all(map(math.isfinite, params.values())) and n >= 1
+            and min(params["gamma"], params["sigma"], params["delta"]) > 0):
+        assert code == 2
 
 
 @functools.lru_cache(maxsize=None)

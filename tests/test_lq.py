@@ -239,6 +239,18 @@ class TestConditions:
         solve_riccati(random_lq_model(np.random.default_rng(5), 2, 2, 5))
         assert len(calls) == 5
 
+    def test_eigenvalue_calls_do_not_grow_with_the_horizon(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+        counts = []
+        for n in (2, 5, 40):
+            calls.clear()
+            solve_riccati(random_lq_model(np.random.default_rng(5), 2, 2, n))
+            counts.append(len(calls))
+        assert counts == [counts[0]] * 3
+
     def test_refusal_carries_the_checked_report(self):
         model = mean_variance_model(1.0, 0.5, 1.0, 1.0, 3, 1.0)
         payload = model.to_json()
@@ -455,10 +467,69 @@ class TestSerialization:
             LQModel.from_json(payload)
 
 
+def _staged_lq(n, stages, **coefficients):
+    """``scalar_lq(n, **coefficients)`` with some fields of some stages replaced:
+    ``stages`` maps a stage to ``{field: value}``."""
+    payload = scalar_lq(n=n, **coefficients).to_json()
+    for k, replaced in stages.items():
+        for name, value in replaced.items():
+            payload["stages"][k][name] = [[value]]
+    return LQModel.from_json(payload)
+
+
+def _not_finite_at(k):
+    return FloatingPointError, f"Riccati recursion not finite at stage {k}"
+
+
+def _failure_order_models():
+    """Models where two stages fail, or a stage turns non-finite, each with the
+    error of a forced solve: the highest failing stage decides, and there a
+    non-finite stage matrix comes before the eigenvalue margin."""
+    base = dict(B=1.0, C=1.0, R=1.0, QT=1.0)
+    # both Hessians are 1e-11: Cholesky factors them, the margin fails
+    margin = dict(drift_control=0.0, cost_control=1e-11)
+    at_2 = (NotPositiveDefinite, "control Hessian not positive definite at stage 2")
+    # d = 1, m = 3: the control cost passes the margin (its smallest
+    # eigenvalue computes to 0.35) but has no Cholesky factor
+    no_factor = np.eye(3)[None].repeat(3, axis=0)
+    no_factor[1] = [[2739301022055814.5, -980057451425627.9, 6960444662946534.0],
+                    [-980057451425627.9, 1058488305830348.9, -1975269408288238.2],
+                    [6960444662946534.0, -1975269408288238.2, 1.8060899824724184e+16]]
+    drift_control = np.ones((3, 1, 3))
+    drift_control[1] = 0.0
+    zeros = lambda *shape: np.zeros((3,) + shape)
+    return [
+        (_staged_lq(4, {2: margin}, **base), at_2),
+        # the stage-3 Hessian overflows, above a margin failure at stage 1
+        (_staged_lq(4, {3: dict(drift_control=1e200), 1: margin}, **base), _not_finite_at(3)),
+        # the stage-0 Hessian overflows, below the margin failure at stage 2
+        (_staged_lq(4, {2: margin, 0: dict(drift_control=1e200)}, **base), at_2),
+        # the mean Hessian of stage 2 is 1e-11, and the update that divides by
+        # it overflows, so the weights below the margin failure are not finite
+        (_staged_lq(3, {2: dict(drift_state=1e150, cost_control_mean=-2.0)},
+                    QTbar=1e-11, **base), at_2),
+        # the mean Schur complement of stage 2 overflows to -inf, which stage 1,
+        # with no state drift, multiplies by 0: its stage matrix holds NaN
+        (_staged_lq(3, {2: dict(drift_state=1e150, cost_control_mean=-2.0),
+                        1: dict(drift_state=0.0)}, QTbar=1e-9, **base), _not_finite_at(1)),
+        (LQModel(drift_state=np.ones((3, 1, 1)), drift_state_mean=zeros(1, 1),
+                 drift_control=drift_control, drift_control_mean=zeros(1, 3),
+                 noise_state=zeros(1, 1), noise_state_mean=zeros(1, 1),
+                 noise_control=zeros(1, 3), noise_control_mean=zeros(1, 3),
+                 cost_state=zeros(1, 1), cost_state_mean=zeros(1, 1),
+                 cost_control=no_factor, cost_control_mean=zeros(3, 3),
+                 cost_linear=zeros(1), cost_linear_mean=zeros(1),
+                 terminal_state=[[1.0]], terminal_state_mean=[[0.0]], terminal_linear=[1.0],
+                 terminal_linear_mean=[0.0], initial_mean=[0.0], initial_cov=[[0.0]]),
+         (np.linalg.LinAlgError, "3-th leading minor of the array is not positive definite")),
+    ]
+
+
 def _parity_models():
-    """Both LQ fixtures and 200 seeded random models.  Every other random
-    model has one stage's control cost, or its mean part, rescaled by a factor
-    in [-8, 1], which makes conditions and often control Hessians fail."""
+    """``(model, error)`` pairs: both LQ fixtures and 200 seeded random models,
+    with ``error`` None, then :func:`_failure_order_models`.  Every other
+    random model has one stage's control cost, or its mean part, rescaled by a
+    factor in [-8, 1], which makes conditions and often control Hessians fail."""
     mv = load_fixture("lq_mean_variance.json")["model"]
     models = [mean_variance_model(**mv),
               LQModel.from_json(load_fixture("lq_multivariate.json")["model"])]
@@ -472,7 +543,7 @@ def _parity_models():
             coefficients[rng.integers(model.horizon)] *= rng.uniform(-8.0, 1.0)
             model = dataclasses.replace(model, **{name: coefficients})
         models.append(model)
-    return models
+    return [(model, None) for model in models] + _failure_order_models()
 
 
 def _outcome(fn, *args, **kwargs):
@@ -499,21 +570,35 @@ class TestReferenceParity:
 
     def test_reports_and_exceptions_match(self, models):
         outcomes = set()
-        for model in models:
+        for model, expected in models:
+            if expected is not None and expected[0] is FloatingPointError:
+                # beyond the reference: every solve names the non-finite stage
+                for solve in (check_conditions, solve_riccati,
+                              lambda m: solve_riccati(m, force=True)):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        assert _outcome(solve, model)[1] == expected
+                outcomes.add((FloatingPointError, "Riccati recursion not finite"))
+                continue
             assert _outcome(check_conditions, model) == _outcome(
                 lq_reference.check_conditions, model)
             for force in (False, True):
                 error = _outcome(solve_riccati, model, force=force)[1]
                 assert error == _outcome(lq_reference.solve_riccati, model, force=force)[1]
+                if force and expected is not None:
+                    assert error == expected
                 outcomes.add(error and (error[0], error[1].split(" at stage")[0]))
         # the set exercises every way a solve can end
         assert outcomes == {None, (ConditionsNotMet, "conditions violated"),
                             (NotPositiveDefinite, "centered control Hessian not positive definite"),
-                            (NotPositiveDefinite, "mean control Hessian not positive definite")}
+                            (NotPositiveDefinite, "mean control Hessian not positive definite"),
+                            (NotPositiveDefinite, "control Hessian not positive definite"),
+                            (np.linalg.LinAlgError,
+                             "3-th leading minor of the array is not positive definite"),
+                            (FloatingPointError, "Riccati recursion not finite")}
 
     def test_solutions_policies_and_controls_match(self, models):
         solved = 0
-        for model in models:
+        for model, _ in models:
             sol, error = _outcome(solve_riccati, model, force=True)
             if error:
                 continue
