@@ -86,6 +86,8 @@ def _full_row_rank(mats) -> np.ndarray:
     d, m = mats.shape[-2:]
     if m < d:
         return np.zeros(mats.shape[:-2], dtype=bool)
+    if d == 1:   # the one singular value is the row's 2-norm
+        return (mats != 0.0).any(axis=(-2, -1)) & np.isfinite(mats).all(axis=(-2, -1))
     sv = np.linalg.svd(mats, compute_uv=False)
     return (sv[..., 0] != 0.0) & (sv[..., d - 1] >= RANK_REL_TOL * sv[..., 0])
 

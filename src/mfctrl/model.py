@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .lq import as_integer
 from .measure import (
     MASS_TOL,
     MERGE_TOL,
@@ -721,7 +722,7 @@ def finite_model_from_config(config) -> FiniteMFModel:
     actions = _as_points(config["actions"])
     _check_grid("states", states)
     _check_grid("actions", actions)
-    horizon = int(config["horizon"])
+    horizon = as_integer(config["horizon"], "horizon")
     ktag, kparams = _tagged(config, "kernel")
     ctag, cparams = _tagged(config, "stage_cost")
     ttag, tparams = _tagged(config, "terminal_cost")

@@ -16,6 +16,7 @@ The linear-quadratic cloud is a ``(d, N)`` array.  Each stage folds the affine
 policy into its coefficients and makes one pass over the cloud in blocks of
 ``_BLOCK`` particles: one matrix product per block gives the costs and the
 step, and stage moments are combined from per-block moments in block order.
+One worker thread draws the next block's normals; every product runs on the caller.
 
 A finite-model cloud is the grid index of each particle.  Each stage
 evaluates the kernel rows and costs of the stage's law (the empirical one, or
@@ -26,7 +27,9 @@ stage moments come from the state counts.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
@@ -43,6 +46,7 @@ _STREAM_INIT_DISCRETE = 2**33
 _STREAM_KERNEL = 2**34           # + stage
 
 _BLOCK = 2**16   # particles per block of an LQ pass; a multiple of 4
+_CHUNK = 2**14   # columns per matrix product, small enough for OpenBLAS to run on one thread
 
 
 def _raw(seed: int, stream: int, count: int, start: int) -> np.ndarray:
@@ -56,13 +60,15 @@ def _raw(seed: int, stream: int, count: int, start: int) -> np.ndarray:
 def uniforms(seed: int, stream: int, count: int, *, start: int = 0) -> np.ndarray:
     """Deterministic uniforms in (0, 1): draws ``start`` to ``start + count`` of
     the (seed, stream) counter stream; ``start`` must be a multiple of 4."""
-    bits = _raw(seed, stream, count, start) >> np.uint64(11)
-    return (bits.astype(np.float64) + 0.5) * 2.0**-53
+    bits = _raw(seed, stream, count, start)
+    u = np.right_shift(bits, np.uint64(11), out=bits).astype(np.float64)
+    return np.multiply(np.add(u, 0.5, out=u), 2.0**-53, out=u)
 
 
 def normals(seed: int, stream: int, count: int, *, start: int = 0) -> np.ndarray:
     """Deterministic standard normals via the inverse CDF of the uniforms."""
-    return ndtri(uniforms(seed, stream, count, start=start))
+    u = uniforms(seed, stream, count, start=start)
+    return ndtri(u, out=u)
 
 
 @dataclass
@@ -115,6 +121,23 @@ def _blocks(x: np.ndarray):
         yield start, x[..., start:start + _BLOCK]
 
 
+def _ahead(pool, fn, calls):
+    """``fn(*args)`` for each ``args`` of ``calls``, in order; each call is
+    submitted to ``pool`` before the result of the previous one is returned."""
+    futures = (pool.submit(fn, *args) for args in calls)
+    pending = next(futures, None)
+    while pending is not None:
+        pending, done = next(futures, None), pending   # submits the next call first
+        yield done.result()
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` into ``out``, in column chunks of ``_CHUNK`` (each entry is unchanged)."""
+    for start in range(0, b.shape[1], _CHUNK):
+        np.matmul(a, b[:, start:start + _CHUNK], out=out[:, start:start + _CHUNK])
+    return out
+
+
 def _fold(moments, xb: np.ndarray):
     """Chan's update of the running ``(count, mean, M2)`` by the block ``xb``."""
     size, mean = xb.shape[1], xb.mean(axis=1)
@@ -128,8 +151,9 @@ def _fold(moments, xb: np.ndarray):
             prev_m2 + m2 + np.square(delta) * (count * size / total))
 
 
-def _sample_initial_lq(model: LQModel, n: int, seed: int):
-    """The initial ``(d, N)`` cloud, drawn block by block, and its moments."""
+def _sample_initial_lq(model: LQModel, n: int, seed: int, draws):
+    """The initial ``(d, N)`` cloud, drawn block by block, and its moments;
+    ``draws`` yields the normals of each coordinate of each block in turn."""
     x, mu, moments = np.empty((model.state_dim, n)), model.initial_measure, None
     evals, evecs = np.linalg.eigh(model.initial_cov)
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
@@ -139,9 +163,8 @@ def _sample_initial_lq(model: LQModel, n: int, seed: int):
             idx = np.searchsorted(np.cumsum(mu.weights), u, side="right")
             xb[...] = mu.support.T[:, np.minimum(idx, len(mu.weights) - 1)]
         else:
-            z = [normals(seed, _STREAM_INIT_COMPONENT + j, xb.shape[1], start=start)
-                 for j in range(len(x))]
-            xb[...] = root @ z + model.initial_mean[:, None]
+            _matmul(root, np.array([next(draws) for _ in x]), xb)
+            xb += model.initial_mean[:, None]
         moments = _fold(moments, xb)
     return x, moments
 
@@ -149,10 +172,7 @@ def _sample_initial_lq(model: LQModel, n: int, seed: int):
 def _finalize(costs: np.ndarray, means, variances, n: int, seed: int,
               closure: str, clouds) -> SimulationResult:
     estimate = float(np.sum(costs) / n)   # fixed index order, pairwise summation
-    if n >= 2:
-        se = float(np.std(costs, ddof=1) / np.sqrt(n))
-    else:
-        se = float("nan")
+    se = float(np.std(costs, ddof=1) / np.sqrt(n)) if n >= 2 else float("nan")
     return SimulationResult(estimate, se, n, seed, closure,
                             np.array(means), np.array(variances), clouds)
 
@@ -192,27 +212,34 @@ def _simulate_lq(model: LQModel, policy: AffinePolicy, n: int, seed: int,
     d = model.state_dim
     costs = np.zeros(n)
     means, variances, clouds = [], [], ([] if keep_clouds else None)
-    x, moments = _sample_initial_lq(model, n, seed)
+    # (stream, start) of each block's normals, in the order the pass uses them
+    starts, gaussian = range(0, n, _BLOCK), model.initial_measure is None
+    calls = chain(((_STREAM_INIT_COMPONENT + j, s) for s in starts for j in range(d) if gaussian),
+                  ((_STREAM_STAGE_NOISE + k, s) for k in range(model.horizon) for s in starts))
     scratch = np.empty((3 * d + 1, min(n, _BLOCK)))
-    for k in range(model.horizon + 1):
-        _, mean, m2 = moments
-        means.append(mean)
-        variances.append(m2 / (n - 1) if n > 1 else np.zeros(d))
-        if keep_clouds:
-            clouds.append(ParticleCloud(x.T.copy(), k, seed))
-        ref = oracle[k].mean if oracle is not None else mean
-        W, const, offset = _stage_coefficients(model, policy, k, ref)
-        for start, xb in _blocks(x):
-            y = np.matmul(W, xb, out=scratch[:len(W), :xb.shape[1]])
-            quad = np.multiply(y[-d - 1:-1], xb, out=y[-d - 1:-1])
-            costs[start:start + xb.shape[1]] += quad.sum(axis=0) + (y[-1] + const)
-            if offset is not None:
-                # x <- (drift + drift offset) + (scale + scale offset) * eps, in place
-                step = y[:2 * d]
-                step += offset
-                step[d:] *= normals(seed, _STREAM_STAGE_NOISE + k, xb.shape[1], start=start)
-                np.add(step[:d], step[d:], out=xb)
-                moments = _fold(moments if start else None, xb)   # restarts at block 0
+    with ThreadPoolExecutor(1) as pool:   # draws each block's normals during the block before
+        draws = _ahead(pool, lambda stream, start: normals(
+            seed, stream, min(_BLOCK, n - start), start=start), calls)
+        x, moments = _sample_initial_lq(model, n, seed, draws)
+        for k in range(model.horizon + 1):
+            _, mean, m2 = moments
+            means.append(mean)
+            variances.append(m2 / (n - 1) if n > 1 else np.zeros(d))
+            if keep_clouds:
+                clouds.append(ParticleCloud(x.T.copy(), k, seed))
+            ref = oracle[k].mean if oracle is not None else mean
+            W, const, offset = _stage_coefficients(model, policy, k, ref)
+            for start, xb in _blocks(x):
+                y = _matmul(W, xb, scratch[:len(W), :xb.shape[1]])
+                quad = np.multiply(y[-d - 1:-1], xb, out=y[-d - 1:-1])
+                costs[start:start + xb.shape[1]] += quad.sum(axis=0) + (y[-1] + const)
+                if offset is not None:
+                    # x <- (drift + drift offset) + (scale + scale offset) * eps, in place
+                    step = y[:2 * d]
+                    step += offset
+                    step[d:] *= next(draws)
+                    np.add(step[:d], step[d:], out=xb)
+                    moments = _fold(moments if start else None, xb)   # restarts at block 0
     return _finalize(costs, means, variances, n, seed, closure, clouds)
 
 

@@ -716,6 +716,33 @@ class TestNonObjectScenario:
             assert main(argv) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @staticmethod
+    def _finite_argv(command, path, out):
+        tail = ["--n-particles", "10", "--seed", "1", "--policy", "zero"]
+        return [command, path, "--out", str(out)] + (tail if command == "simulate" else [])
+
+    @pytest.mark.parametrize("command", ["solve-finite", "simulate"])
+    @pytest.mark.parametrize("value", [2.5, "2", True, None])
+    def test_finite_horizon_is_not_truncated(self, tmp_path, capsys, command, value):
+        data = json.loads(fixture_text("finite_zero.json"))
+        data["model"]["horizon"] = value
+        out = tmp_path / "out.json"
+        assert main(self._finite_argv(command, _scenario(tmp_path, data), out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad finite model config: horizon must be an "
+                              f"integer, got {value!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve-finite", "simulate"])
+    def test_finite_integral_float_horizon_counts_as_integer(self, tmp_path, command):
+        data = json.loads(fixture_text("finite_zero.json"))
+        outs = []
+        for horizon in (2, 2.0):
+            data["model"]["horizon"] = horizon
+            outs.append(tmp_path / f"{command}-{horizon!r}.json")
+            assert main(self._finite_argv(command, _scenario(tmp_path, data), outs[-1])) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestSizeGuards:
     """Sizes above the fixed maxima exit 2 on the arguments alone; nothing that

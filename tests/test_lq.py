@@ -274,6 +274,25 @@ class TestConditions:
         assert report.stages[1].nonneg_ok
         assert report.first_failure == (0, "state cost not PSD")
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_row_rank_shortcut_matches_the_svd(self, m):
+        # a 1 x m matrix has one singular value, the row's 2-norm
+        def by_svd(mats):
+            sv = np.linalg.svd(mats, compute_uv=False)
+            return (sv[..., 0] != 0.0) & (sv[..., 0] >= lq.RANK_REL_TOL * sv[..., 0])
+
+        rng = np.random.default_rng(m)
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, 1.0])
+        sparse = rng.standard_normal((200, 2, 1, m)) * (rng.random((200, 2, 1, m)) < 0.5)
+        for mats in (rng.standard_normal((50, 2, 1, m)), sparse,
+                     rng.choice(edges, size=(400, 2, 1, m))):
+            assert np.array_equal(lq._full_row_rank(mats), by_svd(mats))
+        for row, full in (([0.0] * m, False), ([5e-324] + [0.0] * (m - 1), True),
+                          ([1e308] * m, True), ([np.inf] * m, False),
+                          ([-np.inf] + [1.0] * (m - 1), False)):
+            mats = np.array(row).reshape(1, 1, m)
+            assert lq._full_row_rank(mats).tolist() == by_svd(mats).tolist() == [full]
+
 
 class TestPolicyAndValues:
     def test_classical_gain_when_noise_is_control_free(self):

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,10 +19,12 @@ from mfctrl.lq import (
 )
 from mfctrl.measure import DiscreteMeasure
 from mfctrl.moments import exact_cost
-from mfctrl.particles import _BLOCK, normals, simulate, uniforms
+from mfctrl import particles
+from mfctrl.particles import _BLOCK, _CHUNK, _STREAM_INIT_COMPONENT, normals, simulate, uniforms
 from mfctrl.verify import random_lq_model
 from particles_reference import simulate_finite as reference_simulate_finite
 from particles_reference import simulate_lq as reference_simulate
+from scipy.special import ndtri
 from test_lq import scalar_lq
 
 PARITY_RTOL = 1e-12
@@ -65,6 +69,15 @@ class TestStreams:
                                       full[start:start + size])
             start = 4 * (n // 8)   # any multiple of 4 starts a slice, not just block starts
             assert np.array_equal(draw(11, 4, n - start, start=start), full[start:])
+
+    @pytest.mark.parametrize("start", [0, 4, 1000, _BLOCK, 3 * _BLOCK + 8])
+    @pytest.mark.parametrize("count", [0, 1, 7, _CHUNK + 3, _BLOCK])
+    def test_in_place_draws_equal_the_plain_formula(self, start, count):
+        gen = np.random.Philox(key=np.array([9, 2**32 + 1], dtype=np.uint64))
+        gen.advance(start // 4)
+        expected = ((gen.random_raw(count) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        assert np.array_equal(uniforms(9, 2**32 + 1, count, start=start), expected)
+        assert np.array_equal(normals(9, 2**32 + 1, count, start=start), ndtri(expected))
 
     @pytest.mark.parametrize("start", [1, 2, 3, 6, _BLOCK + 1, -4])
     def test_start_must_be_a_nonnegative_multiple_of_four(self, start):
@@ -226,6 +239,64 @@ class TestReferenceParity:
         assert (a.estimate, a.std_error) == (b.estimate, b.std_error)
         assert np.array_equal(a.stage_means, b.stage_means)
         assert np.array_equal(a.stage_variances, b.stage_variances)
+
+
+def _in_order(pool, fn, calls):
+    """``particles._ahead`` without the pool: every draw on the calling thread."""
+    return (fn(*args) for args in calls)
+
+
+class TestPipelinedPass:
+    """The normals are drawn one block ahead on a worker thread; the pass must
+    equal a serial run of the same code and leave no thread behind."""
+
+    @pytest.mark.parametrize("n", [1, 3, _CHUNK - 1, _CHUNK + 5, _BLOCK + 7])
+    @pytest.mark.parametrize("closure", ["empirical", "oracle-law"])
+    @pytest.mark.parametrize("name", ["multivariate", "multivariate-discrete"])
+    def test_equals_a_serial_run(self, monkeypatch, name, n, closure):
+        model = PARITY_MODELS[name]
+        policy = optimal_policy(model, solve_riccati(model))
+        runs = [simulate(model, policy, n, seed=6, closure=closure, keep_clouds=True)]
+        monkeypatch.setattr(particles, "_ahead", _in_order)
+        runs.append(simulate(model, policy, n, seed=6, closure=closure, keep_clouds=True))
+        piped, serial = runs
+        assert json.dumps(piped.to_json()) == json.dumps(serial.to_json())
+        assert len(piped.clouds) == len(serial.clouds) == model.horizon + 1
+        for a, b in zip(piped.clouds, serial.clouds):
+            assert np.array_equal(a.positions, b.positions)
+
+    def test_chunked_products_equal_one_product(self):
+        rng = np.random.default_rng(5)
+        for rows, d, n in [(10, 3, _BLOCK), (7, 2, _CHUNK + 5), (4, 1, 3), (3, 3, 2 * _CHUNK)]:
+            a, b = rng.standard_normal((rows, d)), rng.standard_normal((d, n))
+            assert np.array_equal(particles._matmul(a, b, np.empty((rows, n))), a @ b)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        model = PARITY_MODELS["multivariate"]
+        policy = optimal_policy(model, solve_riccati(model))
+        n, before = 3 * _BLOCK + 7, threading.active_count()
+        real, threads, noise_blocks = particles.normals, set(), []
+
+        def recording(seed, stream, count, *, start=0):
+            threads.add(threading.current_thread())
+            return real(seed, stream, count, start=start)
+
+        monkeypatch.setattr(particles, "normals", recording)
+        simulate(model, policy, n, seed=2)
+        assert threading.active_count() == before
+        assert threading.main_thread() not in threads   # every draw ran on the worker
+
+        def failing(seed, stream, count, *, start=0):
+            if stream < _STREAM_INIT_COMPONENT:   # stage noise
+                noise_blocks.append(start)
+                if len(noise_blocks) == 3:
+                    raise RuntimeError("third noise block")
+            return real(seed, stream, count, start=start)
+
+        monkeypatch.setattr(particles, "normals", failing)
+        with pytest.raises(RuntimeError, match="third noise block"):
+            simulate(model, policy, n, seed=2)
+        assert threading.active_count() == before
 
 
 def test_memory_is_the_cloud_plus_block_scratch():
