@@ -26,9 +26,9 @@ import numpy as np
 
 from . import dpp, verify
 from .lq import (AffinePolicy, ConditionsNotMet, LQModel, NotPositiveDefinite, array_fields,
-                 as_integer, explicit_control_coefficients, mean_variance_closed_form,
+                 explicit_control_coefficients, mean_variance_closed_form,
                  mean_variance_model, optimal_policy, solve_riccati, value_at)
-from .measure import DiscreteMeasure, TabularMap
+from .measure import DiscreteMeasure, TabularMap, as_integer
 from .model import finite_model_from_config
 from .particles import simulate
 

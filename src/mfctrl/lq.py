@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, as_integer
 
 SYM_TOL = 1e-10
 PSD_EIG_TOL = -1e-10
@@ -65,15 +65,6 @@ def _check_sym(name, mat):
     if np.max(np.abs(mat - mat.swapaxes(-1, -2))) > SYM_TOL:
         raise ValueError(f"{name} is not symmetric within {SYM_TOL}")
     return _sym(mat)
-
-
-def as_integer(value, what) -> int:
-    """``value`` as an int. JSON integers and integral floats pass; other
-    numbers, bools and strings raise ``ValueError``, never truncated."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _min_eig(mats) -> np.ndarray:

@@ -26,6 +26,15 @@ SYM_TOL = 1e-10         # tolerance for symmetric matrix arguments
 KEY_DECIMALS = 12       # weight quantization for hashable keys
 
 
+def as_integer(value, what) -> int:
+    """``value`` as an int. JSON integers and integral floats pass; other
+    numbers, bools and strings raise ``ValueError``, never truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_points(points) -> np.ndarray:
     """Coerce scalars / vectors / (n, d) data to a float array of shape (n, d)."""
     arr = np.asarray(points, dtype=float)

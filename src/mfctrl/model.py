@@ -25,7 +25,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lq import as_integer
 from .measure import (
     MASS_TOL,
     MERGE_TOL,
@@ -34,6 +33,7 @@ from .measure import (
     TabularMap,
     _as_points,
     _feedback,
+    as_integer,
     match_indices,
 )
 
