@@ -60,15 +60,13 @@ def _raw(seed: int, stream: int, count: int, start: int) -> np.ndarray:
 def uniforms(seed: int, stream: int, count: int, *, start: int = 0) -> np.ndarray:
     """Deterministic uniforms in (0, 1): draws ``start`` to ``start + count`` of
     the (seed, stream) counter stream; ``start`` must be a multiple of 4."""
-    bits = _raw(seed, stream, count, start)
-    u = np.right_shift(bits, np.uint64(11), out=bits).astype(np.float64)
-    return np.multiply(np.add(u, 0.5, out=u), 2.0**-53, out=u)
+    bits = _raw(seed, stream, count, start) >> np.uint64(11)
+    return (bits.astype(np.float64) + 0.5) * 2.0**-53
 
 
 def normals(seed: int, stream: int, count: int, *, start: int = 0) -> np.ndarray:
     """Deterministic standard normals via the inverse CDF of the uniforms."""
-    u = uniforms(seed, stream, count, start=start)
-    return ndtri(u, out=u)
+    return ndtri(uniforms(seed, stream, count, start=start))
 
 
 @dataclass
@@ -152,8 +150,7 @@ def _fold(moments, xb: np.ndarray):
 
 
 def _sample_initial_lq(model: LQModel, n: int, seed: int, draws):
-    """The initial ``(d, N)`` cloud, drawn block by block, and its moments;
-    ``draws`` yields the normals of each coordinate of each block in turn."""
+    """The initial ``(d, N)`` cloud and its moments; ``draws`` yields each block's normals."""
     x, mu, moments = np.empty((model.state_dim, n)), model.initial_measure, None
     evals, evecs = np.linalg.eigh(model.initial_cov)
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
@@ -172,7 +169,10 @@ def _sample_initial_lq(model: LQModel, n: int, seed: int, draws):
 def _finalize(costs: np.ndarray, means, variances, n: int, seed: int,
               closure: str, clouds) -> SimulationResult:
     estimate = float(np.sum(costs) / n)   # fixed index order, pairwise summation
-    se = float(np.std(costs, ddof=1) / np.sqrt(n)) if n >= 2 else float("nan")
+    if n >= 2:
+        se = float(np.std(costs, ddof=1) / np.sqrt(n))
+    else:
+        se = float("nan")
     return SimulationResult(estimate, se, n, seed, closure,
                             np.array(means), np.array(variances), clouds)
 

@@ -24,7 +24,6 @@ from mfctrl.particles import _BLOCK, _CHUNK, _STREAM_INIT_COMPONENT, normals, si
 from mfctrl.verify import random_lq_model
 from particles_reference import simulate_finite as reference_simulate_finite
 from particles_reference import simulate_lq as reference_simulate
-from scipy.special import ndtri
 from test_lq import scalar_lq
 
 PARITY_RTOL = 1e-12
@@ -69,15 +68,6 @@ class TestStreams:
                                       full[start:start + size])
             start = 4 * (n // 8)   # any multiple of 4 starts a slice, not just block starts
             assert np.array_equal(draw(11, 4, n - start, start=start), full[start:])
-
-    @pytest.mark.parametrize("start", [0, 4, 1000, _BLOCK, 3 * _BLOCK + 8])
-    @pytest.mark.parametrize("count", [0, 1, 7, _CHUNK + 3, _BLOCK])
-    def test_in_place_draws_equal_the_plain_formula(self, start, count):
-        gen = np.random.Philox(key=np.array([9, 2**32 + 1], dtype=np.uint64))
-        gen.advance(start // 4)
-        expected = ((gen.random_raw(count) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        assert np.array_equal(uniforms(9, 2**32 + 1, count, start=start), expected)
-        assert np.array_equal(normals(9, 2**32 + 1, count, start=start), ndtri(expected))
 
     @pytest.mark.parametrize("start", [1, 2, 3, 6, _BLOCK + 1, -4])
     def test_start_must_be_a_nonnegative_multiple_of_four(self, start):

@@ -2,21 +2,20 @@
 
 Run from the repository root::
 
-    python3 tools/bench_record.py                 # k = 3 runs per workload
-    python3 tools/bench_record.py --runs 5 --seed 2
+    python3 tools/bench_record.py
 
-For every workload of ``BENCHMARK.json`` it runs ``benchmarks/run.py`` ``--runs``
-times at ``--trace 0`` and once at ``--trace 1``, for ``run_seconds`` each. It
-also times ``mfctrl verify --quick`` and the Tier-1 suite, the end-to-end
-workloads the benchmark does not cover. The file holds, per workload, the
-median, min and max of each end-to-end metric with every run's value, the
-traced run's per-layer metrics, those two wall times, and the machine: CPUs,
-Python, numpy and the commit. Runs are sequential; run nothing else meanwhile.
+For every workload of ``BENCHMARK.json`` it runs ``benchmarks/run.py`` ``RUNS``
+times at ``--trace 0`` and once at ``--trace 1``, at seed ``SEED`` and for
+``run_seconds`` each. It also times ``mfctrl verify --quick`` and the Tier-1
+suite, the end-to-end workloads the benchmark does not cover. The file holds,
+per workload, the median, min and max of each end-to-end metric with every
+run's value, the traced run's per-layer metrics, those two wall times, and the
+machine: CPUs, Python, numpy and the commit. Runs are sequential; run nothing
+else meanwhile.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -25,6 +24,8 @@ import subprocess
 import sys
 import time
 
+RUNS = 3   # untraced runs per workload
+SEED = 1
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 VERIFY = [sys.executable, "-c", "import sys; from mfctrl.cli import main; "
                                 "sys.exit(main(['verify', '--quick']))"]
@@ -114,17 +115,11 @@ def record(root, runs, seed, log=print):
     return result
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=3, help="untraced runs per workload (>= 3)")
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.runs < 3:
-        parser.error("--runs must be at least 3")
+def main():
     root = os.getcwd()
     if not os.path.isfile(os.path.join(root, "BENCHMARK.json")):
-        parser.error("run from the repository root (BENCHMARK.json not found)")
-    result = record(root, args.runs, args.seed, log=lambda msg: print(msg, file=sys.stderr))
+        sys.exit("run from the repository root (BENCHMARK.json not found)")
+    result = record(root, RUNS, SEED, log=lambda msg: print(msg, file=sys.stderr))
     path = os.path.join(root, f"BENCH_{result['machine']['commit'][:7]}.json")
     with open(path, "w") as fh:
         json.dump(result, fh, indent=1)
