@@ -11,8 +11,8 @@ particles  seeded N-particle Monte Carlo evaluation
 verify     cross-oracle invariants behind ``mfctrl verify`` and the acceptance tests
 cli        scenario runner (``mfctrl`` console script)
 
-Imports are lazy so the CLI can apply the ``MFCTRL_THREADS`` cap to BLAS
-thread pools before any numerical module loads.
+Imports are lazy, so ``import mfctrl`` loads no numerical module and the BLAS
+thread variables (``OMP_NUM_THREADS`` and the like) can still be set after it.
 """
 
 from importlib import import_module

@@ -5,20 +5,12 @@ Exit codes: 0 success, 1 verification failure, 2 malformed config or usage,
 3 numerical failure (running out of memory included).
 """
 
-import os
-
-_cap = os.environ.get("MFCTRL_THREADS")
-if _cap:
-    # must happen before numpy links its thread pools
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _cap)
-
 import argparse
 import csv
 import functools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -34,7 +26,8 @@ from .particles import simulate
 
 CONFIG_ERROR = 2
 NUMERICAL_ERROR = 3
-# the largest ``meanvariance --n`` and ``simulate --n-particles``, checked before any work
+# the largest ``meanvariance --n``, finite scenario ``horizon`` and ``simulate
+# --n-particles``, checked before any work
 MAX_STAGES = 10**6
 MAX_PARTICLES = 10**8
 
@@ -57,9 +50,9 @@ def _load_scenario(path):
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path!r} must be a JSON object, got {type(data).__name__}")
-    run = data.get("run", {})
-    if not isinstance(run, dict):
-        raise ConfigError(f"config field 'run' must be an object, got {type(run).__name__}")
+    if "run" in data:
+        raise ConfigError("config field 'run' is not supported; use the --node-budget, --out, "
+                          "--trajectory-csv and --stages-csv flags")
     kind = data.get("kind")
     if kind not in ("finite", "lq", "meanvariance"):
         raise ConfigError(f"config field 'kind' must be finite|lq|meanvariance, got {kind!r}")
@@ -73,6 +66,9 @@ def _finite_from_scenario(data):
         model = finite_model_from_config(data["model"])
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad finite model config: {exc}") from exc
+    if model.horizon > MAX_STAGES:
+        raise ConfigError(f"finite model field 'horizon' must be at most {MAX_STAGES}, "
+                          f"got {model.horizon}")
     law = data.get("initial_law")
     if law is None:
         raise ConfigError("finite scenario is missing the 'initial_law' field")
@@ -254,24 +250,6 @@ def _block_text(shape, items, level):
     return (opening + "%r" + "%r".join(gaps)) % tuple(items)
 
 
-def _output_paths(args, data, json_attr, csv_attr):
-    """Flag values win; the scenario's run block provides defaults."""
-    outputs = data.get("run", {}).get("outputs", {})
-    if not isinstance(outputs, dict):
-        raise ConfigError(f"config field 'run.outputs' must be an object, "
-                          f"got {type(outputs).__name__}")
-    for key in ("json", "csv"):
-        if not isinstance(outputs.get(key, ""), str):
-            raise ConfigError(f"config field 'run.outputs.{key}' must be a path string")
-    json_path = getattr(args, json_attr)
-    if json_path == "-" and "json" in outputs:
-        json_path = outputs["json"]
-    csv_path = getattr(args, csv_attr)
-    if csv_path is None and "csv" in outputs:
-        csv_path = outputs["csv"]
-    return json_path, csv_path
-
-
 def _joined(values):
     return ";".join(repr(float(v)) for v in values.ravel())
 
@@ -285,13 +263,9 @@ def _cmd_solve_finite(args):
     if data["kind"] != "finite":
         raise ConfigError(f"solve-finite needs a finite scenario, got kind {data['kind']!r}")
     model, mu0 = _finite_from_scenario(data)
-    budget = args.node_budget
-    if budget is None:
-        budget = as_integer(data.get("run", {}).get("node_budget", dpp.DEFAULT_NODE_BUDGET),
-                            "run.node_budget")
-    if budget < 1:
-        raise ConfigError(f"node budget must be at least 1, got {budget}")
-    result = dpp.solve(model, mu0, node_budget=budget)
+    if args.node_budget < 1:
+        raise ConfigError(f"node budget must be at least 1, got {args.node_budget}")
+    result = dpp.solve(model, mu0, node_budget=args.node_budget)
     path = result.optimal_law_path
     payload = {
         "v0": result.v0,
@@ -300,10 +274,9 @@ def _cmd_solve_finite(args):
         "law_trajectory": [mu0.to_json()] + [DiscreteMeasure(model.states, w).to_json()
                                              for w in path[1:]],
     }
-    out_json, out_csv = _output_paths(args, data, "out", "trajectory_csv")
-    _write_json(out_json, payload)
-    if out_csv:
-        _write_csv(out_csv, ["stage", "state_index", "state", "weight"],
+    _write_json(args.out, payload)
+    if args.trajectory_csv:
+        _write_csv(args.trajectory_csv, ["stage", "state_index", "state", "weight"],
                    ([k, i, _joined(model.states[i]), repr(w)]
                     for k, weights in enumerate(path)
                     for i, w in enumerate(weights.tolist())))
@@ -329,12 +302,11 @@ def _cmd_riccati(args):
     model = _lq_from_scenario(data)
     sol = solve_riccati(model, force=args.force)
     policy, payload = _lq_payload(model, sol, (model.initial_mean, model.initial_cov))
-    out_json, out_csv = _output_paths(args, data, "out", "stages_csv")
-    _write_json(out_json, payload)
-    if out_csv:
+    _write_json(args.out, payload)
+    if args.stages_csv:
         n = model.horizon
-        _write_csv(out_csv, ["stage", "var_weight", "mean_weight", "linear", "constant",
-                             "gain_state", "gain_mean", "offset"],
+        _write_csv(args.stages_csv, ["stage", "var_weight", "mean_weight", "linear",
+                                     "constant", "gain_state", "gain_mean", "offset"],
                    ([k, _joined(sol.var_weight[k]), _joined(sol.mean_weight[k]),
                      _joined(sol.linear[k]), repr(float(sol.constant[k]))]
                     + ([_joined(policy.gain_state[k]), _joined(policy.gain_mean[k]),
@@ -354,7 +326,7 @@ def _cmd_meanvariance(args):
     return 0
 
 
-def _load_policy(args, model, data):
+def _load_policy(args, model):
     source = args.policy
     if isinstance(model, LQModel):
         if source == "riccati":
@@ -382,15 +354,14 @@ def _cmd_simulate(args):
     else:
         model, initial_law = _finite_from_scenario(data)
     try:
-        policy = _load_policy(args, model, data)
+        policy = _load_policy(args, model)
     except OSError as exc:
         raise ConfigError(f"cannot read policy file: {exc}") from exc
     result = simulate(model, policy, args.n_particles, args.seed,
                       closure=args.closure, initial_law=initial_law)
-    out_json, out_csv = _output_paths(args, data, "out", "stages_csv")
-    _write_json(out_json, result.to_json())
-    if out_csv:
-        _write_csv(out_csv, ["stage", "mean", "variance"],
+    _write_json(args.out, result.to_json())
+    if args.stages_csv:
+        _write_csv(args.stages_csv, ["stage", "mean", "variance"],
                    ([k, _joined(mean), _joined(var)] for k, (mean, var)
                     in enumerate(zip(result.stage_means, result.stage_variances))))
     return 0
@@ -421,7 +392,7 @@ def build_parser():
     p.add_argument("config")
     p.add_argument("--out", default="-", help="output JSON path (default stdout)")
     p.add_argument("--trajectory-csv", default=None)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=int, default=dpp.DEFAULT_NODE_BUDGET)
     p.set_defaults(handler=_cmd_solve_finite)
 
     p = sub.add_parser("riccati", help="backward Riccati solve of an LQ scenario")

@@ -24,6 +24,7 @@ path :func:`solve` takes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,7 +42,12 @@ from .model import (
 )
 
 DEFAULT_NODE_BUDGET = 2_000_000
-DEFAULT_ENUMERATION_CAP = 10_000_000
+# the most map sequences brute_force_value enumerates
+ENUMERATION_CAP = 10_000_000
+# the largest models first_order_value_tensors takes, and its stage-0 tensor size
+FIRST_ORDER_MAX_STATES = 3
+FIRST_ORDER_MAX_HORIZON = 3
+FIRST_ORDER_MAX_ENTRIES = 1_000_000
 # kernel-tensor entries per expansion chunk: a chunk takes
 # EXPANSION_ENTRIES // S^2 (law, map) pairs, so its (pairs, S, S) tensor
 # stays near 2 MB whatever the tree size
@@ -178,8 +184,7 @@ def _value_cache(model, stages, policy) -> dict:
 
 
 def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
-          node_budget: int = DEFAULT_NODE_BUDGET,
-          check_model: bool = True) -> SolveResult:
+          node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Backward value recursion over the tree of laws reachable from ``mu0``.
 
     The tree is expanded stage by stage on weight vectors, every map of a
@@ -193,21 +198,23 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
     BudgetExceeded
         If the number of distinct (stage, law) nodes exceeds ``node_budget``.
     ValueError
-        If ``check_model`` and the model fails validation, if a kernel row at
-        a supported state is not a probability vector, or if a candidate
-        value is not finite.
+        If the model fails validation, if a kernel row at a supported state
+        is not a probability vector, or if a candidate value is not finite.
     """
-    if check_model:
-        report = validate(model, extra_measures=[mu0])
-        if not report.ok:
-            raise ValueError(f"invalid model: {report.summary()}")
+    report = validate(model, extra_measures=[mu0])
+    if not report.ok:
+        raise ValueError(f"invalid model: {report.summary()}")
     S, M, n = model.n_states, model.n_actions, model.horizon
     n_maps = M ** S
     chunk = max(1, EXPANSION_ENTRIES // (S * S))
 
     def check_budget(nodes):
         if nodes > node_budget:
-            bound = sum(n_maps ** j for j in range(n + 1))
+            # the bound sum(n_maps**j, j <= n) is written out below 30 digits only:
+            # str() refuses ints of over 4300 digits, which long horizons reach
+            digits = n * math.log10(n_maps)
+            bound = (sum(n_maps ** j for j in range(n + 1)) if digits < 30
+                     else f"more than 10^{math.floor(digits)}")
             raise BudgetExceeded(
                 f"node budget {node_budget} exceeded; the reachable tree needs more "
                 f"(worst-case bound {bound} nodes)")
@@ -296,8 +303,7 @@ def rollforward(model: FiniteMFModel, mu0: DiscreteMeasure, policy_sequence):
     return float(total), trajectory
 
 
-def brute_force_value(model: FiniteMFModel, mu0: DiscreteMeasure,
-                      cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def brute_force_value(model: FiniteMFModel, mu0: DiscreteMeasure) -> float:
     """Exact minimum of the lifted cost over all feedback-map sequences.
 
     Enumerates the full ``M^(S*n)`` product with no caching, so it is an
@@ -305,9 +311,9 @@ def brute_force_value(model: FiniteMFModel, mu0: DiscreteMeasure,
     """
     n = model.horizon
     count = model.n_actions ** (model.n_states * n)
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise BudgetExceeded(
-            f"{count} policy sequences exceed the enumeration cap {cap}")
+            f"{count} policy sequences exceed the enumeration cap {ENUMERATION_CAP}")
     _, policies = _policies(model)
     best = np.inf
     for seq in itertools.product(policies, repeat=n):
@@ -317,17 +323,29 @@ def brute_force_value(model: FiniteMFModel, mu0: DiscreteMeasure,
     return float(best)
 
 
+@dataclass
+class GapReport:
+    """Largest gap between the values of the reachable nodes and a reference,
+    overall and per stage, and the number of nodes."""
+    max_discrepancy: float
+    per_stage: dict
+    tree_size: int
+
+
+def _node_gaps(model: FiniteMFModel, mu0: DiscreteMeasure, reference) -> GapReport:
+    """``|v_k(mu) - reference(k, w)|`` over the nodes ``(k, mu)`` of the tree
+    from ``mu0``, ``w`` being the grid weights of ``mu``."""
+    result = solve(model, mu0)
+    per_stage: dict = {}
+    for (k, _key), node in result.value_cache.items():
+        gap = abs(node.value - reference(k, node.measure.weights_on_grid(model.states)))
+        per_stage[k] = max(per_stage.get(k, 0.0), gap)
+    return GapReport(max(per_stage.values()), per_stage, result.reachable_tree_size)
+
+
 # ---------------------------------------------------------------------------
 # No-interaction factorization
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FactorizationReport:
-    max_discrepancy: float
-    per_stage: dict
-    state_values: np.ndarray      # per-state backward table, shape (n+1, S)
-    tree_size: int
-
 
 def classical_state_values(model: FiniteMFModel) -> np.ndarray:
     """Per-state backward induction table for a model with no interaction."""
@@ -351,8 +369,7 @@ def classical_state_values(model: FiniteMFModel) -> np.ndarray:
     return table
 
 
-def classical_factorization_check(model: FiniteMFModel, mu0: DiscreteMeasure,
-                                  node_budget: int = DEFAULT_NODE_BUDGET) -> FactorizationReport:
+def classical_factorization_check(model: FiniteMFModel, mu0: DiscreteMeasure) -> GapReport:
     """Compare measure-space values with the integrated per-state table.
 
     For every reachable node ``(k, mu)`` the report records
@@ -361,46 +378,14 @@ def classical_factorization_check(model: FiniteMFModel, mu0: DiscreteMeasure,
     declare (via ``mean_field_free``) for this check to run.
     """
     table = classical_state_values(model)
-    result = solve(model, mu0, node_budget=node_budget)
-    per_stage: dict = {}
-    worst = 0.0
-    for (k, _key), node in result.value_cache.items():
-        w = node.measure.weights_on_grid(model.states)
-        disc = abs(node.value - float(w @ table[k]))
-        per_stage[k] = max(per_stage.get(k, 0.0), disc)
-        worst = max(worst, disc)
-    return FactorizationReport(worst, per_stage, table, result.reachable_tree_size)
+    return _node_gaps(model, mu0, lambda k, w: float(w @ table[k]))
 
 
 # ---------------------------------------------------------------------------
 # First-order interactions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FirstOrderReport:
-    max_discrepancy: float
-    per_stage: dict
-    tree_size: int
-
-
-def _first_order_guard(model: FiniteMFModel, max_states: int, max_horizon: int,
-                       max_entries: int):
-    if model.first_order is None:
-        raise ValueError("model does not declare a first-order decomposition; refusing")
-    S, n = model.n_states, model.horizon
-    if S > max_states or n > max_horizon:
-        raise BudgetExceeded(
-            f"first-order tensors limited to S <= {max_states}, n <= {max_horizon}; "
-            f"got S={S}, n={n}")
-    entries = S ** (2 ** (n + 1))
-    if entries > max_entries:
-        raise BudgetExceeded(
-            f"stage-0 tensor would hold {entries} entries (cap {max_entries})")
-
-
-def first_order_value_tensors(model: FiniteMFModel, max_states: int = 3,
-                              max_horizon: int = 3,
-                              max_entries: int = 1_000_000) -> list:
+def first_order_value_tensors(model: FiniteMFModel) -> list:
     """All pairwise value tensors, index ``k`` of the list holding stage ``k``.
 
     The stage-``k`` tensor has ``2**(n-k+1)`` axes of length ``S``; axes are
@@ -408,9 +393,18 @@ def first_order_value_tensors(model: FiniteMFModel, max_states: int = 3,
     maps, the pairwise stage cost of the leading pair plus the contraction of
     the next tensor with one pairwise kernel row per axis.
     """
-    _first_order_guard(model, max_states, max_horizon, max_entries)
+    if model.first_order is None:
+        raise ValueError("model does not declare a first-order decomposition; refusing")
     fo = model.first_order
     S, M, n = model.n_states, model.n_actions, model.horizon
+    if S > FIRST_ORDER_MAX_STATES or n > FIRST_ORDER_MAX_HORIZON:
+        raise BudgetExceeded(
+            f"first-order tensors limited to S <= {FIRST_ORDER_MAX_STATES}, "
+            f"n <= {FIRST_ORDER_MAX_HORIZON}; got S={S}, n={n}")
+    entries = S ** (2 ** (n + 1))
+    if entries > FIRST_ORDER_MAX_ENTRIES:
+        raise BudgetExceeded(
+            f"stage-0 tensor would hold {entries} entries (cap {FIRST_ORDER_MAX_ENTRIES})")
     maps = list(itertools.product(range(M), repeat=S))
 
     terminal = np.array([[fo.gtilde(ix, iy) for iy in range(S)] for ix in range(S)])
@@ -444,20 +438,11 @@ def _integrate_tensor(tensor: np.ndarray, weights: np.ndarray) -> float:
     return float(res)
 
 
-def first_order_check(model: FiniteMFModel, mu0: DiscreteMeasure,
-                      node_budget: int = DEFAULT_NODE_BUDGET, **kwargs) -> FirstOrderReport:
+def first_order_check(model: FiniteMFModel, mu0: DiscreteMeasure) -> GapReport:
     """Compare measure-space values against product-measure tensor integrals.
 
     For every reachable node ``(k, mu)``, records
     ``|v_k(mu) - <vtensor_k, mu tensorized over all axes>|``.
     """
-    tensors = first_order_value_tensors(model, **kwargs)
-    result = solve(model, mu0, node_budget=node_budget)
-    per_stage: dict = {}
-    worst = 0.0
-    for (k, _key), node in result.value_cache.items():
-        w = node.measure.weights_on_grid(model.states)
-        disc = abs(node.value - _integrate_tensor(tensors[k], w))
-        per_stage[k] = max(per_stage.get(k, 0.0), disc)
-        worst = max(worst, disc)
-    return FirstOrderReport(worst, per_stage, result.reachable_tree_size)
+    tensors = first_order_value_tensors(model)
+    return _node_gaps(model, mu0, lambda k, w: _integrate_tensor(tensors[k], w))

@@ -197,15 +197,14 @@ def validate(model: FiniteMFModel, extra_measures=(), max_tuples: int = 512,
 
     evals, slot = {}, np.empty(len(pick), dtype=int)   # tuple j is pair slot[j] of its stage
     flags = np.zeros((3, len(pick)), dtype=bool)       # negative entry, mass, cost
-    for k in range(n):
+    for k in np.unique(stage).tolist():
         at = np.flatnonzero(stage == k)
-        if len(at):
-            p = slot[at] = np.arange(len(at))
-            cells = np.zeros((len(at), S), dtype=bool)
-            cells[p, i[at]] = True
-            ev = evals[k] = evaluate(model, k, laws[mi[at]], cells,
-                                     np.repeat(a[at, None], S, axis=1), action_laws[li[at]])
-            flags[:, at] = [bad[p, i[at]] for bad in (*ev.bad, ~np.isfinite(ev.costs))]
+        p = slot[at] = np.arange(len(at))
+        cells = np.zeros((len(at), S), dtype=bool)
+        cells[p, i[at]] = True
+        ev = evals[k] = evaluate(model, k, laws[mi[at]], cells,
+                                 np.repeat(a[at, None], S, axis=1), action_laws[li[at]])
+        flags[:, at] = [bad[p, i[at]] for bad in (*ev.bad, ~np.isfinite(ev.costs))]
     # a misshapen row is evaluated as zeros, so it is among the tuples flagged
     for j in np.flatnonzero(flags.any(axis=0)).tolist():
         k, p, ij, aj = int(stage[j]), int(slot[j]), int(i[j]), int(a[j])

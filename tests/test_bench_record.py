@@ -47,3 +47,17 @@ def test_every_declared_end_to_end_metric_is_summarized():
     runs = [_run(**{m["name"]: float(i) for m in declared}) for i in range(3)]
     summary = bench_record.summarize(runs, declared)
     assert sorted(summary["metrics"]) == sorted(m["name"] for m in declared)
+
+
+def test_source_lines_counts_like_wc(tmp_path):
+    package = tmp_path / "src" / "mfctrl"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("")
+    (package / "c.py").write_text("no final newline\nz = 3")
+    (package / "data.json").write_text("{}\n")
+    (package / "fixtures").mkdir()
+    (package / "fixtures" / "d.py").write_text("w = 4\n")
+    assert bench_record.source_lines(str(tmp_path)) == {
+        "files": {"a.py": 2, "b.py": 0, "c.py": 1}, "total": 3}
+

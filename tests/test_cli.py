@@ -168,18 +168,22 @@ class TestSolveFinite:
                      "--out", str(tmp_path / "x.json")]) == 3
         assert "worst-case bound 585 nodes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, run_budget", [("0", None), ("-5", None), (None, 0)])
-    def test_budget_below_one_is_config_error(self, tmp_path, capsys, flag, run_budget):
+    def test_budget_exceeded_at_a_long_horizon_is_numerical(self, tmp_path, capsys):
+        # the worst-case bound of this tree, sum(8**j for j <= 5000), has 4516 digits
         data = json.loads(fixture_text("finite_mean_reverting.json"))
-        if run_budget is not None:
-            data["run"] = {"node_budget": run_budget}
+        data["model"]["horizon"] = 5000
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(data))
         out = tmp_path / "x.json"
-        argv = ["solve-finite", str(cfg), "--out", str(out)]
-        if flag is not None:
-            argv += ["--node-budget", flag]
-        assert main(argv) == 2
+        assert main(["solve-finite", str(cfg), "--node-budget", "10", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: node budget 10 exceeded")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["0", "-5"])
+    def test_budget_below_one_is_config_error(self, tmp_path, capsys, flag):
+        cfg = _stage(tmp_path, "finite_mean_reverting.json")
+        out = tmp_path / "x.json"
+        assert main(["solve-finite", cfg, "--out", str(out), "--node-budget", flag]) == 2
         assert "node budget must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
@@ -293,16 +297,27 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.json")]) == 2
 
 
-def test_run_block_output_paths(tmp_path):
-    data = json.loads(fixture_text("finite_zero.json"))
-    out = tmp_path / "from_config.json"
-    csv_path = tmp_path / "from_config.csv"
-    data["run"] = {"outputs": {"json": str(out), "csv": str(csv_path)}}
-    cfg = tmp_path / "scenario.json"
-    cfg.write_text(json.dumps(data))
-    assert main(["solve-finite", str(cfg)]) == 0
-    assert json.loads(out.read_text())["v0"] == 0.0
-    assert csv_path.exists()
+@pytest.mark.parametrize("command, name", [
+    ("solve-finite", "finite_zero.json"), ("riccati", "lq_mean_variance.json"),
+    ("simulate", "lq_multivariate.json")])
+@pytest.mark.parametrize("run", [{"node_budget": 100, "outputs": {"json": "from_config.json",
+                                                                  "csv": "from_config.csv"}},
+                                 {}, [1]], ids=["paths", "empty", "list"])
+def test_run_block_is_rejected_and_nothing_is_written(tmp_path, capsys, monkeypatch, command,
+                                                      name, run):
+    # a scenario that still names its outputs must not send them to stdout instead
+    monkeypatch.chdir(tmp_path)
+    data = json.loads(fixture_text(name)) | {"run": run}
+    (tmp_path / "scenario.json").write_text(json.dumps(data))
+    argv = [command, "scenario.json"]
+    argv += ["--n-particles", "10", "--seed", "1"] if command == "simulate" else []
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: config field 'run' is not supported")
+    for flag in ("--node-budget", "--out", "--trajectory-csv", "--stages-csv"):
+        assert flag in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
@@ -615,37 +630,6 @@ class TestNonObjectScenario:
         err = capsys.readouterr().err
         assert "JSON object" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("run", [[1], "x", 3])
-    def test_run_block_not_an_object(self, tmp_path, capsys, run):
-        data = json.loads(fixture_text("finite_mean_reverting.json"))
-        data["run"] = run
-        assert main(["solve-finite", _scenario(tmp_path, data)]) == 2
-        err = capsys.readouterr().err
-        assert "'run'" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("outputs", [[1], "out.json", {"json": 5}, {"csv": ["a"]}])
-    def test_run_outputs_not_an_object_of_paths(self, tmp_path, capsys, outputs):
-        data = json.loads(fixture_text("lq_mean_variance.json"))
-        data["run"] = {"outputs": outputs}
-        assert main(["riccati", _scenario(tmp_path, data)]) == 2
-        err = capsys.readouterr().err
-        assert "run.outputs" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("budget", ["many", [1], float("inf"), None])
-    def test_run_node_budget_not_an_integer(self, tmp_path, capsys, budget):
-        data = json.loads(fixture_text("finite_zero.json"))
-        data["run"] = {"node_budget": budget}
-        assert main(["solve-finite", _scenario(tmp_path, data)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-
-    @pytest.mark.parametrize("budget", [100_000.5, True, "100000"])
-    def test_run_node_budget_not_integral_is_not_truncated(self, tmp_path, capsys, budget):
-        data = json.loads(fixture_text("finite_zero.json"))
-        data["run"] = {"node_budget": budget}
-        assert main(["solve-finite", _scenario(tmp_path, data)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: run.node_budget must be an integer")
-
     @pytest.mark.parametrize("n", [2.5, True, "3"])
     def test_meanvariance_horizon_not_integral_is_not_truncated(self, tmp_path, capsys, n):
         data = json.loads(fixture_text("lq_mean_variance.json"))
@@ -675,10 +659,6 @@ class TestNonObjectScenario:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_integral_floats_count_as_integers(self, tmp_path):
-        data = json.loads(fixture_text("finite_zero.json"))
-        data["run"] = {"node_budget": 1e5}
-        assert main(["solve-finite", _scenario(tmp_path, data),
-                     "--out", str(tmp_path / "finite.json")]) == 0
         data = json.loads(fixture_text("lq_mean_variance.json"))
         outs = []
         for n in (2, 2.0):
@@ -780,18 +760,41 @@ class TestSizeGuards:
         assert err.startswith("config error: --n-particles must be from 2")
         assert str(cli.MAX_PARTICLES) in err and not out.exists()
 
+    @staticmethod
+    def _finite_horizon_argv(tmp_path, command, horizon):
+        data = json.loads(fixture_text("finite_zero.json"))
+        data["model"]["horizon"] = horizon
+        argv = [command, _scenario(tmp_path, data), "--out", str(tmp_path / "out.json")]
+        return argv + (["--n-particles", "10", "--seed", "1", "--policy", "zero"]
+                       if command == "simulate" else [])
+
+    @pytest.mark.parametrize("command", ["solve-finite", "simulate"])
+    @pytest.mark.parametrize("excess", [1, 10**12])
+    def test_finite_horizon_above_the_maximum(self, tmp_path, capsys, monkeypatch, command,
+                                              excess):
+        monkeypatch.setattr(cli.dpp, "solve", self._unreachable)
+        monkeypatch.setattr(cli, "simulate", self._unreachable)
+        horizon = cli.MAX_STAGES + excess
+        assert main(self._finite_horizon_argv(tmp_path, command, horizon)) == 2
+        assert capsys.readouterr().err == (f"config error: finite model field 'horizon' must "
+                                           f"be at most {cli.MAX_STAGES}, got {horizon}\n")
+        assert not (tmp_path / "out.json").exists()
+
     def test_the_maxima_themselves_pass(self, tmp_path, capsys, monkeypatch):
         def reached(*args, **kwargs):
             raise ValueError("reached")
 
         monkeypatch.setattr(cli, "mean_variance_model", reached)
         monkeypatch.setattr(cli, "simulate", reached)
+        monkeypatch.setattr(cli.dpp, "solve", reached)
         assert main(["meanvariance", "--gamma", "1", "--b", "0.5", "--sigma", "1", "--delta",
                      "1", "--n", str(cli.MAX_STAGES), "--x0", "1"]) == 2
         assert main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
                      str(cli.MAX_PARTICLES), "--seed", "1", "--out",
                      str(tmp_path / "sim.json")]) == 2
-        assert capsys.readouterr().err == "config error: reached\n" * 2
+        for command in ("solve-finite", "simulate"):
+            assert main(self._finite_horizon_argv(tmp_path, command, cli.MAX_STAGES)) == 2
+        assert capsys.readouterr().err == "config error: reached\n" * 4
 
 
 # -- CLI contract fuzz ---------------------------------------------------------
@@ -845,7 +848,6 @@ def _mutate(draw, data, rounds):
 def _mutated_scenarios(draw):
     name = draw(st.sampled_from(list_fixtures()))
     data = json.loads(fixture_text(name))
-    data["run"] = {"node_budget": 100_000, "outputs": {"csv": "run.csv"}}
     data = _mutate(draw, data, draw(st.integers(1, 2)))
     finite = name.startswith(("finite_", "fo_"))
     command = draw(st.sampled_from(["solve-finite" if finite else "riccati", "simulate"]))
@@ -861,7 +863,7 @@ def _assert_contract(files, argv):
     no traceback, every output strict JSON."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # relative run.outputs paths land here
+        os.chdir(tmp)  # relative output paths land here
         try:
             for name, data in files.items():
                 with open(name, "w") as fh:
@@ -891,6 +893,10 @@ def test_cli_contract_on_mutated_fixtures(case):
     with a config (2) or numerical (3) exit code, never with a traceback."""
     data, command, finite = case
     argv = [command, "scenario.json"]
+    if command == "solve-finite":
+        argv += ["--node-budget", "100000", "--trajectory-csv", "out.csv"]
+    else:
+        argv += ["--stages-csv", "out.csv"]
     if command == "simulate":
         argv += ["--n-particles", "20", "--seed", "1"]
         argv += ["--policy", "zero"] if finite else []

@@ -86,10 +86,11 @@ def test_node_budget_enforced():
         dpp.solve(model, mu0, node_budget=3)
 
 
-def test_brute_force_cap_enforced():
+def test_brute_force_cap_enforced(monkeypatch):
     model, mu0 = load_finite("finite_mean_reverting.json")
-    with pytest.raises(dpp.BudgetExceeded, match="cap"):
-        dpp.brute_force_value(model, mu0, cap=10)
+    monkeypatch.setattr(dpp, "ENUMERATION_CAP", 10)
+    with pytest.raises(dpp.BudgetExceeded, match="cap 10$"):
+        dpp.brute_force_value(model, mu0)
 
 
 def test_solve_rejects_invalid_model():

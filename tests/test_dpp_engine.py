@@ -24,7 +24,8 @@ from dpp_reference import reference_solve
 from mfctrl import dpp
 from mfctrl.fixtures import list_fixtures
 from mfctrl.measure import DiscreteMeasure, image_measure, pushforward
-from mfctrl.model import FiniteMFModel, LawBatch, finite_model_from_config, lifted_stage_cost
+from mfctrl.model import (FiniteMFModel, LawBatch, ValidationReport, finite_model_from_config,
+                          lifted_stage_cost)
 
 FINITE_FIXTURES = sorted(name for name in list_fixtures() if name.startswith(("finite_", "fo_")))
 
@@ -264,7 +265,13 @@ def test_callable_kernel_bad_row_on_supported_state_raises(bad_row):
         dpp.solve(model, mu0)
 
 
-def test_bad_row_off_the_support_is_not_checked():
+def _skip_validation(monkeypatch):
+    """Let ``dpp.solve`` run on a model its up-front validation would reject,
+    so the checks made during the expansion itself are what is tested."""
+    monkeypatch.setattr(dpp, "validate", lambda model, extra_measures=(): ValidationReport())
+
+
+def test_bad_row_off_the_support_is_not_checked(monkeypatch):
     # the stage-1 law has no mass on state 0 after this kernel, so its row there is unused
     def kernel(k, i, mu, a, lam):
         if mu.weights_on_grid(np.array([[0.0], [1.0]]))[0] == 0.0 and i == 0:
@@ -272,20 +279,22 @@ def test_bad_row_off_the_support_is_not_checked():
         return np.array([0.0, 1.0])
 
     model, mu0 = _two_state_model(kernel=kernel)
-    result = dpp.solve(model, mu0, check_model=False)
+    _skip_validation(monkeypatch)
+    result = dpp.solve(model, mu0)
     assert result.v0 == pytest.approx(1.0, abs=1e-15)
 
 
-def test_batched_kernel_bad_row_raises():
+def test_batched_kernel_bad_row_raises(monkeypatch):
     config = TAG_CONFIGS["table3-quadratic"]
     rows = np.array(config["kernel"]["params"]["rows"])
     rows[2, 1] = [0.5, 0.5, 0.5]
     config = config | {"kernel": {"tag": "table", "params": {"rows": rows.tolist()}}}
     model = finite_model_from_config(config)
     mu0 = DiscreteMeasure(model.states, [0.2, 0.3, 0.5])
+    _skip_validation(monkeypatch)
     with pytest.raises(ValueError, match="kernel row is not a probability vector at stage 0, "
                                          "state index 2"):
-        dpp.solve(model, mu0, check_model=False)
+        dpp.solve(model, mu0)
 
 
 
@@ -303,15 +312,16 @@ def _with_batched(component, batched):
     ("stage_cost", lambda k, b: np.zeros(3)),                        # pair axis missing
     ("terminal_cost", lambda b: np.zeros((1, 1))),                   # state axis missing
 ])
-def test_batched_form_of_the_wrong_shape_raises(part, batched):
+def test_batched_form_of_the_wrong_shape_raises(monkeypatch, part, batched):
     model = finite_model_from_config(TAG_CONFIGS["table3-quadratic"])
     parts = {name: getattr(model, name) for name in ("kernel", "stage_cost", "terminal_cost")}
     parts[part] = _with_batched(parts[part], batched)
     model = FiniteMFModel(model.states, model.actions, model.horizon, **parts)
     mu0 = DiscreteMeasure(model.states, [0.2, 0.3, 0.5])
     name = part.replace("_", " ")
+    _skip_validation(monkeypatch)
     with pytest.raises(ValueError, match=f"batched {name} has shape"):
-        dpp.solve(model, mu0, check_model=False)
+        dpp.solve(model, mu0)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

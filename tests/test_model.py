@@ -348,3 +348,29 @@ def test_validate_draws_and_reports_like_the_tuple_lists(name, seed, max_tuples)
         # a misshapen row hides the non-finite cost at its cell
         assert not any(v["kind"] == "cost" and (v["stage"], v["state"], v["action"]) == (0, 0, 1)
                        for v in report.violations)
+
+
+def test_validate_evaluates_only_the_stages_it_drew(monkeypatch):
+    # at horizon 10^6 the 512 tuples fall on at most 512 stages; a loop over
+    # every stage made the same calls but took about 5 s (0.07 s on the drawn
+    # stages alone, on a 2-CPU VM), hence the generous time bound
+    import time
+
+    import mfctrl.model
+
+    config = load_fixture("finite_zero.json")["model"] | {"horizon": 10**6}
+    model = finite_model_from_config(config)
+    evaluate = mfctrl.model.evaluate
+    stages = []
+
+    def counted(model, k, *args):
+        stages.append(k)
+        return evaluate(model, k, *args)
+
+    monkeypatch.setattr(mfctrl.model, "evaluate", counted)
+    start = time.perf_counter()
+    report = validate(model)
+    assert time.perf_counter() - start < 1.0
+    assert report.ok and report.checked == 512 + model.n_states * (model.n_states + 1)
+    assert len(stages) <= 513 and stages[-1] == model.horizon
+    assert stages[:-1] == sorted(set(stages[:-1]))

@@ -9,13 +9,14 @@ times at ``--trace 0`` and once at ``--trace 1``, at seed ``SEED`` and for
 ``run_seconds`` each. It also times ``mfctrl verify --quick`` and the Tier-1
 suite, the end-to-end workloads the benchmark does not cover. The file holds,
 per workload, the median, min and max of each end-to-end metric with every
-run's value, the traced run's per-layer metrics, those two wall times, and the
-machine: CPUs, Python, numpy and the commit. Runs are sequential; run nothing
-else meanwhile.
+run's value, the traced run's per-layer metrics, those two wall times, the line
+counts of ``src/mfctrl/*.py`` and the machine: CPUs, Python, numpy and the
+commit. Runs are sequential; run nothing else meanwhile.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import platform
@@ -46,6 +47,16 @@ def summarize(runs, metrics):
             "median": statistics.median(values), "min": min(values), "max": max(values),
             "unit": metric["unit"], "better": metric["better"], "values": values}
     return summary
+
+
+def source_lines(root):
+    """Line count of each ``src/mfctrl/*.py`` file, by file name, and their total,
+    as ``wc -l`` counts them."""
+    files = {}
+    for path in sorted(glob.glob(os.path.join(root, "src", "mfctrl", "*.py"))):
+        with open(path, "rb") as fh:
+            files[os.path.basename(path)] = fh.read().count(b"\n")
+    return {"files": files, "total": sum(files.values())}
 
 
 def _git(root, *args):
@@ -95,7 +106,8 @@ def record(root, runs, seed, log=print):
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
-    result = {"machine": machine(root), "seed": seed, "seconds": seconds, "workloads": {}}
+    result = {"machine": machine(root), "seed": seed, "seconds": seconds,
+              "src_lines": source_lines(root), "workloads": {}}
     for entry in bench["workloads"]:
         name = entry["name"]
         plain = []
