@@ -13,6 +13,8 @@ cli        scenario runner (``mfctrl`` console script)
 
 Imports are lazy, so ``import mfctrl`` loads no numerical module and the BLAS
 thread variables (``OMP_NUM_THREADS`` and the like) can still be set after it.
+``mfctrl.cli`` loads SciPy only for Riccati solves (``scipy.linalg.lapack``)
+and Gaussian draws (``scipy.special``), so a finite solve starts without it.
 """
 
 from importlib import import_module

@@ -35,7 +35,6 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .measure import DiscreteMeasure, as_integer
 
@@ -389,6 +388,7 @@ def _hessian_error(k: int, hessians) -> NotPositiveDefinite:
     """The error a forced solve raises at stage ``k``, the first stage whose
     control Hessians fail the eigenvalue margin: named after the first
     Hessian whose Cholesky factorization fails, if one does."""
+    from scipy.linalg.lapack import dpotrf
     for name, hess in zip(("centered control", "mean control"), hessians):
         if dpotrf(hess, lower=1, clean=0)[1] > 0:
             return NotPositiveDefinite(f"{name} Hessian not positive definite at stage {k}")
@@ -418,6 +418,7 @@ def _backward_pass(model: LQModel):
     matrix or coefficient that is not finite raises ``FloatingPointError``
     naming its stage.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs   # here, so a cold start without LQ skips SciPy
     n, d, m = model.horizon, model.state_dim, model.control_dim
     weight = np.zeros((n + 1, 2, d, d))   # per stage, var_weight and mean_weight
     linear, constant = np.zeros((n + 1, d)), np.zeros(n + 1)

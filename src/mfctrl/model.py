@@ -41,6 +41,9 @@ KernelFn = Callable[[int, int, DiscreteMeasure, int, DiscreteMeasure], np.ndarra
 StageCostFn = Callable[[int, int, DiscreteMeasure, int, DiscreteMeasure], float]
 TerminalCostFn = Callable[[int, DiscreteMeasure], float]
 
+VALIDATE_TUPLES = 512   # stage tuples :func:`validate` checks at most
+VALIDATE_SEED = 0       # seed of its draw when there are more
+
 
 @dataclass(frozen=True)
 class FirstOrderSpec:
@@ -169,16 +172,15 @@ class ValidationReport:
         return f"{len(self.violations)} violations in {self.checked} tuples: {head}"
 
 
-def validate(model: FiniteMFModel, extra_measures=(), max_tuples: int = 512,
-             seed: int = 0) -> ValidationReport:
+def validate(model: FiniteMFModel, extra_measures=()) -> ValidationReport:
     """Spot-check row-stochasticity and cost finiteness on sampled argument tuples.
 
     Sampled laws are the Diracs at each grid point, the uniform law, and any
     ``extra_measures`` (which must live on the state grid); action laws are
-    the Diracs and the uniform over actions.  A seeded draw of ``max_tuples``
-    tuple numbers (C order over stage, state, action, law and action law) is
-    decoded by index arithmetic; each stage's tuples are evaluated in one
-    :func:`evaluate` call.
+    the Diracs and the uniform over actions.  A draw of ``VALIDATE_TUPLES``
+    tuple numbers seeded by ``VALIDATE_SEED`` (C order over stage, state,
+    action, law and action law) is decoded by index arithmetic; each stage's
+    tuples are evaluated in one :func:`evaluate` call.
     """
     S, M, n = model.n_states, model.n_actions, model.horizon
     laws = np.vstack([np.eye(S), np.full(S, 1.0 / S)]
@@ -186,8 +188,8 @@ def validate(model: FiniteMFModel, extra_measures=(), max_tuples: int = 512,
     action_laws = np.vstack([np.eye(M), np.full(M, 1.0 / M)])
     shape = (n, S, M, len(laws), len(action_laws))
     total = math.prod(shape)
-    pick = (np.random.default_rng(seed).choice(total, size=max_tuples, replace=False)
-            if total > max_tuples else np.arange(total))
+    pick = (np.random.default_rng(VALIDATE_SEED).choice(total, VALIDATE_TUPLES, replace=False)
+            if total > VALIDATE_TUPLES else np.arange(total))
     stage, i, a, mi, li = np.unravel_index(pick, shape)
     report = ValidationReport(checked=len(pick))
 

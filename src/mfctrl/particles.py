@@ -33,7 +33,6 @@ from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .lq import AffinePolicy, LQModel
 from .measure import DiscreteMeasure, TabularMap, match_indices
@@ -66,6 +65,7 @@ def uniforms(seed: int, stream: int, count: int, *, start: int = 0) -> np.ndarra
 
 def normals(seed: int, stream: int, count: int, *, start: int = 0) -> np.ndarray:
     """Deterministic standard normals via the inverse CDF of the uniforms."""
+    from scipy.special import ndtri   # here, so a cold start without Gaussian draws skips SciPy
     return ndtri(uniforms(seed, stream, count, start=start))
 
 

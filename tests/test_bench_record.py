@@ -61,3 +61,20 @@ def test_source_lines_counts_like_wc(tmp_path):
     assert bench_record.source_lines(str(tmp_path)) == {
         "files": {"a.py": 2, "b.py": 0, "c.py": 1}, "total": 3}
 
+
+def test_cold_start_takes_the_spread_of_the_wall_times():
+    timings = [{"wall_s": w, "exit_code": code, "summary": ""}
+               for w, code in [(0.4, 0), (0.3, 0), (0.9, 0), (0.35, 2), (0.5, 0)]]
+    assert bench_record.summarize_cold(timings) == {
+        "runs": 5, "exit_codes": [0, 0, 0, 2, 0],
+        "wall_s": {"median": 0.4, "min": 0.3, "max": 0.9,
+                   "values": [0.4, 0.3, 0.9, 0.35, 0.5]}}
+
+
+def test_cold_start_runs_each_command_in_fresh_processes():
+    result = bench_record.cold_start(ROOT, 1, log=lambda msg: None)
+    assert sorted(result) == ["riccati lq_multivariate.json",
+                              "solve-finite finite_mean_reverting.json"]
+    for entry in result.values():
+        assert entry["runs"] == 1 and entry["exit_codes"] == [0]
+        assert 0 < entry["wall_s"]["min"] <= entry["wall_s"]["median"] <= entry["wall_s"]["max"]

@@ -6,6 +6,7 @@ import pytest
 from conftest import load_finite, random_finite_model, scalar_only
 from test_dpp_engine import TAG_CONFIGS
 from validate_reference import reference_validate
+import mfctrl.model
 from mfctrl.fixtures import list_fixtures, load_fixture
 from mfctrl.measure import DiscreteMeasure
 from mfctrl.model import (
@@ -336,9 +337,11 @@ INJECTED_KINDS = {"injected:rows_costs": {"row_mass", "row_negative", "cost", "t
 @pytest.mark.parametrize("max_tuples", [5, 64, 512, 10**6])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
-def test_validate_draws_and_reports_like_the_tuple_lists(name, seed, max_tuples):
+def test_validate_draws_and_reports_like_the_tuple_lists(monkeypatch, name, seed, max_tuples):
     model, extra = VALIDATE_CASES[name]
-    report = validate(model, extra_measures=extra, max_tuples=max_tuples, seed=seed)
+    monkeypatch.setattr(mfctrl.model, "VALIDATE_TUPLES", max_tuples)
+    monkeypatch.setattr(mfctrl.model, "VALIDATE_SEED", seed)
+    report = validate(model, extra_measures=extra)
     assert report == reference_validate(model, extra_measures=extra, max_tuples=max_tuples,
                                         seed=seed)
     if max_tuples >= 512:

@@ -7,11 +7,13 @@ Run from the repository root::
 For every workload of ``BENCHMARK.json`` it runs ``benchmarks/run.py`` ``RUNS``
 times at ``--trace 0`` and once at ``--trace 1``, at seed ``SEED`` and for
 ``run_seconds`` each. It also times ``mfctrl verify --quick`` and the Tier-1
-suite, the end-to-end workloads the benchmark does not cover. The file holds,
-per workload, the median, min and max of each end-to-end metric with every
-run's value, the traced run's per-layer metrics, those two wall times, the line
-counts of ``src/mfctrl/*.py`` and the machine: CPUs, Python, numpy and the
-commit. Runs are sequential; run nothing else meanwhile.
+suite, the end-to-end workloads the benchmark does not cover, and the cold
+start: ``COLD_RUNS`` fresh processes of each command of ``COLD_START``. The
+file holds, per workload, the median, min and max of each end-to-end metric
+with every run's value, the traced run's per-layer metrics, those two wall
+times, the same spread of the cold-start wall times, the line counts of
+``src/mfctrl/*.py`` and the machine: CPUs, Python, numpy and the commit. Runs
+are sequential; run nothing else meanwhile.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 RUNS = 3   # untraced runs per workload
@@ -30,6 +33,17 @@ SEED = 1
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 VERIFY = [sys.executable, "-c", "import sys; from mfctrl.cli import main; "
                                 "sys.exit(main(['verify', '--quick']))"]
+COLD_RUNS = 5   # fresh processes per cold-start command
+COLD_START = {f"{command} {name}": [sys.executable, "-m", "mfctrl.cli", command,
+                                    os.path.join("src", "mfctrl", "fixtures", name)]
+              for command, name in [("solve-finite", "finite_mean_reverting.json"),
+                                    ("riccati", "lq_multivariate.json")]}
+
+
+def spread(values):
+    """Median, min and max of ``values``, with the values themselves."""
+    return {"median": statistics.median(values), "min": min(values), "max": max(values),
+            "values": values}
 
 
 def summarize(runs, metrics):
@@ -43,10 +57,16 @@ def summarize(runs, metrics):
                "metrics": {}}
     for metric in metrics:
         values = [run["metrics"][metric["name"]]["value"] for run in runs]
-        summary["metrics"][metric["name"]] = {
-            "median": statistics.median(values), "min": min(values), "max": max(values),
-            "unit": metric["unit"], "better": metric["better"], "values": values}
+        summary["metrics"][metric["name"]] = dict(
+            spread(values), unit=metric["unit"], better=metric["better"])
     return summary
+
+
+def summarize_cold(timings):
+    """The spread of the wall times of ``timings``, results of :func:`_timed`
+    for fresh processes of one command, with their exit codes."""
+    return {"runs": len(timings), "exit_codes": [t["exit_code"] for t in timings],
+            "wall_s": spread([t["wall_s"] for t in timings])}
 
 
 def source_lines(root):
@@ -124,6 +144,20 @@ def record(root, runs, seed, log=print):
     result["verify_quick"] = _timed(root, VERIFY)
     log("Tier-1 suite")
     result["tier1"] = _timed(root, TIER1)
+    result["cold_start"] = cold_start(root, COLD_RUNS, log)
+    return result
+
+
+def cold_start(root, runs, log=print):
+    """:func:`summarize_cold` of ``runs`` fresh processes of each ``COLD_START``
+    command, by its key; outputs go to a temporary file."""
+    result = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.json")
+        for key, argv in COLD_START.items():
+            log(f"cold start: {key}")
+            result[key] = summarize_cold([_timed(root, argv + ["--out", out])
+                                          for _ in range(runs)])
     return result
 
 
