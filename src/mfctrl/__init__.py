@@ -13,8 +13,13 @@ cli        scenario runner (``mfctrl`` console script)
 
 Imports are lazy, so ``import mfctrl`` loads no numerical module and the BLAS
 thread variables (``OMP_NUM_THREADS`` and the like) can still be set after it.
-``mfctrl.cli`` loads SciPy only for Riccati solves (``scipy.linalg.lapack``)
-and Gaussian draws (``scipy.special``), so a finite solve starts without it.
+``mfctrl.cli`` loads ``measure``, ``model`` and ``dpp``, and each other engine
+only in the subcommands that run it; SciPy only for Riccati solves
+(``scipy.linalg.lapack``) and Gaussian draws (``scipy.special``). So a finite
+solve starts without ``lq``, ``particles``, ``moments``, ``verify`` or SciPy.
+The engines' numerical failures (``dpp.BudgetExceeded``,
+``lq.ConditionsNotMet``, ``lq.NotPositiveDefinite``) are ``ArithmeticError``s,
+which the CLI maps to exit code 3.
 """
 
 from importlib import import_module

@@ -1,8 +1,10 @@
 """Scenario runner: finite DPP solves, Riccati solves, the mean-variance
 preset, Monte Carlo simulation, and the cross-oracle verification table.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed config or usage,
-3 numerical failure (running out of memory included).
+Exit codes: 0 success, 1 verification failure, 2 malformed config or usage
+(any ``ValueError``), 3 numerical failure (any ``ArithmeticError``, which each
+engine's failure classes are, a ``LinAlgError`` or running out of memory).
+Each engine but the finite DPP is imported by the subcommands that run it.
 """
 
 import argparse
@@ -16,13 +18,9 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import dpp, verify
-from .lq import (AffinePolicy, ConditionsNotMet, LQModel, NotPositiveDefinite, array_fields,
-                 explicit_control_coefficients, mean_variance_closed_form,
-                 mean_variance_model, optimal_policy, solve_riccati, value_at)
+from . import dpp
 from .measure import DiscreteMeasure, TabularMap, as_integer
 from .model import finite_model_from_config
-from .particles import simulate
 
 CONFIG_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -32,32 +30,24 @@ MAX_STAGES = 10**6
 MAX_PARTICLES = 10**8
 
 
-class ConfigError(ValueError):
-    """Malformed config, usage or output path (exit 2, as any other ValueError)."""
-
-
-class NonFiniteOutput(ArithmeticError):
-    """A result holds NaN or Inf, which strict JSON cannot carry."""
-
-
 def _load_scenario(path):
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config {path!r} must be a JSON object, got {type(data).__name__}")
+        raise ValueError(f"config {path!r} must be a JSON object, got {type(data).__name__}")
     if "run" in data:
-        raise ConfigError("config field 'run' is not supported; use the --node-budget, --out, "
-                          "--trajectory-csv and --stages-csv flags")
+        raise ValueError("config field 'run' is not supported; use the --node-budget, --out, "
+                         "--trajectory-csv and --stages-csv flags")
     kind = data.get("kind")
     if kind not in ("finite", "lq", "meanvariance"):
-        raise ConfigError(f"config field 'kind' must be finite|lq|meanvariance, got {kind!r}")
+        raise ValueError(f"config field 'kind' must be finite|lq|meanvariance, got {kind!r}")
     if "model" not in data:
-        raise ConfigError("config is missing the 'model' field")
+        raise ValueError("config is missing the 'model' field")
     return data
 
 
@@ -65,17 +55,17 @@ def _finite_from_scenario(data):
     try:
         model = finite_model_from_config(data["model"])
     except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad finite model config: {exc}") from exc
+        raise ValueError(f"bad finite model config: {exc}") from exc
     if model.horizon > MAX_STAGES:
-        raise ConfigError(f"finite model field 'horizon' must be at most {MAX_STAGES}, "
-                          f"got {model.horizon}")
+        raise ValueError(f"finite model field 'horizon' must be at most {MAX_STAGES}, "
+                         f"got {model.horizon}")
     law = data.get("initial_law")
     if law is None:
-        raise ConfigError("finite scenario is missing the 'initial_law' field")
+        raise ValueError("finite scenario is missing the 'initial_law' field")
     try:
         mu0 = DiscreteMeasure.from_json(law)
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad initial_law: {exc}") from exc
+        raise ValueError(f"bad initial_law: {exc}") from exc
     return model, mu0
 
 
@@ -83,7 +73,7 @@ def _real(value, what):
     """``value`` as a float. JSON numbers pass; bools and strings are config
     errors, never converted."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+        raise ValueError(f"{what} must be a number, got {value!r}")
     return float(value)
 
 
@@ -91,26 +81,27 @@ def _mv_params(payload):
     try:
         fields = {k: payload[k] for k in ("gamma", "b", "sigma", "delta", "x0", "n")}
     except (KeyError, TypeError) as exc:
-        raise ConfigError(f"mean-variance model needs gamma, b, sigma, delta, n, x0: {exc}")
+        raise ValueError(f"mean-variance model needs gamma, b, sigma, delta, n, x0: {exc}")
     n = fields.pop("n")
     return ({k: _real(v, f"mean-variance model field {k!r}") for k, v in fields.items()}
             | {"n": as_integer(n, "mean-variance model field 'n'")})
 
 
 def _lq_from_scenario(data):
+    from . import lq
     if data["kind"] == "meanvariance":
-        return mean_variance_model(**_mv_params(data["model"]))
+        return lq.mean_variance_model(**_mv_params(data["model"]))
     try:
-        return LQModel.from_json(data["model"])
+        return lq.LQModel.from_json(data["model"])
     except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad LQ model config: {exc}") from exc
+        raise ValueError(f"bad LQ model config: {exc}") from exc
 
 
 def _open_output(path, **kwargs):
     try:
         return open(path, "w", **kwargs)
     except OSError as exc:
-        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
+        raise ValueError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def _write_csv(path, header, rows):
@@ -124,7 +115,7 @@ def _write_json(path, payload):
     """Write ``json.dumps(payload, indent=2, allow_nan=False)``, byte for byte,
     where each NumPy array in ``payload`` counts as its ``tolist()``.
 
-    A NaN or Inf in ``payload`` raises ``NonFiniteOutput`` and leaves no output
+    A NaN or Inf in ``payload`` raises ``ArithmeticError`` and leaves no output
     behind. Files are streamed, since outputs reach megabytes, and removed if
     the encoding fails; standard output gets the text, and a newline, once all
     of it is encoded.
@@ -152,7 +143,7 @@ _CONTAINERS = (dict, list, np.ndarray)
 
 
 def _not_finite(value):
-    return NonFiniteOutput("output is not finite: Out of range float values are "
+    return ArithmeticError("output is not finite: Out of range float values are "
                            f"not JSON compliant: {value!r}")
 
 
@@ -261,10 +252,10 @@ def _joined(values):
 def _cmd_solve_finite(args):
     data = _load_scenario(args.config)
     if data["kind"] != "finite":
-        raise ConfigError(f"solve-finite needs a finite scenario, got kind {data['kind']!r}")
+        raise ValueError(f"solve-finite needs a finite scenario, got kind {data['kind']!r}")
     model, mu0 = _finite_from_scenario(data)
     if args.node_budget < 1:
-        raise ConfigError(f"node budget must be at least 1, got {args.node_budget}")
+        raise ValueError(f"node budget must be at least 1, got {args.node_budget}")
     result = dpp.solve(model, mu0, node_budget=args.node_budget)
     path = result.optimal_law_path
     payload = {
@@ -285,22 +276,24 @@ def _cmd_solve_finite(args):
 
 def _lq_payload(model, sol, initial_law):
     """The optimal policy of ``sol`` and the output fields the LQ subcommands share."""
-    policy = optimal_policy(model, sol)
-    controls = explicit_control_coefficients(model, sol, policy)
+    from . import lq
+    policy = lq.optimal_policy(model, sol)
+    controls = lq.explicit_control_coefficients(model, sol, policy)
     return policy, {
-        "solution": array_fields(sol),
-        "policy": array_fields(policy),
-        "explicit_controls": array_fields(controls),
-        "value_at_initial": value_at(sol, 0, initial_law),
+        "solution": lq.array_fields(sol),
+        "policy": lq.array_fields(policy),
+        "explicit_controls": lq.array_fields(controls),
+        "value_at_initial": lq.value_at(sol, 0, initial_law),
     }
 
 
 def _cmd_riccati(args):
     data = _load_scenario(args.config)
     if data["kind"] not in ("lq", "meanvariance"):
-        raise ConfigError(f"riccati needs an lq/meanvariance scenario, got {data['kind']!r}")
+        raise ValueError(f"riccati needs an lq/meanvariance scenario, got {data['kind']!r}")
+    from . import lq
     model = _lq_from_scenario(data)
-    sol = solve_riccati(model, force=args.force)
+    sol = lq.solve_riccati(model, force=args.force)
     policy, payload = _lq_payload(model, sol, (model.initial_mean, model.initial_cov))
     _write_json(args.out, payload)
     if args.stages_csv:
@@ -317,26 +310,28 @@ def _cmd_riccati(args):
 
 def _cmd_meanvariance(args):
     if args.n > MAX_STAGES:
-        raise ConfigError(f"--n must be at most {MAX_STAGES}, got {args.n}")
+        raise ValueError(f"--n must be at most {MAX_STAGES}, got {args.n}")
+    from . import lq
     params = {key: getattr(args, key) for key in ("gamma", "b", "sigma", "delta", "n", "x0")}
-    model = mean_variance_model(**params)
-    closed = mean_variance_closed_form(args.gamma, args.b, args.sigma, args.delta, args.n)
+    model = lq.mean_variance_model(**params)
+    closed = lq.mean_variance_closed_form(args.gamma, args.b, args.sigma, args.delta, args.n)
     _, payload = _lq_payload(model, closed, DiscreteMeasure.dirac([args.x0]))
     _write_json(args.out, {"params": params} | payload)
     return 0
 
 
 def _load_policy(args, model):
+    from . import lq
     source = args.policy
-    if isinstance(model, LQModel):
+    if isinstance(model, lq.LQModel):
         if source == "riccati":
-            return optimal_policy(model, solve_riccati(model))
+            return lq.optimal_policy(model, lq.solve_riccati(model))
         if source == "zero":
-            return AffinePolicy.zero(model.horizon, model.state_dim, model.control_dim)
+            return lq.AffinePolicy.zero(model.horizon, model.state_dim, model.control_dim)
         with open(source) as fh:
-            return AffinePolicy.from_json(json.load(fh))
+            return lq.AffinePolicy.from_json(json.load(fh))
     if source == "riccati":
-        raise ConfigError("policy source 'riccati' needs an lq/meanvariance scenario")
+        raise ValueError("policy source 'riccati' needs an lq/meanvariance scenario")
     if source == "zero":
         return model.tabular_policy(np.zeros(model.n_states, dtype=int))
     with open(source) as fh:
@@ -345,8 +340,9 @@ def _load_policy(args, model):
 
 def _cmd_simulate(args):
     if not 2 <= args.n_particles <= MAX_PARTICLES:
-        raise ConfigError(f"--n-particles must be from 2 (for a standard error) to "
-                          f"{MAX_PARTICLES}, got {args.n_particles}")
+        raise ValueError(f"--n-particles must be from 2 (for a standard error) to "
+                         f"{MAX_PARTICLES}, got {args.n_particles}")
+    from .particles import simulate
     data = _load_scenario(args.config)
     if data["kind"] in ("lq", "meanvariance"):
         model = _lq_from_scenario(data)
@@ -356,7 +352,7 @@ def _cmd_simulate(args):
     try:
         policy = _load_policy(args, model)
     except OSError as exc:
-        raise ConfigError(f"cannot read policy file: {exc}") from exc
+        raise ValueError(f"cannot read policy file: {exc}") from exc
     result = simulate(model, policy, args.n_particles, args.seed,
                       closure=args.closure, initial_law=initial_law)
     _write_json(args.out, result.to_json())
@@ -368,6 +364,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_verify(args):
+    from . import verify
     rows = verify.rows(args.quick)
     width = max(len(name) for name, _, _ in rows)
     for name, ok, detail in rows:
@@ -436,9 +433,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConditionsNotMet, NotPositiveDefinite, dpp.BudgetExceeded,
-            np.linalg.LinAlgError, ArithmeticError) as exc:
-        # ArithmeticError covers NonFiniteOutput, overflows and divisions by zero
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        # ArithmeticError covers the engines' numerical failure classes, a
+        # non-finite output, overflows and divisions by zero
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except MemoryError as exc:

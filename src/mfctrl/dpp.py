@@ -54,7 +54,7 @@ FIRST_ORDER_MAX_ENTRIES = 1_000_000
 EXPANSION_ENTRIES = 1 << 18
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(ArithmeticError, RuntimeError):
     """Raised when a reachable tree or an enumeration outgrows its budget."""
 
 
@@ -129,8 +129,8 @@ class SolveResult:
 
 def _policies(model: FiniteMFModel):
     """All tabular maps, lexicographic in (state index, action index)."""
-    tuples = list(itertools.product(range(model.n_actions), repeat=model.n_states))
-    return tuples, [model.tabular_policy(t) for t in tuples]
+    return [model.tabular_policy(t)
+            for t in itertools.product(range(model.n_actions), repeat=model.n_states)]
 
 
 def _map_actions(index: np.ndarray, n_states: int, n_actions: int) -> np.ndarray:
@@ -314,7 +314,7 @@ def brute_force_value(model: FiniteMFModel, mu0: DiscreteMeasure) -> float:
     if count > ENUMERATION_CAP:
         raise BudgetExceeded(
             f"{count} policy sequences exceed the enumeration cap {ENUMERATION_CAP}")
-    _, policies = _policies(model)
+    policies = _policies(model)
     best = np.inf
     for seq in itertools.product(policies, repeat=n):
         cost, _ = rollforward(model, mu0, list(seq))

@@ -44,7 +44,7 @@ PD_EIG_TOL = 1e-10
 RANK_REL_TOL = 1e-10
 
 
-class ConditionsNotMet(ValueError):
+class ConditionsNotMet(ArithmeticError, ValueError):
     """The convexity/coercivity conditions fail; carries the full report."""
 
     def __init__(self, report):
@@ -52,7 +52,7 @@ class ConditionsNotMet(ValueError):
         super().__init__(report.message())
 
 
-class NotPositiveDefinite(RuntimeError):
+class NotPositiveDefinite(ArithmeticError, RuntimeError):
     """A control Hessian lost positive definiteness at a named stage."""
 
 
@@ -338,12 +338,6 @@ class RiccatiSolution:
 
     def to_json(self) -> dict:
         return {name: value.tolist() for name, value in array_fields(self).items()}
-
-    @classmethod
-    def from_json(cls, payload) -> "RiccatiSolution":
-        if isinstance(payload, str):
-            payload = json.loads(payload)
-        return cls(**{f.name: np.asarray(payload[f.name], dtype=float) for f in fields(cls)})
 
 
 @dataclass

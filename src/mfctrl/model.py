@@ -99,7 +99,6 @@ class FiniteMFModel:
     terminal_cost: TerminalCostFn
     mean_field_free: bool = False
     first_order: Optional[FirstOrderSpec] = None
-    config: Optional[dict] = None
 
     def __post_init__(self):
         object.__setattr__(self, "states", _as_points(self.states))
@@ -771,5 +770,4 @@ def finite_model_from_config(config) -> FiniteMFModel:
         terminal_cost=g,
         mean_field_free=bool(config.get("mean_field_free", False)),
         first_order=first_order,
-        config=config,
     )

@@ -100,18 +100,6 @@ class SimulationResult:
             "stage_variances": self.stage_variances.tolist(),
         }
 
-    @classmethod
-    def from_json(cls, payload) -> "SimulationResult":
-        return cls(
-            estimate=float(payload["estimate"]),
-            std_error=float(payload["std_error"]),
-            n_particles=int(payload["n_particles"]),
-            seed=int(payload["seed"]),
-            closure=payload["closure"],
-            stage_means=np.asarray(payload["stage_means"], dtype=float),
-            stage_variances=np.asarray(payload["stage_variances"], dtype=float),
-        )
-
 
 def _blocks(x: np.ndarray):
     """``(start, view)`` of each block of particles (the last axis) of ``x``, in order."""

@@ -16,7 +16,7 @@ from mfctrl.model import lifted_stage_cost, lifted_terminal_cost
 
 def reference_solve(model, mu0, node_budget=2_000_000):
     n = model.horizon
-    _, policies = _policies(model)
+    policies = _policies(model)
     cache = {}
 
     def value(k, mu):

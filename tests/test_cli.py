@@ -22,10 +22,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import workloads  # noqa: E402
 from mfctrl import cli
 from mfctrl.cli import main
+from mfctrl.dpp import BudgetExceeded
 from mfctrl.fixtures import fixture_text, list_fixtures
 from mfctrl.lq import (
     AffinePolicy,
+    ConditionsNotMet,
     LQModel,
+    NotPositiveDefinite,
     RiccatiSolution,
     array_fields,
     explicit_control_coefficients,
@@ -35,7 +38,8 @@ from mfctrl.lq import (
     solve_riccati,
     value_at,
 )
-from mfctrl.particles import SimulationResult
+from mfctrl.measure import DiscreteMeasure
+from mfctrl.particles import simulate
 
 
 def _stage(tmp_path, name):
@@ -55,25 +59,26 @@ class TestMeanVariance:
         assert payload["policy"]["offset"][0][0] == pytest.approx(0.625, abs=1e-14)
 
     def test_solution_round_trips(self, tmp_path):
-        # the artifact holds the closed form; re-parsing must be bit-exact
+        # the artifact holds the closed form, its policy and controls, bit for bit
         out = tmp_path / "mv.json"
         assert main(["meanvariance", "--gamma", "2", "--b", "0.2", "--sigma", "0.5",
                      "--delta", "0.1", "--n", "5", "--x0", "0.7",
                      "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        sol = RiccatiSolution.from_json(payload["solution"])
         model = mean_variance_model(2.0, 0.2, 0.5, 0.1, 5, 0.7)
         closed = mean_variance_closed_form(2.0, 0.2, 0.5, 0.1, 5)
-        for name in ("var_weight", "mean_weight", "linear", "constant"):
-            assert np.array_equal(getattr(sol, name), getattr(closed, name))
-        pol = AffinePolicy.from_json(payload["policy"])
-        direct_pol = optimal_policy(model, closed)
-        assert np.array_equal(pol.gain_state, direct_pol.gain_state)
-        assert np.array_equal(pol.offset, direct_pol.offset)
+        policy = optimal_policy(model, closed)
+        assert payload == {
+            "params": {"gamma": 2.0, "b": 0.2, "sigma": 0.5, "delta": 0.1, "n": 5, "x0": 0.7},
+            "solution": closed.to_json(),
+            "policy": policy.to_json(),
+            "explicit_controls": explicit_control_coefficients(model, closed, policy).to_json(),
+            "value_at_initial": value_at(closed, 0, DiscreteMeasure.dirac([0.7])),
+        }
         # and the recursion agrees with the closed form to tolerance
         direct = solve_riccati(model)
         for name in ("var_weight", "mean_weight", "linear", "constant"):
-            np.testing.assert_allclose(getattr(sol, name), getattr(direct, name),
+            np.testing.assert_allclose(payload["solution"][name], getattr(direct, name),
                                        atol=1e-12)
 
 
@@ -96,7 +101,7 @@ class TestSolveFinite:
     def test_artifact_round_trips_against_direct_solve(self, tmp_path):
         from conftest import load_finite
         from mfctrl import dpp
-        from mfctrl.measure import DiscreteMeasure, TabularMap
+        from mfctrl.measure import TabularMap
 
         cfg = _stage(tmp_path, "finite_mean_reverting.json")
         out = tmp_path / "solve.json"
@@ -122,7 +127,6 @@ class TestSolveFinite:
     def test_law_trajectory_is_the_scalar_rollout_within_one_key_quantum(self, tmp_path, case):
         # a shipped fixture, or every scenario of a benchmark workload at one seed
         from mfctrl import dpp
-        from mfctrl.measure import DiscreteMeasure
         from mfctrl.model import finite_model_from_config
 
         if case.endswith(".json"):
@@ -193,7 +197,6 @@ class TestSolveFinite:
     ], ids=["states_2d", "actions_2d"])
     def test_multi_coordinate_grids(self, tmp_path, states, actions):
         from mfctrl import dpp
-        from mfctrl.measure import DiscreteMeasure
         from mfctrl.model import finite_model_from_config
 
         data = json.loads(fixture_text("finite_mean_reverting.json"))
@@ -219,14 +222,12 @@ class TestRiccati:
         assert main(["riccati", cfg, "--out", str(out),
                      "--stages-csv", str(tmp_path / "stages.csv")]) == 0
         payload = json.loads(out.read_text())
-        from mfctrl.lq import LQModel
         model = LQModel.from_json(json.loads(fixture_text("lq_multivariate.json"))["model"])
         direct = solve_riccati(model)
-        sol = RiccatiSolution.from_json(payload["solution"])
-        for name in ("var_weight", "mean_weight", "linear", "constant",
-                     "dev_hessian", "mean_hessian", "dev_cross", "mean_cross",
-                     "mean_transition"):
-            assert np.array_equal(getattr(sol, name), getattr(direct, name)), name
+        # every field of the solution, bit for bit
+        assert payload["solution"] == direct.to_json()
+        assert set(payload["solution"]) == set(array_fields(direct))
+        assert payload["policy"] == optimal_policy(model, direct).to_json()
         assert (tmp_path / "stages.csv").exists()
 
     def test_condition_failure_exit_code(self, tmp_path):
@@ -248,8 +249,11 @@ class TestSimulate:
         code = main(["simulate", cfg, "--n-particles", "20000", "--seed", "5",
                      "--out", str(out)])
         assert code == 0
-        result = SimulationResult.from_json(json.loads(out.read_text()))
-        assert abs(result.estimate - (-1.28125)) <= 4 * result.std_error
+        payload = json.loads(out.read_text())
+        model = mean_variance_model(1.0, 0.5, 1.0, 1.0, 2, 1.0)
+        result = simulate(model, optimal_policy(model, solve_riccati(model)), 20000, 5)
+        assert payload == result.to_json()
+        assert abs(payload["estimate"] - (-1.28125)) <= 4 * payload["std_error"]
 
     def test_deterministic_given_seed(self, tmp_path):
         cfg = _stage(tmp_path, "lq_mean_variance.json")
@@ -350,7 +354,7 @@ def test_non_finite_entry_deep_in_a_tensor_writes_nothing(tmp_path, capsys, monk
             arrays["var_weight"] = weights if form == "array" else weights.tolist()
         return arrays
 
-    monkeypatch.setattr(cli, "array_fields", poisoned)
+    monkeypatch.setattr("mfctrl.lq.array_fields", poisoned)
     out = tmp_path / "lq.json"
     code = main(["riccati", _stage(tmp_path, "lq_multivariate.json"),
                  "--out", str(out) if to_file else "-"])
@@ -519,8 +523,6 @@ class TestNonFinitePolicy:
                                               ("gain_mean", math.inf), ("offset", -math.inf)])
     def test_simulate_non_finite_policy_file_is_config_error(self, tmp_path, capsys,
                                                              monkeypatch, field, value):
-        import mfctrl.cli
-
         policy = AffinePolicy.zero(2, 1, 1).to_json()
         policy[field] = np.full(np.shape(policy[field]), value).tolist()
         path = tmp_path / "p.json"
@@ -530,13 +532,26 @@ class TestNonFinitePolicy:
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated with a non-finite policy")
 
-        monkeypatch.setattr(mfctrl.cli, "simulate", no_simulation)
+        monkeypatch.setattr("mfctrl.particles.simulate", no_simulation)
         code = main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
                      "10", "--seed", "1", "--policy", str(path), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert f"policy {field} has non-finite entries" in err and "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("cls, old_base", [
+    (ConditionsNotMet, ValueError),
+    (NotPositiveDefinite, RuntimeError),
+    (BudgetExceeded, RuntimeError),
+], ids=lambda v: v.__name__)
+def test_numerical_failure_classes_are_arithmetic_errors(cls, old_base):
+    # ``cli.main`` maps every ArithmeticError to exit 3 without naming these
+    # classes; each keeps its old base for the callers that catch it
+    assert cls.__bases__ == (ArithmeticError, old_base)
+    error = cls.__new__(cls)
+    assert isinstance(error, ArithmeticError) and isinstance(error, old_base)
 
 
 @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
@@ -583,12 +598,10 @@ def test_overflowing_simulation_prints_only_the_output_error(tmp_path, capsys):
 
 
 def test_out_of_memory_is_numerical_failure(tmp_path, capsys, monkeypatch):
-    import mfctrl.cli
-
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)")
 
-    monkeypatch.setattr(mfctrl.cli, "simulate", no_memory)
+    monkeypatch.setattr("mfctrl.particles.simulate", no_memory)
     out = tmp_path / "sim.json"
     code = main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
                  "10", "--seed", "1", "--out", str(out)])
@@ -739,8 +752,8 @@ class TestSizeGuards:
     @pytest.mark.parametrize("excess", [1, 10**12])
     def test_meanvariance_horizon_above_the_maximum(self, tmp_path, capsys, monkeypatch,
                                                     excess):
-        monkeypatch.setattr(cli, "mean_variance_model", self._unreachable)
-        monkeypatch.setattr(cli, "mean_variance_closed_form", self._unreachable)
+        monkeypatch.setattr("mfctrl.lq.mean_variance_model", self._unreachable)
+        monkeypatch.setattr("mfctrl.lq.mean_variance_closed_form", self._unreachable)
         out = tmp_path / "mv.json"
         assert main(["meanvariance", "--gamma", "1", "--b", "0.5", "--sigma", "1", "--delta",
                      "1", "--n", str(cli.MAX_STAGES + excess), "--x0", "1",
@@ -752,7 +765,7 @@ class TestSizeGuards:
     @pytest.mark.parametrize("excess", [1, 10**12])
     def test_simulate_particles_above_the_maximum(self, tmp_path, capsys, monkeypatch, excess):
         monkeypatch.setattr(cli, "_load_scenario", self._unreachable)
-        monkeypatch.setattr(cli, "simulate", self._unreachable)
+        monkeypatch.setattr("mfctrl.particles.simulate", self._unreachable)
         out = tmp_path / "sim.json"
         assert main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
                      str(cli.MAX_PARTICLES + excess), "--seed", "1", "--out", str(out)]) == 2
@@ -773,7 +786,7 @@ class TestSizeGuards:
     def test_finite_horizon_above_the_maximum(self, tmp_path, capsys, monkeypatch, command,
                                               excess):
         monkeypatch.setattr(cli.dpp, "solve", self._unreachable)
-        monkeypatch.setattr(cli, "simulate", self._unreachable)
+        monkeypatch.setattr("mfctrl.particles.simulate", self._unreachable)
         horizon = cli.MAX_STAGES + excess
         assert main(self._finite_horizon_argv(tmp_path, command, horizon)) == 2
         assert capsys.readouterr().err == (f"config error: finite model field 'horizon' must "
@@ -784,8 +797,8 @@ class TestSizeGuards:
         def reached(*args, **kwargs):
             raise ValueError("reached")
 
-        monkeypatch.setattr(cli, "mean_variance_model", reached)
-        monkeypatch.setattr(cli, "simulate", reached)
+        monkeypatch.setattr("mfctrl.lq.mean_variance_model", reached)
+        monkeypatch.setattr("mfctrl.particles.simulate", reached)
         monkeypatch.setattr(cli.dpp, "solve", reached)
         assert main(["meanvariance", "--gamma", "1", "--b", "0.5", "--sigma", "1", "--delta",
                      "1", "--n", str(cli.MAX_STAGES), "--x0", "1"]) == 2

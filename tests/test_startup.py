@@ -2,8 +2,10 @@
 
 ``mfctrl.cli`` loads ``scipy.linalg.lapack`` only in the Riccati recursion and
 ``scipy.special`` only in the Gaussian draws, so a finite solve or simulation
-starts without SciPy. Each test runs its script in a fresh interpreter, since
-the test process has imported SciPy long before.
+starts without SciPy. It imports ``lq``, ``particles`` (with ``moments``) and
+``verify`` only in the subcommands that run them, so ``solve-finite`` loads
+none of them. Each test runs its script in a fresh interpreter, since the test
+process has imported all of these long before.
 """
 
 import json
@@ -24,6 +26,9 @@ PRELUDE = """
 import json, os, sys, threading
 def scipy_modules():
     return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+def engines():
+    names = ("mfctrl.lq", "mfctrl.particles", "mfctrl.moments", "mfctrl.verify")
+    return [name for name in names if name in sys.modules]
 """
 
 
@@ -57,14 +62,31 @@ print(json.dumps(seen))
     assert seen == {step: [0] for step in seen}
 
 
+def test_solve_finite_loads_no_other_engine(tmp_path):
+    script = """
+import mfctrl.cli
+seen = {"import mfctrl.cli": engines()}
+fixtures, out = sys.argv[1], sys.argv[2]
+for name in sys.argv[3:]:
+    argv = ["solve-finite", os.path.join(fixtures, name), "--out", out]
+    seen[" ".join(argv[:2])] = [mfctrl.cli.main(argv)] + engines()
+print(json.dumps(seen))
+"""
+    seen = _fresh(script, FIXTURES, str(tmp_path / "out.json"), *FINITE)
+    assert len(seen) == len(FINITE) + 1
+    assert seen.pop("import mfctrl.cli") == []
+    assert seen == {step: [0] for step in seen}
+
+
 def test_riccati_loads_lapack_but_not_special(tmp_path):
     script = """
 import mfctrl.cli
 code = mfctrl.cli.main(["riccati", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([code, "scipy.linalg.lapack" in sys.modules, "scipy.special" in sys.modules]))
+print(json.dumps([code, "scipy.linalg.lapack" in sys.modules, "scipy.special" in sys.modules,
+                  engines()]))
 """
     assert _fresh(script, os.path.join(FIXTURES, "lq_multivariate.json"),
-                  str(tmp_path / "out.json")) == [0, True, False]
+                  str(tmp_path / "out.json")) == [0, True, False, ["mfctrl.lq"]]
 
 
 # Records the thread that first imports scipy.special; when ``warm`` is set the
