@@ -43,14 +43,15 @@ def _fresh(script, *args):
 
 
 def test_finite_commands_never_load_scipy(tmp_path):
+    # nor, up to the last solve-finite, any engine but dpp
     script = """
 seen = {}
 import mfctrl.cli
-seen["import mfctrl.cli"] = scipy_modules()
+seen["import mfctrl.cli"] = scipy_modules() + engines()
 fixtures, out = sys.argv[1], sys.argv[2]
 for name in sys.argv[3:]:
     argv = ["solve-finite", os.path.join(fixtures, name), "--out", out]
-    seen[" ".join(argv[:2])] = [mfctrl.cli.main(argv)] + scipy_modules()
+    seen[" ".join(argv[:2])] = [mfctrl.cli.main(argv)] + scipy_modules() + engines()
 argv = ["simulate", os.path.join(fixtures, "finite_mean_reverting.json"), "--n-particles",
         "1000", "--seed", "3", "--policy", "zero", "--out", out]
 seen["simulate --policy zero"] = [mfctrl.cli.main(argv)] + scipy_modules()
@@ -58,22 +59,6 @@ print(json.dumps(seen))
 """
     seen = _fresh(script, FIXTURES, str(tmp_path / "out.json"), *FINITE)
     assert len(seen) == len(FINITE) + 2
-    assert seen.pop("import mfctrl.cli") == []
-    assert seen == {step: [0] for step in seen}
-
-
-def test_solve_finite_loads_no_other_engine(tmp_path):
-    script = """
-import mfctrl.cli
-seen = {"import mfctrl.cli": engines()}
-fixtures, out = sys.argv[1], sys.argv[2]
-for name in sys.argv[3:]:
-    argv = ["solve-finite", os.path.join(fixtures, name), "--out", out]
-    seen[" ".join(argv[:2])] = [mfctrl.cli.main(argv)] + engines()
-print(json.dumps(seen))
-"""
-    seen = _fresh(script, FIXTURES, str(tmp_path / "out.json"), *FINITE)
-    assert len(seen) == len(FINITE) + 1
     assert seen.pop("import mfctrl.cli") == []
     assert seen == {step: [0] for step in seen}
 
