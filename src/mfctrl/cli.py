@@ -38,6 +38,8 @@ def _load_scenario(path):
         raise ValueError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"config {path!r} is nested too deeply to decode") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config {path!r} must be a JSON object, got {type(data).__name__}")
     if "run" in data:
@@ -323,19 +325,22 @@ def _cmd_meanvariance(args):
 def _load_policy(args, model):
     from . import lq
     source = args.policy
-    if isinstance(model, lq.LQModel):
-        if source == "riccati":
-            return lq.optimal_policy(model, lq.solve_riccati(model))
-        if source == "zero":
-            return lq.AffinePolicy.zero(model.horizon, model.state_dim, model.control_dim)
-        with open(source) as fh:
-            return lq.AffinePolicy.from_json(json.load(fh))
+    finite = not isinstance(model, lq.LQModel)
     if source == "riccati":
-        raise ValueError("policy source 'riccati' needs an lq/meanvariance scenario")
+        if finite:
+            raise ValueError("policy source 'riccati' needs an lq/meanvariance scenario")
+        return lq.optimal_policy(model, lq.solve_riccati(model))
     if source == "zero":
-        return model.tabular_policy(np.zeros(model.n_states, dtype=int))
-    with open(source) as fh:
-        return TabularMap.from_json(json.load(fh))
+        return (model.tabular_policy(np.zeros(model.n_states, dtype=int)) if finite
+                else lq.AffinePolicy.zero(model.horizon, model.state_dim, model.control_dim))
+    try:
+        with open(source) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read policy file: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"policy file {source!r} is nested too deeply to decode") from exc
+    return (TabularMap if finite else lq.AffinePolicy).from_json(payload)
 
 
 def _cmd_simulate(args):
@@ -349,10 +354,7 @@ def _cmd_simulate(args):
         initial_law = None
     else:
         model, initial_law = _finite_from_scenario(data)
-    try:
-        policy = _load_policy(args, model)
-    except OSError as exc:
-        raise ValueError(f"cannot read policy file: {exc}") from exc
+    policy = _load_policy(args, model)
     result = simulate(model, policy, args.n_particles, args.seed,
                       closure=args.closure, initial_law=initial_law)
     _write_json(args.out, result.to_json())

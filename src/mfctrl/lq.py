@@ -29,17 +29,15 @@ factors, the policy through batched linear solves.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .measure import DiscreteMeasure, as_integer
+from .measure import SYM_TOL, DiscreteMeasure, as_integer
 
-SYM_TOL = 1e-10
-PSD_EIG_TOL = -1e-10
+PSD_EIG_TOL = -1e-10   # least eigenvalue of a PSD matrix, here and in moments
 PD_EIG_TOL = 1e-10
 RANK_REL_TOL = 1e-10
 
@@ -82,24 +80,34 @@ def _full_row_rank(mats) -> np.ndarray:
     return (sv[..., 0] != 0.0) & (sv[..., d - 1] >= RANK_REL_TOL * sv[..., 0])
 
 
+# The shape of each array of an :class:`LQModel`, as its axes over the horizon
+# ``n`` and the state and control dimensions ``d`` and ``m``.
+_SHAPES = {
+    "drift_state": "ndd", "drift_state_mean": "ndd",
+    "drift_control": "ndm", "drift_control_mean": "ndm",
+    "noise_state": "ndd", "noise_state_mean": "ndd",
+    "noise_control": "ndm", "noise_control_mean": "ndm",
+    "cost_state": "ndd", "cost_state_mean": "ndd",
+    "cost_control": "nmm", "cost_control_mean": "nmm",
+    "cost_linear": "nd", "cost_linear_mean": "nd",
+    "terminal_state": "dd", "terminal_state_mean": "dd",
+    "terminal_linear": "d", "terminal_linear_mean": "d",
+    "initial_mean": "d", "initial_cov": "dd",
+}
+
+
 @dataclass(frozen=True)
 class LQModel:
-    """Coefficients of a linear-quadratic mean-field model.
+    """Coefficients of a linear-quadratic mean-field model, of the shapes in ``_SHAPES``.
 
-    Dynamics matrices per stage (lists stacked to arrays of length ``n``):
-
-    * ``drift_state`` (d, d), ``drift_state_mean`` (d, d): act on the state
-      and on its mean in the drift.
-    * ``drift_control`` (d, m), ``drift_control_mean`` (d, m): act on the
-      control and on its mean in the drift.
-    * ``noise_*``: same shapes, building the vector multiplied by the scalar
-      unit-variance noise.
-
-    Cost matrices per stage: ``cost_state`` / ``cost_state_mean`` (d, d,
-    symmetric), ``cost_control`` / ``cost_control_mean`` (m, m, symmetric),
-    ``cost_linear`` / ``cost_linear_mean`` (d,).  Terminal analogues carry the
-    ``terminal_`` prefix.  The initial law is given by mean and covariance
-    (optionally backed by a discrete measure used when sampling particles).
+    Per stage, ``drift_<x>`` and ``drift_<x>_mean`` act on ``x`` (the state or
+    the control) and on its mean in the drift; ``noise_*`` build the vector
+    multiplied by the scalar unit-variance noise the same way.  The costs
+    ``cost_<x>`` and ``cost_<x>_mean`` weigh them likewise, the quadratic ones
+    through symmetric matrices; ``cost_linear*`` are the linear terms.
+    Terminal analogues carry the ``terminal_`` prefix.  The initial law is
+    given by mean and covariance (optionally backed by a discrete measure used
+    when sampling particles).
     """
 
     drift_state: np.ndarray
@@ -125,28 +133,15 @@ class LQModel:
     initial_measure: Optional[DiscreteMeasure] = None
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if name == "initial_measure":
-                continue
+        for name in _SHAPES:
             value = np.asarray(getattr(self, name), dtype=float)
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} has non-finite entries")
             object.__setattr__(self, name, value)
         n, d, _ = self.drift_state.shape
-        m = self.drift_control.shape[2]
-        stage_shapes = {
-            "drift_state": (n, d, d), "drift_state_mean": (n, d, d),
-            "drift_control": (n, d, m), "drift_control_mean": (n, d, m),
-            "noise_state": (n, d, d), "noise_state_mean": (n, d, d),
-            "noise_control": (n, d, m), "noise_control_mean": (n, d, m),
-            "cost_state": (n, d, d), "cost_state_mean": (n, d, d),
-            "cost_control": (n, m, m), "cost_control_mean": (n, m, m),
-            "cost_linear": (n, d), "cost_linear_mean": (n, d),
-            "terminal_state": (d, d), "terminal_state_mean": (d, d),
-            "terminal_linear": (d,), "terminal_linear_mean": (d,),
-            "initial_mean": (d,), "initial_cov": (d, d),
-        }
-        for name, shape in stage_shapes.items():
+        dims = {"n": n, "d": d, "m": self.drift_control.shape[-1]}
+        for name, axes in _SHAPES.items():
+            shape = tuple(dims[axis] for axis in axes)
             got = getattr(self, name).shape
             if got != shape:
                 raise ValueError(f"{name} has shape {got}, expected {shape} "
@@ -154,7 +149,7 @@ class LQModel:
         for name in ["cost_state", "cost_state_mean", "cost_control", "cost_control_mean",
                      "terminal_state", "terminal_state_mean", "initial_cov"]:
             object.__setattr__(self, name, _check_sym(name, getattr(self, name)))
-        for name in stage_shapes:
+        for name in _SHAPES:
             getattr(self, name).setflags(write=False)
 
     @property
@@ -170,12 +165,11 @@ class LQModel:
         return self.drift_control.shape[2]
 
     # -- serialization --------------------------------------------------------
-    _STAGE_KEYS = (
-        "drift_state", "drift_state_mean", "drift_control", "drift_control_mean",
-        "noise_state", "noise_state_mean", "noise_control", "noise_control_mean",
-        "cost_state", "cost_state_mean", "cost_control", "cost_control_mean",
-        "cost_linear", "cost_linear_mean",
-    )
+    # the keys of a JSON stage block, and the key in the JSON ``terminal``
+    # block of each terminal field: ``cost_<x>`` for ``terminal_<x>``
+    _STAGE_KEYS = tuple(name for name, axes in _SHAPES.items() if axes.startswith("n"))
+    _TERMINAL_KEYS = {name: "cost_" + name.removeprefix("terminal_")
+                      for name in _SHAPES if name.startswith("terminal_")}
 
     def to_json(self) -> dict:
         payload = {
@@ -186,12 +180,8 @@ class LQModel:
                 {key: getattr(self, key)[k].tolist() for key in self._STAGE_KEYS}
                 for k in range(self.horizon)
             ],
-            "terminal": {
-                "cost_state": self.terminal_state.tolist(),
-                "cost_state_mean": self.terminal_state_mean.tolist(),
-                "cost_linear": self.terminal_linear.tolist(),
-                "cost_linear_mean": self.terminal_linear_mean.tolist(),
-            },
+            "terminal": {key: getattr(self, name).tolist()
+                         for name, key in self._TERMINAL_KEYS.items()},
             "initial_law": {"mean": self.initial_mean.tolist(), "cov": self.initial_cov.tolist()},
         }
         if self.initial_measure is not None:
@@ -199,9 +189,7 @@ class LQModel:
         return payload
 
     @classmethod
-    def from_json(cls, payload) -> "LQModel":
-        if isinstance(payload, str):
-            payload = json.loads(payload)
+    def from_json(cls, payload: dict) -> "LQModel":
         stages = payload["stages"]
         fields = {key: np.array([s[key] for s in stages], dtype=float)
                   for key in cls._STAGE_KEYS}
@@ -222,15 +210,14 @@ class LQModel:
         else:
             mean, cov = np.asarray(init["mean"], dtype=float), np.asarray(init["cov"], dtype=float)
         term = payload["terminal"]
+        terminal = {name: np.asarray(term[key], dtype=float)
+                    for name, key in cls._TERMINAL_KEYS.items()}
         return cls(
-            terminal_state=np.asarray(term["cost_state"], dtype=float),
-            terminal_state_mean=np.asarray(term["cost_state_mean"], dtype=float),
-            terminal_linear=np.asarray(term["cost_linear"], dtype=float),
-            terminal_linear_mean=np.asarray(term["cost_linear_mean"], dtype=float),
             initial_mean=mean,
             initial_cov=cov,
             initial_measure=measure,
             **fields,
+            **terminal,
         )
 
 
@@ -299,12 +286,19 @@ def array_fields(record) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
+class _Arrays:
+    """A dataclass of arrays, whose JSON form holds each of them as nested lists."""
+
+    def to_json(self) -> dict:
+        return {name: value.tolist() for name, value in array_fields(self).items()}
+
+
 def _not_finite(k: int) -> FloatingPointError:
     return FloatingPointError(f"Riccati recursion not finite at stage {k}")
 
 
 @dataclass
-class RiccatiSolution:
+class RiccatiSolution(_Arrays):
     """Backward coefficient sequences of the quadratic value function.
 
     ``var_weight[k]`` weighs the dispersion of the law, ``mean_weight[k]`` the
@@ -335,9 +329,6 @@ class RiccatiSolution:
     @property
     def control_dim(self) -> int:
         return self.dev_hessian.shape[1]
-
-    def to_json(self) -> dict:
-        return {name: value.tolist() for name, value in array_fields(self).items()}
 
 
 @dataclass
@@ -577,7 +568,7 @@ def mean_variance_closed_form(gamma: float, b: float, sigma: float, delta: float
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AffinePolicy:
+class AffinePolicy(_Arrays):
     """Per-stage affine feedback ``a = G (x - xbar) + Gbar xbar + c``.
 
     ``gain_state`` acts on the deviation from the current state mean,
@@ -631,13 +622,8 @@ class AffinePolicy:
                             self.gain_mean + eps * other.gain_mean,
                             self.offset + eps * other.offset)
 
-    def to_json(self) -> dict:
-        return {name: value.tolist() for name, value in array_fields(self).items()}
-
     @classmethod
-    def from_json(cls, payload) -> "AffinePolicy":
-        if isinstance(payload, str):
-            payload = json.loads(payload)
+    def from_json(cls, payload: dict) -> "AffinePolicy":
         return cls(payload["gain_state"], payload["gain_mean"], payload["offset"])
 
 
@@ -653,7 +639,7 @@ def optimal_policy(model: LQModel, sol: RiccatiSolution) -> AffinePolicy:
 
 
 @dataclass
-class ExplicitControls:
+class ExplicitControls(_Arrays):
     """Stage coefficients expressing the optimal control from the state alone.
 
     ``action_k(x) = feedback[k] @ x + constant[k]``, with ``constant`` built
@@ -668,9 +654,6 @@ class ExplicitControls:
     def action(self, stage: int, x):
         x = np.asarray(x, dtype=float)
         return x @ self.feedback[stage].T + self.constant[stage]
-
-    def to_json(self) -> dict:
-        return {name: value.tolist() for name, value in array_fields(self).items()}
 
 
 def explicit_control_coefficients(model: LQModel, sol: RiccatiSolution,

@@ -16,13 +16,12 @@ Conventions
 
 from __future__ import annotations
 
-import json
 import numpy as np
 
 MERGE_TOL = 1e-9        # max-norm radius for support dedup-merge
 WEIGHT_FLOOR = 1e-15    # weights below this are pruned, remainder renormalized
 MASS_TOL = 1e-12        # tolerance on total mass
-SYM_TOL = 1e-10         # tolerance for symmetric matrix arguments
+SYM_TOL = 1e-10         # symmetry tolerance of matrix arguments, here and in lq, moments
 KEY_DECIMALS = 12       # weight quantization for hashable keys
 
 
@@ -221,9 +220,7 @@ class DiscreteMeasure:
         }
 
     @classmethod
-    def from_json(cls, payload) -> "DiscreteMeasure":
-        if isinstance(payload, str):
-            payload = json.loads(payload)
+    def from_json(cls, payload: dict) -> "DiscreteMeasure":
         return cls(payload["support"], payload["weights"])
 
 
@@ -313,9 +310,7 @@ class TabularMap:
         }
 
     @classmethod
-    def from_json(cls, payload) -> "TabularMap":
-        if isinstance(payload, str):
-            payload = json.loads(payload)
+    def from_json(cls, payload: dict) -> "TabularMap":
         return cls(payload["domain"], payload["values"])
 
 

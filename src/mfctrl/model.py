@@ -18,9 +18,8 @@ particle pass and :func:`validate` all go through it.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -267,22 +266,21 @@ class LawBatch:
     action_mean: Optional[np.ndarray]    # (P, 1, q) action-law mean
 
     @classmethod
-    def of(cls, model: FiniteMFModel, weights: np.ndarray,
-           action: Optional[np.ndarray] = None) -> "LawBatch":
+    def of(cls, model: FiniteMFModel, weights: np.ndarray, action: Optional[np.ndarray] = None,
+           action_law: Optional[np.ndarray] = None) -> "LawBatch":
         """Moments of the laws ``weights`` (P, S) under the maps ``action`` (P, S).
 
-        The action law of each pair is a ``bincount`` of its map's action
-        indices weighted by the state law.
+        The action law of each pair is ``action_law`` (P, M) when given, else
+        a ``bincount`` of its map's action indices weighted by the state law.
         """
         P, S = weights.shape
         mean = sum_last(weights[:, None, :] * model.states.T)
         second = sum_last(weights * sum_last(model.states * model.states))
-        action_law = {"action_mass": None, "action_mean": None}
-        if action is not None:
+        if action_law is None and action is not None:
             M = model.n_actions
             flat = (np.arange(P)[:, None] * M + action).ravel()
-            lam = np.bincount(flat, weights=weights.ravel(), minlength=P * M).reshape(P, M)
-            action_law = _action_moments(model, lam)
+            action_law = np.bincount(flat, weights=weights.ravel(), minlength=P * M).reshape(P, M)
+        lam = None if action_law is None else action_law[:, None, :]
         return cls(
             state=np.arange(S)[None, :],
             action=action,
@@ -290,14 +288,9 @@ class LawBatch:
             mean=mean[:, None, :],
             second=second[:, None],
             variance=(second - sum_last(mean * mean))[:, None],
-            **action_law,
+            action_mass=lam,
+            action_mean=None if lam is None else sum_last(lam * model.actions.T)[:, None, :],
         )
-
-
-def _action_moments(model: FiniteMFModel, lam: np.ndarray) -> dict:
-    """The action-law fields of a :class:`LawBatch` for the action laws ``lam`` (P, M)."""
-    return {"action_mass": lam[:, None, :],
-            "action_mean": sum_last(lam[:, None, :] * model.actions.T)[:, None, :]}
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +391,7 @@ def evaluate(model: FiniteMFModel, stage: int, weights: np.ndarray, cells: np.nd
     with each distinct law built once as a ``DiscreteMeasure``.  Every
     evaluated kernel row is checked (see :attr:`Evaluation.bad`).
     """
-    batch = LawBatch.of(model, weights, action)
-    if action_law is not None:
-        batch = replace(batch, **_action_moments(model, action_law))
+    batch = LawBatch.of(model, weights, action, action_law)
     built = {}
 
     def measure(grid, w):
@@ -448,11 +439,10 @@ def evaluate(model: FiniteMFModel, stage: int, weights: np.ndarray, cells: np.nd
 # arguments; its ``batched`` attribute reads them from a :class:`LawBatch`
 # (kernels and stage costs take ``(stage, batch)``, terminal costs take
 # ``batch``).  :func:`evaluate` uses ``batched`` when a component has one.
+# A builder takes ``(states, actions, horizon, params)``, the grids as float
+# arrays, and returns the component and its pairwise form for
+# :class:`FirstOrderSpec`, or ``None`` when it has none.
 # ---------------------------------------------------------------------------
-
-def _first_coord(v) -> float:
-    return float(np.asarray(v, dtype=float).reshape(-1)[0])
-
 
 def _dot(u, v):
     """Inner product over the trailing (coordinate) axis."""
@@ -464,50 +454,45 @@ def _two_state_rows(p):
     return np.stack([1.0 - p, p], axis=-1)
 
 
-def _kernel_identity(states, actions, params):
+def _kernel_identity(states, actions, horizon, params):
     eye = np.eye(len(states))
 
     def rows(k, i, mu, a, lam):
         return eye[i]
     rows.batched = lambda k, b: eye[b.state]
-    return rows
+    return rows, None
 
 
-def _kernel_table(states, actions, params, horizon=None):
+def _kernel_table(states, actions, horizon, params):
     table = np.asarray(params["rows"], dtype=float)
     S, M = len(states), len(actions)
     if table.ndim == 3:
         if table.shape != (S, M, S):
             raise ValueError(f"table kernel has shape {table.shape}, expected {(S, M, S)}")
-
-        def formula(k, i, a):
-            return table[i, a]
+        table = np.broadcast_to(table, (horizon,) + table.shape)   # the same rows at every stage
     elif table.ndim == 4:
         if table.shape[1:] != (S, M, S):
             raise ValueError(f"table kernel has shape {table.shape}, expected (n, {S}, {M}, {S})")
-        if horizon is not None and table.shape[0] != horizon:
+        if table.shape[0] != horizon:
             raise ValueError(f"table kernel has {table.shape[0]} stage blocks, "
                              f"expected exactly {horizon}")
-
-        def formula(k, i, a):
-            return table[k, i, a]
     else:
         raise ValueError("table kernel needs a 3- or 4-dimensional 'rows' array")
 
     def rows(k, i, mu, a, lam):
-        return formula(k, i, a)
-    rows.batched = lambda k, b: formula(k, b.state, b.action)
-    return rows
+        return table[k, i, a]
+    rows.batched = lambda k, b: table[k, b.state, b.action]
+    return rows, None
 
 
-def _kernel_mean_reverting(states, actions, params):
+def _kernel_mean_reverting(states, actions, horizon, params):
     theta = float(params.get("theta", 0.5))
     eta = float(params.get("eta", 0.0))
     tau = float(params.get("tau", 1.0))
     if tau <= 0:
         raise ValueError("mean_reverting kernel needs tau > 0")
-    grid = np.array([_first_coord(x) for x in states])
-    acts = np.array([_first_coord(a) for a in actions])
+    grid = states[:, 0]
+    acts = actions[:, 0]
 
     def formula(i, a, mbar):
         target = (1.0 - theta) * grid[i] + theta * mbar + eta * acts[a]
@@ -516,24 +501,24 @@ def _kernel_mean_reverting(states, actions, params):
         return w / sum_last(w)[..., None]
 
     def rows(k, i, mu, a, lam):
-        return formula(i, a, _first_coord(mu.mean()))
+        return formula(i, a, mu.mean()[0])
     rows.batched = lambda k, b: formula(b.state, b.action, b.mean[..., 0])
-    return rows
+    return rows, None
 
 
-def _kernel_mean_clamp(states, actions, params):
+def _kernel_mean_clamp(states, actions, horizon, params):
     if len(states) != 2:
         raise ValueError("mean_clamp kernel needs exactly 2 states")
     shift = float(params.get("shift", 0.0))
-    acts = np.array([_first_coord(a) for a in actions])
+    acts = actions[:, 0]
 
     def formula(a, mbar):
         return _two_state_rows(np.clip(mbar + shift * acts[a], 0.0, 1.0))
 
     def rows(k, i, mu, a, lam):
-        return formula(a, _first_coord(mu.mean()))
+        return formula(a, mu.mean()[0])
     rows.batched = lambda k, b: formula(b.action, b.mean[..., 0])
-    return rows
+    return rows, None
 
 
 def _check_first_order_betas(betas):
@@ -546,7 +531,7 @@ def _check_first_order_betas(betas):
                 f"first_order kernel leaves (0,1): p={p!r} at indicators {(ix, iy, ia, ib)}")
 
 
-def _kernel_first_order(states, actions, params):
+def _kernel_first_order(states, actions, horizon, params):
     if len(states) != 2 or len(actions) != 2:
         raise ValueError("first_order kernel needs 2 states and 2 actions")
     betas = tuple(float(params.get(k, 0.0))
@@ -572,46 +557,30 @@ def _kernel_first_order(states, actions, params):
     return rows, ptilde
 
 
-_KERNEL_TAGS = {
-    "identity": _kernel_identity,
-    "table": _kernel_table,
-    "mean_reverting": _kernel_mean_reverting,
-    "mean_clamp": _kernel_mean_clamp,
-}
-
-
-def _cost_zero(states, actions, params):
-    def f(k, i, mu, a, lam):
+def _zero(states, actions, horizon, params):
+    def zero(*args):
         return 0.0
-    f.batched = lambda k, b: 0.0
-    return f
+    zero.batched = zero   # every argument list gives 0.0, batched or not
+    return zero, zero
 
 
-def _terminal_zero():
-    def g(i, mu):
-        return 0.0
-    g.batched = lambda b: 0.0
-    return g
+def _quadratic_state_terms(params):
+    """The state terms of both ``quadratic`` costs, a formula of ``(x, mbar, var)``."""
+    qx, qm, qv, cxm, lx = (float(params.get(k, 0.0)) for k in ("qx", "qm", "qv", "cxm", "lx"))
+
+    def terms(x, mbar, var):
+        return (qx * _dot(x, x) + qm * _dot(mbar, mbar) + qv * var
+                + cxm * _dot(x, mbar) + lx * sum_last(x))
+    return terms
 
 
-def _cost_quadratic(states, actions, params):
-    qx = float(params.get("qx", 0.0))
-    qm = float(params.get("qm", 0.0))
-    qv = float(params.get("qv", 0.0))
-    cxm = float(params.get("cxm", 0.0))
-    lx = float(params.get("lx", 0.0))
-    ra = float(params.get("ra", 0.0))
-    rm = float(params.get("rm", 0.0))
-    cam = float(params.get("cam", 0.0))
-    la = float(params.get("la", 0.0))
-    states = _as_points(states)
-    actions = _as_points(actions)
+def _cost_quadratic(states, actions, horizon, params):
+    state_terms = _quadratic_state_terms(params)
+    ra, rm, cam, la = (float(params.get(k, 0.0)) for k in ("ra", "rm", "cam", "la"))
     eye_s = np.eye(states.shape[1])
 
     def formula(x, act, mbar, var, lbar):
-        return (qx * _dot(x, x) + qm * _dot(mbar, mbar) + qv * var
-                + cxm * _dot(x, mbar) + lx * sum_last(x)
-                + ra * _dot(act, act) + rm * _dot(lbar, lbar)
+        return (state_terms(x, mbar, var) + ra * _dot(act, act) + rm * _dot(lbar, lbar)
                 + cam * _dot(act, lbar) + la * sum_last(act))
 
     def f(k, i, mu, a, lam):
@@ -619,37 +588,28 @@ def _cost_quadratic(states, actions, params):
                              lam.mean()))
     f.batched = lambda k, b: formula(states[b.state], actions[b.action], b.mean,
                                      b.variance, b.action_mean)
-    return f
+    return f, None
 
 
-def _terminal_quadratic(states, params):
-    qx = float(params.get("qx", 0.0))
-    qm = float(params.get("qm", 0.0))
-    qv = float(params.get("qv", 0.0))
-    cxm = float(params.get("cxm", 0.0))
-    lx = float(params.get("lx", 0.0))
-    states = _as_points(states)
+def _terminal_quadratic(states, actions, horizon, params):
+    state_terms = _quadratic_state_terms(params)
     eye_s = np.eye(states.shape[1])
 
-    def formula(x, mbar, var):
-        return (qx * _dot(x, x) + qm * _dot(mbar, mbar) + qv * var
-                + cxm * _dot(x, mbar) + lx * sum_last(x))
-
     def g(i, mu):
-        return float(formula(states[i], mu.mean(), mu.variance_form(eye_s)))
-    g.batched = lambda b: formula(states[b.state], b.mean, b.variance)
-    return g
+        return float(state_terms(states[i], mu.mean(), mu.variance_form(eye_s)))
+    g.batched = lambda b: state_terms(states[b.state], b.mean, b.variance)
+    return g, None
 
 
-def _cost_fo_pinned(states, actions, params):
+def _cost_fo_pinned(states, actions, horizon, params):
     kappa = float(params["kappa"])
     pinned = np.asarray(params["pinned"], dtype=int)
     p_xy = float(params.get("p_xy", 0.0))
     p_a = float(params.get("p_a", 0.0))
     p_ay = float(params.get("p_ay", 0.0))
     p_x = float(params.get("p_x", 0.0))
-    xs = np.array([_first_coord(x) for x in states])
-    acts = np.array([_first_coord(a) for a in actions])
+    xs = states[:, 0]
+    acts = actions[:, 0]
     if pinned.shape != (len(states),):
         raise ValueError("fo_pinned needs one pinned action index per state")
 
@@ -658,43 +618,72 @@ def _cost_fo_pinned(states, actions, params):
                 + p_xy * xs[i] * mbar + p_a * acts[a] + p_ay * acts[a] * mbar + p_x * xs[i])
 
     def f(k, i, mu, a, lam):
-        return float(formula(i, a, _first_coord(mu.mean())))
+        return float(formula(i, a, mu.mean()[0]))
     f.batched = lambda k, b: formula(b.state, b.action, b.mean[..., 0])
-
-    def ftilde(k, ix, iy, ia, ib):
-        return (kappa * (acts[ia] - acts[pinned[ix]]) ** 2
-                + p_xy * xs[ix] * xs[iy] + p_a * acts[ia]
-                + p_ay * acts[ia] * xs[iy] + p_x * xs[ix])
-    return f, ftilde
+    # the pairwise form: the formula with the law of y a Dirac at x_iy
+    return f, lambda k, ix, iy, ia, ib: formula(ix, ia, xs[iy])
 
 
-def _terminal_fo_bilinear(states, params):
+def _terminal_fo_bilinear(states, actions, horizon, params):
     t_xy = float(params.get("t_xy", 0.0))
     t_xx = float(params.get("t_xx", 0.0))
     t_yy = float(params.get("t_yy", 0.0))
     t_x = float(params.get("t_x", 0.0))
-    xs = np.array([_first_coord(x) for x in states])
-    eye_s = np.eye(_as_points(states).shape[1])
+    xs = states[:, 0]
+    eye_s = np.eye(states.shape[1])
 
     def formula(i, mbar, m2):
         return t_xy * xs[i] * mbar + t_xx * xs[i] ** 2 + t_yy * m2 + t_x * xs[i]
 
     def g(i, mu):
-        return float(formula(i, _first_coord(mu.mean()), mu.quadratic_moment(eye_s)))
+        return float(formula(i, mu.mean()[0], mu.quadratic_moment(eye_s)))
     g.batched = lambda b: formula(b.state, b.mean[..., 0], b.second)
+    return g, lambda ix, iy: formula(ix, xs[iy], xs[iy] ** 2)   # the law of y a Dirac at x_iy
 
-    def gtilde(ix, iy):
-        return t_xy * xs[ix] * xs[iy] + t_xx * xs[ix] ** 2 + t_yy * xs[iy] ** 2 + t_x * xs[ix]
-    return g, gtilde
+
+# One table per component kind: tag -> builder, with, for a cost, the kernels
+# it serves (True: ``first_order``, the one kernel with a pairwise form).
+_KERNELS = {
+    "identity": _kernel_identity,
+    "table": _kernel_table,
+    "mean_reverting": _kernel_mean_reverting,
+    "mean_clamp": _kernel_mean_clamp,
+    "first_order": _kernel_first_order,
+}
+_STAGE_COSTS = {
+    "zero": (_zero, (False, True)),
+    "quadratic": (_cost_quadratic, (False,)),
+    "fo_pinned": (_cost_fo_pinned, (True,)),
+}
+_TERMINAL_COSTS = {
+    "zero": (_zero, (False,)),
+    "quadratic": (_terminal_quadratic, (False,)),
+    "fo_bilinear": (_terminal_fo_bilinear, (True,)),
+}
+
+
+def _cost_builder(table, tag, pairwise, message):
+    """The builder of the cost ``tag`` if it serves the kernel, else ``ValueError(message)``."""
+    # a JSON list or object as the tag is unknown too, not an unhashable key
+    build, serves = table.get(tag, (None, ())) if isinstance(tag, str) else (None, ())
+    if pairwise not in serves:
+        raise ValueError(message)
+    return build
 
 
 def _finite_leaves(value) -> bool:
-    """Whether every float in a JSON value, nested lists and objects included, is finite."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        return all(_finite_leaves(v) for v in value)
-    return not isinstance(value, float) or np.isfinite(value)
+    """Whether every float in a JSON value, nested lists and objects included, is finite.
+
+    The walk keeps its own stack, so no nesting depth exhausts the interpreter's.
+    """
+    pending = [value]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, (dict, list)):
+            pending.extend(value.values() if isinstance(value, dict) else value)
+        elif isinstance(value, float) and not math.isfinite(value):
+            return False
+    return True
 
 
 def _tagged(config: dict, name: str):
@@ -709,13 +698,13 @@ def _tagged(config: dict, name: str):
     return block["tag"], params
 
 
-def finite_model_from_config(config) -> FiniteMFModel:
-    """Build a :class:`FiniteMFModel` from its declarative JSON description.
+def finite_model_from_config(config: dict) -> FiniteMFModel:
+    """Build a :class:`FiniteMFModel` from its parsed declarative JSON description.
 
     See the README for the recognized kernel and cost tags and their formulas.
+    The kernel, the stage cost and the terminal cost are each looked up in
+    their table and built, in that order.
     """
-    if isinstance(config, str):
-        config = json.loads(config)
     if not isinstance(config, dict):
         raise ValueError(f"model config must be an object, got {type(config).__name__}")
     states = _as_points(config["states"])
@@ -727,40 +716,18 @@ def finite_model_from_config(config) -> FiniteMFModel:
     ctag, cparams = _tagged(config, "stage_cost")
     ttag, tparams = _tagged(config, "terminal_cost")
 
-    first_order = None
-    if ktag == "first_order":
-        rows, ptilde = _kernel_first_order(states, actions, kparams)
-        if ctag == "zero":
-            f = _cost_zero(states, actions, cparams)
-            ftilde = lambda k, ix, iy, ia, ib: 0.0
-        elif ctag == "fo_pinned":
-            f, ftilde = _cost_fo_pinned(states, actions, cparams)
-        else:
-            raise ValueError(f"first_order kernel needs a pairwise stage cost, got tag {ctag!r}")
-        if ttag != "fo_bilinear":
-            raise ValueError(f"first_order kernel needs terminal tag 'fo_bilinear', got {ttag!r}")
-        g, gtilde = _terminal_fo_bilinear(states, tparams)
-        first_order = FirstOrderSpec(ptilde=ptilde, ftilde=ftilde, gtilde=gtilde)
-    else:
-        if ktag not in _KERNEL_TAGS:
-            raise ValueError(f"unknown kernel tag {ktag!r}")
-        if ktag == "table":
-            rows = _kernel_table(states, actions, kparams, horizon=horizon)
-        else:
-            rows = _KERNEL_TAGS[ktag](states, actions, kparams)
-        if ctag == "zero":
-            f = _cost_zero(states, actions, cparams)
-        elif ctag == "quadratic":
-            f = _cost_quadratic(states, actions, cparams)
-        else:
-            raise ValueError(f"unknown stage cost tag {ctag!r}")
-        if ttag == "zero":
-            g = _terminal_zero()
-        elif ttag == "quadratic":
-            g = _terminal_quadratic(states, tparams)
-        else:
-            raise ValueError(f"unknown terminal cost tag {ttag!r}")
-
+    if ktag not in _KERNELS:
+        raise ValueError(f"unknown kernel tag {ktag!r}")
+    rows, ptilde = _KERNELS[ktag](states, actions, horizon, kparams)
+    pairwise = ptilde is not None
+    f, ftilde = _cost_builder(
+        _STAGE_COSTS, ctag, pairwise,
+        f"first_order kernel needs a pairwise stage cost, got tag {ctag!r}" if pairwise
+        else f"unknown stage cost tag {ctag!r}")(states, actions, horizon, cparams)
+    g, gtilde = _cost_builder(
+        _TERMINAL_COSTS, ttag, pairwise,
+        f"first_order kernel needs terminal tag 'fo_bilinear', got {ttag!r}" if pairwise
+        else f"unknown terminal cost tag {ttag!r}")(states, actions, horizon, tparams)
     return FiniteMFModel(
         states=states,
         actions=actions,
@@ -769,5 +736,5 @@ def finite_model_from_config(config) -> FiniteMFModel:
         stage_cost=f,
         terminal_cost=g,
         mean_field_free=bool(config.get("mean_field_free", False)),
-        first_order=first_order,
+        first_order=FirstOrderSpec(ptilde, ftilde, gtilde) if pairwise else None,
     )

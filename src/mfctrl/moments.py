@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lq import AffinePolicy, LQModel
-
-COV_SYM_TOL = 1e-10
-COV_EIG_TOL = -1e-10
+from .lq import PSD_EIG_TOL, AffinePolicy, LQModel
+from .measure import SYM_TOL
 
 
 @dataclass(frozen=True)
@@ -30,10 +28,10 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov has shape {cov.shape}, expected {(mean.size,) * 2}")
-        if np.max(np.abs(cov - cov.T)) > COV_SYM_TOL:
+        if np.max(np.abs(cov - cov.T)) > SYM_TOL:
             raise ValueError("covariance is not symmetric")
         cov = 0.5 * (cov + cov.T)
-        if float(np.linalg.eigvalsh(cov).min()) < COV_EIG_TOL:
+        if float(np.linalg.eigvalsh(cov).min()) < PSD_EIG_TOL:
             raise ValueError("covariance is not positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)

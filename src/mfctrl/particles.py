@@ -137,6 +137,12 @@ def _fold(moments, xb: np.ndarray):
             prev_m2 + m2 + np.square(delta) * (count * size / total))
 
 
+def _initial_draw(seed: int, law: DiscreteMeasure, count: int, start: int) -> np.ndarray:
+    """Support indices of particles ``start`` to ``start + count`` drawn from ``law``."""
+    u = uniforms(seed, _STREAM_INIT_DISCRETE, count, start=start)
+    return np.minimum(np.searchsorted(np.cumsum(law.weights), u, side="right"), len(law) - 1)
+
+
 def _sample_initial_lq(model: LQModel, n: int, seed: int, draws):
     """The initial ``(d, N)`` cloud and its moments; ``draws`` yields each block's normals."""
     x, mu, moments = np.empty((model.state_dim, n)), model.initial_measure, None
@@ -144,9 +150,7 @@ def _sample_initial_lq(model: LQModel, n: int, seed: int, draws):
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
     for start, xb in _blocks(x):
         if mu is not None:
-            u = uniforms(seed, _STREAM_INIT_DISCRETE, xb.shape[1], start=start)
-            idx = np.searchsorted(np.cumsum(mu.weights), u, side="right")
-            xb[...] = mu.support.T[:, np.minimum(idx, len(mu.weights) - 1)]
+            xb[...] = mu.support.T[:, _initial_draw(seed, mu, xb.shape[1], start)]
         else:
             _matmul(root, np.array([next(draws) for _ in x]), xb)
             xb += model.initial_mean[:, None]
@@ -238,13 +242,10 @@ def _simulate_finite(model: FiniteMFModel, policy: TabularMap, n: int, seed: int
         raise ValueError("finite-model simulation needs an initial law")
     action = model.policy_action_indices(policy)[None, :]
     states = model.states
-    cum0 = np.cumsum(initial_law.weights)
     support_to_grid = match_indices(initial_law.support, states)
     idx = np.empty(n, dtype=np.intp)      # grid index of each particle
     for start, block in _blocks(idx):
-        u = uniforms(seed, _STREAM_INIT_DISCRETE, len(block), start=start)
-        block[...] = support_to_grid[np.minimum(np.searchsorted(cum0, u, side="right"),
-                                                len(cum0) - 1)]
+        block[...] = support_to_grid[_initial_draw(seed, initial_law, len(block), start)]
 
     law = initial_law.weights_on_grid(states)[None, :]   # the oracle law
     costs = np.zeros(n)

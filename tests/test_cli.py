@@ -387,6 +387,73 @@ class TestErrors:
         cfg.write_text(json.dumps(data))
         assert main(["solve-finite", str(cfg)]) == 2
 
+    def test_riccati_on_a_finite_scenario(self, tmp_path, capsys):
+        assert main(["riccati", _stage(tmp_path, "finite_zero.json")]) == 2
+        assert capsys.readouterr().err == ("config error: riccati needs an lq/meanvariance "
+                                           "scenario, got 'finite'\n")
+
+    def test_policy_path_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "sim.json"
+        assert main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
+                     "10", "--seed", "1", "--policy", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read policy file: ")
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("shape, message", [
+        ((3, 1, 1), "policy and model horizons differ"),
+        ((2, 2, 1), "policy dimensions do not match the model"),
+    ], ids=["horizon", "dimensions"])
+    def test_lq_policy_file_must_fit_the_model(self, tmp_path, capsys, shape, message):
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(AffinePolicy.zero(*shape).to_json()))
+        out = tmp_path / "sim.json"
+        assert main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
+                     "10", "--seed", "1", "--policy", str(policy), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_lq_control_blocks_that_are_vectors(self, tmp_path, capsys):
+        data = json.loads(fixture_text("lq_multivariate.json"))
+        for stage in data["model"]["stages"]:
+            stage["drift_control"] = [1.0, 2.0]
+        assert main(["riccati", _scenario(tmp_path, data)]) == 2
+        err = capsys.readouterr().err
+        assert "drift_control has shape (3, 2), expected (3, 2, 2)" in err
+        assert "Traceback" not in err
+
+
+DEEP = "[" * 100_000 + "]" * 100_000   # past any recursion limit of a JSON decoder
+
+
+class TestDeeplyNestedInput:
+    @staticmethod
+    def _assert_config_error(capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_scenario_file(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(DEEP)
+        self._assert_config_error(capsys, ["solve-finite", str(cfg)])
+
+    def test_cost_param(self, tmp_path, capsys):
+        # shallow enough to decode, deep enough to exhaust a recursive walk
+        text = fixture_text("finite_mean_reverting.json").replace(
+            '"qx": 0.3', '"qx": ' + "[" * 450 + "0.3" + "]" * 450, 1)
+        assert len(text) < 2000
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(text)
+        self._assert_config_error(capsys, ["solve-finite", str(cfg)])
+
+    def test_policy_file(self, tmp_path, capsys):
+        policy = tmp_path / "policy.json"
+        policy.write_text(DEEP)
+        self._assert_config_error(capsys, [
+            "simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles", "10",
+            "--seed", "1", "--policy", str(policy), "--out", str(tmp_path / "sim.json")])
+
 
 VERIFY_ROWS = [
     "measure.pushforward_mass", "measure.image_mean_identity", "measure.variance_form_psd",

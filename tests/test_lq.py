@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -453,7 +452,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"policy {field} has non-finite entries"):
             AffinePolicy(**coefficients)
         with pytest.raises(ValueError, match="non-finite"):
-            AffinePolicy.from_json(json.dumps(coefficients | {field: arr.tolist()}))
+            AffinePolicy.from_json(coefficients | {field: arr.tolist()})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_coefficients_rejected(self, value):

@@ -252,7 +252,64 @@ def test_non_object_params_rejected(params):
         finite_model_from_config(config)
 
 
-FINITE_FIXTURES = sorted(name for name in list_fixtures() if name.startswith(("finite_", "fo_")))
+_S2, _S3 = [[0.0], [1.0]], [[0.0], [1.0], [2.0]]
+_ZERO, _FO_BILINEAR = {"tag": "zero"}, {"tag": "fo_bilinear"}
+_FO = {"tag": "first_order", "params": {"beta0": 0.5}}
+_ROW = [[0.5, 0.5], [0.5, 0.5]]
+
+
+def _tag_config(kernel, stage_cost=_ZERO, terminal_cost=_ZERO, states=_S2):
+    return {"states": states, "actions": _S2, "horizon": 2, "kernel": kernel,
+            "stage_cost": stage_cost, "terminal_cost": terminal_cost}
+
+
+def _table(rows):
+    return {"tag": "table", "params": {"rows": rows}}
+
+
+def _fo_pinned(pinned):
+    return {"tag": "fo_pinned", "params": {"kappa": 1.0, "pinned": pinned}}
+
+
+@pytest.mark.parametrize("config, message", [
+    (_tag_config({"tag": "nope"}, {"tag": "nope"}), "unknown kernel tag 'nope'"),
+    (_tag_config({"tag": "identity"}, {"tag": "nope"}), "unknown stage cost tag 'nope'"),
+    (_tag_config({"tag": "identity"}, _ZERO, {"tag": "nope"}),
+     "unknown terminal cost tag 'nope'"),
+    (_tag_config({"tag": "identity"}, _fo_pinned([0, 1])), "unknown stage cost tag 'fo_pinned'"),
+    (_tag_config({"tag": "identity"}, _ZERO, _FO_BILINEAR),
+     "unknown terminal cost tag 'fo_bilinear'"),
+    (_tag_config(_FO, {"tag": "quadratic"}, _FO_BILINEAR),
+     "first_order kernel needs a pairwise stage cost, got tag 'quadratic'"),
+    (_tag_config(_FO, {"tag": "nope"}, {"tag": "nope"}),
+     "first_order kernel needs a pairwise stage cost, got tag 'nope'"),
+    (_tag_config(_FO, _ZERO, _ZERO),
+     "first_order kernel needs terminal tag 'fo_bilinear', got 'zero'"),
+    (_tag_config(_table([[[1.0, 0.0]]]), {"tag": "nope"}),
+     "table kernel has shape (1, 1, 2), expected (2, 2, 2)"),
+    (_tag_config(_table([[_ROW], [_ROW]])),
+     "table kernel has shape (2, 1, 2, 2), expected (n, 2, 2, 2)"),
+    (_tag_config(_table([[_ROW, _ROW]] * 3)), "table kernel has 3 stage blocks, expected exactly 2"),
+    (_tag_config(_table(_ROW)), "table kernel needs a 3- or 4-dimensional 'rows' array"),
+    (_tag_config({"tag": "mean_reverting", "params": {"tau": 0.0}}),
+     "mean_reverting kernel needs tau > 0"),
+    (_tag_config({"tag": "mean_clamp"}, states=_S3), "mean_clamp kernel needs exactly 2 states"),
+    (_tag_config(_FO, _ZERO, _FO_BILINEAR, states=_S3),
+     "first_order kernel needs 2 states and 2 actions"),
+    (_tag_config(_FO, _fo_pinned([0]), _ZERO), "fo_pinned needs one pinned action index per state"),
+], ids=["unknown-kernel", "unknown-stage", "unknown-terminal", "fo_pinned-plain-kernel",
+        "fo_bilinear-plain-kernel", "first_order-quadratic", "first_order-unknown-stage",
+        "first_order-zero-terminal", "table-3d-shape", "table-4d-block", "table-stage-count",
+        "table-2d", "mean_reverting-tau", "mean_clamp-3-states", "first_order-3-states",
+        "fo_pinned-length"])
+def test_config_tag_errors_keep_their_text(config, message):
+    # a component is checked and built before the next one is looked at
+    with pytest.raises(ValueError) as exc:
+        finite_model_from_config(config)
+    assert str(exc.value) == message
+
+
+FINITE_FIXTURES =sorted(name for name in list_fixtures() if name.startswith(("finite_", "fo_")))
 
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES + ["tag:" + name for name in sorted(TAG_CONFIGS)])
