@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import dpp
-from .measure import DiscreteMeasure, TabularMap, as_integer
+from .measure import DiscreteMeasure, TabularMap, as_integer, short_repr
 from .model import finite_model_from_config
 
 CONFIG_ERROR = 2
@@ -47,7 +47,8 @@ def _load_scenario(path):
                          "--trajectory-csv and --stages-csv flags")
     kind = data.get("kind")
     if kind not in ("finite", "lq", "meanvariance"):
-        raise ValueError(f"config field 'kind' must be finite|lq|meanvariance, got {kind!r}")
+        raise ValueError("config field 'kind' must be finite|lq|meanvariance, "
+                         f"got {short_repr(kind)}")
     if "model" not in data:
         raise ValueError("config is missing the 'model' field")
     return data
@@ -75,7 +76,7 @@ def _real(value, what):
     """``value`` as a float. JSON numbers pass; bools and strings are config
     errors, never converted."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise ValueError(f"{what} must be a number, got {short_repr(value)}")
     return float(value)
 
 

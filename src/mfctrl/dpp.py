@@ -52,6 +52,9 @@ FIRST_ORDER_MAX_ENTRIES = 1_000_000
 # EXPANSION_ENTRIES // S^2 (law, map) pairs, so its (pairs, S, S) tensor
 # stays near 2 MB whatever the tree size
 EXPANSION_ENTRIES = 1 << 18
+# a stage's first chunk of at most this many children is deduplicated through
+# a dict, which beats the array path on so few rows
+DICT_ROWS = 32
 
 
 class BudgetExceeded(ArithmeticError, RuntimeError):
@@ -163,11 +166,84 @@ def _expand(model, k, laws, pairs, n_maps):
 @dataclass
 class _Stage:
     laws: np.ndarray                      # (L, S) canonical weights, one row per node
-    keys: list                            # value-cache key of each row
     child: Optional[np.ndarray] = None    # (L * M^S,) child node of each (law, map)
     cost: Optional[np.ndarray] = None     # (L * M^S,) lifted stage cost of each (law, map)
     values: Optional[np.ndarray] = None   # (L,) value of each node
     best: Optional[np.ndarray] = None     # (L,) number of each node's minimizing map
+
+
+def _row_hash(bits):
+    """A 64-bit hash of each row of ``bits`` (P, S), equal for equal rows."""
+    h = bits[:, 0]
+    for j in range(1, bits.shape[1]):
+        h = h * np.uint64(0x9E3779B97F4A7C15) + bits[:, j]
+    return h
+
+
+class _Nodes:
+    """The distinct children of one stage, numbered in order of first occurrence.
+
+    Children are one node when their weights rounded to ``KEY_DECIMALS``
+    decimals have the same bits; ``+ 0.0`` makes ``-0.0`` equal ``0.0``, as in
+    tuple keys.  A chunk is grouped by a sort on a row hash and matched with
+    the nodes of earlier chunks by a search in their sorted hashes, then every
+    child is checked bit for bit against its node.  A chunk with a hash
+    collision, and a first chunk of at most ``DICT_ROWS`` children, is
+    numbered through a dict of row tuples instead.
+    """
+
+    hashes = np.empty(0, np.uint64)   # the hashes of the nodes' rows, sorted
+    numbers = np.empty(0, np.intp)    # the node number of each sorted hash
+
+    def __init__(self, n_states):
+        self.bits = np.empty((0, n_states), np.uint64)   # rounded rows, in node order
+
+    def add(self, children):
+        """The node number of each row of ``children`` (P, S), and the rows that
+        are new nodes, in node order."""
+        bits = (np.round(children, KEY_DECIMALS) + 0.0).view(np.uint64)
+        if len(bits) <= DICT_ROWS and not len(self.bits):
+            return self._add_by_dict(bits, children)
+        if len(self.numbers) < len(self.bits):   # the dict numbered the last chunk
+            h = _row_hash(self.bits)
+            self.numbers = np.argsort(h)
+            self.hashes = h[self.numbers]
+        h = _row_hash(bits)
+        order = np.argsort(h)
+        start = np.concatenate(([True], h[order[1:]] != h[order[:-1]]))   # opens a run
+        head = np.flatnonzero(start)
+        first, run_hash = np.minimum.reduceat(order, head), h[order[head]]
+        pos = np.searchsorted(self.hashes, run_hash)
+        hit = pos < len(self.hashes)
+        hit[hit] = self.hashes[pos[hit]] == run_hash[hit]
+        number = np.empty(len(head), np.intp)
+        number[hit] = self.numbers[pos[hit]]
+        new = np.flatnonzero(~hit)                       # in hash order
+        slot = np.zeros(len(bits), np.intp)
+        slot[first[new]] = 1
+        reps = np.flatnonzero(slot)                      # first occurrences of the new nodes
+        slot[reps] = np.arange(len(self.bits), len(self.bits) + len(reps))
+        number[new] = slot[first[new]]
+        ids = np.empty(len(bits), np.intp)
+        ids[order] = number[np.cumsum(start) - 1]
+        nodes = np.concatenate([self.bits, np.take(bits, reps, axis=0)])
+        if np.any(np.take(nodes, ids, axis=0) != bits):   # a hash collision
+            return self._add_by_dict(bits, children)
+        self.bits = nodes
+        self.hashes = np.insert(self.hashes, pos[new], run_hash[new])
+        self.numbers = np.insert(self.numbers, pos[new], number[new])
+        return ids, np.take(children, reps, axis=0)
+
+    def _add_by_dict(self, bits, children):
+        index = {row: m for m, row in enumerate(map(tuple, self.bits.tolist()))}
+        ids = [index.setdefault(row, len(index)) for row in map(tuple, bits.tolist())]
+        reps, top = [], len(self.bits)    # new nodes are numbered from top, in row order
+        for p, m in enumerate(ids):
+            if m == top:
+                reps.append(p)
+                top += 1
+        self.bits = np.concatenate([self.bits, bits[reps]]) if len(self.bits) else bits[reps]
+        return np.array(ids), children[reps]
 
 
 def _value_cache(model, stages, policy) -> dict:
@@ -175,10 +251,11 @@ def _value_cache(model, stages, policy) -> dict:
     n = len(stages) - 1
     cache = {}
     for k, stage in enumerate(stages):
-        best = stage.best.tolist() if k < n else [None] * len(stage.keys)
+        best = stage.best.tolist() if k < n else [None] * len(stage.laws)
+        keys = map(tuple, np.round(stage.laws, KEY_DECIMALS).tolist())
         cache.update({(k, key): ValueNode(k, DiscreteMeasure(model.states, law), value,
                                           None if m is None else policy(m))
-                      for key, law, value, m in zip(stage.keys, stage.laws,
+                      for key, law, value, m in zip(keys, stage.laws,
                                                     stage.values.tolist(), best)})
     return cache
 
@@ -221,7 +298,7 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
 
     root = mu0.weights_on_grid(model.states)[None, :]
     root.setflags(write=False)
-    stages = [_Stage(root, [tuple(np.round(root[0], KEY_DECIMALS).tolist())])]
+    stages = [_Stage(root)]
     nodes = 1
     check_budget(nodes)
     for k in range(n):
@@ -229,25 +306,19 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
         total = len(stage.laws) * n_maps
         stage.child = np.empty(total, dtype=np.intp)
         stage.cost = np.empty(total)
-        index: dict = {}     # key -> node number at stage k + 1
-        reps = []            # weights of the new nodes, in node order
+        found = _Nodes(S)    # the nodes of stage k + 1
+        reps = []            # their weights, in node order
         for p0 in range(0, total, chunk):
             p1 = min(p0 + chunk, total)
             children, stage.cost[p0:p1] = _expand(model, k, stage.laws,
                                                   np.arange(p0, p1), n_maps)
-            known = len(index)
-            ids = np.array([index.setdefault(key, len(index))
-                            for key in map(tuple, np.round(children, KEY_DECIMALS).tolist())])
-            stage.child[p0:p1] = ids
-            if len(index) > known:
-                # ids are handed out in order of first occurrence
-                _, first = np.unique(ids, return_index=True)
-                reps.append(children[first[known - len(index):]])
-            check_budget(nodes + len(index))
-        nodes += len(index)
+            stage.child[p0:p1], new = found.add(children)
+            reps.append(new)
+            check_budget(nodes + len(found.bits))
+        nodes += len(found.bits)
         laws = np.concatenate(reps)
         laws.setflags(write=False)
-        stages.append(_Stage(laws, list(index)))
+        stages.append(_Stage(laws))
 
     values = _terminal_values(model, stages[n].laws)
     if not np.isfinite(values).all():

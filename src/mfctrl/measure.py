@@ -16,6 +16,8 @@ Conventions
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 MERGE_TOL = 1e-9        # max-norm radius for support dedup-merge
@@ -23,6 +25,18 @@ WEIGHT_FLOOR = 1e-15    # weights below this are pruned, remainder renormalized
 MASS_TOL = 1e-12        # tolerance on total mass
 SYM_TOL = 1e-10         # symmetry tolerance of matrix arguments, here and in lq, moments
 KEY_DECIMALS = 12       # weight quantization for hashable keys
+REPR_CHARS = 100        # the longest value an error message quotes
+
+_REPR = reprlib.Repr()
+_REPR.maxlevel, _REPR.maxstring, _REPR.maxother = 3, 60, 60
+
+
+def short_repr(value) -> str:
+    """``repr(value)`` if short, else the start of its ``reprlib`` form, which
+    elides deep nesting and long containers and strings: an error message
+    quoting a JSON value stays one short line."""
+    text = _REPR.repr(value)    # reprlib also sorts dict keys, so it serves only when it elides
+    return repr(value) if len(text) <= REPR_CHARS and "..." not in text else text[:REPR_CHARS]
 
 
 def as_integer(value, what) -> int:
@@ -30,7 +44,7 @@ def as_integer(value, what) -> int:
     numbers, bools and strings raise ``ValueError``, never truncated."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {short_repr(value)}")
     return int(value)
 
 

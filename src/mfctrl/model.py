@@ -34,6 +34,7 @@ from .measure import (
     _feedback,
     as_integer,
     match_indices,
+    short_repr,
 )
 
 KernelFn = Callable[[int, int, DiscreteMeasure, int, DiscreteMeasure], np.ndarray]
@@ -245,6 +246,16 @@ def sum_last(a: np.ndarray) -> np.ndarray:
     return total
 
 
+def fold_last(op, a: np.ndarray) -> np.ndarray:
+    """``op`` folded over the last axis, left to right, as :func:`sum_last` adds.
+    With ``np.minimum`` or ``np.maximum`` this is ``a.min(-1)`` or ``a.max(-1)``
+    bit for bit, but for the sign of a zero where ``0.0`` and ``-0.0`` tie."""
+    total = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        total = op(total, a[..., j])
+    return total
+
+
 @dataclass(frozen=True)
 class LawBatch:
     """Moments of ``P`` state laws on a model's grid, each under one feedback map.
@@ -424,7 +435,7 @@ def evaluate(model: FiniteMFModel, stage: int, weights: np.ndarray, cells: np.nd
                 rows[p, i] = row
             else:
                 shapes[p, i] = row.shape
-    low, mass = rows.min(axis=-1), np.where(cells, rows.sum(axis=-1), 1.0)
+    low, mass = fold_last(np.minimum, rows), np.where(cells, rows.sum(axis=-1), 1.0)
     if (low < 0.0).any():
         rows = np.maximum(rows, 0.0)
     return Evaluation(stage, _costs(model.stage_cost, (stage, batch), args, cells, "stage cost"),
@@ -497,7 +508,7 @@ def _kernel_mean_reverting(states, actions, horizon, params):
     def formula(i, a, mbar):
         target = (1.0 - theta) * grid[i] + theta * mbar + eta * acts[a]
         logits = -((grid - target[..., None]) ** 2) / tau
-        w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        w = np.exp(logits - fold_last(np.maximum, logits)[..., None])
         return w / sum_last(w)[..., None]
 
     def rows(k, i, mu, a, lam):
@@ -694,7 +705,7 @@ def _tagged(config: dict, name: str):
         raise ValueError(f"{name} must be an object with a 'params' object")
     for key, value in params.items():
         if not _finite_leaves(value):
-            raise ValueError(f"{name} param {key!r} has non-finite entries")
+            raise ValueError(f"{name} param {short_repr(key)} has non-finite entries")
     return block["tag"], params
 
 
@@ -716,18 +727,18 @@ def finite_model_from_config(config: dict) -> FiniteMFModel:
     ctag, cparams = _tagged(config, "stage_cost")
     ttag, tparams = _tagged(config, "terminal_cost")
 
-    if ktag not in _KERNELS:
-        raise ValueError(f"unknown kernel tag {ktag!r}")
+    if not isinstance(ktag, str) or ktag not in _KERNELS:   # a list tag is unknown too
+        raise ValueError(f"unknown kernel tag {short_repr(ktag)}")
     rows, ptilde = _KERNELS[ktag](states, actions, horizon, kparams)
     pairwise = ptilde is not None
     f, ftilde = _cost_builder(
         _STAGE_COSTS, ctag, pairwise,
-        f"first_order kernel needs a pairwise stage cost, got tag {ctag!r}" if pairwise
-        else f"unknown stage cost tag {ctag!r}")(states, actions, horizon, cparams)
+        f"first_order kernel needs a pairwise stage cost, got tag {short_repr(ctag)}" if pairwise
+        else f"unknown stage cost tag {short_repr(ctag)}")(states, actions, horizon, cparams)
     g, gtilde = _cost_builder(
         _TERMINAL_COSTS, ttag, pairwise,
-        f"first_order kernel needs terminal tag 'fo_bilinear', got {ttag!r}" if pairwise
-        else f"unknown terminal cost tag {ttag!r}")(states, actions, horizon, tparams)
+        f"first_order kernel needs terminal tag 'fo_bilinear', got {short_repr(ttag)}" if pairwise
+        else f"unknown terminal cost tag {short_repr(ttag)}")(states, actions, horizon, tparams)
     return FiniteMFModel(
         states=states,
         actions=actions,

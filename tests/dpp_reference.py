@@ -5,12 +5,15 @@ the law with :func:`mfctrl.measure.pushforward`, prices it with
 :func:`mfctrl.model.lifted_stage_cost`, and memoizes values on
 ``key_on_grid``.  The tests hold :func:`mfctrl.dpp.solve`, which works on
 weight vectors with batched kernels and costs, to it.
+
+:func:`reference_node_order` numbers the children of each stage through a
+dict of rounded weight tuples, the order :func:`mfctrl.dpp.solve` keeps.
 """
 
 import numpy as np
 
-from mfctrl.dpp import BudgetExceeded, SolveResult, ValueNode, _policies
-from mfctrl.measure import pushforward
+from mfctrl.dpp import BudgetExceeded, SolveResult, ValueNode, _expand, _policies
+from mfctrl.measure import KEY_DECIMALS, pushforward
 from mfctrl.model import lifted_stage_cost, lifted_terminal_cost
 
 
@@ -52,3 +55,21 @@ def reference_solve(model, mu0, node_budget=2_000_000):
         path.append(mu.weights_on_grid(model.states))
     return SolveResult(v0=root.value, optimal_policy_sequence=seq, optimal_law_path=path,
                        reachable_tree_size=len(cache), value_cache=cache)
+
+
+def reference_node_order(model, mu0):
+    """The ``(stage, key)`` of every node, in node order: each stage's (law,
+    map) pairs are expanded in one batch, and a child whose rounded weight
+    tuple is new becomes the next node, in order of first occurrence."""
+    n_maps = model.n_actions ** model.n_states
+    laws = mu0.weights_on_grid(model.states)[None, :]
+    order = [(0, tuple(np.round(laws[0], KEY_DECIMALS).tolist()))]
+    for k in range(model.horizon):
+        children, _ = _expand(model, k, laws, np.arange(len(laws) * n_maps), n_maps)
+        index = {}
+        ids = [index.setdefault(key, len(index))
+               for key in map(tuple, np.round(children, KEY_DECIMALS).tolist())]
+        _, first = np.unique(ids, return_index=True)
+        laws = children[first]
+        order.extend((k + 1, key) for key in index)
+    return order

@@ -78,3 +78,11 @@ def test_cold_start_runs_each_command_in_fresh_processes():
     for entry in result.values():
         assert entry["runs"] == 1 and entry["exit_codes"] == [0]
         assert 0 < entry["wall_s"]["min"] <= entry["wall_s"]["median"] <= entry["wall_s"]["max"]
+
+
+def test_long_horizon_times_in_process_solves():
+    result = bench_record.long_horizon(ROOT, 3, 2, log=lambda msg: None)
+    assert result["horizon"] == 3 and result["runs"] == 2
+    wall = result["wall_s"]
+    assert len(wall["values"]) == 2
+    assert 0 < wall["min"] <= wall["median"] <= wall["max"]

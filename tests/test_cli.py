@@ -455,6 +455,43 @@ class TestDeeplyNestedInput:
             "--seed", "1", "--policy", str(policy), "--out", str(tmp_path / "sim.json")])
 
 
+def _nested(depth):
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestLongValuesInErrors:
+    """An error that quotes a JSON value quotes a shortened form of it."""
+
+    @pytest.mark.parametrize("value", [_nested(400), list(range(10**6))],
+                             ids=["nested-400", "list-1e6"])
+    @pytest.mark.parametrize("fixture, path", [
+        ("finite_zero.json", ("kind",)),
+        ("finite_zero.json", ("model", "horizon")),
+        ("finite_zero.json", ("model", "kernel", "tag")),
+        ("finite_zero.json", ("model", "stage_cost", "tag")),
+        ("finite_zero.json", ("model", "terminal_cost", "tag")),
+        ("lq_mean_variance.json", ("model", "gamma")),
+        ("lq_mean_variance.json", ("model", "n")),
+    ], ids=lambda v: v if isinstance(v, str) else ".".join(v))
+    def test_one_line_of_at_most_200_characters(self, tmp_path, capsys, value, fixture, path):
+        data = json.loads(fixture_text(fixture))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        command = "solve-finite" if fixture.startswith("finite") else "riccati"
+        out = tmp_path / "out.json"
+        assert main([command, _scenario(tmp_path, data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert err.count("\n") == 1 and err.endswith("\n") and len(err) <= 201
+        assert path[-1] in err          # the message names the field
+        assert not out.exists()
+
+
 VERIFY_ROWS = [
     "measure.pushforward_mass", "measure.image_mean_identity", "measure.variance_form_psd",
     "measure.pushforward_mixture_linearity", "model.lifted_cost_mixture_affine",

@@ -20,7 +20,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import workloads  # noqa: E402
 from conftest import (load_finite, random_classical_model, random_finite_model,
                       random_initial_law, scalar_only)
-from dpp_reference import reference_solve
+from dpp_reference import reference_node_order, reference_solve
 from mfctrl import dpp
 from mfctrl.fixtures import list_fixtures
 from mfctrl.measure import DiscreteMeasure, image_measure, pushforward
@@ -350,15 +350,66 @@ def test_budget_raises_iff_distinct_nodes_exceed_it():
         dpp.solve(model, mu0, node_budget=0)
 
 
-def test_expansion_in_small_chunks_gives_the_same_tree(monkeypatch):
+def _same_tree(result, whole, model):
+    """``result`` equals ``whole``: node order, values, law path and maps, bit for bit."""
+    assert result.reachable_tree_size == whole.reachable_tree_size
+    assert result.v0 == whole.v0
+    assert list(result.value_cache) == list(whole.value_cache)
+    assert [n.value for n in result.value_cache.values()] == \
+        [n.value for n in whole.value_cache.values()]
+    assert [w.tobytes() for w in result.optimal_law_path] == \
+        [w.tobytes() for w in whole.optimal_law_path]
+    assert [model.policy_action_indices(p).tolist() for p in result.optimal_policy_sequence] == \
+        [model.policy_action_indices(p).tolist() for p in whole.optimal_policy_sequence]
+
+
+# (law, map) pairs per chunk.  With 8 maps per law (S = 3, M = 2), 3 splits
+# every stage unevenly, 8 makes one chunk per law and 20 leaves a short last
+# chunk; children shared across chunks must merge into one node.
+@pytest.mark.parametrize("pairs", [3, 8, 20])
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_expansion_in_small_chunks_gives_the_same_tree(monkeypatch, name, pairs):
+    model, mu0 = load_finite(name)
+    whole = dpp.solve(model, mu0)
+    monkeypatch.setattr(dpp, "EXPANSION_ENTRIES", pairs * model.n_states ** 2)
+    _same_tree(dpp.solve(model, mu0), whole, model)
+
+
+@pytest.mark.parametrize("pairs", [3, 1 << 18])
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_the_array_path_numbers_every_chunk(monkeypatch, name, pairs):
+    # with no hash collision among the children, no chunk needs the dict
+    model, mu0 = load_finite(name)
+    whole = dpp.solve(model, mu0)
+    monkeypatch.setattr(dpp, "EXPANSION_ENTRIES", pairs * model.n_states ** 2)
+    monkeypatch.setattr(dpp, "DICT_ROWS", 0)
+    monkeypatch.setattr(dpp._Nodes, "_add_by_dict",
+                        lambda *args: pytest.fail("a chunk was numbered through the dict"))
+    _same_tree(dpp.solve(model, mu0), whole, model)
+
+
+@pytest.mark.parametrize("pairs", [3, 1 << 18])
+def test_hash_collisions_give_the_same_tree(monkeypatch, pairs):
+    # a hash that sends every row to one of two values: each chunk then
+    # groups unequal rows under one hash and is numbered through the dict
     model, mu0 = load_finite("finite_mean_reverting.json")
     whole = dpp.solve(model, mu0)
-    monkeypatch.setattr(dpp, "EXPANSION_ENTRIES", 3 * model.n_states ** 2)
-    chunked = dpp.solve(model, mu0)
-    assert chunked.reachable_tree_size == whole.reachable_tree_size
-    assert chunked.v0 == whole.v0
-    assert {k: n.value for k, n in chunked.value_cache.items()} == \
-        {k: n.value for k, n in whole.value_cache.items()}
+    monkeypatch.setattr(dpp, "EXPANSION_ENTRIES", pairs * model.n_states ** 2)
+    monkeypatch.setattr(dpp, "DICT_ROWS", 0)
+    monkeypatch.setattr(dpp, "_row_hash", lambda bits: bits[:, 0] & np.uint64(1))
+    _same_tree(dpp.solve(model, mu0), whole, model)
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES + ["below", "above"])
+@pytest.mark.parametrize("dict_rows", [dpp.DICT_ROWS, 0])
+def test_node_order_is_the_first_occurrence_order(monkeypatch, name, dict_rows):
+    if name in ("below", "above"):
+        model = _boundary_model(BELOW if name == "below" else ABOVE)
+        mu0 = DiscreteMeasure(model.states, [1.0, 0.0])
+    else:
+        model, mu0 = load_finite(name)
+    monkeypatch.setattr(dpp, "DICT_ROWS", dict_rows)
+    assert list(dpp.solve(model, mu0).value_cache) == reference_node_order(model, mu0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,38 @@ from hypothesis import strategies as st
 
 from mfctrl.measure import (
     MERGE_TOL,
+    REPR_CHARS,
     DiscreteMeasure,
     TabularMap,
     image_measure,
     match_indices,
     pushforward,
+    short_repr,
 )
 from mfctrl.model import FiniteMFModel
+
+
+@pytest.mark.parametrize("value", [
+    2.5, -0.0, 1e300, 7, 10**30, True, None, "nope", "it's", "a...b",
+    [1.0, 2.0], [[1, 2], [3]], {"tag": "zero", "params": {}}, {"b": [1], "a": {"y": 2, "x": 1}},
+    "x" * 50, list(range(6))])
+def test_short_values_quote_as_repr(value):
+    assert short_repr(value) == repr(value)
+
+
+@pytest.mark.parametrize("value", [
+    "x" * 10**6, list(range(10**5)), {str(i): i for i in range(1000)}, [["x" * 100] * 6] * 6,
+    10**1000], ids=["string", "list", "object", "lists-of-strings", "integer"])
+def test_long_values_quote_short(value):
+    text = short_repr(value)
+    assert len(text) <= REPR_CHARS and "..." in text
+
+
+def test_deep_nesting_quotes_short():
+    value = 0
+    for _ in range(10**5):     # deeper than any recursive repr can go
+        value = [value]
+    assert short_repr(value) == "[[[[...]]]]"
 
 
 class TestMoments:

@@ -11,9 +11,12 @@ from mfctrl.fixtures import list_fixtures, load_fixture
 from mfctrl.measure import DiscreteMeasure
 from mfctrl.model import (
     FiniteMFModel,
+    LawBatch,
+    evaluate,
     finite_model_from_config,
     lifted_stage_cost,
     lifted_terminal_cost,
+    sum_last,
     validate,
 )
 
@@ -434,3 +437,66 @@ def test_validate_evaluates_only_the_stages_it_drew(monkeypatch):
     assert report.ok and report.checked == 512 + model.n_states * (model.n_states + 1)
     assert len(stages) <= 513 and stages[-1] == model.horizon
     assert stages[:-1] == sorted(set(stages[:-1]))
+
+
+# ---------------------------------------------------------------------------
+# Short-axis reductions
+# ---------------------------------------------------------------------------
+
+def _reduction_models(S, rng):
+    """A mean_reverting model and a table model with negative entries, S states."""
+    states = [[float(x)] for x in np.sort(rng.uniform(-2.0, 2.0, S)) + np.arange(S)]
+    actions = [[-0.5], [0.5]]
+    rows = rng.uniform(-0.05, 1.0, (S, 2, S))
+    mean_reverting = {"tag": "mean_reverting", "params": {"theta": 0.4, "eta": 0.7, "tau": 0.3}}
+    return [finite_model_from_config({
+        "states": states, "actions": actions, "horizon": 1, "kernel": kernel,
+        "stage_cost": {"tag": "zero"}, "terminal_cost": {"tag": "zero"}})
+        for kernel in (mean_reverting, {"tag": "table", "params": {"rows": rows.tolist()}})]
+
+
+def _random_pairs(S, rng, P=50):
+    weights = rng.dirichlet(np.ones(S), P)
+    weights[: P // 2] *= rng.random((P // 2, S)) < 0.5    # some laws off full support
+    weights[np.arange(P), rng.integers(0, S, P)] += 0.1
+    return weights / weights.sum(axis=1, keepdims=True), rng.integers(0, 2, (P, S))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("S", [1, 2, 4, 9])
+def test_row_minimum_is_that_of_the_rows_as_returned(S):
+    # the rows hold no -0.0: numpy's own min may return either zero on a
+    # (0.0, -0.0) tie, and the sign of a zero minimum is read nowhere
+    rng = np.random.default_rng(S)
+    weights, action = _random_pairs(S, rng)
+    for model in _reduction_models(S, rng):
+        returned = model.kernel.batched(0, LawBatch.of(model, weights, action))
+        returned = np.broadcast_to(returned, (len(weights), S, S))
+        ev = evaluate(model, 0, weights, weights > 0, action)
+        expected = np.where(weights > 0, np.min(returned, axis=-1), 0.0)
+        assert np.array_equal(_bits(ev.low), _bits(expected))
+
+
+@pytest.mark.parametrize("S", [1, 2, 4, 9])
+def test_mean_reverting_rows_keep_the_max_shift_formula(S):
+    rng = np.random.default_rng(10 + S)
+    weights, action = _random_pairs(S, rng)
+    model = _reduction_models(S, rng)[0]
+    grid, acts = model.states[:, 0], model.actions[:, 0]
+
+    def formula(i, a, mbar):    # the kernel as written with numpy's max
+        target = (1.0 - 0.4) * grid[i] + 0.4 * mbar + 0.7 * acts[a]
+        logits = -((grid - target[..., None]) ** 2) / 0.3
+        w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return w / sum_last(w)[..., None]
+
+    batch = LawBatch.of(model, weights, action)
+    assert np.array_equal(_bits(model.kernel.batched(0, batch)),
+                          _bits(formula(batch.state, action, batch.mean[..., 0])))
+    for p, i in [(0, 0), (len(weights) - 1, S - 1)]:
+        mu, a = DiscreteMeasure(model.states, weights[p]), int(action[p, i])
+        assert np.array_equal(_bits(model.kernel(0, i, mu, a, None)),
+                              _bits(formula(i, a, mu.mean()[0])))

@@ -7,13 +7,15 @@ Run from the repository root::
 For every workload of ``BENCHMARK.json`` it runs ``benchmarks/run.py`` ``RUNS``
 times at ``--trace 0`` and once at ``--trace 1``, at seed ``SEED`` and for
 ``run_seconds`` each. It also times ``mfctrl verify --quick`` and the Tier-1
-suite, the end-to-end workloads the benchmark does not cover, and the cold
-start: ``COLD_RUNS`` fresh processes of each command of ``COLD_START``. The
-file holds, per workload, the median, min and max of each end-to-end metric
-with every run's value, the traced run's per-layer metrics, those two wall
-times, the same spread of the cold-start wall times, the line counts of
-``src/mfctrl/*.py`` and the machine: CPUs, Python, numpy and the commit. Runs
-are sequential; run nothing else meanwhile.
+suite, the end-to-end workloads the benchmark does not cover, the cold
+start: ``COLD_RUNS`` fresh processes of each command of ``COLD_START``, and
+the long horizon: ``LONG_RUNS`` calls of ``cli.main solve-finite`` on
+``finite_zero.json`` at ``LONG_HORIZON`` stages, in one process. The file
+holds, per workload, the median, min and max of each end-to-end metric with
+every run's value, the traced run's per-layer metrics, those two wall times,
+the same spread of the cold-start and long-horizon wall times, the line
+counts of ``src/mfctrl/*.py`` and the machine: CPUs, Python, numpy and the
+commit. Runs are sequential; run nothing else meanwhile.
 """
 
 from __future__ import annotations
@@ -38,6 +40,19 @@ COLD_START = {f"{command} {name}": [sys.executable, "-m", "mfctrl.cli", command,
                                     os.path.join("src", "mfctrl", "fixtures", name)]
               for command, name in [("solve-finite", "finite_mean_reverting.json"),
                                     ("riccati", "lq_multivariate.json")]}
+LONG_RUNS = 3   # in-process calls of the long-horizon solve
+LONG_HORIZON = 10**4
+# times cli.main solve-finite on the scenario argv[1], writing argv[2], argv[3] times
+_LONG = """import json, sys, time
+from mfctrl.cli import main
+times = []
+for _ in range(int(sys.argv[3])):
+    start = time.perf_counter()
+    if main(["solve-finite", sys.argv[1], "--out", sys.argv[2]]) != 0:
+        sys.exit("solve-finite failed")
+    times.append(time.perf_counter() - start)
+print(json.dumps(times))
+"""
 
 
 def spread(values):
@@ -145,6 +160,7 @@ def record(root, runs, seed, log=print):
     log("Tier-1 suite")
     result["tier1"] = _timed(root, TIER1)
     result["cold_start"] = cold_start(root, COLD_RUNS, log)
+    result["long_horizon"] = long_horizon(root, LONG_HORIZON, LONG_RUNS, log)
     return result
 
 
@@ -159,6 +175,25 @@ def cold_start(root, runs, log=print):
             result[key] = summarize_cold([_timed(root, argv + ["--out", out])
                                           for _ in range(runs)])
     return result
+
+
+def long_horizon(root, horizon, runs, log=print):
+    """The spread of the wall times of ``runs`` calls of ``cli.main
+    solve-finite`` on ``finite_zero.json`` set to ``horizon`` stages, made
+    one after another in one fresh process."""
+    log(f"long horizon: {horizon} stages")
+    with open(os.path.join(root, "src", "mfctrl", "fixtures", "finite_zero.json")) as fh:
+        scenario = json.load(fh)
+    scenario["model"]["horizon"] = horizon
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(scenario, fh)
+        timed = _timed(root, [sys.executable, "-c", _LONG, path,
+                              os.path.join(tmp, "out.json"), str(runs)])
+    if timed["exit_code"] != 0:
+        raise RuntimeError(f"long-horizon solve failed with exit code {timed['exit_code']}")
+    return {"horizon": horizon, "runs": runs, "wall_s": spread(json.loads(timed["summary"]))}
 
 
 def main():
