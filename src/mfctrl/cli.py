@@ -8,6 +8,7 @@ Each engine but the finite DPP is imported by the subcommands that run it.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -100,40 +101,52 @@ def _lq_from_scenario(data):
         raise ValueError(f"bad LQ model config: {exc}") from exc
 
 
-def _open_output(path, **kwargs):
-    try:
-        return open(path, "w", **kwargs)
-    except OSError as exc:
-        raise ValueError(f"cannot write output {path!r}: {exc}") from exc
+@contextlib.contextmanager
+def _outputs(*paths):
+    """The output streams of a run, every file opened before any is written.
+
+    ``"-"`` is standard output and ``None`` no output.  If a file cannot be
+    opened, or the run fails before its outputs are complete, every file it
+    opened is removed: a failed run leaves no output behind.
+    """
+    opened = {}
+    with contextlib.ExitStack() as stack:
+        try:
+            for path in paths:
+                if path in opened:
+                    raise ValueError(f"output {path!r} is given twice")
+                if path not in (None, "-"):
+                    try:
+                        opened[path] = stack.enter_context(open(path, "w", newline=""))
+                    except OSError as exc:
+                        raise ValueError(f"cannot write output {path!r}: {exc}") from exc
+            yield [sys.stdout if path == "-" else opened.get(path) for path in paths]
+        except BaseException:
+            stack.close()
+            for path in opened:
+                os.remove(path)
+            raise
 
 
-def _write_csv(path, header, rows):
-    with _open_output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(stream, header, rows):
+    writer = csv.writer(stream)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
-def _write_json(path, payload):
+def _write_json(stream, payload):
     """Write ``json.dumps(payload, indent=2, allow_nan=False)``, byte for byte,
     where each NumPy array in ``payload`` counts as its ``tolist()``.
 
-    A NaN or Inf in ``payload`` raises ``ArithmeticError`` and leaves no output
-    behind. Files are streamed, since outputs reach megabytes, and removed if
-    the encoding fails; standard output gets the text, and a newline, once all
-    of it is encoded.
+    A NaN or Inf in ``payload`` raises ``ArithmeticError``.  Files are
+    streamed, since outputs reach megabytes; standard output gets the text,
+    and a newline, once all of it is encoded.
     """
     chunks = _json_chunks(payload, 0)
-    if path == "-" or path is None:
-        sys.stdout.write("".join(chunks) + "\n")
-        return
-    fh = _open_output(path)
-    try:
-        with fh:
-            fh.writelines(chunks)
-    except BaseException:
-        os.remove(path)
-        raise
+    if stream is sys.stdout:
+        stream.write("".join(chunks) + "\n")
+    else:
+        stream.writelines(chunks)
 
 
 # The indent-2 layout of the standard library's pure-Python encoder, which
@@ -268,12 +281,13 @@ def _cmd_solve_finite(args):
         "law_trajectory": [mu0.to_json()] + [DiscreteMeasure(model.states, w).to_json()
                                              for w in path[1:]],
     }
-    _write_json(args.out, payload)
-    if args.trajectory_csv:
-        _write_csv(args.trajectory_csv, ["stage", "state_index", "state", "weight"],
-                   ([k, i, _joined(model.states[i]), repr(w)]
-                    for k, weights in enumerate(path)
-                    for i, w in enumerate(weights.tolist())))
+    with _outputs(args.out, args.trajectory_csv) as (out, table):
+        _write_json(out, payload)
+        if table:
+            _write_csv(table, ["stage", "state_index", "state", "weight"],
+                       ([k, i, _joined(model.states[i]), repr(w)]
+                        for k, weights in enumerate(path)
+                        for i, w in enumerate(weights.tolist())))
     return 0
 
 
@@ -298,16 +312,17 @@ def _cmd_riccati(args):
     model = _lq_from_scenario(data)
     sol = lq.solve_riccati(model, force=args.force)
     policy, payload = _lq_payload(model, sol, (model.initial_mean, model.initial_cov))
-    _write_json(args.out, payload)
-    if args.stages_csv:
-        n = model.horizon
-        _write_csv(args.stages_csv, ["stage", "var_weight", "mean_weight", "linear",
-                                     "constant", "gain_state", "gain_mean", "offset"],
-                   ([k, _joined(sol.var_weight[k]), _joined(sol.mean_weight[k]),
-                     _joined(sol.linear[k]), repr(float(sol.constant[k]))]
-                    + ([_joined(policy.gain_state[k]), _joined(policy.gain_mean[k]),
-                        _joined(policy.offset[k])] if k < n else ["", "", ""])
-                    for k in range(n + 1)))
+    n = model.horizon
+    with _outputs(args.out, args.stages_csv) as (out, table):
+        _write_json(out, payload)
+        if table:
+            _write_csv(table, ["stage", "var_weight", "mean_weight", "linear", "constant",
+                               "gain_state", "gain_mean", "offset"],
+                       ([k, _joined(sol.var_weight[k]), _joined(sol.mean_weight[k]),
+                         _joined(sol.linear[k]), repr(float(sol.constant[k]))]
+                        + ([_joined(policy.gain_state[k]), _joined(policy.gain_mean[k]),
+                            _joined(policy.offset[k])] if k < n else ["", "", ""])
+                        for k in range(n + 1)))
     return 0
 
 
@@ -319,7 +334,8 @@ def _cmd_meanvariance(args):
     model = lq.mean_variance_model(**params)
     closed = lq.mean_variance_closed_form(args.gamma, args.b, args.sigma, args.delta, args.n)
     _, payload = _lq_payload(model, closed, DiscreteMeasure.dirac([args.x0]))
-    _write_json(args.out, {"params": params} | payload)
+    with _outputs(args.out) as (out,):
+        _write_json(out, {"params": params} | payload)
     return 0
 
 
@@ -358,11 +374,12 @@ def _cmd_simulate(args):
     policy = _load_policy(args, model)
     result = simulate(model, policy, args.n_particles, args.seed,
                       closure=args.closure, initial_law=initial_law)
-    _write_json(args.out, result.to_json())
-    if args.stages_csv:
-        _write_csv(args.stages_csv, ["stage", "mean", "variance"],
-                   ([k, _joined(mean), _joined(var)] for k, (mean, var)
-                    in enumerate(zip(result.stage_means, result.stage_variances))))
+    with _outputs(args.out, args.stages_csv) as (out, table):
+        _write_json(out, result.to_json())
+        if table:
+            _write_csv(table, ["stage", "mean", "variance"],
+                       ([k, _joined(mean), _joined(var)] for k, (mean, var)
+                        in enumerate(zip(result.stage_means, result.stage_variances))))
     return 0
 
 

@@ -7,6 +7,11 @@ tree of laws reachable from the initial one stage by stage: every frontier
 law is pushed through every map at once, children sharing a quantized weight
 key become one node, and the backward pass takes the minimum over maps.
 
+A stage is expanded in chunks, each a grid of laws × maps laid out for
+:func:`~mfctrl.model.evaluate`: law moments are computed once per law, and
+a kernel that reads no action law is evaluated once per (law, state, action)
+rather than once per (law, map, state).
+
 Oracles
 -------
 * :func:`brute_force_value` minimizes the total lifted cost over all feedback
@@ -36,7 +41,6 @@ from .model import (
     evaluate,
     lifted_stage_cost,
     lifted_terminal_cost,
-    push,
     sum_last,
     validate,
 )
@@ -48,9 +52,9 @@ ENUMERATION_CAP = 10_000_000
 FIRST_ORDER_MAX_STATES = 3
 FIRST_ORDER_MAX_HORIZON = 3
 FIRST_ORDER_MAX_ENTRIES = 1_000_000
-# kernel-tensor entries per expansion chunk: a chunk takes
-# EXPANSION_ENTRIES // S^2 (law, map) pairs, so its (pairs, S, S) tensor
-# stays near 2 MB whatever the tree size
+# kernel-tensor entries per expansion chunk: a chunk takes at most
+# EXPANSION_ENTRIES // S^2 (law, map) pairs, so the (pairs, S, S) tensor of
+# their weighted kernel rows stays near 2 MB whatever the tree size
 EXPANSION_ENTRIES = 1 << 18
 # a stage's first chunk of at most this many children is deduplicated through
 # a dict, which beats the array path on so few rows
@@ -152,15 +156,12 @@ def _terminal_values(model, laws):
     return sum_last(laws * costs)
 
 
-def _expand(model, k, laws, pairs, n_maps):
-    """Children (canonical weights) and lifted stage costs of (law, map) pairs.
-
-    Pair ``p`` is law ``p // n_maps`` under map ``p % n_maps``.
-    """
-    weights = laws[pairs // n_maps]
-    action = _map_actions(pairs % n_maps, model.n_states, model.n_actions)
-    ev = evaluate(model, k, weights, weights > 0, action).checked()
-    return push(weights, ev.rows), sum_last(weights * ev.costs)
+def _expand(model, k, laws, maps):
+    """Children (canonical weights) and lifted stage costs of every law of
+    ``laws`` (L, S) under every map of ``maps`` (N, S), law-major."""
+    grid = laws[:, None, :]
+    ev = evaluate(model, k, grid, grid > 0, maps).checked()
+    return ev.push(), sum_last(grid * ev.costs).ravel()
 
 
 @dataclass
@@ -283,7 +284,10 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
         raise ValueError(f"invalid model: {report.summary()}")
     S, M, n = model.n_states, model.n_actions, model.horizon
     n_maps = M ** S
+    # a chunk is a block of whole laws under every map, or one law under a block of maps
     chunk = max(1, EXPANSION_ENTRIES // (S * S))
+    laws_per_chunk, maps_per_chunk = max(1, chunk // n_maps), min(chunk, n_maps)
+    all_maps = _map_actions(np.arange(n_maps), S, M) if n_maps <= chunk else None
 
     def check_budget(nodes):
         if nodes > node_budget:
@@ -308,13 +312,17 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
         stage.cost = np.empty(total)
         found = _Nodes(S)    # the nodes of stage k + 1
         reps = []            # their weights, in node order
-        for p0 in range(0, total, chunk):
-            p1 = min(p0 + chunk, total)
-            children, stage.cost[p0:p1] = _expand(model, k, stage.laws,
-                                                  np.arange(p0, p1), n_maps)
-            stage.child[p0:p1], new = found.add(children)
-            reps.append(new)
-            check_budget(nodes + len(found.bits))
+        for l0 in range(0, len(stage.laws), laws_per_chunk):
+            block = stage.laws[l0:l0 + laws_per_chunk]
+            for m0 in range(0, n_maps, maps_per_chunk):
+                maps = all_maps if all_maps is not None else _map_actions(
+                    np.arange(m0, min(m0 + maps_per_chunk, n_maps)), S, M)
+                p0 = l0 * n_maps + m0
+                p1 = p0 + len(block) * len(maps)
+                children, stage.cost[p0:p1] = _expand(model, k, block, maps)
+                stage.child[p0:p1], new = found.add(children)
+                reps.append(new)
+                check_budget(nodes + len(found.bits))
         nodes += len(found.bits)
         laws = np.concatenate(reps)
         laws.setflags(write=False)

@@ -84,7 +84,8 @@ class FiniteMFModel:
         A callable may carry a ``batched`` attribute computing the same
         values from a :class:`LawBatch` (see the config families below):
         kernel rows of shape ``(P, S, S)``, costs of shape ``(P, S)``, where
-        the leading axis may be 1 and a cost may be one constant.
+        the pair axis ``P`` may be several axes, any of them 1, and a cost
+        may be one constant (see :func:`evaluate` for ``action_law_free``).
     mean_field_free : bool
         Declares that kernel and costs ignore the measure arguments.
     first_order : FirstOrderSpec, optional
@@ -265,6 +266,10 @@ class LawBatch:
     against them the moments keep a singleton state axis, and vector moments
     a trailing coordinate axis.  Terminal batches carry no map: their action
     fields are ``None``.
+
+    The pair axis ``P`` may be several: on a grid of ``L`` laws under ``N``
+    maps (see :func:`evaluate`) it is ``(L, N)``, the moments have the law
+    axis only, ``(L, 1, ...)``, and ``action`` the map axis only, ``(N, S)``.
     """
 
     state: np.ndarray                    # (1, S) grid index of each column
@@ -281,26 +286,32 @@ class LawBatch:
            action_law: Optional[np.ndarray] = None) -> "LawBatch":
         """Moments of the laws ``weights`` (P, S) under the maps ``action`` (P, S).
 
-        The action law of each pair is ``action_law`` (P, M) when given, else
-        a ``bincount`` of its map's action indices weighted by the state law.
+        Laws ``(L, 1, S)`` under maps ``(N, S)`` are the grid of every law
+        under every map.  The action law of each pair is ``action_law``
+        (P, M) when given, else a ``bincount`` of its map's action indices
+        weighted by the state law.
         """
-        P, S = weights.shape
-        mean = sum_last(weights[:, None, :] * model.states.T)
+        S = weights.shape[-1]
+        mean = sum_last(weights[..., None, :] * model.states.T)
         second = sum_last(weights * sum_last(model.states * model.states))
         if action_law is None and action is not None:
             M = model.n_actions
-            flat = (np.arange(P)[:, None] * M + action).ravel()
-            action_law = np.bincount(flat, weights=weights.ravel(), minlength=P * M).reshape(P, M)
-        lam = None if action_law is None else action_law[:, None, :]
+            # on a grid (L, 1, S) x (N, S), the weights of every pair
+            w = weights if weights.ndim == 2 else weights.repeat(len(action), axis=-2)
+            pairs = w.shape[:-1]
+            P = w.size // S
+            flat = (np.arange(P).reshape(pairs + (1,)) * M + action).ravel()
+            action_law = np.bincount(flat, weights=w.ravel(), minlength=P * M).reshape(pairs + (M,))
+        lam = None if action_law is None else action_law[..., None, :]
         return cls(
             state=np.arange(S)[None, :],
             action=action,
-            mass=weights[:, None, :],
-            mean=mean[:, None, :],
-            second=second[:, None],
-            variance=(second - sum_last(mean * mean))[:, None],
+            mass=weights[..., None, :],
+            mean=mean[..., None, :],
+            second=second[..., None],
+            variance=(second - sum_last(mean * mean))[..., None],
             action_mass=lam,
-            action_mean=None if lam is None else sum_last(lam * model.actions.T)[:, None, :],
+            action_mean=None if lam is None else sum_last(lam * model.actions.T)[..., None, :],
         )
 
 
@@ -325,35 +336,38 @@ def _canonical(weights: np.ndarray) -> np.ndarray:
     return weights / sum_last(weights)[:, None]
 
 
-def push(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Canonical next laws ``(P, S)`` of the laws ``weights`` under their kernel ``rows``.
-
-    As in :func:`~mfctrl.measure.pushforward`, the next weights accumulate
-    state by state.
-    """
-    return _canonical(sum_last(np.moveaxis(weights[:, :, None] * rows, 1, -1)))
-
-
 def _from_batched(values, shape, what):
-    """The values of a ``batched`` form, broadcast to ``shape = (P, S, ...)``.
+    """The values of a ``batched`` form, broadcast to ``shape = (*pairs, S, ...)``.
 
-    The pair axis may be a singleton, for values equal under every law and
-    map, and a cost may be one constant; any other shape is an error.
+    The values keep the state axes and at least one pair axis; a pair axis
+    may be a singleton, or missing in front, for values equal along it.  A
+    cost may be one constant.  Any other shape is an error.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape not in (shape, (1,) + shape[1:]) and (values.ndim or what == "kernel"):
+    if values.shape == shape:
+        return values
+    tail = 2 if what == "kernel" else 1     # the state axes
+    if (values.ndim or what == "kernel") and (
+            not tail < values.ndim <= len(shape) or values.shape[-tail:] != shape[-tail:]
+            or not all(v in (1, s) for v, s in zip(values.shape[-tail - 1::-1],
+                                                   shape[-tail - 1::-1]))):
         raise ValueError(f"batched {what} has shape {values.shape}, expected {shape}")
     return np.broadcast_to(values, shape)
 
 
-def _costs(component, batched_args, scalar_args, cells, what):
+def _cells(cells, shape):
+    """The index tuples of the cells marked in ``cells`` broadcast to ``shape``, in C order."""
+    return map(tuple, np.argwhere(np.broadcast_to(cells, shape)).tolist())
+
+
+def _costs(component, batched_args, scalar_args, cells, shape, what):
     """A cost component at every cell, shape ``(P, S)``; zero elsewhere."""
     batched = getattr(component, "batched", None)
     if batched is not None:
-        return np.where(cells, _from_batched(batched(*batched_args), cells.shape, what), 0.0)
-    costs = np.zeros(cells.shape)
-    for p, i in np.argwhere(cells).tolist():
-        costs[p, i] = float(component(*scalar_args(p, i)))
+        return np.where(cells, _from_batched(batched(*batched_args), shape, what), 0.0)
+    costs = np.zeros(shape)
+    for c in _cells(cells, shape):
+        costs[c] = float(component(*scalar_args(c)))
     return costs
 
 
@@ -361,9 +375,13 @@ def _costs(component, batched_args, scalar_args, cells, what):
 class Evaluation:
     """A model's components on the (pair, state) cells of a batch of laws.
 
-    Arrays have shape ``(P, S)``, or ``(P, S, S)`` for ``rows``, and hold
-    zeros off the evaluated cells (``mass`` holds 1 there).  At the terminal
-    stage there are no kernel rows: ``rows``, ``low`` and ``mass`` are ``None``.
+    ``costs`` has the shape of the cells, ``(P, S)`` or ``(L, N, S)`` on a
+    grid, and holds zeros off the evaluated ones.  ``rows`` holds one kernel
+    row per cell, unless ``at`` numbers the row of each cell among ``rows``
+    taken flat: then it holds each distinct row once.  ``low``, ``mass`` and
+    ``weights`` have one entry per row.  A row off the evaluated cells is
+    zeros, with mass 1.  At the terminal stage there are no kernel rows:
+    ``rows``, ``low`` and ``mass`` are ``None``.
     """
 
     stage: int
@@ -371,21 +389,43 @@ class Evaluation:
     rows: Optional[np.ndarray] = None     # kernel rows, entries below 0 clipped to 0
     low: Optional[np.ndarray] = None      # smallest entry of each row as returned
     mass: Optional[np.ndarray] = None     # entry sum of each row as returned
-    shapes: dict = field(default_factory=dict)   # (p, i) -> shape of a misshapen row
+    shapes: dict = field(default_factory=dict)   # cell -> shape of a misshapen row
+    weights: Optional[np.ndarray] = None  # the state-law weight of the state of each row
+    at: Optional[np.ndarray] = None       # the row number of each cell, or None
 
     @property
     def bad(self):
-        """The row check per cell: (an entry below ``-MASS_TOL``, mass off 1 by more
+        """The row check per row: (an entry below ``-MASS_TOL``, mass off 1 by more
         than ``MASS_TOL``).  A misshapen row is evaluated as zeros, so fails the mass."""
         return self.low < -MASS_TOL, ~(np.abs(self.mass - 1.0) <= MASS_TOL)
 
     def checked(self) -> "Evaluation":
-        """This evaluation; raises ``ValueError`` naming the first cell whose row is bad."""
+        """This evaluation; raises ``ValueError`` naming the first cell, in pair
+        order, whose row is bad."""
         bad = np.logical_or(*self.bad) if self.rows is not None else np.zeros(0, bool)
         if bad.any():
-            raise ValueError(f"kernel row is not a probability vector at stage {self.stage}, "
-                             f"state index {int(np.argwhere(bad)[0][1])}")
+            if self.at is not None:
+                bad = np.take(bad.ravel(), self.at)
+            cells = np.argwhere(bad.reshape(-1, bad.shape[-1]))
+            if len(cells):
+                raise ValueError(f"kernel row is not a probability vector at stage "
+                                 f"{self.stage}, state index {int(cells[0][1])}")
         return self
+
+    def push(self) -> np.ndarray:
+        """Canonical next laws ``(P, S)`` of the evaluated pairs, the pair axes flattened.
+
+        As in :func:`~mfctrl.measure.pushforward`, the next weights accumulate
+        state by state.
+        """
+        moved = self.weights[..., None] * self.rows
+        S = moved.shape[-1]
+        if self.at is not None:
+            moved = np.take(moved.reshape(-1, S), self.at, axis=0)
+        total = moved[..., 0, :]
+        for i in range(1, S):
+            total = total + moved[..., i, :]
+        return _canonical(total.reshape(-1, S))
 
 
 def evaluate(model: FiniteMFModel, stage: int, weights: np.ndarray, cells: np.ndarray,
@@ -401,45 +441,66 @@ def evaluate(model: FiniteMFModel, stage: int, weights: np.ndarray, cells: np.nd
     evaluated once for all pairs; a plain callable is called at each cell,
     with each distinct law built once as a ``DiscreteMeasure``.  Every
     evaluated kernel row is checked (see :attr:`Evaluation.bad`).
+
+    Laws ``weights`` and ``cells`` of shape ``(L, 1, S)`` under maps
+    ``action`` of shape ``(N, S)`` are the grid of every law under every
+    map, pair axes ``(L, N)``.  On such a grid a kernel whose ``batched``
+    form is declared ``action_law_free`` (it reads no action law) is
+    evaluated once per (law, state, action), as rows ``(L, S, M, S)``; each
+    pair takes at state ``i`` the row of its action there.
     """
     batch = LawBatch.of(model, weights, action, action_law)
+    grid = weights.ndim == 3
+    shape = (len(weights), len(action), weights.shape[-1]) if grid else cells.shape
     built = {}
 
-    def measure(grid, w):
-        key = (grid is model.states, w.tobytes())
+    def measure(points, w):
+        key = (points is model.states, w.tobytes())
         if key not in built:
-            built[key] = DiscreteMeasure(grid, w)
+            built[key] = DiscreteMeasure(points, w)
         return built[key]
+
+    def law(pair):
+        return measure(model.states, np.broadcast_to(weights, shape)[pair])
 
     if stage == model.horizon:
         return Evaluation(stage, _costs(model.terminal_cost, (batch,),
-                                        lambda p, i: (i, measure(model.states, weights[p])),
-                                        cells, "terminal cost"))
+                                        lambda c: (c[-1], law(c[:-1])),
+                                        cells, shape, "terminal cost"))
 
-    def args(p, i):
-        return (stage, i, measure(model.states, weights[p]), int(batch.action[p, i]),
-                measure(model.actions, batch.action_mass[p, 0]))
+    def args(c):
+        return (stage, c[-1], law(c[:-1]), int(np.broadcast_to(batch.action, shape)[c]),
+                measure(model.actions, batch.action_mass[c[:-1]][0]))
 
-    P, S = cells.shape
-    shapes = {}
+    S, M = model.n_states, model.n_actions
+    shapes, row_weights, row_cells, at = {}, weights, cells, None
     batched = getattr(model.kernel, "batched", None)
-    if batched is not None:
-        rows = _from_batched(batched(stage, batch), (P, S, S), "kernel")
-        if not cells.all():
-            rows = np.where(cells[..., None], rows, 0.0)
+    if grid and getattr(batched, "action_law_free", False):
+        L = len(weights)     # the laws' moments on the (law, state, action) cells
+        rows = batched(stage, LawBatch(np.arange(S)[None, :, None], np.arange(M), batch.mass,
+                                       batch.mean, batch.second, batch.variance, None, None))
+        if rows.shape != (L, S, M, S):
+            rows = np.broadcast_to(rows, (L, S, M, S))
+        row_weights, row_cells = weights.reshape(L, S, 1), cells.reshape(L, S, 1)
+        at = np.arange(0, L * S * M, S * M)[:, None, None] + (action + np.arange(0, S * M, M))
+    elif batched is not None:
+        rows = _from_batched(batched(stage, batch), shape + (S,), "kernel")
     else:
-        rows = np.zeros((P, S, S))
-        for p, i in np.argwhere(cells).tolist():
-            row = np.asarray(model.kernel(*args(p, i)), dtype=float)
+        rows = np.zeros(shape + (S,))
+        for c in _cells(cells, shape):
+            row = np.asarray(model.kernel(*args(c)), dtype=float)
             if row.shape == (S,):
-                rows[p, i] = row
+                rows[c] = row
             else:
-                shapes[p, i] = row.shape
-    low, mass = fold_last(np.minimum, rows), np.where(cells, rows.sum(axis=-1), 1.0)
+                shapes[c] = row.shape
+    if batched is not None and not row_cells.all():
+        rows = np.where(row_cells[..., None], rows, 0.0)
+    low, mass = fold_last(np.minimum, rows), np.where(row_cells, rows.sum(axis=-1), 1.0)
     if (low < 0.0).any():
         rows = np.maximum(rows, 0.0)
-    return Evaluation(stage, _costs(model.stage_cost, (stage, batch), args, cells, "stage cost"),
-                      rows, low, mass, shapes)
+    return Evaluation(stage, _costs(model.stage_cost, (stage, batch), args, cells, shape,
+                                    "stage cost"),
+                      rows, low, mass, shapes, row_weights, at)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +511,8 @@ def evaluate(model: FiniteMFModel, stage: int, weights: np.ndarray, cells: np.nd
 # arguments; its ``batched`` attribute reads them from a :class:`LawBatch`
 # (kernels and stage costs take ``(stage, batch)``, terminal costs take
 # ``batch``).  :func:`evaluate` uses ``batched`` when a component has one.
+# A kernel whose formula reads no action law declares ``action_law_free`` on
+# its ``batched`` form, and is then evaluated once per (law, state, action).
 # A builder takes ``(states, actions, horizon, params)``, the grids as float
 # arrays, and returns the component and its pairwise form for
 # :class:`FirstOrderSpec`, or ``None`` when it has none.
@@ -471,6 +534,7 @@ def _kernel_identity(states, actions, horizon, params):
     def rows(k, i, mu, a, lam):
         return eye[i]
     rows.batched = lambda k, b: eye[b.state]
+    rows.batched.action_law_free = True
     return rows, None
 
 
@@ -493,6 +557,7 @@ def _kernel_table(states, actions, horizon, params):
     def rows(k, i, mu, a, lam):
         return table[k, i, a]
     rows.batched = lambda k, b: table[k, b.state, b.action]
+    rows.batched.action_law_free = True
     return rows, None
 
 
@@ -514,6 +579,7 @@ def _kernel_mean_reverting(states, actions, horizon, params):
     def rows(k, i, mu, a, lam):
         return formula(i, a, mu.mean()[0])
     rows.batched = lambda k, b: formula(b.state, b.action, b.mean[..., 0])
+    rows.batched.action_law_free = True
     return rows, None
 
 
@@ -529,6 +595,7 @@ def _kernel_mean_clamp(states, actions, horizon, params):
     def rows(k, i, mu, a, lam):
         return formula(a, mu.mean()[0])
     rows.batched = lambda k, b: formula(b.action, b.mean[..., 0])
+    rows.batched.action_law_free = True
     return rows, None
 
 

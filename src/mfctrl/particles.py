@@ -36,7 +36,7 @@ import numpy as np
 
 from .lq import AffinePolicy, LQModel
 from .measure import DiscreteMeasure, TabularMap, match_indices
-from .model import FiniteMFModel, evaluate, push
+from .model import FiniteMFModel, evaluate
 from .moments import exact_trajectory
 
 _STREAM_STAGE_NOISE = 0          # + stage
@@ -276,7 +276,7 @@ def _simulate_finite(model: FiniteMFModel, policy: TabularMap, n: int, seed: int
                     moved += entry[block] <= u
                 block[...] = moved
         if closure == "oracle-law" and k < model.horizon:
-            law = push(law, ev.rows)
+            law = ev.push()
     return _finalize(costs, means, variances, n, seed, closure, clouds)
 
 

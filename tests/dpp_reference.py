@@ -12,7 +12,7 @@ dict of rounded weight tuples, the order :func:`mfctrl.dpp.solve` keeps.
 
 import numpy as np
 
-from mfctrl.dpp import BudgetExceeded, SolveResult, ValueNode, _expand, _policies
+from mfctrl.dpp import BudgetExceeded, SolveResult, ValueNode, _expand, _map_actions, _policies
 from mfctrl.measure import KEY_DECIMALS, pushforward
 from mfctrl.model import lifted_stage_cost, lifted_terminal_cost
 
@@ -61,11 +61,12 @@ def reference_node_order(model, mu0):
     """The ``(stage, key)`` of every node, in node order: each stage's (law,
     map) pairs are expanded in one batch, and a child whose rounded weight
     tuple is new becomes the next node, in order of first occurrence."""
-    n_maps = model.n_actions ** model.n_states
+    S, M = model.n_states, model.n_actions
+    maps = _map_actions(np.arange(M ** S), S, M)
     laws = mu0.weights_on_grid(model.states)[None, :]
     order = [(0, tuple(np.round(laws[0], KEY_DECIMALS).tolist()))]
     for k in range(model.horizon):
-        children, _ = _expand(model, k, laws, np.arange(len(laws) * n_maps), n_maps)
+        children, _ = _expand(model, k, laws, maps)
         index = {}
         ids = [index.setdefault(key, len(index))
                for key in map(tuple, np.round(children, KEY_DECIMALS).tolist())]

@@ -538,8 +538,31 @@ def test_unwritable_output_path_is_config_error(tmp_path, capsys, command, flag,
         argv += ["--out", str(tmp_path / "ok.json")]
     argv += [flag, str(bad)]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "cannot write output" in err and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert "cannot write output" in captured.err and "Traceback" not in captured.err
+    # every output is opened before any is written, so none is left behind
+    assert not (tmp_path / "ok.json").exists()
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, (_, flags) in _WRITERS.items()
+                                           for f in flags if f != "--out"])
+def test_unwritable_table_leaves_standard_output_empty(tmp_path, capsys, command, flag):
+    argv = [command, _stage(tmp_path, _WRITERS[command][0]), "--out", "-",
+            flag, str(tmp_path / "missing" / "x.csv")]
+    if command == "simulate":
+        argv += ["--n-particles", "10", "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "cannot write output" in captured.err and captured.out == ""
+
+
+def test_one_path_for_two_outputs_is_config_error(tmp_path, capsys):
+    out = tmp_path / "both.out"
+    assert main(["solve-finite", _stage(tmp_path, "finite_mean_reverting.json"),
+                 "--out", str(out), "--trajectory-csv", str(out)]) == 2
+    assert "is given twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):
@@ -1169,11 +1192,12 @@ def test_json_writer_matches_the_standard_library(capsys, payload):
     text = json.dumps(_lists(payload), indent=2, allow_nan=False)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.json")
-        cli._write_json(path, payload)
+        with open(path, "w") as fh:
+            cli._write_json(fh, payload)
         with open(path, "rb") as fh:
             assert fh.read() == text.encode("ascii")
     capsys.readouterr()
-    cli._write_json("-", payload)
+    cli._write_json(sys.stdout, payload)
     assert capsys.readouterr().out == text + "\n"
 
 
@@ -1181,7 +1205,7 @@ def test_json_writer_matches_the_standard_library(capsys, payload):
                          ids=["int key", "None key", "tuple"])
 def test_json_writer_takes_only_str_keys_and_lists(payload):
     with pytest.raises(TypeError):
-        cli._write_json("-", payload)
+        cli._write_json(sys.stdout, payload)
 
 
 def _fixture_runs():

@@ -22,10 +22,11 @@ from conftest import (load_finite, random_classical_model, random_finite_model,
                       random_initial_law, scalar_only)
 from dpp_reference import reference_node_order, reference_solve
 from mfctrl import dpp
+from mfctrl import model as mfctrl_model
 from mfctrl.fixtures import list_fixtures
 from mfctrl.measure import DiscreteMeasure, image_measure, pushforward
-from mfctrl.model import (FiniteMFModel, LawBatch, ValidationReport, finite_model_from_config,
-                          lifted_stage_cost)
+from mfctrl.model import (FiniteMFModel, LawBatch, ValidationReport, evaluate,
+                          finite_model_from_config, lifted_stage_cost, sum_last)
 
 FINITE_FIXTURES = sorted(name for name in list_fixtures() if name.startswith(("finite_", "fo_")))
 
@@ -350,6 +351,12 @@ def test_budget_raises_iff_distinct_nodes_exceed_it():
         dpp.solve(model, mu0, node_budget=0)
 
 
+def _argmins(result):
+    """The minimizing map of every node, in node order (``None`` at the last stage)."""
+    return [None if node.argmin_policy is None else node.argmin_policy.values.tobytes()
+            for node in result.value_cache.values()]
+
+
 def _same_tree(result, whole, model):
     """``result`` equals ``whole``: node order, values, law path and maps, bit for bit."""
     assert result.reachable_tree_size == whole.reachable_tree_size
@@ -361,6 +368,7 @@ def _same_tree(result, whole, model):
         [w.tobytes() for w in whole.optimal_law_path]
     assert [model.policy_action_indices(p).tolist() for p in result.optimal_policy_sequence] == \
         [model.policy_action_indices(p).tolist() for p in whole.optimal_policy_sequence]
+    assert _argmins(result) == _argmins(whole)
 
 
 # (law, map) pairs per chunk.  With 8 maps per law (S = 3, M = 2), 3 splits
@@ -457,3 +465,138 @@ def test_node_lookup_takes_the_neighbouring_key_of_a_law_off_by_one_ulp():
     far = DiscreteMeasure(model.states, [BELOW + 1e-11, 1.0 - BELOW - 1e-11])
     with pytest.raises(KeyError):
         result.node(1, far, model.states)
+
+
+# ---------------------------------------------------------------------------
+# the law x map grid against per-pair rows
+# ---------------------------------------------------------------------------
+
+def _tag_pairings():
+    """Every tag kernel with every stage and terminal cost that serves it, on
+    one-dimensional grids."""
+    quadratic_stage = QUADRATIC_STAGE
+    quadratic_terminal = QUADRATIC_TERMINAL
+    table = {"tag": "table", "params": {"rows": np.random.default_rng(3).dirichlet(
+        np.ones(3), size=(2, 3, 2)).tolist()}}
+    three = ([[-1.0], [0.0], [1.5]], [[0.0], [1.0]])
+    two = ([[0.0], [1.0]], [[0.0], [1.0]])
+    kernels = {"identity": ({"tag": "identity"}, three), "table": (table, three),
+               "mean_reverting": (MEAN_REVERTING, three),
+               "mean_clamp": ({"tag": "mean_clamp", "params": {"shift": 0.25}}, two)}
+    for (name, (kernel, grids)), (cname, cost), (tname, terminal) in itertools.product(
+            kernels.items(), [("zero", {"tag": "zero"}), ("quadratic", quadratic_stage)],
+            [("zero", {"tag": "zero"}), ("quadratic", quadratic_terminal)]):
+        yield f"{name}-{cname}-{tname}", _config(*grids, kernel, cost, terminal)
+    pinned = {"tag": "fo_pinned", "params": {"kappa": 1.5, "pinned": [1, 0], "p_xy": 0.2,
+                                              "p_a": -0.1, "p_ay": 0.3, "p_x": 0.05}}
+    for cname, cost in [("zero", {"tag": "zero"}), ("fo_pinned", pinned)]:
+        yield f"first_order-{cname}-fo_bilinear", _config(*two, FO_KERNEL, cost, FO_BILINEAR)
+
+
+TAG_PAIRINGS = dict(_tag_pairings())
+
+
+def _initial_laws(S):
+    """A uniform law, a Dirac, a law with one zero weight and a random full one."""
+    missing = np.full(S, 1.0 / (S - 1))
+    missing[S // 2] = 0.0
+    return [np.full(S, 1.0 / S), np.eye(S)[-1], missing,
+            np.random.default_rng(S).dirichlet(np.ones(S))]
+
+
+def _undeclared(kernel):
+    """``kernel`` with its ``batched`` form as a plain attribute: rows per (law, map)."""
+    return _with_batched(kernel, lambda k, b: kernel.batched(k, b))
+
+
+def test_the_tag_pairings_cover_every_tag():
+    assert len(TAG_PAIRINGS) == 18
+    tags = {(part, cfg[part]["tag"]) for cfg in TAG_PAIRINGS.values()
+            for part in ("kernel", "stage_cost", "terminal_cost")}
+    assert {tag for part, tag in tags if part == "kernel"} == set(mfctrl_model._KERNELS)
+    assert {tag for part, tag in tags if part == "stage_cost"} == set(mfctrl_model._STAGE_COSTS)
+    assert ({tag for part, tag in tags if part == "terminal_cost"}
+            == set(mfctrl_model._TERMINAL_COSTS))
+
+
+@pytest.mark.parametrize("name", sorted(TAG_PAIRINGS))
+def test_grid_expansion_equals_the_pair_path_bit_for_bit(name):
+    # the four kernels that read no action law go through the (law, state,
+    # action) rows; an undeclared batched form of the same formula gives one
+    # row per (law, map) pair, and so does the scalar adapter.  The scalar
+    # callables take their moments as `weights @ support`, another summation
+    # than the batched forms', so they may differ from both in the last bit
+    model = finite_model_from_config(TAG_PAIRINGS[name])
+    declared = getattr(model.kernel.batched, "action_law_free", False)
+    assert declared == (TAG_PAIRINGS[name]["kernel"]["tag"] != "first_order")
+    pairwise = dataclasses.replace(model, kernel=_undeclared(model.kernel))
+    assert not hasattr(pairwise.kernel.batched, "action_law_free")
+    for weights in _initial_laws(model.n_states):
+        mu0 = DiscreteMeasure(model.states, weights)
+        grid = dpp.solve(model, mu0)
+        _same_tree(dpp.solve(pairwise, mu0), grid, model)
+        scalar = dpp.solve(scalar_only(model), mu0)
+        assert scalar.reachable_tree_size == grid.reachable_tree_size
+        assert list(scalar.value_cache) == list(grid.value_cache)
+        assert _action_indices(model, scalar) == _action_indices(model, grid)
+        assert _argmins(scalar) == _argmins(grid)
+        assert scalar.v0 == pytest.approx(grid.v0, abs=1e-12)
+        np.testing.assert_allclose(scalar.optimal_law_path, grid.optimal_law_path,
+                                   rtol=0, atol=1e-12)
+
+
+def _table_model(rows, kernel=None):
+    model = finite_model_from_config(_config(
+        [[-1.0], [0.0], [1.0]], [[0.0], [1.0]], {"tag": "table", "params": {"rows": rows}},
+        QUADRATIC_STAGE, QUADRATIC_TERMINAL))
+    return model if kernel is None else dataclasses.replace(model, kernel=kernel)
+
+
+@pytest.mark.parametrize("bad_row", [[np.nan, 0.5, 0.5], [0.9, 0.9, 0.9], [1.2, -0.2, 0.0]],
+                         ids=["nan", "mass", "negative"])
+@pytest.mark.parametrize("w0", [[0.0, 0.3, 0.7], [0.2, 0.3, 0.5]], ids=["zero", "full"])
+def test_a_bad_row_at_a_state_of_weight_zero_is_never_seen(monkeypatch, bad_row, w0):
+    # no row leads to state 0, so after stage 0 every law has weight 0 there;
+    # this declared kernel returns a bad row exactly at such (law, state) cells
+    rows = np.random.default_rng(4).dirichlet(np.ones(2), size=(2, 3, 2))
+    rows = np.concatenate([np.zeros((2, 3, 2, 1)), rows], axis=-1)
+    model = _table_model(rows.tolist())
+    S = model.n_states
+    table = model.kernel.batched
+
+    def batched(k, b):
+        weight = sum_last(b.mass * (b.state[..., None] == np.arange(S)))
+        return np.where((weight == 0.0)[..., None], np.array(bad_row), table(k, b))
+    batched.action_law_free = True
+    hidden = _table_model(rows.tolist(), _with_batched(model.kernel, batched))
+    _skip_validation(monkeypatch)
+    mu0 = DiscreteMeasure(model.states, w0)
+    _same_tree(dpp.solve(hidden, mu0), dpp.solve(model, mu0), model)
+    maps = dpp._map_actions(np.arange(model.n_actions ** S), S, model.n_actions)
+    laws = np.array([w0, [0.0, 0.5, 0.5], [0.0, 1.0, 0.0]])
+    for k in range(model.horizon):
+        children, costs = dpp._expand(hidden, k, laws, maps)
+        expected_children, expected_costs = dpp._expand(model, k, laws, maps)
+        assert children.tobytes() == expected_children.tobytes()
+        assert costs.tobytes() == expected_costs.tobytes()
+        grid = laws[:, None, :]
+        ev = evaluate(hidden, k, grid, grid > 0, maps)
+        assert not np.logical_or(*ev.bad).any()
+        assert ev.checked() is ev
+
+
+@pytest.mark.parametrize("kernel", ["declared", "undeclared", "scalar"])
+def test_the_first_bad_row_in_pair_order_is_named(monkeypatch, kernel):
+    # bad rows at (state 1, action 1) and (state 2, action 1): the first map,
+    # all zeros, reaches neither; map 1 = (0, 0, 1) reaches state 2's first,
+    # though state 1's row comes first among the (law, state, action) rows
+    rows = np.random.default_rng(5).dirichlet(np.ones(3), size=(2, 3, 2))
+    rows[0, 1, 1] = rows[0, 2, 1] = [0.5, 0.5, 0.5]
+    model = _table_model(rows.tolist())
+    model = {"declared": model, "undeclared": _table_model(rows.tolist(),
+                                                           _undeclared(model.kernel)),
+             "scalar": scalar_only(model)}[kernel]
+    _skip_validation(monkeypatch)
+    with pytest.raises(ValueError, match=r"^kernel row is not a probability vector at stage 0, "
+                                         r"state index 2$"):
+        dpp.solve(model, DiscreteMeasure(model.states, [0.2, 0.3, 0.5]))
