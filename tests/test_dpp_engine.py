@@ -473,9 +473,7 @@ def test_node_lookup_takes_the_neighbouring_key_of_a_law_off_by_one_ulp():
 
 def _tag_pairings():
     """Every tag kernel with every stage and terminal cost that serves it, on
-    one-dimensional grids."""
-    quadratic_stage = QUADRATIC_STAGE
-    quadratic_terminal = QUADRATIC_TERMINAL
+    one-dimensional grids, and the two-dimensional grids."""
     table = {"tag": "table", "params": {"rows": np.random.default_rng(3).dirichlet(
         np.ones(3), size=(2, 3, 2)).tolist()}}
     three = ([[-1.0], [0.0], [1.5]], [[0.0], [1.0]])
@@ -484,13 +482,14 @@ def _tag_pairings():
                "mean_reverting": (MEAN_REVERTING, three),
                "mean_clamp": ({"tag": "mean_clamp", "params": {"shift": 0.25}}, two)}
     for (name, (kernel, grids)), (cname, cost), (tname, terminal) in itertools.product(
-            kernels.items(), [("zero", {"tag": "zero"}), ("quadratic", quadratic_stage)],
-            [("zero", {"tag": "zero"}), ("quadratic", quadratic_terminal)]):
+            kernels.items(), [("zero", {"tag": "zero"}), ("quadratic", QUADRATIC_STAGE)],
+            [("zero", {"tag": "zero"}), ("quadratic", QUADRATIC_TERMINAL)]):
         yield f"{name}-{cname}-{tname}", _config(*grids, kernel, cost, terminal)
     pinned = {"tag": "fo_pinned", "params": {"kappa": 1.5, "pinned": [1, 0], "p_xy": 0.2,
                                               "p_a": -0.1, "p_ay": 0.3, "p_x": 0.05}}
     for cname, cost in [("zero", {"tag": "zero"}), ("fo_pinned", pinned)]:
         yield f"first_order-{cname}-fo_bilinear", _config(*two, FO_KERNEL, cost, FO_BILINEAR)
+    yield from TWO_D_CONFIGS.items()
 
 
 TAG_PAIRINGS = dict(_tag_pairings())
@@ -510,7 +509,7 @@ def _undeclared(kernel):
 
 
 def test_the_tag_pairings_cover_every_tag():
-    assert len(TAG_PAIRINGS) == 18
+    assert len(TAG_PAIRINGS) == 18 + len(TWO_D_CONFIGS)
     tags = {(part, cfg[part]["tag"]) for cfg in TAG_PAIRINGS.values()
             for part in ("kernel", "stage_cost", "terminal_cost")}
     assert {tag for part, tag in tags if part == "kernel"} == set(mfctrl_model._KERNELS)
