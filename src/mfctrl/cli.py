@@ -25,8 +25,8 @@ from .model import finite_model_from_config
 
 CONFIG_ERROR = 2
 NUMERICAL_ERROR = 3
-# the largest ``meanvariance --n``, finite scenario ``horizon`` and ``simulate
-# --n-particles``, checked before any work
+# the largest ``meanvariance --n``, mean-variance scenario ``n``, finite scenario
+# ``horizon`` and ``simulate --n-particles``, checked before any work
 MAX_STAGES = 10**6
 MAX_PARTICLES = 10**8
 
@@ -87,8 +87,11 @@ def _mv_params(payload):
     except (KeyError, TypeError) as exc:
         raise ValueError(f"mean-variance model needs gamma, b, sigma, delta, n, x0: {exc}")
     n = fields.pop("n")
-    return ({k: _real(v, f"mean-variance model field {k!r}") for k, v in fields.items()}
-            | {"n": as_integer(n, "mean-variance model field 'n'")})
+    params = {k: _real(v, f"mean-variance model field {k!r}") for k, v in fields.items()}
+    n = as_integer(n, "mean-variance model field 'n'")
+    if n > MAX_STAGES:
+        raise ValueError(f"mean-variance model field 'n' must be at most {MAX_STAGES}, got {n}")
+    return params | {"n": n}
 
 
 def _lq_from_scenario(data):

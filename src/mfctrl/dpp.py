@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measure import KEY_DECIMALS, DiscreteMeasure, TabularMap, pushforward
+from .measure import KEY_DECIMALS, DiscreteMeasure, TabularMap, _BuiltOnRead, pushforward
 from .model import (
     FiniteMFModel,
     evaluate,
@@ -71,28 +71,6 @@ class ValueNode:
     measure: DiscreteMeasure
     value: float
     argmin_policy: Optional[TabularMap]  # None at the terminal stage
-
-
-class _BuiltOnRead:
-    """Dataclass field whose value may be given as a function building it.
-
-    The function runs on the first read, and its result replaces it.
-    """
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.slot)      # the field has no default
-        value = getattr(obj, self.slot)
-        if callable(value):
-            value = value()
-            setattr(obj, self.slot, value)
-        return value
-
-    def __set__(self, obj, value):
-        setattr(obj, self.slot, value)
 
 
 @dataclass

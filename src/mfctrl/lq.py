@@ -17,11 +17,14 @@ One backward pass propagates the weights from the terminal cost:
 :func:`check_conditions` returns its report and :func:`solve_riccati` its
 solution.  The dynamics are stacked once as ``Z = [[B C]; [D H]]``; each stage
 builds one symmetrized matrix ``K + Z' W Z`` holding both control Hessians,
-cross terms and next-weight parts, and solves it by LAPACK ``potrf``/``potrs``;
-the loop runs only this recursion.  After it, one batch tests the stored stage
-matrices for finiteness and their Hessians for the eigenvalue margin, and the
-coercivity conditions, which never feed the recursion.  :func:`optimal_policy`
-solves every stage at once.
+cross terms and next-weight parts, and solves it through Cholesky factors: by
+LAPACK ``potrf``/``potrs``, or on Python floats when the state and the control
+are scalars, where every block is 1x1 and a factor is a square root.  The loop
+runs only this recursion.  After it, one batch tests the stored stage matrices
+for finiteness and their Hessians for the eigenvalue margin, and the
+coercivity conditions, which never feed the recursion; the report's rows per
+stage are built when first read.  :func:`optimal_policy` solves every stage
+at once.
 
 Matrix inverses are never formed: the recursion solves through Cholesky
 factors, the policy through batched linear solves.
@@ -30,12 +33,13 @@ factors, the policy through batched linear solves.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .measure import SYM_TOL, DiscreteMeasure, as_integer
+from .measure import SYM_TOL, DiscreteMeasure, _BuiltOnRead, as_integer
 
 PSD_EIG_TOL = -1e-10   # least eigenvalue of a PSD matrix, here and in moments
 PD_EIG_TOL = 1e-10
@@ -346,7 +350,14 @@ class StageConditions:
 
 @dataclass
 class ConditionReport:
-    stages: list
+    """The conditions at every stage and at the terminal cost.
+
+    ``ok`` and ``first_failure`` are set by the backward pass; the
+    :class:`StageConditions` rows of ``stages`` are built on first read, since
+    a solve reads only ``first_failure``.
+    """
+
+    stages: list = _BuiltOnRead()
     terminal_ok: bool
     terminal_failures: list
     first_failure: Optional[tuple]
@@ -392,6 +403,91 @@ def _stage_failures(row: StageConditions) -> list:
     return failures
 
 
+# The two stage loops of :func:`_backward_pass`.  Each runs the recursion from
+# the last stage down, writes every stage matrix it forms into ``stages`` and
+# the coefficients of every stage it solves into the other arrays, and returns
+# ``(low, info)``: the stage where a control Hessian had no Cholesky factor
+# and the ``potrf`` info, or ``(0, 0)``.
+
+def _array_loop(dyn, cost, cost_linear, weight, linear, constant, mean_transition, stages):
+    """The loop on arrays, each stage solved by LAPACK ``potrf``/``potrs``."""
+    from scipy.linalg.lapack import dpotrf, dpotrs   # here, so a 1x1 model skips SciPy
+    n, d, m = len(dyn), weight.shape[-1], stages.shape[-1] - weight.shape[-1]
+    weights = np.zeros((2, 2 * d, 2 * d))
+    rhs, gains = np.zeros((m, d + 1)), np.zeros((2, m, d))
+    for k in range(n - 1, -1, -1):
+        (lam, gam), ell, stage = weight[k + 1], linear[k + 1], stages[k]
+        weights[0, :d, :d] = weights[:, d:, d:] = lam
+        weights[1, :d, :d] = gam
+        _stage_matrix(cost[k], dyn[k], weights, stage)
+        dev_factor, dev_info = dpotrf(stage[0, d:, d:], lower=1, clean=0)
+        mean_factor, mean_info = dpotrf(stage[1, d:, d:], lower=1, clean=0)
+        if dev_info or mean_info:
+            return k, dev_info or mean_info
+        # the mean solve carries the offset's right-hand side as one more column
+        mean_control = dyn[k, 1, :d, d:]
+        rhs[:, :d] = stage[1, d:, :d]
+        rhs[:, d] = ell @ mean_control
+        gains[0] = dpotrs(dev_factor, stage[0, d:, :d], lower=1)[0]
+        mean_gain = dpotrs(mean_factor, rhs, lower=1)[0]
+        gains[1] = mean_gain[:, :d]
+        weight[k] = _sym(stage[:, :d, :d] - stage[:, :d, d:] @ gains)
+        mean_transition[k] = dyn[k, 1, :d, :d] - mean_control @ gains[1]
+        linear[k] = cost_linear[k] + ell @ mean_transition[k]
+        constant[k] = constant[k + 1] - 0.25 * float(rhs[:, d] @ mean_gain[:, d])
+    return 0, 0
+
+
+def _float_stage(b, c, dn, h, q, r, top, bottom):
+    """The flattened ``_stage_matrix`` of one component when every block is
+    1x1: ``Z = [[b c]; [dn h]]``, ``K = diag(q, r)`` and ``W = diag(top,
+    bottom)``.  The diagonal is symmetrized too, so it overflows where
+    ``_sym`` does."""
+    bt, dw, ct, hw = b * top, dn * bottom, c * top, h * bottom
+    corner, hess = q + (bt * b + dw * dn), r + (ct * c + hw * h)
+    cross = 0.5 * ((bt * c + dw * h) + (ct * b + hw * dn))
+    return 0.5 * (corner + corner), cross, cross, 0.5 * (hess + hess)
+
+
+def _float_loop(dyn, cost, cost_linear, weight, linear, constant, mean_transition, stages):
+    """The loop on Python floats when every block is 1x1: ``potrf`` of a 1x1
+    matrix ``h`` fails unless ``h > 0`` and else is ``sqrt(h)``, and
+    ``potrs`` multiplies twice by its reciprocal, as OpenBLAS does.  The
+    results go to flat ``array('d')`` buffers, written into the arrays once."""
+    n = len(dyn)
+    # per stage from the last: b c dn h of each component, q r of each, the linear cost
+    columns = np.empty((13, n))
+    columns[:8] = dyn.reshape(n, 8)[::-1].T
+    columns[8:12] = cost.reshape(n, 8)[::-1, (0, 3, 4, 7)].T
+    columns[12] = cost_linear[::-1, 0]
+    mats, coefficients = array("d"), array("d")
+    (lam, gam), ell, chi = weight[n, :, 0, 0].tolist(), float(linear[n, 0]), 0.0
+    low = info = 0
+    for k, b, c, dn, h, bq, cq, dq, hq, q, r, qq, rq, cl in zip(
+            range(n - 1, -1, -1), *map(memoryview, columns)):
+        dev = _float_stage(b, c, dn, h, q, r, lam, lam)
+        mean = _float_stage(bq, cq, dq, hq, qq, rq, gam, lam)
+        mats.extend(dev)
+        mats.extend(mean)
+        if not (dev[3] > 0.0 and mean[3] > 0.0):   # NaN fails too, as in potrf
+            low, info = k, 1
+            break
+        dev_inv, mean_inv, drive = 1.0 / math.sqrt(dev[3]), 1.0 / math.sqrt(mean[3]), ell * cq
+        dev_gain, mean_gain = dev[2] * dev_inv * dev_inv, mean[2] * mean_inv * mean_inv
+        lam, gam = dev[0] - dev[1] * dev_gain, mean[0] - mean[1] * mean_gain
+        lam, gam = 0.5 * (lam + lam), 0.5 * (gam + gam)
+        transition = bq - cq * mean_gain
+        ell = cl + ell * transition
+        chi -= 0.25 * (drive * (drive * mean_inv * mean_inv))
+        coefficients.extend((lam, gam, ell, chi, transition))
+    stages[n - len(mats) // 8:] = np.frombuffer(mats).reshape(-1, 2, 2, 2)[::-1]
+    solved = np.frombuffer(coefficients).reshape(-1, 5)[::-1]
+    top = slice(n - len(solved), n)
+    weight[top, :, 0, 0] = solved[:, :2]
+    linear[top, 0], constant[top], mean_transition[top, 0, 0] = solved[:, 2:].T
+    return low, info
+
+
 @np.errstate(over="ignore", invalid="ignore")   # a non-finite stage raises below
 def _backward_pass(model: LQModel):
     """The backward Riccati recursion together with its condition report.
@@ -403,7 +499,6 @@ def _backward_pass(model: LQModel):
     matrix or coefficient that is not finite raises ``FloatingPointError``
     naming its stage.
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs   # here, so a cold start without LQ skips SciPy
     n, d, m = model.horizon, model.state_dim, model.control_dim
     weight = np.zeros((n + 1, 2, d, d))   # per stage, var_weight and mean_weight
     linear, constant = np.zeros((n + 1, d)), np.zeros(n + 1)
@@ -418,38 +513,12 @@ def _backward_pass(model: LQModel):
     dyn, cost = _stacked_stages(model)
     control_eig = _min_eig(cost[:, :, d:, d:])
     psd = np.concatenate([_min_eig(cost[:, :, :d, :d]), control_eig], axis=1) >= PSD_EIG_TOL
-    labels = [f"{what} cost not PSD" for what in ("state", "state+mean", "control", "control+mean")]
-    nonneg_failures = [[what for what, ok in zip(labels, row) if not ok]
-                       for row in psd.tolist()]
-    r_pd, rq_pd = (control_eig > PD_EIG_TOL).T.tolist()
-    c_rank, cq_rank = _full_row_rank(dyn[:, :, :d, d:]).T.tolist()
-    h_rank, hq_rank = _full_row_rank(dyn[:, :, d:, d:]).T.tolist()
+    control_pd = control_eig > PD_EIG_TOL
+    drift_rank, noise_rank = _full_row_rank(dyn[:, :, :d, d:]), _full_row_rank(dyn[:, :, d:, d:])
     cost_linear = model.cost_linear + model.cost_linear_mean
 
-    weights = np.zeros((2, 2 * d, 2 * d))
-    rhs, gains = np.zeros((m, d + 1)), np.zeros((2, m, d))
-    low, info = 0, 0
-    for k in range(n - 1, -1, -1):
-        (lam, gam), ell, stage = weight[k + 1], linear[k + 1], stages[k]
-        weights[0, :d, :d] = weights[:, d:, d:] = lam
-        weights[1, :d, :d] = gam
-        _stage_matrix(cost[k], dyn[k], weights, stage)
-        dev_factor, dev_info = dpotrf(stage[0, d:, d:], lower=1, clean=0)
-        mean_factor, mean_info = dpotrf(stage[1, d:, d:], lower=1, clean=0)
-        if dev_info or mean_info:
-            low, info = k, dev_info or mean_info
-            break
-        # the mean solve carries the offset's right-hand side as one more column
-        mean_control = dyn[k, 1, :d, d:]
-        rhs[:, :d] = stage[1, d:, :d]
-        rhs[:, d] = ell @ mean_control
-        gains[0] = dpotrs(dev_factor, stage[0, d:, :d], lower=1)[0]
-        mean_gain = dpotrs(mean_factor, rhs, lower=1)[0]
-        gains[1] = mean_gain[:, :d]
-        weight[k] = _sym(stage[:, :d, :d] - stage[:, :d, d:] @ gains)
-        mean_transition[k] = dyn[k, 1, :d, :d] - mean_control @ gains[1]
-        linear[k] = cost_linear[k] + ell @ mean_transition[k]
-        constant[k] = constant[k + 1] - 0.25 * float(rhs[:, d] @ mean_gain[:, d])
+    loop = _float_loop if d == m == 1 else _array_loop
+    low, info = loop(dyn, cost, cost_linear, weight, linear, constant, mean_transition, stages)
 
     # the stage tests, in the order of the recursion: the highest failing stage
     # decides, a non-finite stage matrix before its margin; eigvalsh sees no NaN
@@ -473,24 +542,46 @@ def _backward_pass(model: LQModel):
         raise _not_finite(int(np.flatnonzero(~finite)[-1]))
     var_weight, mean_weight = weight.swapaxes(0, 1).copy()
 
-    # the coercivity alternatives meet the weights of the next stage
-    lam_pd = (_min_eig(var_weight[first + 1:]) > PD_EIG_TOL).tolist()
-    gam_pd = (_min_eig(mean_weight[first + 1:]) > PD_EIG_TOL).tolist()
-    # stages before a failed Hessian have no weights to test against
-    rows = [StageConditions(k, not f, f, False, None, False, None, False, False)
-            for k, f in enumerate(nonneg_failures[:first])]
-    for k, lam_ok, gam_ok in zip(range(first, n), lam_pd, gam_pd):
-        dev_via = _coercive_via(r_pd[k], c_rank[k] and lam_ok, h_rank[k] and lam_ok)
-        mean_via = _coercive_via(rq_pd[k], cq_rank[k] and gam_ok, hq_rank[k] and lam_ok)
-        rows.append(StageConditions(
-            stage=k, nonneg_ok=not nonneg_failures[k], nonneg_failures=nonneg_failures[k],
-            dev_coercive_ok=dev_via is not None, dev_coercive_via=dev_via,
-            mean_coercive_ok=mean_via is not None, mean_coercive_via=mean_via,
-            hessians_pd=error is None or k > first, evaluated=True))
+    # the coercivity alternatives meet the weights of the next stage; stages
+    # before a failed Hessian have no weights to test against
+    weight_pd = np.zeros((n, 2), dtype=bool)
+    weight_pd[first:] = _min_eig(weight[first + 1:]) > PD_EIG_TOL
+    # per stage and component: PD control cost, drift rank, noise rank (which
+    # meets var_weight in both components)
+    alternatives = np.stack([control_pd, drift_rank & weight_pd,
+                             noise_rank & weight_pd[:, :1]], axis=2)
+    coercive = alternatives.any(axis=2).all(axis=1)
+    failing = ~psd.all(axis=1)
+    failing[first:] |= ~coercive[first:]
+    failing[first] |= error is not None
+    labels = [f"{what} cost not PSD" for what in ("state", "state+mean", "control", "control+mean")]
 
-    failures = [_stage_failures(row) for row in rows] + [terminal_failures]
-    first_failure = next(((k, "; ".join(f)) for k, f in enumerate(failures) if f), None)
-    report = ConditionReport(rows, not terminal_failures, terminal_failures, first_failure)
+    def rows(lo, hi):
+        """The report rows of stages ``lo`` to ``hi - 1``."""
+        built = []
+        for k, oks, (dev, mean) in zip(range(lo, hi), psd[lo:hi].tolist(),
+                                       alternatives[lo:hi].tolist()):
+            nonneg = [what for what, ok in zip(labels, oks) if not ok]
+            if k < first:
+                built.append(StageConditions(k, not nonneg, nonneg, False, None, False, None,
+                                             False, False))
+                continue
+            dev_via, mean_via = _coercive_via(*dev), _coercive_via(*mean)
+            built.append(StageConditions(
+                stage=k, nonneg_ok=not nonneg, nonneg_failures=nonneg,
+                dev_coercive_ok=dev_via is not None, dev_coercive_via=dev_via,
+                mean_coercive_ok=mean_via is not None, mean_coercive_via=mean_via,
+                hessians_pd=error is None or k > first, evaluated=True))
+        return built
+
+    first_failure = None
+    if failing.any():
+        k = int(np.flatnonzero(failing)[0])
+        first_failure = (k, "; ".join(_stage_failures(rows(k, k + 1)[0])))
+    elif terminal_failures:
+        first_failure = (n, "; ".join(terminal_failures))
+    report = ConditionReport(lambda: rows(0, n), not terminal_failures, terminal_failures,
+                             first_failure)
     if error is not None:
         return report, None, error
     parts = stages.swapaxes(0, 1)   # the stage matrices by component, (2, n, d+m, d+m)

@@ -48,6 +48,28 @@ def as_integer(value, what) -> int:
     return int(value)
 
 
+class _BuiltOnRead:
+    """Dataclass field whose value may be given as a function building it.
+
+    The function runs on the first read, and its result replaces it.
+    """
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot)      # the field has no default
+        value = getattr(obj, self.slot)
+        if callable(value):
+            value = value()
+            setattr(obj, self.slot, value)
+        return value
+
+    def __set__(self, obj, value):
+        setattr(obj, self.slot, value)
+
+
 def _as_points(points) -> np.ndarray:
     """Coerce scalars / vectors / (n, d) data to a float array of shape (n, d)."""
     arr = np.asarray(points, dtype=float)

@@ -73,7 +73,7 @@ def test_cold_start_takes_the_spread_of_the_wall_times():
 
 def test_cold_start_runs_each_command_in_fresh_processes():
     result = bench_record.cold_start(ROOT, 1, log=lambda msg: None)
-    assert sorted(result) == ["riccati lq_multivariate.json",
+    assert sorted(result) == ["riccati lq_mean_variance.json", "riccati lq_multivariate.json",
                               "solve-finite finite_mean_reverting.json"]
     for entry in result.values():
         assert entry["runs"] == 1 and entry["exit_codes"] == [0]

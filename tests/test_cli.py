@@ -920,6 +920,24 @@ class TestSizeGuards:
                                            f"be at most {cli.MAX_STAGES}, got {horizon}\n")
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("command", ["riccati", "simulate"])
+    @pytest.mark.parametrize("excess", [1, 10**12])
+    def test_mean_variance_scenario_horizon_above_the_maximum(self, tmp_path, capsys,
+                                                              monkeypatch, command, excess):
+        monkeypatch.setattr("mfctrl.lq.mean_variance_model", self._unreachable)
+        monkeypatch.setattr("mfctrl.particles.simulate", self._unreachable)
+        data = json.loads(fixture_text("lq_mean_variance.json"))
+        n = data["model"]["n"] = cli.MAX_STAGES + excess
+        out = tmp_path / "out.json"
+        argv = [command, _scenario(tmp_path, data), "--out", str(out)]
+        if command == "simulate":
+            argv += ["--n-particles", "10", "--seed", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: mean-variance model field 'n' must be at "
+                                f"most {cli.MAX_STAGES}, got {n}\n")
+        assert captured.out == "" and not out.exists()
+
     def test_the_maxima_themselves_pass(self, tmp_path, capsys, monkeypatch):
         def reached(*args, **kwargs):
             raise ValueError("reached")
@@ -934,7 +952,10 @@ class TestSizeGuards:
                      str(tmp_path / "sim.json")]) == 2
         for command in ("solve-finite", "simulate"):
             assert main(self._finite_horizon_argv(tmp_path, command, cli.MAX_STAGES)) == 2
-        assert capsys.readouterr().err == "config error: reached\n" * 4
+        data = json.loads(fixture_text("lq_mean_variance.json"))
+        data["model"]["n"] = cli.MAX_STAGES
+        assert main(["riccati", _scenario(tmp_path, data)]) == 2
+        assert capsys.readouterr().err == "config error: reached\n" * 5
 
 
 # -- CLI contract fuzz ---------------------------------------------------------

@@ -516,6 +516,9 @@ def _failure_order_models():
         (_staged_lq(4, {3: dict(drift_control=1e200), 1: margin}, **base), _not_finite_at(3)),
         # the stage-0 Hessian overflows, below the margin failure at stage 2
         (_staged_lq(4, {2: margin, 0: dict(drift_control=1e200)}, **base), at_2),
+        # both Hessians of stage 2 are exactly 0.0, below a margin failure at stage 1
+        (_staged_lq(4, {2: dict(drift_control=0.0, cost_control=0.0), 1: margin}, **base),
+         (NotPositiveDefinite, "centered control Hessian not positive definite at stage 2")),
         # the mean Hessian of stage 2 is 1e-11, and the update that divides by
         # it overflows, so the weights below the margin failure are not finite
         (_staged_lq(3, {2: dict(drift_state=1e150, cost_control_mean=-2.0)},
@@ -626,3 +629,84 @@ class TestReferenceParity:
             _assert_close(controls.constant, ref_constant)
             _assert_close(controls.state_means, ref_means)
         assert solved >= len(models) // 2
+
+
+class TestFloatLoop:
+    """Models whose every block is 1x1 run the recursion on Python floats;
+    the array loop on the same models gives the same reports and exceptions,
+    and coefficients within ``PARITY_RTOL``."""
+
+    @staticmethod
+    def _pass(monkeypatch, model, loop):
+        """The outcome of ``_backward_pass(model)`` with ``loop`` in place of
+        the float loop, and the names of the loops it ran."""
+        ran = []
+        with monkeypatch.context() as patch:
+            patch.setattr(lq, "_float_loop",
+                          lambda *args: ran.append(loop.__name__) or loop(*args))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _outcome(lq._backward_pass, model), ran
+
+    def test_both_loops_agree_on_every_scalar_parity_model(self, monkeypatch):
+        scalar = [model for model, _ in _parity_models()
+                  if model.state_dim == model.control_dim == 1]
+        assert len(scalar) == 30
+        ends = set()
+        for model in scalar:
+            (floats, raised), ran = self._pass(monkeypatch, model, lq._float_loop)
+            (arrays, array_raised), array_ran = self._pass(monkeypatch, model, lq._array_loop)
+            assert (ran, array_ran) == (["_float_loop"], ["_array_loop"])
+            assert raised == array_raised
+            if raised:
+                ends.add(raised[0])
+                continue
+            (report, sol, error), (array_report, array_sol, array_error) = floats, arrays
+            assert report == array_report
+            assert _outcome(_raise, error) == _outcome(_raise, array_error)
+            ends.add(type(error) if error else None)
+            for name in SOLUTION_FIELDS if sol else ():
+                _assert_close(getattr(sol, name), getattr(array_sol, name))
+        assert ends == {None, NotPositiveDefinite, FloatingPointError}
+
+    def test_a_zero_hessian_stops_the_float_loop(self):
+        payload = scalar_lq(n=3, B=1.0, C=1.0, R=1.0, QT=1.0).to_json()
+        payload["stages"][1].update(drift_control=[[0.0]], cost_control=[[0.0]])
+        model = LQModel.from_json(payload)
+        with pytest.raises(NotPositiveDefinite,
+                           match="^centered control Hessian not positive definite at stage 1$"):
+            solve_riccati(model, force=True)
+        assert [row.evaluated for row in check_conditions(model).stages] == [False, True, True]
+
+    def test_mean_variance_at_ten_thousand_stages_matches_the_closed_form(self):
+        n = 10**4
+        sol = solve_riccati(mean_variance_model(1.0, 0.5, 1.0, 1.0 / n, n, 1.0))
+        closed = mean_variance_closed_form(1.0, 0.5, 1.0, 1.0 / n, n)
+        for name in SOLUTION_FIELDS:
+            want = getattr(closed, name)
+            # rounding accumulates over the stages: n eps is about 2e-12
+            assert np.max(np.abs(getattr(sol, name) - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("model, ok", [
+        (scalar_lq(n=4, B=1.0, C=1.0, R=1.0, QT=1.0), True),
+        (_staged_lq(4, {1: dict(cost_state=-0.5)}, B=1.0, C=1.0, R=1.0, QT=1.0), False),
+        (_staged_lq(4, {2: dict(drift_control=0.0, cost_control=0.0),
+                        0: dict(cost_state=-1.0, cost_state_mean=2.0)},
+                    B=1.0, C=1.0, R=1.0, QT=1.0), False),
+        (random_lq_model(np.random.default_rng(4), 2, 3, 5), True),
+    ], ids=["passing", "conditions-not-met", "not-positive-definite", "matrix-blocks"])
+    def test_report_rows_are_built_on_first_read(self, model, ok):
+        report = check_conditions(model)
+        assert callable(report.__dict__["_stages"])
+        rows = report.stages
+        assert report.__dict__["_stages"] is rows
+        assert rows == lq_reference.check_conditions(model).stages
+        failures = [(k, "; ".join(f)) for k, f in
+                    enumerate([lq._stage_failures(row) for row in rows]
+                              + [report.terminal_failures]) if f]
+        assert report.first_failure == (failures[0] if failures else None)
+        assert report.ok is ok
+
+
+def _raise(error):
+    if error is not None:
+        raise error

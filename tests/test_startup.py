@@ -1,10 +1,11 @@
 """What a fresh ``mfctrl`` process imports, and the first SciPy import on the noise worker.
 
-``mfctrl.cli`` loads ``scipy.linalg.lapack`` only in the Riccati recursion and
-``scipy.special`` only in the Gaussian draws, so a finite solve or simulation
-starts without SciPy. It imports ``lq``, ``particles`` (with ``moments``) and
-``verify`` only in the subcommands that run them, so ``solve-finite`` loads
-none of them. Each test runs its script in a fresh interpreter, since the test
+``mfctrl.cli`` loads ``scipy.linalg.lapack`` only in the Riccati recursion on
+blocks larger than 1x1 and ``scipy.special`` only in the Gaussian draws, so a
+finite solve or simulation, and the Riccati recursion of a model with a scalar
+state and control, start without SciPy. It imports ``lq``, ``particles`` (with
+``moments``) and ``verify`` only in the subcommands that run them, so
+``solve-finite`` loads none of them. Each test runs its script in a fresh interpreter, since the test
 process has imported all of these long before.
 """
 
@@ -72,6 +73,16 @@ print(json.dumps([code, "scipy.linalg.lapack" in sys.modules, "scipy.special" in
 """
     assert _fresh(script, os.path.join(FIXTURES, "lq_multivariate.json"),
                   str(tmp_path / "out.json")) == [0, True, False, ["mfctrl.lq"]]
+
+
+def test_riccati_on_scalar_blocks_loads_no_scipy(tmp_path):
+    script = """
+import mfctrl.cli
+code = mfctrl.cli.main(["riccati", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, scipy_modules(), engines()]))
+"""
+    assert _fresh(script, os.path.join(FIXTURES, "lq_mean_variance.json"),
+                  str(tmp_path / "out.json")) == [0, [], ["mfctrl.lq"]]
 
 
 # Records the thread that first imports scipy.special; when ``warm`` is set the

@@ -39,7 +39,8 @@ COLD_RUNS = 5   # fresh processes per cold-start command
 COLD_START = {f"{command} {name}": [sys.executable, "-m", "mfctrl.cli", command,
                                     os.path.join("src", "mfctrl", "fixtures", name)]
               for command, name in [("solve-finite", "finite_mean_reverting.json"),
-                                    ("riccati", "lq_multivariate.json")]}
+                                    ("riccati", "lq_multivariate.json"),
+                                    ("riccati", "lq_mean_variance.json")]}
 LONG_RUNS = 3   # in-process calls of the long-horizon solve
 LONG_HORIZON = 10**4
 # times cli.main solve-finite on the scenario argv[1], writing argv[2], argv[3] times
