@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -37,15 +39,29 @@ def test_a_gain_needs_ten_pairs_nine_tenths_won_and_a_lead_beyond_the_parent_spr
     assert not bench_pairs.compare(parent[:9], [p - 1.0 for p in parent[:9]], "lower")["gain"]
 
 
-def test_one_pair_of_the_same_commit(tmp_path):
+def _clone(tmp_path):
+    """A clone of the repository, to which the tool adds its worktrees."""
     if not os.path.isdir(os.path.join(ROOT, ".git")):
         pytest.skip("needs the git history of the repository")
-    clone = tmp_path / "repo"   # the worktrees are added to a clone, not to the repository
+    clone = tmp_path / "repo"
     subprocess.run(["git", "clone", "--quiet", ROOT, str(clone)], check=True)
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"),
-                           "HEAD", "HEAD", "--workload", "dpp-sweep", "--pairs", "1",
-                           "--seed", "1", "--seconds", "0.01"],
-                          cwd=clone, capture_output=True, text=True, timeout=600)
+    return clone
+
+
+def _worktrees(clone):
+    return subprocess.run(["git", "worktree", "list"], cwd=clone, capture_output=True,
+                          text=True, check=True).stdout.strip().splitlines()
+
+
+def _argv(seconds):
+    return [sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"), "HEAD", "HEAD",
+            "--workload", "dpp-sweep", "--pairs", "1", "--seed", "1", "--seconds", seconds]
+
+
+def test_one_pair_of_the_same_commit(tmp_path):
+    clone = _clone(tmp_path)
+    proc = subprocess.run(_argv("0.01"), cwd=clone, capture_output=True, text=True,
+                          timeout=600)
     assert proc.returncode == 0, proc.stderr
     path = proc.stdout.strip().splitlines()[-1]
     with open(path) as fh:
@@ -63,6 +79,22 @@ def test_one_pair_of_the_same_commit(tmp_path):
     assert sorted(entry["metrics"]) == sorted(names)
     for summary in entry["metrics"].values():
         assert summary["wins"] + summary["losses"] <= 1 and not summary["gain"]
-    worktrees = subprocess.run(["git", "worktree", "list"], cwd=clone, capture_output=True,
-                               text=True, check=True).stdout.strip().splitlines()
-    assert len(worktrees) == 1
+    assert len(_worktrees(clone)) == 1
+
+
+def test_a_terminated_run_removes_its_worktrees(tmp_path):
+    clone = _clone(tmp_path)
+    proc = subprocess.Popen(_argv("600"), cwd=clone, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while len(_worktrees(clone)) < 3 and time.monotonic() < deadline:
+            time.sleep(0.2)
+        assert len(_worktrees(clone)) == 3
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=120) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    assert len(_worktrees(clone)) == 1
+    assert not list(clone.glob("PAIRS_*.json"))

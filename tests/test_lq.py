@@ -662,20 +662,11 @@ class TestFloatLoop:
                 continue
             (report, sol, error), (array_report, array_sol, array_error) = floats, arrays
             assert report == array_report
-            assert _outcome(_raise, error) == _outcome(_raise, array_error)
+            assert (type(error), str(error)) == (type(array_error), str(array_error))
             ends.add(type(error) if error else None)
             for name in SOLUTION_FIELDS if sol else ():
                 _assert_close(getattr(sol, name), getattr(array_sol, name))
         assert ends == {None, NotPositiveDefinite, FloatingPointError}
-
-    def test_a_zero_hessian_stops_the_float_loop(self):
-        payload = scalar_lq(n=3, B=1.0, C=1.0, R=1.0, QT=1.0).to_json()
-        payload["stages"][1].update(drift_control=[[0.0]], cost_control=[[0.0]])
-        model = LQModel.from_json(payload)
-        with pytest.raises(NotPositiveDefinite,
-                           match="^centered control Hessian not positive definite at stage 1$"):
-            solve_riccati(model, force=True)
-        assert [row.evaluated for row in check_conditions(model).stages] == [False, True, True]
 
     def test_mean_variance_at_ten_thousand_stages_matches_the_closed_form(self):
         n = 10**4
@@ -705,8 +696,3 @@ class TestFloatLoop:
                               + [report.terminal_failures]) if f]
         assert report.first_failure == (failures[0] if failures else None)
         assert report.ok is ok
-
-
-def _raise(error):
-    if error is not None:
-        raise error

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -127,6 +128,8 @@ def main(argv=None):
         sys.exit("run from the repository root (BENCHMARK.json not found)")
     if args.pairs < 1:
         sys.exit("--pairs must be at least 1")
+    # a terminated run still removes its worktrees and stops its benchmark
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     entry = run_pairs(root, args.parent, args.change, args.workload, args.pairs, args.seed,
                       args.seconds, log=lambda msg: print(msg, file=sys.stderr))
     machine = {key: value for key, value in bench_record.machine(root).items()
