@@ -97,4 +97,7 @@ def test_a_terminated_run_removes_its_worktrees(tmp_path):
         proc.kill()
         proc.wait()
     assert len(_worktrees(clone)) == 1
-    assert not list(clone.glob("PAIRS_*.json"))
+    # no PAIRS_*.json is written or changed: the clone is as it was checked out
+    assert subprocess.run(["git", "status", "--porcelain", "--untracked-files=all"],
+                          cwd=clone, capture_output=True, text=True,
+                          check=True).stdout == ""
