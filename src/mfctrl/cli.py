@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import dpp
-from .measure import DiscreteMeasure, TabularMap, as_integer, short_repr
+from .measure import DiscreteMeasure, TabularMap, as_integer, grid_laws_json, short_repr
 from .model import finite_model_from_config
 
 CONFIG_ERROR = 2
@@ -281,8 +281,7 @@ def _cmd_solve_finite(args):
         "v0": result.v0,
         "tree_size": result.reachable_tree_size,
         "policy_sequence": [p.to_json() for p in result.optimal_policy_sequence],
-        "law_trajectory": [mu0.to_json()] + [DiscreteMeasure(model.states, w).to_json()
-                                             for w in path[1:]],
+        "law_trajectory": [mu0.to_json()] + grid_laws_json(model.states, path[1:]),
     }
     with _outputs(args.out, args.trajectory_csv) as (out, table):
         _write_json(out, payload)

@@ -763,8 +763,16 @@ def explicit_control_coefficients(model: LQModel, sol: RiccatiSolution,
                       policy.offset)
     means = np.zeros((n + 1, d))
     means[0] = model.initial_mean
-    for k in range(n):
-        means[k + 1] = sol.mean_transition[k] @ means[k] + drive[k]
+    if d == 1:   # on Python floats, as the 1x1 matmul computes
+        a, b = sol.mean_transition[:, 0, 0].tolist(), drive[:, 0].tolist()
+        m = [float(means[0, 0])]
+        for k in range(n):
+            # the matmul's sum starts at 0.0, which turns a -0.0 product into 0.0
+            m.append((0.0 + a[k] * m[k]) + b[k])
+        means[:, 0] = m
+    else:
+        for k in range(n):
+            means[k + 1] = sol.mean_transition[k] @ means[k] + drive[k]
     constant = np.einsum("kmd,kd->km", policy.gain_mean - policy.gain_state,
                          means[:-1]) + policy.offset
     return ExplicitControls(policy.gain_state.copy(), constant, means)

@@ -260,6 +260,26 @@ class DiscreteMeasure:
         return cls(payload["support"], payload["weights"])
 
 
+def grid_laws_json(grid: np.ndarray, rows) -> list:
+    """``[DiscreteMeasure(grid, w).to_json() for w in rows]``, for weight rows
+    ``w`` over a grid of distinct points that each sum to one within
+    ``MASS_TOL``, without building the measures: the points in ``np.lexsort``
+    order, weights below ``WEIGHT_FLOOR`` dropped and the rest divided by
+    their sum, which is taken over each row's kept weights alone, as the
+    measure takes it."""
+    order = np.lexsort(grid.T[::-1])
+    points = grid[order].tolist()
+    laws = []
+    for w in rows:
+        w = w[order]
+        keep = w >= WEIGHT_FLOOR
+        kept = w[keep]
+        laws.append({"support": points if len(kept) == len(w) else
+                     [p for p, k in zip(points, keep.tolist()) if k],
+                     "weights": (kept / kept.sum()).tolist()})
+    return laws
+
+
 class NotOnGrid(ValueError):
     """Raised by :func:`match_indices`; ``point`` is the first point not found, as a list."""
 

@@ -85,7 +85,8 @@ class FiniteMFModel:
         values from a :class:`LawBatch` (see the config families below):
         kernel rows of shape ``(P, S, S)``, costs of shape ``(P, S)``, where
         the pair axis ``P`` may be several axes, any of them 1, and a cost
-        may be one constant (see :func:`evaluate` for ``action_law_free``).
+        may be one constant (see :func:`evaluate` for ``action_law_free``
+        and :func:`validate` for ``stage_free``).
     mean_field_free : bool
         Declares that kernel and costs ignore the measure arguments.
     first_order : FirstOrderSpec, optional
@@ -179,8 +180,12 @@ def validate(model: FiniteMFModel, extra_measures=()) -> ValidationReport:
     ``extra_measures`` (which must live on the state grid); action laws are
     the Diracs and the uniform over actions.  A draw of ``VALIDATE_TUPLES``
     tuple numbers seeded by ``VALIDATE_SEED`` (C order over stage, state,
-    action, law and action law) is decoded by index arithmetic; each stage's
-    tuples are evaluated in one :func:`evaluate` call.
+    action, law and action law) is decoded by index arithmetic.  The drawn
+    tuples of one (stage, law, action law, action) are the cells of one pair,
+    and each stage's pairs are evaluated in one :func:`evaluate` call.  When
+    the ``batched`` forms of both the kernel and the stage cost declare
+    ``stage_free`` (they read no stage), every drawn stage is read at stage 0,
+    so the model is evaluated once at stage 0 and once at the terminal stage.
     """
     S, M, n = model.n_states, model.n_actions, model.horizon
     laws = np.vstack([np.eye(S), np.full(S, 1.0 / S)]
@@ -197,20 +202,31 @@ def validate(model: FiniteMFModel, extra_measures=()) -> ValidationReport:
         report.violations.append({"kind": kind, "stage": k, "state": i, "action": a,
                                   "detail": detail})
 
-    evals, slot = {}, np.empty(len(pick), dtype=int)   # tuple j is pair slot[j] of its stage
+    stage_free = all(getattr(getattr(part, "batched", None), "stage_free", False)
+                     for part in (model.kernel, model.stage_cost))
+    read = np.zeros_like(stage) if stage_free else stage     # the stage each tuple is read at
+    # tuple j is the cell (pair[j], i[j]); pairs are numbered in C order over
+    # (stage read, law, action law, action), so each stage's pairs are a run
+    pair_shape = (n, len(laws), len(action_laws), M)
+    keys, pair = np.unique(np.ravel_multi_index((read, mi, li, a), pair_shape),
+                           return_inverse=True)
+    pk, pm, pl, pa = np.unravel_index(keys, pair_shape)
+    starts = [0, *(np.flatnonzero(pk[1:] != pk[:-1]) + 1).tolist(), len(keys)]
+    evals, slot = {}, np.empty(len(pick), dtype=int)   # tuple j is pair slot[j] of its stage read
     flags = np.zeros((3, len(pick)), dtype=bool)       # negative entry, mass, cost
-    for k in np.unique(stage).tolist():
-        at = np.flatnonzero(stage == k)
-        p = slot[at] = np.arange(len(at))
-        cells = np.zeros((len(at), S), dtype=bool)
+    for lo, hi in zip(starts, starts[1:]):
+        k = int(pk[lo])
+        at = np.flatnonzero(read == k)
+        p = slot[at] = pair[at] - lo
+        cells = np.zeros((hi - lo, S), dtype=bool)
         cells[p, i[at]] = True
-        ev = evals[k] = evaluate(model, k, laws[mi[at]], cells,
-                                 np.repeat(a[at, None], S, axis=1), action_laws[li[at]])
+        ev = evals[k] = evaluate(model, k, laws[pm[lo:hi]], cells,
+                                 np.repeat(pa[lo:hi, None], S, axis=1), action_laws[pl[lo:hi]])
         flags[:, at] = [bad[p, i[at]] for bad in (*ev.bad, ~np.isfinite(ev.costs))]
     # a misshapen row is evaluated as zeros, so it is among the tuples flagged
     for j in np.flatnonzero(flags.any(axis=0)).tolist():
         k, p, ij, aj = int(stage[j]), int(slot[j]), int(i[j]), int(a[j])
-        ev, where = evals[k], f"stage {k} state {ij}"
+        ev, where = evals[int(read[j])], f"stage {k} state {ij}"
         if (p, ij) in ev.shapes:
             violation("row_shape", k, ij, aj, f"{where}: row shape {ev.shapes[p, ij]}")
             continue
@@ -513,6 +529,9 @@ def evaluate(model: FiniteMFModel, stage: int, weights: np.ndarray, cells: np.nd
 # ``batch``).  :func:`evaluate` uses ``batched`` when a component has one.
 # A kernel whose formula reads no action law declares ``action_law_free`` on
 # its ``batched`` form, and is then evaluated once per (law, state, action).
+# A kernel or stage cost whose formula reads no stage (all but a 4-D
+# ``table``) declares ``stage_free``; :func:`validate` reads such a model at
+# stage 0 only.
 # A builder takes ``(states, actions, horizon, params)``, the grids as float
 # arrays, and returns the component and its pairwise form for
 # :class:`FirstOrderSpec`, or ``None`` when it has none.
@@ -534,14 +553,15 @@ def _kernel_identity(states, actions, horizon, params):
     def rows(k, i, mu, a, lam):
         return eye[i]
     rows.batched = lambda k, b: eye[b.state]
-    rows.batched.action_law_free = True
+    rows.batched.action_law_free = rows.batched.stage_free = True
     return rows, None
 
 
 def _kernel_table(states, actions, horizon, params):
     table = np.asarray(params["rows"], dtype=float)
     S, M = len(states), len(actions)
-    if table.ndim == 3:
+    stationary = table.ndim == 3
+    if stationary:
         if table.shape != (S, M, S):
             raise ValueError(f"table kernel has shape {table.shape}, expected {(S, M, S)}")
         table = np.broadcast_to(table, (horizon,) + table.shape)   # the same rows at every stage
@@ -558,6 +578,7 @@ def _kernel_table(states, actions, horizon, params):
         return table[k, i, a]
     rows.batched = lambda k, b: table[k, b.state, b.action]
     rows.batched.action_law_free = True
+    rows.batched.stage_free = stationary
     return rows, None
 
 
@@ -579,7 +600,7 @@ def _kernel_mean_reverting(states, actions, horizon, params):
     def rows(k, i, mu, a, lam):
         return formula(i, a, mu.mean()[0])
     rows.batched = lambda k, b: formula(b.state, b.action, b.mean[..., 0])
-    rows.batched.action_law_free = True
+    rows.batched.action_law_free = rows.batched.stage_free = True
     return rows, None
 
 
@@ -595,7 +616,7 @@ def _kernel_mean_clamp(states, actions, horizon, params):
     def rows(k, i, mu, a, lam):
         return formula(a, mu.mean()[0])
     rows.batched = lambda k, b: formula(b.action, b.mean[..., 0])
-    rows.batched.action_law_free = True
+    rows.batched.action_law_free = rows.batched.stage_free = True
     return rows, None
 
 
@@ -627,6 +648,7 @@ def _kernel_first_order(states, actions, horizon, params):
         return formula(i, a, mu.mass_at(second_state), lam.mass_at(second_action))
     rows.batched = lambda k, b: formula(b.state, b.action, b.mass[..., 1],
                                         b.action_mass[..., 1])
+    rows.batched.stage_free = True
 
     def ptilde(k, ix, iy, ia, ib):
         p = b0 + bx * (ix == 1) + by * (iy == 1) + ba * (ia == 1) + bb * (ib == 1)
@@ -639,6 +661,7 @@ def _zero(states, actions, horizon, params):
     def zero(*args):
         return 0.0
     zero.batched = zero   # every argument list gives 0.0, batched or not
+    zero.stage_free = True
     return zero, zero
 
 
@@ -666,6 +689,7 @@ def _cost_quadratic(states, actions, horizon, params):
                              lam.mean()))
     f.batched = lambda k, b: formula(states[b.state], actions[b.action], b.mean,
                                      b.variance, b.action_mean)
+    f.batched.stage_free = True
     return f, None
 
 
@@ -698,6 +722,7 @@ def _cost_fo_pinned(states, actions, horizon, params):
     def f(k, i, mu, a, lam):
         return float(formula(i, a, mu.mean()[0]))
     f.batched = lambda k, b: formula(b.state, b.action, b.mean[..., 0])
+    f.batched.stage_free = True
     # the pairwise form: the formula with the law of y a Dirac at x_iy
     return f, lambda k, ix, iy, ia, ib: formula(ix, ia, xs[iy])
 
@@ -740,12 +765,15 @@ _TERMINAL_COSTS = {
 }
 
 
-def _cost_builder(table, tag, pairwise, message):
-    """The builder of the cost ``tag`` if it serves the kernel, else ``ValueError(message)``."""
+def _cost_builder(table, tag, pairwise, kind, needs):
+    """The builder of the ``kind`` cost ``tag`` if it serves the kernel, else a
+    ``ValueError``: the tag is unknown, or, after a ``first_order`` kernel,
+    ``needs`` names what that kernel needs."""
     # a JSON list or object as the tag is unknown too, not an unhashable key
     build, serves = table.get(tag, (None, ())) if isinstance(tag, str) else (None, ())
     if pairwise not in serves:
-        raise ValueError(message)
+        raise ValueError(f"first_order kernel needs {needs} {short_repr(tag)}" if pairwise
+                         else f"unknown {kind} tag {short_repr(tag)}")
     return build
 
 
@@ -798,14 +826,10 @@ def finite_model_from_config(config: dict) -> FiniteMFModel:
         raise ValueError(f"unknown kernel tag {short_repr(ktag)}")
     rows, ptilde = _KERNELS[ktag](states, actions, horizon, kparams)
     pairwise = ptilde is not None
-    f, ftilde = _cost_builder(
-        _STAGE_COSTS, ctag, pairwise,
-        f"first_order kernel needs a pairwise stage cost, got tag {short_repr(ctag)}" if pairwise
-        else f"unknown stage cost tag {short_repr(ctag)}")(states, actions, horizon, cparams)
-    g, gtilde = _cost_builder(
-        _TERMINAL_COSTS, ttag, pairwise,
-        f"first_order kernel needs terminal tag 'fo_bilinear', got {short_repr(ttag)}" if pairwise
-        else f"unknown terminal cost tag {short_repr(ttag)}")(states, actions, horizon, tparams)
+    f, ftilde = _cost_builder(_STAGE_COSTS, ctag, pairwise, "stage cost",
+                              "a pairwise stage cost, got tag")(states, actions, horizon, cparams)
+    g, gtilde = _cost_builder(_TERMINAL_COSTS, ttag, pairwise, "terminal cost",
+                              "terminal tag 'fo_bilinear', got")(states, actions, horizon, tparams)
     return FiniteMFModel(
         states=states,
         actions=actions,

@@ -2,6 +2,9 @@ import json
 import os
 import sys
 
+import numpy as np
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
@@ -80,9 +83,27 @@ def test_cold_start_runs_each_command_in_fresh_processes():
         assert 0 < entry["wall_s"]["min"] <= entry["wall_s"]["median"] <= entry["wall_s"]["max"]
 
 
-def test_long_horizon_times_in_process_solves():
-    result = bench_record.long_horizon(ROOT, 3, 2, log=lambda msg: None)
+@pytest.mark.parametrize("key", ["long_horizon", "long_horizon_moving"])
+def test_long_horizon_times_in_process_solves(key):
+    assert sorted(bench_record.LONG_SCENARIOS) == ["long_horizon", "long_horizon_moving"]
+    result = bench_record.long_horizon(ROOT, 3, 2, log=lambda msg: None, key=key)
     assert result["horizon"] == 3 and result["runs"] == 2
     wall = result["wall_s"]
     assert len(wall["values"]) == 2
     assert 0 < wall["min"] <= wall["median"] <= wall["max"]
+
+
+def test_the_moving_long_horizon_law_changes_at_every_stage():
+    from mfctrl import dpp
+    from mfctrl.fixtures import load_fixture
+    from mfctrl.measure import DiscreteMeasure
+    from mfctrl.model import finite_model_from_config
+
+    changes = {}
+    for key, (fixture, replaced) in bench_record.LONG_SCENARIOS.items():
+        scenario = load_fixture(fixture)
+        scenario["model"] |= replaced | {"horizon": 200}
+        path = dpp.solve(finite_model_from_config(scenario["model"]),
+                         DiscreteMeasure.from_json(scenario["initial_law"])).optimal_law_path
+        changes[key] = [not np.array_equal(a, b) for a, b in zip(path[1:], path[2:])]
+    assert not any(changes["long_horizon"]) and all(changes["long_horizon_moving"])

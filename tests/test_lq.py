@@ -415,6 +415,28 @@ class TestExplicitControls:
             assert controls.feedback[k, 0, 0] == pytest.approx(-c, abs=1e-14)
             assert controls.constant[k, 0] == pytest.approx(c * target, abs=1e-14)
 
+    def test_scalar_means_equal_the_matmul_recursion_bit_for_bit(self):
+        # a 1x1 model propagates its mean on Python floats
+        models = [model for model, _ in _parity_models() if model.state_dim == 1]
+        models += [mean_variance_model(g, b, 1.0, 0.01, 50, x0)
+                   for g, b, x0 in [(1.0, 0.5, 1.0), (2.0, -0.5, 0.0), (0.5, 0.0, -0.0)]]
+        solved = 0
+        for model in models:
+            sol, error = _outcome(solve_riccati, model, force=True)
+            if error:
+                continue
+            solved += 1
+            policy = optimal_policy(model, sol)
+            got = explicit_control_coefficients(model, sol, policy).state_means
+            drive = np.einsum("kdm,km->kd", model.drift_control + model.drift_control_mean,
+                              policy.offset)
+            want = np.zeros_like(got)
+            want[0] = model.initial_mean
+            for k in range(model.horizon):
+                want[k + 1] = sol.mean_transition[k] @ want[k] + drive[k]
+            assert got.tobytes() == want.tobytes()
+        assert solved >= 30
+
     def test_continuous_time_limit(self):
         gamma, b, sigma, x0, T = 1.0, 0.5, 1.0, 1.0, 1.0
         n = 10_000

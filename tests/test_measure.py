@@ -9,13 +9,15 @@ from mfctrl.measure import (
     MERGE_TOL,
     REPR_CHARS,
     DiscreteMeasure,
+    WEIGHT_FLOOR,
     TabularMap,
+    grid_laws_json,
     image_measure,
     match_indices,
     pushforward,
     short_repr,
 )
-from mfctrl.model import FiniteMFModel
+from mfctrl.model import FiniteMFModel, _canonical
 
 
 @pytest.mark.parametrize("value", [
@@ -343,3 +345,23 @@ def test_single_points_with_several_coordinates():
     policy = TabularMap([[0.0, 0.0], point], [[0.0], [1.0]])
     assert policy.index_of(point) == 1
     assert policy(np.array(point))[0] == 1.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("S", range(1, 13))
+def test_grid_laws_json_is_the_measures_json(S, dim):
+    # grids in no lexicographic order; rows as the DPP makes them (canonical,
+    # zeros where a weight fell below the floor) and rows that still hold
+    # weights below it.  Past numpy's 8-wide pairwise block a sum over a row
+    # that keeps its zeros can differ in the last bit from the measure's sum
+    # over the kept weights.
+    rng = np.random.default_rng([S, dim])
+    for _ in range(10):
+        grid = rng.permutation(rng.choice(60, S * dim, replace=False).reshape(S, dim) * 0.1 - 3.0)
+        raw = rng.exponential(size=(30, S))
+        raw[rng.random(raw.shape) < 0.25] = 0.0
+        raw[rng.random(raw.shape) < 0.15] = rng.uniform(0.0, 2 * WEIGHT_FLOOR)
+        raw[:, rng.integers(S)] += 0.1
+        rows = np.vstack([_canonical(raw), raw / raw.sum(axis=1, keepdims=True)])
+        laws = grid_laws_json(grid, rows)
+        assert repr(laws) == repr([DiscreteMeasure(grid, w).to_json() for w in rows])

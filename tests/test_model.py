@@ -386,12 +386,37 @@ def _validate_cases():
         base,
         rows={(0, 0, 1): [1.0, 0.0], (1, 2, 0): [[0.25] * 4], (2, 3, 2): [0.7, 0.7, 0.0, 0.0]},
         costs={(0, 0, 1): np.inf, (2, 3, 2): np.nan}), [DiscreteMeasure.uniform(base.states)])
+    # rows whose mass is off 1 by an amount that depends on the law and the action law
+    cases["injected:law_scaled"] = (FiniteMFModel(
+        base.states, base.actions, base.horizon,
+        lambda k, i, mu, a, lam: base.kernel(k, i, mu, a, lam) * (
+            1.0 + 0.1 * (float(lam.mean()[0]) + float(mu.mean()[0]) ** 2)),
+        base.stage_cost, base.terminal_cost), [])
+    # tag models: a stage-free 3-D table with a negative entry and a row of
+    # mass off 1, a 4-D table with a bad row at stage 2 only, a quadratic
+    # cost that overflows at the states away from 0
+    rows = np.random.default_rng(6).dirichlet(np.ones(3), size=(3, 2))
+    rows[1, 0], rows[2, 1] = [1.25, -0.25, 0.0], [0.5, 0.6, 0.0]
+    cases["tag:table3_bad_rows"] = (finite_model_from_config(
+        _tag_config(_table(rows.tolist()), states=_S3) | {"horizon": 4}), [])
+    rows = np.random.default_rng(7).dirichlet(np.ones(3), size=(3, 3, 2))
+    rows[2, 0, 1] = [0.2, 0.2, 0.2]
+    cases["tag:table4_bad_stage"] = (finite_model_from_config(
+        _tag_config(_table(rows.tolist()), states=_S3) | {"horizon": 3}),
+        [DiscreteMeasure(_S3, [0.2, 0.3, 0.5])])
+    cases["tag:quadratic_overflow"] = (finite_model_from_config(_tag_config(
+        {"tag": "identity"}, {"tag": "quadratic", "params": {"qx": 1e308, "ra": 1.0}},
+        states=[[0.0], [-2.0], [1.5]]) | {"horizon": 5}), [])
     return cases
 
 
 VALIDATE_CASES = _validate_cases()
-INJECTED_KINDS = {"injected:rows_costs": {"row_mass", "row_negative", "cost", "terminal"},
-                  "injected:misshapen": {"row_shape", "row_mass", "cost"}}
+VIOLATION_KINDS = {"injected:rows_costs": {"row_mass", "row_negative", "cost", "terminal"},
+                   "injected:misshapen": {"row_shape", "row_mass", "cost"},
+                   "injected:law_scaled": {"row_mass"},
+                   "tag:table3_bad_rows": {"row_negative", "row_mass"},
+                   "tag:table4_bad_stage": {"row_mass"},
+                   "tag:quadratic_overflow": {"cost"}}
 
 
 @pytest.mark.parametrize("max_tuples", [5, 64, 512, 10**6])
@@ -405,38 +430,63 @@ def test_validate_draws_and_reports_like_the_tuple_lists(monkeypatch, name, seed
     assert report == reference_validate(model, extra_measures=extra, max_tuples=max_tuples,
                                         seed=seed)
     if max_tuples >= 512:
-        assert report.ok == (not name.startswith("injected:"))
-    if max_tuples == 10**6 and name.startswith("injected:"):
-        assert {v["kind"] for v in report.violations} == INJECTED_KINDS[name]
+        assert report.ok == (name not in VIOLATION_KINDS)
+    if max_tuples == 10**6 and name in VIOLATION_KINDS:
+        assert {v["kind"] for v in report.violations} == VIOLATION_KINDS[name]
         # a misshapen row hides the non-finite cost at its cell
         assert not any(v["kind"] == "cost" and (v["stage"], v["state"], v["action"]) == (0, 0, 1)
                        for v in report.violations)
+        if name == "tag:table4_bad_stage":
+            assert {v["stage"] for v in report.violations} == {2}
+
+
+def _counted_stages(monkeypatch):
+    """The stages of the :func:`evaluate` calls made from here on, in order."""
+    stages = []
+
+    def counted(model, k, *args, evaluate=mfctrl.model.evaluate):
+        stages.append(k)
+        return evaluate(model, k, *args)
+
+    monkeypatch.setattr(mfctrl.model, "evaluate", counted)
+    return stages
+
+
+@pytest.mark.parametrize("name", sorted(TAG_CONFIGS))
+def test_validate_reads_a_stage_free_model_at_stage_zero(monkeypatch, name):
+    # every stage is drawn; a 4-D table reads its stage, so it is evaluated at each
+    stage_free = name != "table4-zero"
+    config = TAG_CONFIGS[name] | ({"horizon": 3} if stage_free else {})
+    model = finite_model_from_config(config)
+    n = model.horizon
+    stages = _counted_stages(monkeypatch)
+    report = validate(model)
+    assert stages == ([0, n] if stage_free else list(range(n + 1)))
+    stages.clear()
+    assert validate(scalar_only(model)) == report
+    assert stages == list(range(n + 1))
 
 
 def test_validate_evaluates_only_the_stages_it_drew(monkeypatch):
     # at horizon 10^6 the 512 tuples fall on at most 512 stages; a loop over
     # every stage made the same calls but took about 5 s (0.07 s on the drawn
-    # stages alone, on a 2-CPU VM), hence the generous time bound
+    # stages alone, on a 2-CPU VM), hence the generous time bound.  The tag
+    # model is stage-free, so it is read at stage 0; its scalar form is read
+    # at each drawn stage
     import time
-
-    import mfctrl.model
 
     config = load_fixture("finite_zero.json")["model"] | {"horizon": 10**6}
     model = finite_model_from_config(config)
-    evaluate = mfctrl.model.evaluate
-    stages = []
-
-    def counted(model, k, *args):
-        stages.append(k)
-        return evaluate(model, k, *args)
-
-    monkeypatch.setattr(mfctrl.model, "evaluate", counted)
-    start = time.perf_counter()
-    report = validate(model)
-    assert time.perf_counter() - start < 1.0
-    assert report.ok and report.checked == 512 + model.n_states * (model.n_states + 1)
-    assert len(stages) <= 513 and stages[-1] == model.horizon
-    assert stages[:-1] == sorted(set(stages[:-1]))
+    stages = _counted_stages(monkeypatch)
+    for part in (model, scalar_only(model)):
+        stages.clear()
+        start = time.perf_counter()
+        report = validate(part)
+        assert time.perf_counter() - start < 1.0
+        assert report.ok and report.checked == 512 + model.n_states * (model.n_states + 1)
+        assert len(stages) <= 513 and stages[-1] == model.horizon
+        assert stages[:-1] == sorted(set(stages[:-1]))
+    assert len(stages) > 2
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ times at ``--trace 0`` and once at ``--trace 1``, at seed ``SEED`` and for
 ``run_seconds`` each. It also times ``mfctrl verify --quick`` and the Tier-1
 suite, the end-to-end workloads the benchmark does not cover, the cold
 start: ``COLD_RUNS`` fresh processes of each command of ``COLD_START``, and
-the long horizon: ``LONG_RUNS`` calls of ``cli.main solve-finite`` on
-``finite_zero.json`` at ``LONG_HORIZON`` stages, in one process. The file
+the long horizon: ``LONG_RUNS`` calls of ``cli.main solve-finite`` on each
+scenario of ``LONG_SCENARIOS`` at ``LONG_HORIZON`` stages, in one process. The file
 holds, per workload, the median, min and max of each end-to-end metric with
 every run's value, the traced run's per-layer metrics, those two wall times,
 the same spread of the cold-start and long-horizon wall times, the line
@@ -43,6 +43,11 @@ COLD_START = {f"{command} {name}": [sys.executable, "-m", "mfctrl.cli", command,
                                     ("riccati", "lq_mean_variance.json")]}
 LONG_RUNS = 3   # in-process calls of the long-horizon solve
 LONG_HORIZON = 10**4
+# key -> (fixture, model fields replaced). On finite_zero the law repeats from
+# stage to stage; with one action the mean-reverting law differs from the one
+# before at every stage, so a cache keyed on the last law cannot serve both
+LONG_SCENARIOS = {"long_horizon": ("finite_zero.json", {}),
+                  "long_horizon_moving": ("finite_mean_reverting.json", {"actions": [[0.0]]})}
 # times cli.main solve-finite on the scenario argv[1], writing argv[2], argv[3] times
 _LONG = """import json, sys, time
 from mfctrl.cli import main
@@ -161,7 +166,8 @@ def record(root, runs, seed, log=print):
     log("Tier-1 suite")
     result["tier1"] = _timed(root, TIER1)
     result["cold_start"] = cold_start(root, COLD_RUNS, log)
-    result["long_horizon"] = long_horizon(root, LONG_HORIZON, LONG_RUNS, log)
+    for key in LONG_SCENARIOS:
+        result[key] = long_horizon(root, LONG_HORIZON, LONG_RUNS, log, key)
     return result
 
 
@@ -178,14 +184,15 @@ def cold_start(root, runs, log=print):
     return result
 
 
-def long_horizon(root, horizon, runs, log=print):
+def long_horizon(root, horizon, runs, log=print, key="long_horizon"):
     """The spread of the wall times of ``runs`` calls of ``cli.main
-    solve-finite`` on ``finite_zero.json`` set to ``horizon`` stages, made
-    one after another in one fresh process."""
-    log(f"long horizon: {horizon} stages")
-    with open(os.path.join(root, "src", "mfctrl", "fixtures", "finite_zero.json")) as fh:
+    solve-finite`` on the scenario ``LONG_SCENARIOS[key]`` set to ``horizon``
+    stages, made one after another in one fresh process."""
+    fixture, replaced = LONG_SCENARIOS[key]
+    log(f"{key}: {fixture} at {horizon} stages")
+    with open(os.path.join(root, "src", "mfctrl", "fixtures", fixture)) as fh:
         scenario = json.load(fh)
-    scenario["model"]["horizon"] = horizon
+    scenario["model"] |= replaced | {"horizon": horizon}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")
         with open(path, "w") as fh:
