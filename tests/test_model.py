@@ -419,6 +419,7 @@ VIOLATION_KINDS = {"injected:rows_costs": {"row_mass", "row_negative", "cost", "
                    "tag:quadratic_overflow": {"cost"}}
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")   # the overflow case
 @pytest.mark.parametrize("max_tuples", [5, 64, 512, 10**6])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
