@@ -310,14 +310,15 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite terminal value at stage {n}")
     stages[n].values = values
-    for k in range(n - 1, -1, -1):
-        stage = stages[k]
-        cand = (stage.cost.reshape(-1, n_maps)
-                + stages[k + 1].values[stage.child].reshape(-1, n_maps))
-        if not np.isfinite(cand).all():
-            raise ValueError(f"non-finite candidate value at stage {k}")
-        stage.best = cand.argmin(axis=1)   # first minimum: lexicographic tie-break
-        stage.values = cand[np.arange(len(stage.best)), stage.best]
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow raises below
+        for k in range(n - 1, -1, -1):
+            stage = stages[k]
+            cand = (stage.cost.reshape(-1, n_maps)
+                    + stages[k + 1].values[stage.child].reshape(-1, n_maps))
+            if not np.isfinite(cand).all():
+                raise ValueError(f"non-finite candidate value at stage {k}")
+            stage.best = cand.argmin(axis=1)   # first minimum: lexicographic tie-break
+            stage.values = cand[np.arange(len(stage.best)), stage.best]
 
     policies: dict = {}
 

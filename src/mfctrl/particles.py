@@ -16,7 +16,13 @@ The linear-quadratic cloud is a ``(d, N)`` array.  Each stage folds the affine
 policy into its coefficients and makes one pass over the cloud in blocks of
 ``_BLOCK`` particles: one matrix product per block gives the costs and the
 step, and stage moments are combined from per-block moments in block order.
-One worker thread draws the next block's normals; every product runs on the caller.
+Every product runs on the caller.
+
+Both passes draw their blocks through one pipeline: one worker thread draws up
+to ``_AHEAD`` blocks ahead of the one in use, and a caller that finds its block
+not done draws the last queued block the worker has not started itself.  A
+block's values depend only on ``(seed, stream, start, count)``, so which thread
+draws it changes no byte.
 
 A finite-model cloud is the grid index of each particle.  Each stage
 evaluates the kernel rows and costs of the stage's law (the empirical one, or
@@ -27,9 +33,10 @@ stage moments come from the state counts.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Optional, Union
 
 import numpy as np
@@ -46,6 +53,7 @@ _STREAM_KERNEL = 2**34           # + stage
 
 _BLOCK = 2**16   # particles per block of an LQ pass; a multiple of 4
 _CHUNK = 2**14   # columns per matrix product, small enough for OpenBLAS to run on one thread
+_AHEAD = 2       # draws queued on the worker past the one being returned
 
 
 def _raw(seed: int, stream: int, count: int, start: int) -> np.ndarray:
@@ -108,13 +116,34 @@ def _blocks(x: np.ndarray):
 
 
 def _ahead(pool, fn, calls):
-    """``fn(*args)`` for each ``args`` of ``calls``, in order; each call is
-    submitted to ``pool`` before the result of the previous one is returned."""
-    futures = (pool.submit(fn, *args) for args in calls)
-    pending = next(futures, None)
-    while pending is not None:
-        pending, done = next(futures, None), pending   # submits the next call first
-        yield done.result()
+    """``fn(*args)`` for each ``args`` of ``calls``, in order.  While one result
+    is returned, the next ``_AHEAD`` calls are queued on ``pool``; a caller that
+    finds its call not done runs the last queued call that the worker has not
+    started, then waits."""
+    calls, queue = iter(calls), deque()
+    while True:
+        queue.extend((args, pool.submit(fn, *args))
+                     for args in islice(calls, _AHEAD + 1 - len(queue)))
+        if not queue:
+            return
+        if not queue[0][1].done():
+            for i in reversed(range(len(queue))):
+                args, future = queue[i]
+                if future.cancel():   # succeeds only before the worker starts it
+                    queue[i] = args, _called(fn, args)
+                    break
+        yield queue.popleft()[1].result()
+
+
+def _called(fn, args) -> Future:
+    """A done future of ``fn(*args)``, run on the calling thread; an error is
+    raised by ``result()``, in the order of the calls, as from the worker."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -137,9 +166,8 @@ def _fold(moments, xb: np.ndarray):
             prev_m2 + m2 + np.square(delta) * (count * size / total))
 
 
-def _initial_draw(seed: int, law: DiscreteMeasure, count: int, start: int) -> np.ndarray:
-    """Support indices of particles ``start`` to ``start + count`` drawn from ``law``."""
-    u = uniforms(seed, _STREAM_INIT_DISCRETE, count, start=start)
+def _initial_draw(law: DiscreteMeasure, u: np.ndarray) -> np.ndarray:
+    """Support indices drawn from ``law`` by the uniforms ``u``."""
     return np.minimum(np.searchsorted(np.cumsum(law.weights), u, side="right"), len(law) - 1)
 
 
@@ -150,7 +178,8 @@ def _sample_initial_lq(model: LQModel, n: int, seed: int, draws):
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
     for start, xb in _blocks(x):
         if mu is not None:
-            xb[...] = mu.support.T[:, _initial_draw(seed, mu, xb.shape[1], start)]
+            u = uniforms(seed, _STREAM_INIT_DISCRETE, xb.shape[1], start=start)
+            xb[...] = mu.support.T[:, _initial_draw(mu, u)]
         else:
             _matmul(root, np.array([next(draws) for _ in x]), xb)
             xb += model.initial_mean[:, None]
@@ -235,6 +264,7 @@ def _simulate_lq(model: LQModel, policy: AffinePolicy, n: int, seed: int,
     return _finalize(costs, means, variances, n, seed, closure, clouds)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # overflow shows as a non-finite result
 def _simulate_finite(model: FiniteMFModel, policy: TabularMap, n: int, seed: int,
                      closure: str, keep_clouds: bool,
                      initial_law: Optional[DiscreteMeasure]) -> SimulationResult:
@@ -244,39 +274,45 @@ def _simulate_finite(model: FiniteMFModel, policy: TabularMap, n: int, seed: int
     states = model.states
     support_to_grid = match_indices(initial_law.support, states)
     idx = np.empty(n, dtype=np.intp)      # grid index of each particle
-    for start, block in _blocks(idx):
-        block[...] = support_to_grid[_initial_draw(seed, initial_law, len(block), start)]
-
     law = initial_law.weights_on_grid(states)[None, :]   # the oracle law
     costs = np.zeros(n)
     means, variances, clouds = [], [], ([] if keep_clouds else None)
-    for k in range(model.horizon + 1):
-        counts = np.bincount(idx, minlength=model.n_states)
-        mean = counts @ states / n
-        means.append(mean)
-        variances.append(counts @ np.square(states - mean) / (n - 1) if n > 1
-                         else np.zeros(states.shape[1]))
-        if keep_clouds:
-            clouds.append(ParticleCloud(states[idx], k, seed))
-        if closure == "empirical":
-            law = counts[None, :] / n
-        # the oracle law's support is evaluated too, to step it
-        ev = evaluate(model, k, law, (counts > 0) | (law > 0), action).checked()
-        table = ev.costs[0]
-        if k < model.horizon:
-            # a particle moves to the number of entries <= u of its row's CDF without
-            # the last entry: searchsorted(cdf, u, side="right") capped at S - 1
-            entries = np.cumsum(ev.rows[0], axis=-1).T[:-1].copy()   # entry j of every CDF
+    # (stream, start) of each block's uniforms, in the order the pass uses them
+    starts = range(0, n, _BLOCK)
+    calls = chain(((_STREAM_INIT_DISCRETE, s) for s in starts),
+                  ((_STREAM_KERNEL + k, s) for k in range(model.horizon) for s in starts))
+    with ThreadPoolExecutor(1) as pool:   # draws each block's uniforms ahead of it
+        draws = _ahead(pool, lambda stream, start: uniforms(
+            seed, stream, min(_BLOCK, n - start), start=start), calls)
         for start, block in _blocks(idx):
-            costs[start:start + len(block)] += table[block]
+            block[...] = support_to_grid[_initial_draw(initial_law, next(draws))]
+        for k in range(model.horizon + 1):
+            counts = np.bincount(idx, minlength=model.n_states)
+            mean = counts @ states / n
+            means.append(mean)
+            variances.append(counts @ np.square(states - mean) / (n - 1) if n > 1
+                             else np.zeros(states.shape[1]))
+            if keep_clouds:
+                clouds.append(ParticleCloud(states[idx], k, seed))
+            if closure == "empirical":
+                law = counts[None, :] / n
+            # the oracle law's support is evaluated too, to step it
+            ev = evaluate(model, k, law, (counts > 0) | (law > 0), action).checked()
+            table = ev.costs[0]
             if k < model.horizon:
-                u = uniforms(seed, _STREAM_KERNEL + k, len(block), start=start)
-                moved = np.zeros(len(block), dtype=np.intp)
-                for entry in entries:
-                    moved += entry[block] <= u
-                block[...] = moved
-        if closure == "oracle-law" and k < model.horizon:
-            law = ev.push()
+                # a particle moves to the number of entries <= u of its row's CDF without
+                # the last entry: searchsorted(cdf, u, side="right") capped at S - 1
+                entries = np.cumsum(ev.rows[0], axis=-1).T[:-1].copy()   # entry j of every CDF
+            for start, block in _blocks(idx):
+                costs[start:start + len(block)] += table[block]
+                if k < model.horizon:
+                    u = next(draws)
+                    moved = np.zeros(len(block), dtype=np.intp)
+                    for entry in entries:
+                        moved += entry[block] <= u
+                    block[...] = moved
+            if closure == "oracle-law" and k < model.horizon:
+                law = ev.push()
     return _finalize(costs, means, variances, n, seed, closure, clouds)
 
 

@@ -724,6 +724,40 @@ def test_overflowing_simulation_prints_only_the_output_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _overflowing_finite(tmp_path, qx):
+    """``finite_mean_reverting.json`` whose stage cost has the state weight ``qx``:
+    finite per cell, but the costs it sums overflow."""
+    data = json.loads(fixture_text("finite_mean_reverting.json"))
+    data["model"]["stage_cost"]["params"]["qx"] = qx
+    return _scenario(tmp_path, data)
+
+
+@pytest.mark.parametrize("closure", ["empirical", "oracle-law"])
+def test_overflowing_finite_simulation_prints_only_the_output_error(tmp_path, capsys, closure):
+    out = tmp_path / "sim.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", _overflowing_finite(tmp_path, 1e308), "--policy", "zero",
+                     "--n-particles", "1000", "--seed", "1", "--closure", closure,
+                     "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: output is not finite") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("qx, stage", [(1e308, 0), (1.7e308, 1)])
+def test_overflowing_finite_solve_prints_only_the_stage_error(tmp_path, capsys, qx, stage):
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve-finite", _overflowing_finite(tmp_path, qx), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"config error: non-finite candidate value "
+                                       f"at stage {stage}\n")
+    assert not out.exists()
+
+
 def test_out_of_memory_is_numerical_failure(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)")

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +22,17 @@ from mfctrl.lq import (
 from mfctrl.measure import DiscreteMeasure
 from mfctrl.moments import exact_cost
 from mfctrl import particles
-from mfctrl.particles import _BLOCK, _CHUNK, _STREAM_INIT_COMPONENT, normals, simulate, uniforms
+from mfctrl.particles import (
+    _BLOCK,
+    _CHUNK,
+    _STREAM_INIT_COMPONENT,
+    _STREAM_INIT_DISCRETE,
+    _STREAM_KERNEL,
+    _STREAM_STAGE_NOISE,
+    normals,
+    simulate,
+    uniforms,
+)
 from mfctrl.verify import random_lq_model
 from particles_reference import simulate_finite as reference_simulate_finite
 from particles_reference import simulate_lq as reference_simulate
@@ -236,11 +248,65 @@ def _in_order(pool, fn, calls):
     return (fn(*args) for args in calls)
 
 
-class TestPipelinedPass:
-    """The normals are drawn one block ahead on a worker thread; the pass must
-    equal a serial run of the same code and leave no thread behind."""
+# per pass: the draw function it runs through ``particles._ahead``, the streams of
+# its initial draws and the base of its per-stage streams
+PIPELINES = {"lq": ("normals", None, _STREAM_STAGE_NOISE),
+             "finite": ("uniforms", [_STREAM_INIT_DISCRETE], _STREAM_KERNEL)}
 
-    @pytest.mark.parametrize("n", [1, 3, _CHUNK - 1, _CHUNK + 5, _BLOCK + 7])
+
+def _pipelined(kind, n, **kwargs):
+    """The model of pass ``kind`` and one ``simulate`` of it with seed 2."""
+    if kind == "lq":
+        model = PARITY_MODELS["multivariate"]
+        return model, simulate(model, optimal_policy(model, solve_riccati(model)), n, 2,
+                               **kwargs)
+    model, mu0, policy = _finite_case("finite_mean_reverting.json")
+    return model, simulate(model, policy, n, 2, initial_law=mu0, **kwargs)
+
+
+def _pipelined_blocks(kind, model, n):
+    """``(stream, start)`` of every block pass ``kind`` draws, sorted."""
+    _, first, base = PIPELINES[kind]
+    if first is None:
+        first = [_STREAM_INIT_COMPONENT + j for j in range(model.state_dim)]
+    streams = first + [base + k for k in range(model.horizon)]
+    return sorted((stream, start) for stream in streams for start in range(0, n, _BLOCK))
+
+
+def _spy(monkeypatch, kind, worker_delay=0.0, failing=None):
+    """Record ``(thread, stream, start)`` of each draw of pass ``kind``; a draw
+    off the calling thread first sleeps ``worker_delay`` s, and ``failing``
+    maps ``(stream, start)`` to the message of the error its draw raises."""
+    name = PIPELINES[kind][0]
+    real, caller, drawn = getattr(particles, name), threading.current_thread(), []
+
+    def draw(seed, stream, count, *, start=0):
+        thread = threading.current_thread()
+        if thread is not caller:
+            time.sleep(worker_delay)
+        drawn.append((thread, stream, start))
+        if failing and (stream, start) in failing:
+            raise RuntimeError(failing[stream, start])
+        return real(seed, stream, count, start=start)
+
+    monkeypatch.setattr(particles, name, draw)
+    return drawn
+
+
+def _assert_runs_equal(piped, serial, horizon):
+    assert json.dumps(piped.to_json()) == json.dumps(serial.to_json())
+    assert len(piped.clouds) == len(serial.clouds) == horizon + 1
+    for a, b in zip(piped.clouds, serial.clouds):
+        assert np.array_equal(a.positions, b.positions)
+
+
+class TestPipelinedPass:
+    """Both passes draw through ``particles._ahead``: one worker thread draws
+    ahead, and a caller whose block is not done draws a queued block itself.
+    Whichever thread draws a block, a pass must equal a serial run of the same
+    code, draw every block once and leave no thread behind."""
+
+    @pytest.mark.parametrize("n", [1, 3, _CHUNK - 1, _CHUNK + 5, _BLOCK + 7, 3 * _BLOCK + 7])
     @pytest.mark.parametrize("closure", ["empirical", "oracle-law"])
     @pytest.mark.parametrize("name", ["multivariate", "multivariate-discrete"])
     def test_equals_a_serial_run(self, monkeypatch, name, n, closure):
@@ -249,11 +315,40 @@ class TestPipelinedPass:
         runs = [simulate(model, policy, n, seed=6, closure=closure, keep_clouds=True)]
         monkeypatch.setattr(particles, "_ahead", _in_order)
         runs.append(simulate(model, policy, n, seed=6, closure=closure, keep_clouds=True))
-        piped, serial = runs
-        assert json.dumps(piped.to_json()) == json.dumps(serial.to_json())
-        assert len(piped.clouds) == len(serial.clouds) == model.horizon + 1
-        for a, b in zip(piped.clouds, serial.clouds):
-            assert np.array_equal(a.positions, b.positions)
+        _assert_runs_equal(*runs, model.horizon)
+
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK + 7, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("closure", ["empirical", "oracle-law"])
+    @pytest.mark.parametrize("name", ["finite_mean_reverting.json", "fo_kernel_coupled.json"])
+    def test_finite_pass_equals_a_serial_run(self, monkeypatch, name, n, closure):
+        model, mu0, policy = _finite_case(name)
+        runs = []
+        for _ in range(2):
+            runs.append(simulate(model, policy, n, seed=6, closure=closure, keep_clouds=True,
+                                 initial_law=mu0))
+            monkeypatch.setattr(particles, "_ahead", _in_order)
+        _assert_runs_equal(*runs, model.horizon)
+
+    @pytest.mark.parametrize("kind", sorted(PIPELINES))
+    def test_a_slow_worker_shares_the_draws_with_the_caller(self, monkeypatch, kind):
+        n = 3 * _BLOCK + 7
+        drawn = _spy(monkeypatch, kind, worker_delay=0.005)
+        model, piped = _pipelined(kind, n, keep_clouds=True)
+        caller = threading.current_thread()
+        assert any(thread is caller for thread, _, _ in drawn)
+        assert any(thread is not caller for thread, _, _ in drawn)
+        monkeypatch.undo()
+        monkeypatch.setattr(particles, "_ahead", _in_order)
+        _assert_runs_equal(piped, _pipelined(kind, n, keep_clouds=True)[1], model.horizon)
+
+    @pytest.mark.parametrize("worker_delay", [0.0, 0.005])
+    @pytest.mark.parametrize("kind", sorted(PIPELINES))
+    def test_each_block_is_drawn_once(self, monkeypatch, kind, worker_delay):
+        n = 3 * _BLOCK + 7
+        drawn = _spy(monkeypatch, kind, worker_delay)
+        model, _ = _pipelined(kind, n)
+        assert sorted((stream, start) for _, stream, start in drawn) == \
+            _pipelined_blocks(kind, model, n)
 
     def test_chunked_products_equal_one_product(self):
         rng = np.random.default_rng(5)
@@ -261,32 +356,40 @@ class TestPipelinedPass:
             a, b = rng.standard_normal((rows, d)), rng.standard_normal((d, n))
             assert np.array_equal(particles._matmul(a, b, np.empty((rows, n))), a @ b)
 
-    def test_no_thread_outlives_a_call(self, monkeypatch):
-        model = PARITY_MODELS["multivariate"]
-        policy = optimal_policy(model, solve_riccati(model))
+    @pytest.mark.parametrize("kind", sorted(PIPELINES))
+    def test_no_thread_outlives_a_call(self, monkeypatch, kind):
         n, before = 3 * _BLOCK + 7, threading.active_count()
-        real, threads, noise_blocks = particles.normals, set(), []
-
-        def recording(seed, stream, count, *, start=0):
-            threads.add(threading.current_thread())
-            return real(seed, stream, count, start=start)
-
-        monkeypatch.setattr(particles, "normals", recording)
-        simulate(model, policy, n, seed=2)
+        drawn = _spy(monkeypatch, kind)
+        _pipelined(kind, n)
         assert threading.active_count() == before
-        assert threading.main_thread() not in threads   # every draw ran on the worker
+        # every draw ran on the calling thread or on one worker
+        assert len({thread for thread, _, _ in drawn} - {threading.current_thread()}) == 1
 
-        def failing(seed, stream, count, *, start=0):
-            if stream < _STREAM_INIT_COMPONENT:   # stage noise
-                noise_blocks.append(start)
-                if len(noise_blocks) == 3:
-                    raise RuntimeError("third noise block")
-            return real(seed, stream, count, start=start)
-
-        monkeypatch.setattr(particles, "normals", failing)
-        with pytest.raises(RuntimeError, match="third noise block"):
-            simulate(model, policy, n, seed=2)
+        base = PIPELINES[kind][2]
+        _spy(monkeypatch, kind, failing={(base + 1, _BLOCK): "second stage, second block"})
+        with pytest.raises(RuntimeError, match="second stage, second block"):
+            _pipelined(kind, n)
         assert threading.active_count() == before
+
+    def test_a_draw_run_by_the_caller_fails_in_its_turn(self):
+        # the worker holds call 0 until the caller, waiting for it, has run call 2
+        caller, release, on_caller = threading.current_thread(), threading.Event(), {}
+
+        def fn(i):
+            on_caller[i] = threading.current_thread() is caller
+            if not on_caller[i]:
+                release.wait(10)
+            if i == 2:
+                release.set()
+                raise RuntimeError("call 2")
+            return i
+
+        with ThreadPoolExecutor(1) as pool:
+            results = particles._ahead(pool, fn, [(i,) for i in range(4)])
+            assert [next(results), next(results)] == [0, 1]
+            with pytest.raises(RuntimeError, match="call 2"):
+                next(results)
+        assert on_caller[2] and not on_caller[0]
 
 
 def test_memory_is_the_cloud_plus_block_scratch():

@@ -86,7 +86,9 @@ print(json.dumps([code, scipy_modules(), engines()]))
 
 
 # Records the thread that first imports scipy.special; when ``warm`` is set the
-# module is imported on the main thread before the run instead.
+# module is imported on the main thread before the run instead. The main thread
+# draws no normals until the noise worker has drawn its first block, so a cold
+# run imports on the worker whatever the threads' timing.
 SIMULATE = """
 class Spy:
     threads = []
@@ -98,11 +100,21 @@ sys.meta_path.insert(0, Spy())
 config, policy, out, warm = sys.argv[1:5]
 if warm == "1":
     import scipy.special
-import mfctrl.cli
+import mfctrl.cli, mfctrl.particles
+real, first_drawn = mfctrl.particles.normals, threading.Event()
+def normals(*args, **kwargs):
+    if threading.current_thread() is threading.main_thread():
+        first_drawn.wait(60)
+        return real(*args, **kwargs)
+    try:
+        return real(*args, **kwargs)
+    finally:
+        first_drawn.set()
+mfctrl.particles.normals = normals
 before = threading.active_count()
 code = mfctrl.cli.main(["simulate", config, "--n-particles", sys.argv[5], "--seed", "11",
                         "--policy", policy, "--out", out])
-print(json.dumps({"code": code, "importers": Spy.threads,
+print(json.dumps({"code": code, "importers": Spy.threads, "worker_first": first_drawn.is_set(),
                   "threads_left": threading.active_count() - before}))
 """
 
@@ -113,8 +125,9 @@ def test_first_ndtri_import_on_the_noise_worker_changes_no_byte(tmp_path, policy
     n = str(_BLOCK + 7)
     cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
     first = _fresh(SIMULATE, config, policy, str(cold), "0", n)
-    assert first["code"] == 0 and first["threads_left"] == 0
+    assert first["code"] == 0 and first["threads_left"] == 0 and first["worker_first"]
     assert len(first["importers"]) == 1 and first["importers"][0] != "MainThread"
     second = _fresh(SIMULATE, config, policy, str(warm), "1", n)
-    assert second == {"code": 0, "importers": ["MainThread"], "threads_left": 0}
+    assert second == {"code": 0, "importers": ["MainThread"], "worker_first": True,
+                      "threads_left": 0}
     assert cold.read_bytes() == warm.read_bytes()
