@@ -248,10 +248,9 @@ def _in_order(pool, fn, calls):
     return (fn(*args) for args in calls)
 
 
-# per pass: the draw function it runs through ``particles._ahead``, the streams of
-# its initial draws and the base of its per-stage streams
-PIPELINES = {"lq": ("normals", None, _STREAM_STAGE_NOISE),
-             "finite": ("uniforms", [_STREAM_INIT_DISCRETE], _STREAM_KERNEL)}
+# per pass: the draw function it runs through ``particles._ahead`` and the base
+# of its per-stage streams
+PIPELINES = {"lq": ("normals", _STREAM_STAGE_NOISE), "finite": ("uniforms", _STREAM_KERNEL)}
 
 
 def _pipelined(kind, n, **kwargs):
@@ -266,10 +265,9 @@ def _pipelined(kind, n, **kwargs):
 
 def _pipelined_blocks(kind, model, n):
     """``(stream, start)`` of every block pass ``kind`` draws, sorted."""
-    _, first, base = PIPELINES[kind]
-    if first is None:
-        first = [_STREAM_INIT_COMPONENT + j for j in range(model.state_dim)]
-    streams = first + [base + k for k in range(model.horizon)]
+    first = ([_STREAM_INIT_COMPONENT + j for j in range(model.state_dim)] if kind == "lq"
+             else [_STREAM_INIT_DISCRETE])
+    streams = first + [PIPELINES[kind][1] + k for k in range(model.horizon)]
     return sorted((stream, start) for stream in streams for start in range(0, n, _BLOCK))
 
 
@@ -322,11 +320,11 @@ class TestPipelinedPass:
     @pytest.mark.parametrize("name", ["finite_mean_reverting.json", "fo_kernel_coupled.json"])
     def test_finite_pass_equals_a_serial_run(self, monkeypatch, name, n, closure):
         model, mu0, policy = _finite_case(name)
-        runs = []
-        for _ in range(2):
-            runs.append(simulate(model, policy, n, seed=6, closure=closure, keep_clouds=True,
-                                 initial_law=mu0))
-            monkeypatch.setattr(particles, "_ahead", _in_order)
+        runs = [simulate(model, policy, n, seed=6, closure=closure, keep_clouds=True,
+                         initial_law=mu0)]
+        monkeypatch.setattr(particles, "_ahead", _in_order)
+        runs.append(simulate(model, policy, n, seed=6, closure=closure, keep_clouds=True,
+                             initial_law=mu0))
         _assert_runs_equal(*runs, model.horizon)
 
     @pytest.mark.parametrize("kind", sorted(PIPELINES))
@@ -365,7 +363,7 @@ class TestPipelinedPass:
         # every draw ran on the calling thread or on one worker
         assert len({thread for thread, _, _ in drawn} - {threading.current_thread()}) == 1
 
-        base = PIPELINES[kind][2]
+        base = PIPELINES[kind][1]
         _spy(monkeypatch, kind, failing={(base + 1, _BLOCK): "second stage, second block"})
         with pytest.raises(RuntimeError, match="second stage, second block"):
             _pipelined(kind, n)
