@@ -32,7 +32,7 @@ _EXPORTS = {name: module for module, names in {
               "lifted_terminal_cost", "validate", "finite_model_from_config"),
     "dpp": ("solve", "brute_force_value", "rollforward", "classical_factorization_check",
             "first_order_value_tensors", "first_order_check",
-            "SolveResult", "ValueNode", "BudgetExceeded"),
+            "SolveResult", "BudgetExceeded"),
     "lq": ("LQModel", "RiccatiSolution", "AffinePolicy", "check_conditions", "solve_riccati",
            "mean_variance_model", "mean_variance_closed_form", "optimal_policy",
            "explicit_control_coefficients", "value_at", "stationarity_residual",

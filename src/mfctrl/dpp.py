@@ -5,7 +5,9 @@ weight vector over the ``S`` grid states and a feedback map is a vector of
 ``S`` action indices, one of the ``M^S`` maps.  :func:`solve` expands the
 tree of laws reachable from the initial one stage by stage: every frontier
 law is pushed through every map at once, children sharing a quantized weight
-key become one node, and the backward pass takes the minimum over maps.
+key become one node, and the backward pass takes the minimum over maps.  The
+result keeps the tree as these stage arrays: each stage's node weights, their
+values and the numbers of their minimizing maps.
 
 A stage is expanded in chunks, each a grid of laws × maps laid out for
 :func:`~mfctrl.model.evaluate`: law moments are computed once per law, and
@@ -35,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measure import KEY_DECIMALS, DiscreteMeasure, TabularMap, _BuiltOnRead, pushforward
+from .measure import KEY_DECIMALS, DiscreteMeasure, pushforward
 from .model import (
     FiniteMFModel,
     evaluate,
@@ -66,50 +68,38 @@ class BudgetExceeded(ArithmeticError, RuntimeError):
 
 
 @dataclass
-class ValueNode:
-    stage: int
-    measure: DiscreteMeasure
-    value: float
-    argmin_policy: Optional[TabularMap]  # None at the terminal stage
-
-
-@dataclass
 class SolveResult:
     """Value and optimal maps from the initial law, and every node of the tree.
 
     ``optimal_law_path`` holds the ``(S,)`` grid weights of the node laws the
-    optimal maps visit, stages ``0..n``.  ``value_cache`` maps
-    ``(stage, key_on_grid)`` to the :class:`ValueNode` of each node.
-    :func:`solve` builds it on first read, since most callers read only
-    ``v0``, the policy sequence and the law path.
+    optimal maps visit, stages ``0..n``.  The tree is kept as :func:`solve`
+    builds it, one array per stage ``k``: ``laws[k]`` holds the read-only
+    ``(L_k, S)`` canonical weights of its nodes, in node order, ``values[k]``
+    their ``(L_k,)`` values and, for ``k < n``, ``maps[k]`` the ``(L_k,)``
+    numbers of their minimizing maps, in the order of :func:`_map_actions`.
     """
 
     v0: float
     optimal_policy_sequence: list
     optimal_law_path: list
     reachable_tree_size: int
-    value_cache: dict = _BuiltOnRead()
+    laws: list
+    values: list
+    maps: list
 
-    def node(self, stage: int, mu: DiscreteMeasure, grid) -> ValueNode:
-        """The node of ``mu`` at ``stage``.
+    def node_at(self, stage: int, weights) -> int:
+        """The row of ``laws[stage]`` nearest to the grid weights ``weights``.
 
         A law computed along another path than the solver's, such as a
-        scalar pushforward of a node's measure, may differ from the stored
-        law in its last bits and round to a neighbouring key.  When the key
-        of ``mu`` is missing, the node whose key lies nearest to ``mu``,
-        within one rounding unit, is returned.
+        scalar pushforward of a node's law, may differ from the stored law
+        in its last bits and round to a neighbouring key.  The nearest row in
+        max-norm is returned if it lies within one rounding unit.
         """
-        key = mu.key_on_grid(grid)
-        node = self.value_cache.get((stage, key))
-        if node is not None:
-            return node
-        weights = mu.weights_on_grid(grid)
-        gap, node = min(((np.max(np.abs(np.asarray(other) - weights)), near)
-                         for (k, other), near in self.value_cache.items() if k == stage),
-                        key=lambda hit: hit[0], default=(np.inf, None))
-        if gap > 10.0 ** -KEY_DECIMALS:
-            raise KeyError((stage, key))
-        return node
+        gaps = np.max(np.abs(self.laws[stage] - weights), axis=1)
+        row = int(np.argmin(gaps))
+        if gaps[row] > 10.0 ** -KEY_DECIMALS:
+            raise KeyError(f"no node of stage {stage} within {gaps[row]:.1e} of the law")
+        return row
 
 
 def _policies(model: FiniteMFModel):
@@ -225,20 +215,6 @@ class _Nodes:
         return np.array(ids), children[reps]
 
 
-def _value_cache(model, stages, policy) -> dict:
-    """The :class:`ValueNode` of every node of a solved tree."""
-    n = len(stages) - 1
-    cache = {}
-    for k, stage in enumerate(stages):
-        best = stage.best.tolist() if k < n else [None] * len(stage.laws)
-        keys = map(tuple, np.round(stage.laws, KEY_DECIMALS).tolist())
-        cache.update({(k, key): ValueNode(k, DiscreteMeasure(model.states, law), value,
-                                          None if m is None else policy(m))
-                      for key, law, value, m in zip(keys, stage.laws,
-                                                    stage.values.tolist(), best)})
-    return cache
-
-
 def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
           node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Backward value recursion over the tree of laws reachable from ``mu0``.
@@ -320,28 +296,23 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
             stage.best = cand.argmin(axis=1)   # first minimum: lexicographic tie-break
             stage.values = cand[np.arange(len(stage.best)), stage.best]
 
-    policies: dict = {}
-
-    def policy(m):
-        if m not in policies:
-            policies[m] = model.tabular_policy(_map_actions(np.array([m]), S, M)[0])
-        return policies[m]
-
-    seq, path = [], [root[0]]
-    law = 0
+    seq, path, law = [], [root[0]], 0
+    policies: dict = {}   # one TabularMap per optimal map number
     for stage, after in zip(stages[:n], stages[1:]):
         m = int(stage.best[law])
-        seq.append(policy(m))
+        if m not in policies:
+            policies[m] = model.tabular_policy(_map_actions(np.array([m]), S, M)[0])
+        seq.append(policies[m])
         law = int(stage.child[law * n_maps + m])
         path.append(after.laws[law])
-    for stage in stages:
-        stage.child = stage.cost = None      # the value cache needs only the rest
     return SolveResult(
         v0=float(stages[0].values[0]),
         optimal_policy_sequence=seq,
         optimal_law_path=path,
         reachable_tree_size=nodes,
-        value_cache=lambda: _value_cache(model, stages, policy),
+        laws=[stage.laws for stage in stages],
+        values=[stage.values for stage in stages],
+        maps=[stage.best for stage in stages[:n]],
     )
 
 
@@ -392,12 +363,10 @@ class GapReport:
 
 def _node_gaps(model: FiniteMFModel, mu0: DiscreteMeasure, reference) -> GapReport:
     """``|v_k(mu) - reference(k, w)|`` over the nodes ``(k, mu)`` of the tree
-    from ``mu0``, ``w`` being the grid weights of ``mu``."""
+    from ``mu0``, ``w`` being the weight row of ``mu``."""
     result = solve(model, mu0)
-    per_stage: dict = {}
-    for (k, _key), node in result.value_cache.items():
-        gap = abs(node.value - reference(k, node.measure.weights_on_grid(model.states)))
-        per_stage[k] = max(per_stage.get(k, 0.0), gap)
+    per_stage = {k: max(abs(value - reference(k, w)) for w, value in zip(laws, values.tolist()))
+                 for k, (laws, values) in enumerate(zip(result.laws, result.values))}
     return GapReport(max(per_stage.values()), per_stage, result.reachable_tree_size)
 
 

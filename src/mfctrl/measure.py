@@ -24,7 +24,7 @@ MERGE_TOL = 1e-9        # max-norm radius for support dedup-merge
 WEIGHT_FLOOR = 1e-15    # weights below this are pruned, remainder renormalized
 MASS_TOL = 1e-12        # tolerance on total mass
 SYM_TOL = 1e-10         # symmetry tolerance of matrix arguments, here and in lq, moments
-KEY_DECIMALS = 12       # weight quantization for hashable keys
+KEY_DECIMALS = 12       # weight quantization of the DPP node keys
 REPR_CHARS = 100        # the longest value an error message quotes
 
 _REPR = reprlib.Repr()
@@ -231,14 +231,6 @@ class DiscreteMeasure:
         p = _as_point(point)
         hit = np.max(np.abs(self._support - p), axis=1) <= MERGE_TOL
         return float(self._weights[hit].sum())
-
-    # -- hashable keys -----------------------------------------------------------
-    def key_on_grid(self, grid: np.ndarray) -> tuple:
-        """Weights aligned to a fixed grid and rounded to ``KEY_DECIMALS`` decimals.
-
-        The measure must be supported on ``grid`` (within ``MERGE_TOL``).
-        """
-        return tuple(np.round(self.weights_on_grid(grid), KEY_DECIMALS))
 
     def weights_on_grid(self, grid: np.ndarray) -> np.ndarray:
         """Full weight vector over ``grid`` rows (zeros off the support)."""

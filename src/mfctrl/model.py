@@ -649,12 +649,8 @@ def _kernel_first_order(states, actions, horizon, params):
     rows.batched = lambda k, b: formula(b.state, b.action, b.mass[..., 1],
                                         b.action_mass[..., 1])
     rows.batched.stage_free = True
-
-    def ptilde(k, ix, iy, ia, ib):
-        p = b0 + bx * (ix == 1) + by * (iy == 1) + ba * (ia == 1) + bb * (ib == 1)
-        return np.array([1.0 - p, p])
-
-    return rows, ptilde
+    # the pairwise form: the formula with the laws of y and b Diracs at iy and ib
+    return rows, lambda k, ix, iy, ia, ib: formula(ix, ia, float(iy == 1), float(ib == 1))
 
 
 def _zero(states, actions, horizon, params):

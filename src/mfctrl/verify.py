@@ -121,13 +121,14 @@ def one_step_gap(model, mu0):
     """Largest gap between a node's value and its argmin cost plus its child's value."""
     res = dpp.solve(model, mu0)
     worst = 0.0
-    for (k, _key), node in res.value_cache.items():
-        if node.argmin_policy is None:
-            continue
-        child = pushforward(node.measure, node.argmin_policy, model, k)
-        recomputed = (lifted_stage_cost(model, k, node.measure, node.argmin_policy)
-                      + res.node(k + 1, child, model.states).value)
-        worst = max(worst, abs(node.value - recomputed))
+    for k, (laws, values, maps) in enumerate(zip(res.laws, res.values, res.maps)):
+        actions = dpp._map_actions(maps, model.n_states, model.n_actions)
+        for law, value, acts in zip(laws, values.tolist(), actions):
+            mu, policy = DiscreteMeasure(model.states, law), model.tabular_policy(acts)
+            child = pushforward(mu, policy, model, k).weights_on_grid(model.states)
+            recomputed = (lifted_stage_cost(model, k, mu, policy)
+                          + res.values[k + 1][res.node_at(k + 1, child)])
+            worst = max(worst, abs(value - recomputed))
     return worst
 
 

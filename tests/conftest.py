@@ -3,9 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mfctrl.measure import DiscreteMeasure
+from mfctrl.measure import KEY_DECIMALS, DiscreteMeasure
 from mfctrl.model import FiniteMFModel
 from mfctrl.verify import load_finite  # noqa: F401  (re-exported to the test modules)
+
+
+def node_key(weights):
+    """The key of the DPP node of grid weights: each rounded to ``KEY_DECIMALS`` decimals."""
+    return tuple(np.round(weights, KEY_DECIMALS).tolist())
 
 
 def random_finite_model(rng, n_states, n_actions, horizon):

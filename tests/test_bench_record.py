@@ -83,9 +83,10 @@ def test_cold_start_runs_each_command_in_fresh_processes():
         assert 0 < entry["wall_s"]["min"] <= entry["wall_s"]["median"] <= entry["wall_s"]["max"]
 
 
-@pytest.mark.parametrize("key", ["long_horizon", "long_horizon_moving"])
+@pytest.mark.parametrize("key", ["long_horizon", "long_horizon_fresh", "long_horizon_moving"])
 def test_long_horizon_times_in_process_solves(key):
-    assert sorted(bench_record.LONG_SCENARIOS) == ["long_horizon", "long_horizon_moving"]
+    assert sorted(bench_record.LONG_SCENARIOS) == ["long_horizon", "long_horizon_fresh",
+                                                   "long_horizon_moving"]
     result = bench_record.long_horizon(ROOT, 3, 2, log=lambda msg: None, key=key)
     assert result["horizon"] == 3 and result["runs"] == 2
     wall = result["wall_s"]
@@ -93,17 +94,34 @@ def test_long_horizon_times_in_process_solves(key):
     assert 0 < wall["min"] <= wall["median"] <= wall["max"]
 
 
-def test_the_moving_long_horizon_law_changes_at_every_stage():
+def _law_paths(horizon):
     from mfctrl import dpp
     from mfctrl.fixtures import load_fixture
     from mfctrl.measure import DiscreteMeasure
     from mfctrl.model import finite_model_from_config
 
-    changes = {}
+    paths = {}
     for key, (fixture, replaced) in bench_record.LONG_SCENARIOS.items():
         scenario = load_fixture(fixture)
-        scenario["model"] |= replaced | {"horizon": 200}
-        path = dpp.solve(finite_model_from_config(scenario["model"]),
-                         DiscreteMeasure.from_json(scenario["initial_law"])).optimal_law_path
-        changes[key] = [not np.array_equal(a, b) for a, b in zip(path[1:], path[2:])]
-    assert not any(changes["long_horizon"]) and all(changes["long_horizon_moving"])
+        scenario["model"] |= replaced(horizon) | {"horizon": horizon}
+        paths[key] = dpp.solve(finite_model_from_config(scenario["model"]),
+                               DiscreteMeasure.from_json(scenario["initial_law"])
+                               ).optimal_law_path
+    return paths
+
+
+def test_the_moving_long_horizon_law_changes_at_every_stage():
+    changes = {key: [not np.array_equal(a, b) for a, b in zip(path[1:], path[2:])]
+               for key, path in _law_paths(200).items()}
+    assert not any(changes["long_horizon"])
+    assert all(changes["long_horizon_moving"]) and all(changes["long_horizon_fresh"])
+
+
+def test_the_fresh_long_horizon_law_never_returns():
+    # a cache over the laws of all earlier stages finds none of the fresh table's:
+    # every stage's law has its own rounded key, where the moving law repeats keys
+    from conftest import node_key
+
+    keys = {key: [node_key(w) for w in path] for key, path in _law_paths(200).items()}
+    assert len(set(keys["long_horizon_fresh"])) == 201
+    assert len(set(keys["long_horizon_moving"])) < 201

@@ -126,6 +126,7 @@ class TestSolveFinite:
                                 for seed in (1, 2024)])
     def test_law_trajectory_is_the_scalar_rollout_within_one_key_quantum(self, tmp_path, case):
         # a shipped fixture, or every scenario of a benchmark workload at one seed
+        from conftest import node_key
         from mfctrl import dpp
         from mfctrl.model import finite_model_from_config
 
@@ -151,7 +152,8 @@ class TestSolveFinite:
             for k, (got, direct) in enumerate(zip(laws, rollout)):
                 assert np.array_equal(got.support, direct.support)
                 assert np.max(np.abs(got.weights - direct.weights)) <= 1e-12
-                assert (k, got.key_on_grid(model.states)) in result.value_cache
+                keys = map(node_key, result.laws[k])
+                assert node_key(got.weights_on_grid(model.states)) in keys
             grid = [law.weights_on_grid(model.states) for law in laws]
             assert [(k, i) for k, i, _ in rows] == [(k, i) for k in range(len(laws))
                                                     for i in range(model.n_states)]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import load_finite, random_classical_model, random_finite_model, random_initial_law
+from conftest import (load_finite, node_key, random_classical_model, random_finite_model,
+                      random_initial_law)
 from mfctrl import dpp
 from mfctrl.measure import DiscreteMeasure, pushforward
 from mfctrl.model import FiniteMFModel, lifted_stage_cost
@@ -47,17 +48,20 @@ def test_rollforward_reproduces_v0():
     assert len(trajectory) == model.horizon + 1
 
 
-def test_cached_nodes_satisfy_one_step_recursion():
+def test_tree_nodes_satisfy_one_step_recursion():
     model, mu0 = load_finite("finite_mean_reverting.json")
     result = dpp.solve(model, mu0)
-    for (k, _key), node in result.value_cache.items():
-        if node.argmin_policy is None:
-            assert k == model.horizon
-            continue
-        child = pushforward(node.measure, node.argmin_policy, model, k)
-        child_value = result.value_cache[(k + 1, child.key_on_grid(model.states))].value
-        recomputed = lifted_stage_cost(model, k, node.measure, node.argmin_policy) + child_value
-        assert node.value == pytest.approx(recomputed, abs=1e-12)
+    assert len(result.laws) == len(result.values) == len(result.maps) + 1 == model.horizon + 1
+    for k, (laws, values, maps) in enumerate(zip(result.laws, result.values, result.maps)):
+        # the scalar pushforward of each argmin child rounds to the key of a node
+        rows = {node_key(law): row for row, law in enumerate(result.laws[k + 1])}
+        for law, value, acts in zip(laws, values,
+                                    dpp._map_actions(maps, model.n_states, model.n_actions)):
+            mu, policy = DiscreteMeasure(model.states, law), model.tabular_policy(acts)
+            child = pushforward(mu, policy, model, k).weights_on_grid(model.states)
+            child_value = result.values[k + 1][rows[node_key(child)]]
+            recomputed = lifted_stage_cost(model, k, mu, policy) + child_value
+            assert value == pytest.approx(recomputed, abs=1e-12)
 
 
 def test_constant_terminal_shift_moves_value_exactly():

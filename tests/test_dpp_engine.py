@@ -18,15 +18,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "benchmarks"))
 
 import workloads  # noqa: E402
-from conftest import (load_finite, random_classical_model, random_finite_model,
+from conftest import (load_finite, node_key, random_classical_model, random_finite_model,
                       random_initial_law, scalar_only)
 from dpp_reference import reference_node_order, reference_solve
-from mfctrl import dpp
+from mfctrl import dpp, verify
 from mfctrl import model as mfctrl_model
 from mfctrl.fixtures import list_fixtures
-from mfctrl.measure import DiscreteMeasure, image_measure, pushforward
+from mfctrl.measure import DiscreteMeasure, image_measure
 from mfctrl.model import (FiniteMFModel, LawBatch, ValidationReport, evaluate,
-                          finite_model_from_config, lifted_stage_cost, sum_last)
+                          finite_model_from_config, sum_last)
 
 FINITE_FIXTURES = sorted(name for name in list_fixtures() if name.startswith(("finite_", "fo_")))
 
@@ -88,6 +88,15 @@ def _action_indices(model, result):
     return [model.policy_action_indices(p).tolist() for p in result.optimal_policy_sequence]
 
 
+def _nodes(result, k):
+    """Stage ``k``'s nodes as key -> (value, number of the minimizing map)."""
+    maps = result.maps[k].tolist() if k < len(result.maps) else [None] * len(result.laws[k])
+    nodes = {node_key(law): (value, m)
+             for law, value, m in zip(result.laws[k], result.values[k].tolist(), maps)}
+    assert len(nodes) == len(result.laws[k])   # no two nodes share a key
+    return nodes
+
+
 def assert_matches_reference(model, mu0):
     result = dpp.solve(model, mu0)
     ref = reference_solve(model, mu0)
@@ -96,15 +105,14 @@ def assert_matches_reference(model, mu0):
     assert result.v0 == pytest.approx(ref.v0, abs=1e-12)
     assert len(result.optimal_law_path) == model.horizon + 1
     np.testing.assert_allclose(result.optimal_law_path, ref.optimal_law_path, rtol=0, atol=1e-12)
-    assert set(result.value_cache) == set(ref.value_cache)
-    for key, node in ref.value_cache.items():
-        got = result.value_cache[key]
-        assert got.stage == node.stage
-        assert got.value == pytest.approx(node.value, abs=1e-12)
-        if node.argmin_policy is None:
-            assert got.argmin_policy is None
-        else:
-            assert np.array_equal(got.argmin_policy.values, node.argmin_policy.values)
+    assert len(result.laws) == len(result.values) == len(ref.laws) == model.horizon + 1
+    assert len(result.maps) == len(ref.maps) == model.horizon
+    for k in range(model.horizon + 1):
+        got, expected = _nodes(result, k), _nodes(ref, k)
+        assert got.keys() == expected.keys()
+        for key, (value, m) in expected.items():
+            assert got[key][0] == pytest.approx(value, abs=1e-12)
+            assert got[key][1] == m
 
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES)
@@ -149,51 +157,76 @@ def test_scalar_only_components_match_reference(name):
     assert_matches_reference(scalar_only(model), mu0)
 
 
-def test_value_nodes_hold_the_measure_of_their_key():
+def test_stage_arrays_hold_one_row_per_node_and_the_optimal_path():
     model, mu0 = load_finite("finite_mean_reverting.json")
     result = dpp.solve(model, mu0)
-    for (k, key), node in result.value_cache.items():
-        assert node.measure.key_on_grid(model.states) == key
-        assert node.stage == k
-    assert result.node(0, mu0, model.states).value == result.v0
+    S, M, n = model.n_states, model.n_actions, model.horizon
+    for k, (laws, values) in enumerate(zip(result.laws, result.values)):
+        assert laws.shape == (len(values), S) and values.shape == (len(laws),)
+        assert not laws.flags.writeable
+        assert np.all(laws >= 0) and np.allclose(laws.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        if k < n:
+            assert result.maps[k].shape == values.shape
+            assert np.all((0 <= result.maps[k]) & (result.maps[k] < M ** S))
+    assert result.laws[0].tobytes() == mu0.weights_on_grid(model.states).tobytes()
+    assert result.node_at(0, mu0.weights_on_grid(model.states)) == 0
+    assert result.values[0][0] == result.v0
+    # the optimal maps are the argmin maps of the nodes the law path visits
+    for k, policy in enumerate(result.optimal_policy_sequence):
+        row = result.node_at(k, result.optimal_law_path[k])
+        assert result.laws[k][row].tobytes() == result.optimal_law_path[k].tobytes()
+        assert dpp._map_actions(result.maps[k][row:row + 1], S, M)[0].tolist() == \
+            model.policy_action_indices(policy).tolist()
+    assert result.laws[n][result.node_at(n, result.optimal_law_path[n])].tobytes() == \
+        result.optimal_law_path[n].tobytes()
 
 
-def test_solve_result_and_value_node_are_dataclasses():
+def test_solve_result_is_a_dataclass():
     model, mu0 = load_finite("finite_mean_reverting.json")
     result = dpp.solve(model, mu0)
     assert [f.name for f in dataclasses.fields(result)] == [
         "v0", "optimal_policy_sequence", "optimal_law_path", "reachable_tree_size",
-        "value_cache"]
-    assert [f.name for f in dataclasses.fields(dpp.ValueNode)] == [
-        "stage", "measure", "value", "argmin_policy"]
-    # equality and replace read the value cache like any other field
+        "laws", "values", "maps"]
+    # equality and replace read the stage arrays like any other field
     copy = dataclasses.replace(result)
-    assert copy == result and copy.value_cache is result.value_cache
-    assert dataclasses.replace(result, value_cache={}) != result
-    node = result.node(0, mu0, model.states)
-    node.measure = mu0
-    assert result.node(0, mu0, model.states).measure is mu0
+    assert copy == result and copy.laws is result.laws
+    assert dataclasses.replace(result, laws=[]) != result
     rebuilt = dpp.SolveResult(result.v0, result.optimal_policy_sequence,
                               result.optimal_law_path, result.reachable_tree_size,
-                              dict(result.value_cache))
+                              list(result.laws), list(result.values), list(result.maps))
     assert rebuilt == result
 
 
 def test_one_step_lookup_holds_on_a_dpp_tree_scenario():
-    # the one-step check recomputes each argmin child with the scalar pushforward
-    # and finds its node by key, as `mfctrl verify` does
+    # the one-step check of `mfctrl verify` recomputes each argmin child with
+    # the scalar pushforward and finds its node with `node_at`
     scenario = workloads.tree_scenario(np.random.default_rng([401, 0]))
     model = finite_model_from_config(scenario["model"])
     mu0 = DiscreteMeasure.from_json(scenario["initial_law"])
-    result = dpp.solve(model, mu0)
-    assert result.reachable_tree_size == workloads.tree_bound(4, 2, 3)
-    for (k, _key), node in result.value_cache.items():
-        if node.argmin_policy is None:
-            continue
-        child = pushforward(node.measure, node.argmin_policy, model, k)
-        recomputed = (lifted_stage_cost(model, k, node.measure, node.argmin_policy)
-                      + result.node(k + 1, child, model.states).value)
-        assert node.value == pytest.approx(recomputed, abs=1e-12)
+    assert dpp.solve(model, mu0).reachable_tree_size == workloads.tree_bound(4, 2, 3)
+    assert verify.one_step_gap(model, mu0) <= 1e-12
+
+
+@pytest.mark.parametrize("case", FINITE_FIXTURES + [f"{w}:{seed}" for w in ("dpp-sweep", "dpp-tree")
+                                                     for seed in (1, 2024)])
+def test_nodes_per_stage_sum_to_the_tree_size_within_the_map_bound(tmp_path, case):
+    # a shipped fixture, or every scenario of a benchmark workload at one seed
+    if case.endswith(".json"):
+        cases = [load_finite(case)]
+    else:
+        workload, seed = case.split(":")
+        cases = [(finite_model_from_config(op.scenario["model"]),
+                  DiscreteMeasure.from_json(op.scenario["initial_law"]))
+                 for op in workloads.build(workload, int(seed), str(tmp_path))]
+    for model, mu0 in cases:
+        result = dpp.solve(model, mu0)
+        sizes = [len(laws) for laws in result.laws]
+        assert len(sizes) == model.horizon + 1
+        assert sum(sizes) == result.reachable_tree_size
+        n_maps = model.n_actions ** model.n_states
+        assert all(1 <= size <= n_maps ** k for k, size in enumerate(sizes))
+        if case.startswith("dpp-tree"):
+            assert sizes == [1, 16, 256, 4096]
 
 
 # ---------------------------------------------------------------------------
@@ -351,24 +384,20 @@ def test_budget_raises_iff_distinct_nodes_exceed_it():
         dpp.solve(model, mu0, node_budget=0)
 
 
-def _argmins(result):
-    """The minimizing map of every node, in node order (``None`` at the last stage)."""
-    return [None if node.argmin_policy is None else node.argmin_policy.values.tobytes()
-            for node in result.value_cache.values()]
+def _bits(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
 def _same_tree(result, whole, model):
     """``result`` equals ``whole``: node order, values, law path and maps, bit for bit."""
     assert result.reachable_tree_size == whole.reachable_tree_size
     assert result.v0 == whole.v0
-    assert list(result.value_cache) == list(whole.value_cache)
-    assert [n.value for n in result.value_cache.values()] == \
-        [n.value for n in whole.value_cache.values()]
-    assert [w.tobytes() for w in result.optimal_law_path] == \
-        [w.tobytes() for w in whole.optimal_law_path]
+    assert _bits(result.laws) == _bits(whole.laws)
+    assert _bits(result.values) == _bits(whole.values)
+    assert _bits(result.maps) == _bits(whole.maps)
+    assert _bits(result.optimal_law_path) == _bits(whole.optimal_law_path)
     assert [model.policy_action_indices(p).tolist() for p in result.optimal_policy_sequence] == \
         [model.policy_action_indices(p).tolist() for p in whole.optimal_policy_sequence]
-    assert _argmins(result) == _argmins(whole)
 
 
 # (law, map) pairs per chunk.  With 8 maps per law (S = 3, M = 2), 3 splits
@@ -417,7 +446,7 @@ def test_node_order_is_the_first_occurrence_order(monkeypatch, name, dict_rows):
     else:
         model, mu0 = load_finite(name)
     monkeypatch.setattr(dpp, "DICT_ROWS", dict_rows)
-    assert list(dpp.solve(model, mu0).value_cache) == reference_node_order(model, mu0)
+    assert _bits(dpp.solve(model, mu0).laws) == _bits(reference_node_order(model, mu0))
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +471,10 @@ def test_split_key_costs_a_duplicate_node_never_a_wrong_value():
     model = _boundary_model(ABOVE)
     mu0 = DiscreteMeasure(model.states, [1.0, 0.0])   # only state 0's action matters
     result = dpp.solve(model, mu0)
-    leaves = [node for (k, _), node in result.value_cache.items() if k == 1]
     # the two children differ by one ulp but round to different keys: two nodes
-    assert result.reachable_tree_size == 3 and len(leaves) == 2
-    assert abs(leaves[0].value - leaves[1].value) <= 1e-12
+    assert result.reachable_tree_size == 3 and len(result.laws[1]) == 2
+    assert len(set(map(node_key, result.laws[1]))) == 2
+    assert abs(result.values[1][0] - result.values[1][1]) <= 1e-12
     assert result.v0 == pytest.approx(dpp.brute_force_value(model, mu0), abs=1e-12)
     # with the same row under both actions the children share one key
     merged = dpp.solve(_boundary_model(BELOW), mu0)
@@ -458,13 +487,13 @@ def test_node_lookup_takes_the_neighbouring_key_of_a_law_off_by_one_ulp():
     model = _boundary_model(BELOW)
     mu0 = DiscreteMeasure(model.states, [1.0, 0.0])
     result = dpp.solve(model, mu0)
-    (key, leaf), = [(key, node) for (k, key), node in result.value_cache.items() if k == 1]
-    above = DiscreteMeasure(model.states, [ABOVE, 1.0 - ABOVE])
-    assert (1, above.key_on_grid(model.states)) not in result.value_cache
-    assert result.node(1, above, model.states) is leaf
+    leaf, = result.laws[1]
+    above = DiscreteMeasure(model.states, [ABOVE, 1.0 - ABOVE]).weights_on_grid(model.states)
+    assert node_key(above) != node_key(leaf)
+    assert result.node_at(1, above) == 0
     far = DiscreteMeasure(model.states, [BELOW + 1e-11, 1.0 - BELOW - 1e-11])
     with pytest.raises(KeyError):
-        result.node(1, far, model.states)
+        result.node_at(1, far.weights_on_grid(model.states))
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +565,10 @@ def test_grid_expansion_equals_the_pair_path_bit_for_bit(name):
         _same_tree(dpp.solve(pairwise, mu0), grid, model)
         scalar = dpp.solve(scalar_only(model), mu0)
         assert scalar.reachable_tree_size == grid.reachable_tree_size
-        assert list(scalar.value_cache) == list(grid.value_cache)
+        assert [list(map(node_key, laws)) for laws in scalar.laws] == \
+            [list(map(node_key, laws)) for laws in grid.laws]
         assert _action_indices(model, scalar) == _action_indices(model, grid)
-        assert _argmins(scalar) == _argmins(grid)
+        assert _bits(scalar.maps) == _bits(grid.maps)
         assert scalar.v0 == pytest.approx(grid.v0, abs=1e-12)
         np.testing.assert_allclose(scalar.optimal_law_path, grid.optimal_law_path,
                                    rtol=0, atol=1e-12)

@@ -24,11 +24,11 @@ import json
 import os
 import signal
 import statistics
-import subprocess
 import sys
 import tempfile
 
 import bench_record
+from bench_record import _git
 
 SECONDS = 15   # benchmark run length, as BENCHMARK.json's run_seconds
 MIN_PAIRS = 10   # the fewest pairs that can show a gain
@@ -56,11 +56,6 @@ def compare(parent, change, better):
     return dict(sides, better=better, pairs=len(parent), wins=wins, losses=losses,
                 median_paired_diff=statistics.median(c - p for p, c in zip(parent, change)),
                 gain=len(parent) >= MIN_PAIRS and wins >= 0.9 * len(parent) and lead > spread)
-
-
-def _git(root, *args):
-    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
-                          check=True).stdout.strip()
 
 
 def run_pairs(root, parent, change, workload, pairs, seed, seconds, log=print):

@@ -43,11 +43,26 @@ COLD_START = {f"{command} {name}": [sys.executable, "-m", "mfctrl.cli", command,
                                     ("riccati", "lq_mean_variance.json")]}
 LONG_RUNS = 3   # in-process calls of the long-horizon solve
 LONG_HORIZON = 10**4
-# key -> (fixture, model fields replaced). On finite_zero the law repeats from
-# stage to stage; with one action the mean-reverting law differs from the one
-# before at every stage, so a cache keyed on the last law cannot serve both
-LONG_SCENARIOS = {"long_horizon": ("finite_zero.json", {}),
-                  "long_horizon_moving": ("finite_mean_reverting.json", {"actions": [[0.0]]})}
+FRESH_SEED = 7   # draws the stage blocks of long_horizon_fresh
+
+
+def fresh_table(horizon):
+    """Model fields of one action on four states and a ``table`` kernel whose
+    ``horizon`` stage blocks are drawn from ``FRESH_SEED``."""
+    import numpy as np
+    rows = np.random.default_rng(FRESH_SEED).dirichlet(np.ones(4), size=(horizon, 4, 1))
+    return {"states": [[-1.0], [0.0], [1.0], [2.0]], "actions": [[0.0]],
+            "kernel": {"tag": "table", "params": {"rows": rows.tolist()}}}
+
+
+# key -> (fixture, function of the horizon giving the model fields replaced).
+# On finite_zero the law repeats from stage to stage; with one action the
+# mean-reverting law differs from the one before at every stage but settles
+# near a fixed point; the fresh table's law never returns
+LONG_SCENARIOS = {"long_horizon": ("finite_zero.json", lambda horizon: {}),
+                  "long_horizon_moving": ("finite_mean_reverting.json",
+                                          lambda horizon: {"actions": [[0.0]]}),
+                  "long_horizon_fresh": ("finite_mean_reverting.json", fresh_table)}
 # times cli.main solve-finite on the scenario argv[1], writing argv[2], argv[3] times
 _LONG = """import json, sys, time
 from mfctrl.cli import main
@@ -192,7 +207,7 @@ def long_horizon(root, horizon, runs, log=print, key="long_horizon"):
     log(f"{key}: {fixture} at {horizon} stages")
     with open(os.path.join(root, "src", "mfctrl", "fixtures", fixture)) as fh:
         scenario = json.load(fh)
-    scenario["model"] |= replaced | {"horizon": horizon}
+    scenario["model"] |= replaced(horizon) | {"horizon": horizon}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")
         with open(path, "w") as fh:
