@@ -171,14 +171,13 @@ def test_stage_arrays_hold_one_row_per_node_and_the_optimal_path():
     assert result.laws[0].tobytes() == mu0.weights_on_grid(model.states).tobytes()
     assert result.node_at(0, mu0.weights_on_grid(model.states)) == 0
     assert result.values[0][0] == result.v0
-    # the optimal maps are the argmin maps of the nodes the law path visits
-    for k, policy in enumerate(result.optimal_policy_sequence):
-        row = result.node_at(k, result.optimal_law_path[k])
-        assert result.laws[k][row].tobytes() == result.optimal_law_path[k].tobytes()
-        assert dpp._map_actions(result.maps[k][row:row + 1], S, M)[0].tolist() == \
-            model.policy_action_indices(policy).tolist()
-    assert result.laws[n][result.node_at(n, result.optimal_law_path[n])].tobytes() == \
-        result.optimal_law_path[n].tobytes()
+    # the law path visits node rows, and the optimal maps are their argmin maps
+    for k, weights in enumerate(result.optimal_law_path):
+        row = result.node_at(k, weights)
+        assert result.laws[k][row].tobytes() == weights.tobytes()
+        if k < n:
+            assert dpp._map_actions(result.maps[k][row:row + 1], S, M)[0].tolist() == \
+                model.policy_action_indices(result.optimal_policy_sequence[k]).tolist()
 
 
 def test_solve_result_is_a_dataclass():
