@@ -12,7 +12,9 @@ values and the numbers of their minimizing maps.
 A stage is expanded in chunks, each a grid of laws × maps laid out for
 :func:`~mfctrl.model.evaluate`: law moments are computed once per law, and
 a kernel that reads no action law is evaluated once per (law, state, action)
-rather than once per (law, map, state).
+rather than once per (law, map, state).  :func:`_distinct` numbers each
+chunk's children, and once more the chunks' distinct rows together at the
+stage end, or earlier once their count passes the node budget.
 
 Oracles
 -------
@@ -58,8 +60,7 @@ FIRST_ORDER_MAX_ENTRIES = 1_000_000
 # EXPANSION_ENTRIES // S^2 (law, map) pairs, so the (pairs, S, S) tensor of
 # their weighted kernel rows stays near 2 MB whatever the tree size
 EXPANSION_ENTRIES = 1 << 18
-# a stage's first chunk of at most this many children is deduplicated through
-# a dict, which beats the array path on so few rows
+# at most this many rows are deduplicated through a dict, faster on so few
 DICT_ROWS = 32
 
 
@@ -118,12 +119,6 @@ def _map_actions(index: np.ndarray, n_states: int, n_actions: int) -> np.ndarray
     return (index[:, None] // powers) % n_actions
 
 
-def _terminal_values(model, laws):
-    """Lifted terminal cost of every law, shape ``(L,)``."""
-    costs = evaluate(model, model.horizon, laws, laws > 0).costs
-    return sum_last(laws * costs)
-
-
 def _expand(model, k, laws, maps):
     """Children (canonical weights) and lifted stage costs of every law of
     ``laws`` (L, S) under every map of ``maps`` (N, S), law-major."""
@@ -149,70 +144,42 @@ def _row_hash(bits):
     return h
 
 
-class _Nodes:
-    """The distinct children of one stage, numbered in order of first occurrence.
+def _dict_ids(bits):
+    """The number of each row of ``bits`` by first occurrence, and where each first occurs."""
+    index, ids, first = {}, [], []
+    for p, row in enumerate(map(tuple, bits.tolist())):
+        m = index.setdefault(row, len(index))
+        if m == len(first):
+            first.append(p)
+        ids.append(m)
+    return np.array(ids, dtype=np.intp), first
 
-    Children are one node when their weights rounded to ``KEY_DECIMALS``
-    decimals have the same bits; ``+ 0.0`` makes ``-0.0`` equal ``0.0``, as in
-    tuple keys.  A chunk is grouped by a sort on a row hash and matched with
-    the nodes of earlier chunks by a search in their sorted hashes, then every
-    child is checked bit for bit against its node.  A chunk with a hash
-    collision, and a first chunk of at most ``DICT_ROWS`` children, is
-    numbered through a dict of row tuples instead.
+
+def _distinct(children):
+    """The distinct rows of ``children`` (P, S), in order of first occurrence,
+    and the number of each row of ``children`` among them.
+
+    Rows are one when their weights rounded to ``KEY_DECIMALS`` decimals have
+    the same bits (``+ 0.0`` makes ``-0.0`` equal ``0.0``).  Over ``DICT_ROWS``
+    rows are grouped by a sort on a row hash, then checked bit for bit against
+    their group's first row; fewer rows, or a hash collision, go through a dict.
     """
-
-    hashes = np.empty(0, np.uint64)   # the hashes of the nodes' rows, sorted
-    numbers = np.empty(0, np.intp)    # the node number of each sorted hash
-
-    def __init__(self, n_states):
-        self.bits = np.empty((0, n_states), np.uint64)   # rounded rows, in node order
-
-    def add(self, children):
-        """The node number of each row of ``children`` (P, S), and the rows that
-        are new nodes, in node order."""
-        bits = (np.round(children, KEY_DECIMALS) + 0.0).view(np.uint64)
-        if len(bits) <= DICT_ROWS and not len(self.bits):
-            return self._add_by_dict(bits, children)
-        if len(self.numbers) < len(self.bits):   # the dict numbered the last chunk
-            h = _row_hash(self.bits)
-            self.numbers = np.argsort(h)
-            self.hashes = h[self.numbers]
+    bits = (np.round(children, KEY_DECIMALS) + 0.0).view(np.uint64)
+    if len(bits) > DICT_ROWS:
         h = _row_hash(bits)
         order = np.argsort(h)
-        start = np.concatenate(([True], h[order[1:]] != h[order[:-1]]))   # opens a run
-        head = np.flatnonzero(start)
-        first, run_hash = np.minimum.reduceat(order, head), h[order[head]]
-        pos = np.searchsorted(self.hashes, run_hash)
-        hit = pos < len(self.hashes)
-        hit[hit] = self.hashes[pos[hit]] == run_hash[hit]
-        number = np.empty(len(head), np.intp)
-        number[hit] = self.numbers[pos[hit]]
-        new = np.flatnonzero(~hit)                       # in hash order
+        start = np.concatenate(([True], h[order[1:]] != h[order[:-1]]))   # opens a group
+        first = np.minimum.reduceat(order, np.flatnonzero(start))         # in hash order
         slot = np.zeros(len(bits), np.intp)
-        slot[first[new]] = 1
-        reps = np.flatnonzero(slot)                      # first occurrences of the new nodes
-        slot[reps] = np.arange(len(self.bits), len(self.bits) + len(reps))
-        number[new] = slot[first[new]]
+        slot[first] = 1
+        reps = np.flatnonzero(slot)                 # the first occurrences, in row order
+        slot[reps] = np.arange(len(reps))
         ids = np.empty(len(bits), np.intp)
-        ids[order] = number[np.cumsum(start) - 1]
-        nodes = np.concatenate([self.bits, np.take(bits, reps, axis=0)])
-        if np.any(np.take(nodes, ids, axis=0) != bits):   # a hash collision
-            return self._add_by_dict(bits, children)
-        self.bits = nodes
-        self.hashes = np.insert(self.hashes, pos[new], run_hash[new])
-        self.numbers = np.insert(self.numbers, pos[new], number[new])
-        return ids, np.take(children, reps, axis=0)
-
-    def _add_by_dict(self, bits, children):
-        index = {row: m for m, row in enumerate(map(tuple, self.bits.tolist()))}
-        ids = [index.setdefault(row, len(index)) for row in map(tuple, bits.tolist())]
-        reps, top = [], len(self.bits)    # new nodes are numbered from top, in row order
-        for p, m in enumerate(ids):
-            if m == top:
-                reps.append(p)
-                top += 1
-        self.bits = np.concatenate([self.bits, bits[reps]]) if len(self.bits) else bits[reps]
-        return np.array(ids), children[reps]
+        ids[order] = slot[first][np.cumsum(start) - 1]
+        if not np.any(np.take(bits, reps[ids], axis=0) != bits):   # no hash collision
+            return np.take(children, reps, axis=0), ids
+    ids, reps = _dict_ids(bits)
+    return children[reps], ids
 
 
 def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
@@ -264,8 +231,7 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
         total = len(stage.laws) * n_maps
         stage.child = np.empty(total, dtype=np.intp)
         stage.cost = np.empty(total)
-        found = _Nodes(S)    # the nodes of stage k + 1
-        reps = []            # their weights, in node order
+        parts, count = [], 0   # each chunk's distinct children; count bounds their nodes
         for l0 in range(0, len(stage.laws), laws_per_chunk):
             block = stage.laws[l0:l0 + laws_per_chunk]
             for m0 in range(0, n_maps, maps_per_chunk):
@@ -274,15 +240,23 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
                 p0 = l0 * n_maps + m0
                 p1 = p0 + len(block) * len(maps)
                 children, stage.cost[p0:p1] = _expand(model, k, block, maps)
-                stage.child[p0:p1], new = found.add(children)
-                reps.append(new)
-                check_budget(nodes + len(found.bits))
-        nodes += len(found.bits)
-        laws = np.concatenate(reps)
+                part, ids = _distinct(children)
+                stage.child[p0:p1] = ids + count
+                parts.append(part)
+                count += len(part)
+                # merge at the stage end, or for the budget to count nodes exactly
+                if len(parts) > 1 and (p1 == total or nodes + count > node_budget):
+                    merged, ids = _distinct(np.concatenate(parts))
+                    stage.child[:p1] = ids[stage.child[:p1]]
+                    parts, count = [merged], len(merged)
+                check_budget(nodes + count)
+        nodes += count
+        laws, = parts
         laws.setflags(write=False)
         stages.append(_Stage(laws))
 
-    values = _terminal_values(model, stages[n].laws)
+    last = stages[n].laws
+    values = sum_last(last * evaluate(model, n, last, last > 0).costs)   # terminal costs
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite terminal value at stage {n}")
     stages[n].values = values

@@ -94,6 +94,15 @@ def test_long_horizon_times_in_process_solves(key):
     assert 0 < wall["min"] <= wall["median"] <= wall["max"]
 
 
+def test_big_tree_times_the_tree_scenario_and_counts_its_nodes():
+    result = bench_record.big_tree(ROOT, 3, 1, log=lambda msg: None)
+    assert result["horizon"] == 3 and result["runs"] == 1
+    assert len(result["wall_s"]["values"]) == 1 and result["wall_s"]["min"] > 0
+    assert result["peak_rss_mb"] > 0
+    # the benchmark's tree is full: every stage reaches its bound (M^S)^k
+    assert result["nodes_per_stage"] == result["bound_per_stage"] == [1, 16, 256, 4096]
+
+
 def _law_paths(horizon):
     from mfctrl import dpp
     from mfctrl.fixtures import load_fixture

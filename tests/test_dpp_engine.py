@@ -373,14 +373,63 @@ def test_budget_message_reports_the_full_tree_bound():
         dpp.solve(model, mu0, node_budget=10)
 
 
-def test_budget_raises_iff_distinct_nodes_exceed_it():
+# (law, map) pairs per chunk: with 8 maps per law, 3 and 20 split stages
+# unevenly and 8 makes one chunk per law
+@pytest.mark.parametrize("pairs", [3, 8, 20])
+def test_budget_raises_iff_distinct_nodes_exceed_it(monkeypatch, pairs):
     model, mu0 = load_finite("finite_mean_reverting.json")
     size = dpp.solve(model, mu0).reachable_tree_size
+    monkeypatch.setattr(dpp, "EXPANSION_ENTRIES", pairs * model.n_states ** 2)
     assert dpp.solve(model, mu0, node_budget=size).reachable_tree_size == size
     with pytest.raises(dpp.BudgetExceeded):
         dpp.solve(model, mu0, node_budget=size - 1)
     with pytest.raises(dpp.BudgetExceeded):
         dpp.solve(model, mu0, node_budget=0)
+
+
+def _scenario(scenario):
+    return (finite_model_from_config(scenario["model"]),
+            DiscreteMeasure.from_json(scenario["initial_law"]))
+
+
+@pytest.mark.parametrize("pairs", [1, 3, 20])
+@pytest.mark.parametrize("scenario", ["finite_mean_reverting", "tree"])
+def test_budget_stops_at_the_first_overflowing_chunk(monkeypatch, scenario, pairs):
+    # the chunks' distinct rows are merged only at a stage end or near the
+    # budget, yet the raise follows the first chunk after which the distinct
+    # keys of the tree so far outnumber the budget
+    model, mu0 = (load_finite("finite_mean_reverting.json") if scenario != "tree"
+                  else _scenario(workloads.tree_scenario(np.random.default_rng(1))))
+    size = dpp.solve(model, mu0).reachable_tree_size
+    monkeypatch.setattr(dpp, "EXPANSION_ENTRIES", pairs * model.n_states ** 2)
+    expand, chunks = dpp._expand, []
+
+    def recording(model, k, laws, maps):
+        children, cost = expand(model, k, laws, maps)
+        chunks.append((k, children))
+        return children, cost
+
+    monkeypatch.setattr(dpp, "_expand", recording)
+    running = []   # the distinct (stage, key) nodes after each chunk, filled below
+
+    def check(budget):
+        chunks.clear()
+        with pytest.raises(dpp.BudgetExceeded):
+            dpp.solve(model, mu0, node_budget=budget)
+        return len(chunks)
+
+    expanded = check(size - 1)   # expands every chunk
+    seen = set()
+    for k, children in chunks:
+        seen.update((k + 1, node_key(child)) for child in children)
+        running.append(1 + len(seen))
+    assert running[-1] == size and expanded == len(running)
+    # the counts after each stage's last chunk and after a quarter of the chunks, and one less
+    ends = [c for c, (k, _) in enumerate(chunks) if c + 1 == len(chunks) or chunks[c + 1][0] > k]
+    marks = [running[c] for c in ends + [len(running) // 4]]
+    for budget in sorted({1, *marks, *(count - 1 for count in marks)} - {size}):
+        # every budget is below the tree size, so some chunk overflows it
+        assert check(budget) == next(c for c, count in enumerate(running, 1) if count > budget)
 
 
 def _bits(arrays):
@@ -419,8 +468,8 @@ def test_the_array_path_numbers_every_chunk(monkeypatch, name, pairs):
     whole = dpp.solve(model, mu0)
     monkeypatch.setattr(dpp, "EXPANSION_ENTRIES", pairs * model.n_states ** 2)
     monkeypatch.setattr(dpp, "DICT_ROWS", 0)
-    monkeypatch.setattr(dpp._Nodes, "_add_by_dict",
-                        lambda *args: pytest.fail("a chunk was numbered through the dict"))
+    monkeypatch.setattr(dpp, "_dict_ids",
+                        lambda bits: pytest.fail("a chunk or merge was numbered through the dict"))
     _same_tree(dpp.solve(model, mu0), whole, model)
 
 
@@ -493,6 +542,39 @@ def test_node_lookup_takes_the_neighbouring_key_of_a_law_off_by_one_ulp():
     far = DiscreteMeasure(model.states, [BELOW + 1e-11, 1.0 - BELOW - 1e-11])
     with pytest.raises(KeyError):
         result.node_at(1, far.weights_on_grid(model.states))
+
+
+def _distinct_by_keys(children):
+    """The distinct rows of ``children`` and the number of each row, by a dict of node keys."""
+    index = {}
+    ids = [index.setdefault(node_key(row), len(index)) for row in children]
+    _, first = np.unique(ids, return_index=True)
+    return children[first], np.array(ids)
+
+
+def _rows_with_duplicates(size, rng):
+    """``size`` rows drawn with repeats from a pool holding -0.0 beside 0.0, the
+    rounding neighbours BELOW and ABOVE, and two rows of one key but other bits."""
+    special = np.array([[0.0, 0.5, 0.5], [-0.0, 0.5, 0.5], [BELOW, 1.0 - BELOW, 0.0],
+                        [ABOVE, 1.0 - ABOVE, 0.0], [0.2, 0.3, 0.5],
+                        [0.2 + 1e-15, 0.3, 0.5 - 1e-15]])
+    pool = np.concatenate([special, rng.dirichlet(np.ones(3), size=size // 4 + 1)])
+    return rng.permutation(np.concatenate([special, pool[rng.integers(0, len(pool), size)]]))[:size]
+
+
+@pytest.mark.parametrize("size", [1, dpp.DICT_ROWS - 1, dpp.DICT_ROWS, dpp.DICT_ROWS + 1, 4096])
+@pytest.mark.parametrize("path", ["shipped", "array", "colliding"])
+def test_distinct_rows_match_a_dict_of_keys(monkeypatch, size, path):
+    if path != "shipped":
+        monkeypatch.setattr(dpp, "DICT_ROWS", 0)
+    if path == "array":
+        monkeypatch.setattr(dpp, "_dict_ids", lambda bits: pytest.fail("rows went through the dict"))
+    if path == "colliding":   # every row hashes to one of two values
+        monkeypatch.setattr(dpp, "_row_hash", lambda bits: bits[:, 0] & np.uint64(1))
+    children = _rows_with_duplicates(size, np.random.default_rng(size))
+    rows, ids = dpp._distinct(children)
+    assert _bits([rows, ids]) == _bits(_distinct_by_keys(children))
+    assert [node_key(row) for row in rows[ids]] == [node_key(row) for row in children]
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ times at ``--trace 0`` and once at ``--trace 1``, at seed ``SEED`` and for
 suite, the end-to-end workloads the benchmark does not cover, the cold
 start: ``COLD_RUNS`` fresh processes of each command of ``COLD_START``, and
 the long horizon: ``LONG_RUNS`` calls of ``cli.main solve-finite`` on each
-scenario of ``LONG_SCENARIOS`` at ``LONG_HORIZON`` stages, in one process. The file
-holds, per workload, the median, min and max of each end-to-end metric with
-every run's value, the traced run's per-layer metrics, those two wall times,
-the same spread of the cold-start and long-horizon wall times, the line
-counts of ``src/mfctrl/*.py`` and the machine: CPUs, Python, numpy and the
-commit. Runs are sequential; run nothing else meanwhile.
+scenario of ``LONG_SCENARIOS`` at ``LONG_HORIZON`` stages, in one process, and
+the big tree: as many calls on the ``dpp-tree`` scenario of seed ``SEED`` at
+``BIG_TREE_HORIZON`` stages, in one more. The file holds, per workload, the
+median, min and max of each end-to-end metric with every run's value, the
+traced run's per-layer metrics, those two wall times, the same spread of the
+cold-start, long-horizon and big-tree wall times, the big tree's peak RSS and
+nodes per stage, the line counts of ``src/mfctrl/*.py`` and the machine: CPUs,
+Python, numpy and the commit. Runs are sequential; run nothing else meanwhile.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import glob
 import json
 import os
 import platform
+import runpy
 import statistics
 import subprocess
 import sys
@@ -43,6 +46,7 @@ COLD_START = {f"{command} {name}": [sys.executable, "-m", "mfctrl.cli", command,
                                     ("riccati", "lq_mean_variance.json")]}
 LONG_RUNS = 3   # in-process calls of the long-horizon solve
 LONG_HORIZON = 10**4
+BIG_TREE_HORIZON = 5   # the dpp-tree scenario's tree then has 1 118 481 nodes
 FRESH_SEED = 7   # draws the stage blocks of long_horizon_fresh
 
 
@@ -64,7 +68,7 @@ LONG_SCENARIOS = {"long_horizon": ("finite_zero.json", lambda horizon: {}),
                                           lambda horizon: {"actions": [[0.0]]}),
                   "long_horizon_fresh": ("finite_mean_reverting.json", fresh_table)}
 # times cli.main solve-finite on the scenario argv[1], writing argv[2], argv[3] times
-_LONG = """import json, sys, time
+_TIMED = """import json, sys, time
 from mfctrl.cli import main
 times = []
 for _ in range(int(sys.argv[3])):
@@ -72,7 +76,20 @@ for _ in range(int(sys.argv[3])):
     if main(["solve-finite", sys.argv[1], "--out", sys.argv[2]]) != 0:
         sys.exit("solve-finite failed")
     times.append(time.perf_counter() - start)
-print(json.dumps(times))
+"""
+_LONG = _TIMED + "print(json.dumps(times))\n"
+# then reads the peak RSS in MB, and the nodes per stage of one more solve
+_BIG = _TIMED + """import resource
+from mfctrl import dpp
+from mfctrl.measure import DiscreteMeasure
+from mfctrl.model import finite_model_from_config
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+with open(sys.argv[1]) as fh:
+    scenario = json.load(fh)
+result = dpp.solve(finite_model_from_config(scenario["model"]),
+                   DiscreteMeasure.from_json(scenario["initial_law"]))
+print(json.dumps({"times": times, "peak_rss_mb": peak,
+                  "nodes": [len(laws) for laws in result.laws]}))
 """
 
 
@@ -183,6 +200,7 @@ def record(root, runs, seed, log=print):
     result["cold_start"] = cold_start(root, COLD_RUNS, log)
     for key in LONG_SCENARIOS:
         result[key] = long_horizon(root, LONG_HORIZON, LONG_RUNS, log, key)
+    result["big_tree"] = big_tree(root, BIG_TREE_HORIZON, LONG_RUNS, log)
     return result
 
 
@@ -208,15 +226,40 @@ def long_horizon(root, horizon, runs, log=print, key="long_horizon"):
     with open(os.path.join(root, "src", "mfctrl", "fixtures", fixture)) as fh:
         scenario = json.load(fh)
     scenario["model"] |= replaced(horizon) | {"horizon": horizon}
+    times = _solve_in_process(root, _LONG, scenario, runs)
+    return {"horizon": horizon, "runs": runs, "wall_s": spread(times)}
+
+
+def big_tree(root, horizon, runs, log=print):
+    """The spread of the wall times of ``runs`` calls of ``cli.main
+    solve-finite`` on the ``dpp-tree`` scenario of seed ``SEED`` set to
+    ``horizon`` stages, made one after another in one fresh process; that
+    process's peak RSS after them; and the nodes of each stage of its tree,
+    with their bound ``(M^S)^k``."""
+    import numpy as np
+    tree_scenario = runpy.run_path(os.path.join(root, "benchmarks", "workloads.py"))["tree_scenario"]
+    log(f"big_tree: the dpp-tree scenario at {horizon} stages")
+    scenario = tree_scenario(np.random.default_rng(SEED))
+    scenario["model"]["horizon"] = horizon
+    out = _solve_in_process(root, _BIG, scenario, runs)
+    n_maps = len(scenario["model"]["actions"]) ** len(scenario["model"]["states"])
+    return {"horizon": horizon, "runs": runs, "wall_s": spread(out["times"]),
+            "peak_rss_mb": out["peak_rss_mb"], "nodes_per_stage": out["nodes"],
+            "bound_per_stage": [n_maps ** k for k in range(horizon + 1)]}
+
+
+def _solve_in_process(root, script, scenario, runs):
+    """The parsed last line that ``script`` prints when run in a fresh process
+    on ``scenario``, written to a temporary file, for ``runs`` solves."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")
         with open(path, "w") as fh:
             json.dump(scenario, fh)
-        timed = _timed(root, [sys.executable, "-c", _LONG, path,
+        timed = _timed(root, [sys.executable, "-c", script, path,
                               os.path.join(tmp, "out.json"), str(runs)])
     if timed["exit_code"] != 0:
-        raise RuntimeError(f"long-horizon solve failed with exit code {timed['exit_code']}")
-    return {"horizon": horizon, "runs": runs, "wall_s": spread(json.loads(timed["summary"]))}
+        raise RuntimeError(f"in-process solve failed with exit code {timed['exit_code']}")
+    return json.loads(timed["summary"])
 
 
 def main():
