@@ -387,19 +387,18 @@ def test_budget_raises_iff_distinct_nodes_exceed_it(monkeypatch, pairs):
         dpp.solve(model, mu0, node_budget=0)
 
 
-def _scenario(scenario):
-    return (finite_model_from_config(scenario["model"]),
-            DiscreteMeasure.from_json(scenario["initial_law"]))
-
-
 @pytest.mark.parametrize("pairs", [1, 3, 20])
 @pytest.mark.parametrize("scenario", ["finite_mean_reverting", "tree"])
 def test_budget_stops_at_the_first_overflowing_chunk(monkeypatch, scenario, pairs):
     # the chunks' distinct rows are merged only at a stage end or near the
     # budget, yet the raise follows the first chunk after which the distinct
     # keys of the tree so far outnumber the budget
-    model, mu0 = (load_finite("finite_mean_reverting.json") if scenario != "tree"
-                  else _scenario(workloads.tree_scenario(np.random.default_rng(1))))
+    if scenario == "tree":
+        tree = workloads.tree_scenario(np.random.default_rng(1))
+        model = finite_model_from_config(tree["model"])
+        mu0 = DiscreteMeasure.from_json(tree["initial_law"])
+    else:
+        model, mu0 = load_finite("finite_mean_reverting.json")
     size = dpp.solve(model, mu0).reachable_tree_size
     monkeypatch.setattr(dpp, "EXPANSION_ENTRIES", pairs * model.n_states ** 2)
     expand, chunks = dpp._expand, []
