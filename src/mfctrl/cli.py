@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -109,8 +110,9 @@ def _outputs(*paths):
     """The output streams of a run, every file opened before any is written.
 
     ``"-"`` is standard output and ``None`` no output.  If a file cannot be
-    opened, or the run fails before its outputs are complete, every file it
-    opened is removed: a failed run leaves no output behind.
+    opened, or the run fails before its outputs are complete, every regular
+    file it opened is removed: a failed run leaves no output behind, and a
+    device or a symbolic link stays.
     """
     opened = {}
     with contextlib.ExitStack() as stack:
@@ -127,7 +129,8 @@ def _outputs(*paths):
         except BaseException:
             stack.close()
             for path in opened:
-                os.remove(path)
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.remove(path)
             raise
 
 

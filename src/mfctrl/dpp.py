@@ -14,7 +14,9 @@ A stage is expanded in chunks, each a grid of laws × maps laid out for
 a kernel that reads no action law is evaluated once per (law, state, action)
 rather than once per (law, map, state).  :func:`_distinct` numbers each
 chunk's children, and once more the chunks' distinct rows together at the
-stage end, or earlier once their count passes the node budget.
+stage end, or earlier once their count passes the node budget; the parts are
+freed once joined for that merge, and the sort's arrays before its check.
+Terminal costs are evaluated in chunks of ``EXPANSION_ENTRIES // S`` laws.
 
 Oracles
 -------
@@ -176,6 +178,7 @@ def _distinct(children):
         slot[reps] = np.arange(len(reps))
         ids = np.empty(len(bits), np.intp)
         ids[order] = slot[first][np.cumsum(start) - 1]
+        del h, order, start, first, slot   # freed before the check, which holds a copy of bits
         if not np.any(np.take(bits, reps[ids], axis=0) != bits):   # no hash collision
             return np.take(children, reps, axis=0), ids
     ids, reps = _dict_ids(bits)
@@ -246,7 +249,8 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
                 count += len(part)
                 # merge at the stage end, or for the budget to count nodes exactly
                 if len(parts) > 1 and (p1 == total or nodes + count > node_budget):
-                    merged, ids = _distinct(np.concatenate(parts))
+                    parts[:] = [np.concatenate(parts)]   # frees the parts before the merge
+                    merged, ids = _distinct(parts.pop())
                     stage.child[:p1] = ids[stage.child[:p1]]
                     parts, count = [merged], len(merged)
                 check_budget(nodes + count)
@@ -255,8 +259,11 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
         laws.setflags(write=False)
         stages.append(_Stage(laws))
 
-    last = stages[n].laws
-    values = sum_last(last * evaluate(model, n, last, last > 0).costs)   # terminal costs
+    last, rows = stages[n].laws, max(1, EXPANSION_ENTRIES // S)
+    values = np.empty(len(last))
+    for l0 in range(0, len(last), rows):   # terminal costs, in chunks of rows
+        block = last[l0:l0 + rows]
+        values[l0:l0 + rows] = sum_last(block * evaluate(model, n, block, block > 0).costs)
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite terminal value at stage {n}")
     stages[n].values = values

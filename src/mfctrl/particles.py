@@ -14,9 +14,11 @@ bit-identical for a given ``(seed, n_particles)`` regardless of scheduling.
 
 The linear-quadratic cloud is a ``(d, N)`` array.  Each stage folds the affine
 policy into its coefficients and makes one pass over the cloud in blocks of
-``_BLOCK`` particles: one matrix product per block gives the costs and the
-step, and stage moments are combined from per-block moments in block order.
-Every product runs on the caller.
+``_BLOCK`` particles, each drawing its noise at once: one matrix product per
+``_CHUNK`` columns gives their costs and step, and stage moments are combined
+from per-block moments in block order.  Every product runs on the caller.
+Memory is the cloud, the per-particle costs, one chunk's product and the
+queued draws; the standard error is computed in place on the costs.
 
 Both passes draw their blocks through one pipeline: one worker thread draws up
 to ``_AHEAD`` blocks ahead of the one in use, and a caller that finds its block
@@ -191,7 +193,11 @@ def _finalize(costs: np.ndarray, means, variances, n: int, seed: int,
               closure: str, clouds) -> SimulationResult:
     estimate = float(np.sum(costs) / n)   # fixed index order, pairwise summation
     if n >= 2:
-        se = float(np.std(costs, ddof=1) / np.sqrt(n))
+        # np.std(costs, ddof=1)'s own steps, in place: the costs are not read again
+        mean = np.sum(costs, keepdims=True)
+        mean /= n
+        np.square(np.subtract(costs, mean, out=costs), out=costs)
+        se = float(np.sqrt(np.sum(costs) / (n - 1)) / np.sqrt(n))
     else:
         se = float("nan")
     return SimulationResult(estimate, se, n, seed, closure,
@@ -222,6 +228,24 @@ def _stage_coefficients(model: LQModel, policy: AffinePolicy, k: int, mean: np.n
     return W, const, offset[:, None]
 
 
+def _stage_block(W, const, offset, xb, costs, eps, scratch):
+    """Add the stage costs of the block ``xb`` (d, B) to ``costs`` (B,) and, unless
+    ``offset`` is ``None`` (the terminal stage), step ``xb`` in place by the noise
+    ``eps`` (B,); each ``_CHUNK`` columns go through one product ``W @ x`` in ``scratch``."""
+    d = len(xb)
+    for start in range(0, xb.shape[1], _CHUNK):
+        xc = xb[:, start:start + _CHUNK]
+        y = np.matmul(W, xc, out=scratch[:len(W), :xc.shape[1]])
+        quad = np.multiply(y[-d - 1:-1], xc, out=y[-d - 1:-1])
+        costs[start:start + xc.shape[1]] += quad.sum(axis=0) + (y[-1] + const)
+        if offset is not None:
+            # x <- (drift + drift offset) + (scale + scale offset) * eps, in place
+            step = y[:2 * d]
+            step += offset
+            step[d:] *= eps[start:start + _CHUNK]
+            np.add(step[:d], step[d:], out=xc)
+
+
 @np.errstate(over="ignore", invalid="ignore")   # overflow shows as a non-finite result
 def _simulate_lq(model: LQModel, policy: AffinePolicy, n: int, seed: int,
                  closure: str, keep_clouds: bool) -> SimulationResult:
@@ -237,7 +261,7 @@ def _simulate_lq(model: LQModel, policy: AffinePolicy, n: int, seed: int,
     starts, gaussian = range(0, n, _BLOCK), model.initial_measure is None
     calls = chain(((_STREAM_INIT_COMPONENT + j, s) for s in starts for j in range(d) if gaussian),
                   ((_STREAM_STAGE_NOISE + k, s) for k in range(model.horizon) for s in starts))
-    scratch = np.empty((3 * d + 1, min(n, _BLOCK)))
+    scratch = np.empty((3 * d + 1, min(n, _CHUNK)))
     with ThreadPoolExecutor(1) as pool:   # draws each block's normals during the block before
         draws = _ahead(pool, lambda stream, start: normals(
             seed, stream, min(_BLOCK, n - start), start=start), calls)
@@ -251,16 +275,11 @@ def _simulate_lq(model: LQModel, policy: AffinePolicy, n: int, seed: int,
             ref = oracle[k].mean if oracle is not None else mean
             W, const, offset = _stage_coefficients(model, policy, k, ref)
             for start, xb in _blocks(x):
-                y = _matmul(W, xb, scratch[:len(W), :xb.shape[1]])
-                quad = np.multiply(y[-d - 1:-1], xb, out=y[-d - 1:-1])
-                costs[start:start + xb.shape[1]] += quad.sum(axis=0) + (y[-1] + const)
+                eps = next(draws) if offset is not None else None
+                _stage_block(W, const, offset, xb, costs[start:start + xb.shape[1]], eps, scratch)
                 if offset is not None:
-                    # x <- (drift + drift offset) + (scale + scale offset) * eps, in place
-                    step = y[:2 * d]
-                    step += offset
-                    step[d:] *= next(draws)
-                    np.add(step[:d], step[d:], out=xb)
                     moments = _fold(moments if start else None, xb)   # restarts at block 0
+        del x, xb, scratch   # only the costs are left to reduce
     return _finalize(costs, means, variances, n, seed, closure, clouds)
 
 

@@ -82,6 +82,39 @@ def test_one_pair_of_the_same_commit(tmp_path):
     assert len(_worktrees(clone)) == 1
 
 
+def test_big_tree_pairs_of_two_commits(tmp_path):
+    clone = _clone(tmp_path)
+    commits = subprocess.run(["git", "rev-parse", "HEAD~1", "HEAD"], cwd=clone,
+                             capture_output=True, text=True, check=True).stdout.split()
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"),
+                           "HEAD~1", "HEAD", "--scenario", "big_tree", "--horizon", "2",
+                           "--pairs", "2"],
+                          cwd=clone, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    path = proc.stdout.strip().splitlines()[-1]
+    assert os.path.basename(path) == f"PAIRS_{commits[1][:7]}.json"
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert [payload["parent"], payload["change"]] == commits
+    entry = payload["entries"]["big_tree horizon 2"]
+    assert (entry["scenario"], entry["horizon"], entry["pairs"]) == ("big_tree", 2, 2)
+    assert [run["first"] for run in entry["runs"]["parent"]] == [True, False]
+    assert [run["first"] for run in entry["runs"]["change"]] == [False, True]
+    for run in entry["runs"]["parent"] + entry["runs"]["change"]:
+        assert run["nodes_per_stage"] == [1, 16, 256]
+        assert run["wall_s"] > 0 and run["peak_rss_mb"] > 0
+    assert sorted(entry["metrics"]) == ["peak_rss_mb", "wall_s"]
+    for summary in entry["metrics"].values():
+        assert summary["pairs"] == 2 and summary["better"] == "lower" and not summary["gain"]
+    assert len(_worktrees(clone)) == 1
+
+
+def test_a_workload_run_needs_a_seed(capsys):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["HEAD", "HEAD", "--workload", "dpp-sweep"])
+    assert "--workload needs --seed" in capsys.readouterr().err
+
+
 def test_a_terminated_run_removes_its_worktrees(tmp_path):
     clone = _clone(tmp_path)
     proc = subprocess.Popen(_argv("600"), cwd=clone, stdout=subprocess.DEVNULL,

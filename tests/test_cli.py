@@ -567,6 +567,20 @@ def test_one_path_for_two_outputs_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["null", "file"])
+@pytest.mark.parametrize("failure", ["unwritable", "twice"])
+def test_a_failed_run_keeps_a_linked_output(tmp_path, capsys, failure, target):
+    # a link stays, whether to a device or to a file; only regular files are removed
+    dest = os.devnull if target == "null" else tmp_path / "kept.json"
+    link = tmp_path / "out.json"
+    link.symlink_to(dest)
+    table = tmp_path / "missing" / "t.csv" if failure == "unwritable" else link
+    assert main(["solve-finite", _stage(tmp_path, "finite_mean_reverting.json"),
+                 "--out", str(link), "--trajectory-csv", str(table)]) == 2
+    assert capsys.readouterr().out == ""
+    assert link.is_symlink() and os.readlink(link) == str(dest)
+
+
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

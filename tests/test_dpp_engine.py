@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,6 +430,29 @@ def test_budget_stops_at_the_first_overflowing_chunk(monkeypatch, scenario, pair
     for budget in sorted({1, *marks, *(count - 1 for count in marks)} - {size}):
         # every budget is below the tree size, so some chunk overflows it
         assert check(budget) == next(c for c, count in enumerate(running, 1) if count > budget)
+
+
+def test_the_last_merge_holds_the_tree_and_four_copies_of_the_last_stage(monkeypatch):
+    # with 64 pairs per chunk the last stage of this 69 905-node tree merges 1024
+    # parts.  Over what the tree keeps, the merge holds the parts' concatenation, its
+    # rounded bits, the bit-for-bit check's gathered copy, and the stage's child and
+    # cost arrays with the sort's index arrays; keeping the parts during the merge or
+    # evaluating the terminal costs on the whole stage at once peaks about 3 MB higher
+    tree = workloads.tree_scenario(np.random.default_rng(1))
+    tree["model"]["horizon"] = 4
+    model = finite_model_from_config(tree["model"])
+    mu0 = DiscreteMeasure.from_json(tree["initial_law"])
+    result = dpp.solve(model, mu0)   # first-call allocations stay out of the count
+    assert result.reachable_tree_size == 69_905
+    kept = sum(a.nbytes for arrays in (result.laws, result.values, result.maps) for a in arrays)
+    monkeypatch.setattr(dpp, "EXPANSION_ENTRIES", 64 * model.n_states ** 2)
+    tracemalloc.start()
+    try:
+        dpp.solve(model, mu0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kept + 4 * result.laws[-1].nbytes, peak
 
 
 def _bits(arrays):

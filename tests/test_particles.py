@@ -23,6 +23,7 @@ from mfctrl.measure import DiscreteMeasure
 from mfctrl.moments import exact_cost
 from mfctrl import particles
 from mfctrl.particles import (
+    _AHEAD,
     _BLOCK,
     _CHUNK,
     _STREAM_INIT_COMPONENT,
@@ -224,7 +225,8 @@ class TestReferenceParity:
         policy = optimal_policy(model, solve_riccati(model))
         _assert_matches_reference(model, policy, _BLOCK + 5, closure)
 
-    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("n", [1, 2, _CHUNK + 5, _BLOCK - 1, _BLOCK, _BLOCK + _CHUNK + 3,
+                                   3 * _BLOCK + 7])
     @pytest.mark.parametrize("closure", ["empirical", "oracle-law"])
     def test_block_sizes_with_kept_clouds(self, n, closure):
         model = PARITY_MODELS["multivariate"]
@@ -390,14 +392,17 @@ class TestPipelinedPass:
         assert on_caller[2] and not on_caller[0]
 
 
-def test_memory_is_the_cloud_plus_block_scratch():
+def test_memory_is_the_cloud_plus_one_chunk_product():
     # the per-term passes of particles_reference peak at about 32 MB here: five (N, d)
-    # temporaries on top of the cloud
+    # temporaries on top of the cloud.  A pass holding a whole block's product, or
+    # reducing a copy of the costs, peaks near 10 MB over the cloud and the costs
     d, n = 3, 200_000
     model = random_lq_model(np.random.default_rng(3), d, 2, 5)
     policy = optimal_policy(model, solve_riccati(model))
     simulate(model, policy, 10, seed=1)   # first-call allocations stay out of the count
-    allowance = 2 * (3 * d + 1) * _BLOCK * 8   # twice the per-block matrix product
+    # one chunk's matrix product, and blocks: d rows of the fold's deviations, the draw
+    # in use and the _AHEAD + 1 queued draws, each of two blocks while it is drawn
+    allowance = ((3 * d + 1) * _CHUNK + (d + 1 + 2 * (_AHEAD + 1)) * _BLOCK) * 8
     for closure in ("empirical", "oracle-law"):
         tracemalloc.start()
         try:
