@@ -109,28 +109,48 @@ def _lq_from_scenario(data):
 def _outputs(*paths):
     """The output streams of a run, every file opened before any is written.
 
-    ``"-"`` is standard output and ``None`` no output.  If a file cannot be
-    opened, or the run fails before its outputs are complete, every regular
-    file it opened is removed: a failed run leaves no output behind, and a
-    device or a symbolic link stays.
+    ``"-"`` is standard output and ``None`` no output.  A file is written over
+    in place, not truncated first, which would free its blocks only for the
+    rewrite to allocate new ones; a longer one is then cut at the end of the
+    run's text.  Two outputs on one file, however spelled, are a config error.
+
+    If the run fails, an output it created is removed; once it has begun to
+    write, every output file is cut to zero length and removed if regular at
+    its path, not a device or a link.  A file that existed and that the run did
+    not begin to write (a later output could not be opened) stays as it was.
     """
-    opened = {}
+    opened, streams, begun = {}, [], False   # (st_dev, st_ino) -> (path, stream, created, size)
     with contextlib.ExitStack() as stack:
         try:
             for path in paths:
-                if path in opened:
-                    raise ValueError(f"output {path!r} is given twice")
-                if path not in (None, "-"):
-                    try:
-                        opened[path] = stack.enter_context(open(path, "w", newline=""))
-                    except OSError as exc:
-                        raise ValueError(f"cannot write output {path!r}: {exc}") from exc
-            yield [sys.stdout if path == "-" else opened.get(path) for path in paths]
+                if path in (None, "-"):
+                    streams.append(sys.stdout if path else None)
+                    continue
+                created = not os.path.lexists(path)
+                try:
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+                except OSError as exc:
+                    raise ValueError(f"cannot write output {path!r}: {exc}") from exc
+                streams.append(stack.enter_context(open(fd, "w", newline="")))
+                info = os.fstat(fd)
+                first = opened.setdefault((info.st_dev, info.st_ino),
+                                          (path, streams[-1], created, info.st_size))
+                if first[1] is not streams[-1]:
+                    raise ValueError(f"output {path!r} is given twice (first as {first[0]!r})")
+            begun = True
+            yield streams
+            for _, stream, _, size in opened.values():
+                stream.flush()
+                # only a longer file is cut: a cut costs a journal write even at the same size
+                if size and size > stream.buffer.tell():
+                    stream.truncate()
         except BaseException:
-            stack.close()
-            for path in opened:
-                if stat.S_ISREG(os.lstat(path).st_mode):
-                    os.remove(path)
+            for path, stream, created, _ in opened.values():
+                if begun or created:
+                    with contextlib.suppress(OSError):   # a device or a FIFO is not cut
+                        stream.truncate(0)
+                    if stat.S_ISREG(os.lstat(path).st_mode):
+                        os.remove(path)
             raise
 
 

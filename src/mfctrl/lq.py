@@ -35,11 +35,13 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import iadd
 from typing import Optional
 
 import numpy as np
 
-from .measure import SYM_TOL, DiscreteMeasure, _BuiltOnRead, as_integer
+from .measure import SYM_TOL, DiscreteMeasure, _BuiltOnRead, as_integer, short_repr
 
 PSD_EIG_TOL = -1e-10   # least eigenvalue of a PSD matrix, here and in moments
 PD_EIG_TOL = 1e-10
@@ -98,6 +100,38 @@ _SHAPES = {
     "terminal_linear": "d", "terminal_linear_mean": "d",
     "initial_mean": "d", "initial_cov": "dd",
 }
+
+
+def _numbers(value, what) -> np.ndarray:
+    """``value``, a JSON number or nested lists of them, as a float array of
+    the shape of its nesting.  Each level is checked in one flat pass: every
+    row's length, then every leaf's type, which must be ``int`` or ``float``
+    (no bool, string or null)."""
+    shape, level = [], [value]
+    while (kinds := set(map(type, level))) == {list}:
+        lengths = set(map(len, level))
+        if len(lengths) > 1:
+            raise ValueError(f"{what} has rows of lengths {sorted(lengths)}")
+        shape.append(lengths.pop())
+        level = reduce(iadd, level, [])   # one list.extend per row
+    if not kinds <= {int, float}:
+        bad = next(v for v in level if type(v) not in (int, float))
+        raise ValueError(f"{what} must hold only numbers, got {short_repr(bad)}")
+    return np.array(level, dtype=float).reshape(shape)
+
+
+def _stacked(column, what) -> np.ndarray:
+    """:func:`_numbers` of ``column``, a list of one value per stage; an error
+    names the first stage that is bad alone or whose shape is not stage 0's."""
+    try:
+        return _numbers(column, what)
+    except ValueError:
+        if type(column) is not list:
+            raise
+        shapes = [_numbers(value, f"{what} at stage {k}").shape for k, value in enumerate(column)]
+        k = next(k for k, shape in enumerate(shapes) if shape != shapes[0])
+        raise ValueError(f"{what} at stage {k} has shape {shapes[k]}, "
+                         f"against {shapes[0]} at stage 0") from None
 
 
 @dataclass(frozen=True)
@@ -195,7 +229,7 @@ class LQModel:
     @classmethod
     def from_json(cls, payload: dict) -> "LQModel":
         stages = payload["stages"]
-        fields = {key: np.array([s[key] for s in stages], dtype=float)
+        fields = {key: _stacked([s[key] for s in stages], f"field {key!r}")
                   for key in cls._STAGE_KEYS}
         declared = {key: as_integer(payload[key], key)
                     for key in ("horizon", "state_dim", "control_dim") if key in payload}
@@ -212,9 +246,10 @@ class LQModel:
             measure = DiscreteMeasure.from_json(init["measure"])
             mean, cov = measure.mean(), measure.covariance()
         else:
-            mean, cov = np.asarray(init["mean"], dtype=float), np.asarray(init["cov"], dtype=float)
+            mean, cov = (_numbers(init[key], f"initial_law field {key!r}")
+                         for key in ("mean", "cov"))
         term = payload["terminal"]
-        terminal = {name: np.asarray(term[key], dtype=float)
+        terminal = {name: _numbers(term[key], f"terminal field {key!r}")
                     for name, key in cls._TERMINAL_KEYS.items()}
         return cls(
             initial_mean=mean,
@@ -715,7 +750,8 @@ class AffinePolicy(_Arrays):
 
     @classmethod
     def from_json(cls, payload: dict) -> "AffinePolicy":
-        return cls(payload["gain_state"], payload["gain_mean"], payload["offset"])
+        return cls(*(_stacked(payload[name], f"policy field {name!r}")
+                     for name in ("gain_state", "gain_mean", "offset")))
 
 
 def optimal_policy(model: LQModel, sol: RiccatiSolution) -> AffinePolicy:

@@ -109,6 +109,50 @@ def test_big_tree_pairs_of_two_commits(tmp_path):
     assert len(_worktrees(clone)) == 1
 
 
+def test_long_horizon_pairs_of_two_commits(tmp_path):
+    clone = _clone(tmp_path)
+    commits = subprocess.run(["git", "rev-parse", "HEAD~1", "HEAD"], cwd=clone,
+                             capture_output=True, text=True, check=True).stdout.split()
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"),
+                           "HEAD~1", "HEAD", "--scenario", "long_horizon", "--horizon", "20",
+                           "--pairs", "2"],
+                          cwd=clone, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    path = proc.stdout.strip().splitlines()[-1]
+    assert os.path.basename(path) == f"PAIRS_{commits[1][:7]}.json"
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert [payload["parent"], payload["change"]] == commits
+    entry = payload["entries"]["long_horizon horizon 20"]
+    assert (entry["scenario"], entry["horizon"], entry["pairs"]) == ("long_horizon", 20, 2)
+    assert [run["first"] for run in entry["runs"]["parent"]] == [True, False]
+    assert [run["first"] for run in entry["runs"]["change"]] == [False, True]
+    for run in entry["runs"]["parent"] + entry["runs"]["change"]:
+        assert sorted(run) == ["first", "wall_s"] and run["wall_s"] > 0
+    assert sorted(entry["metrics"]) == ["wall_s"]
+    summary = entry["metrics"]["wall_s"]
+    assert summary["pairs"] == 2 and summary["better"] == "lower" and not summary["gain"]
+    assert len(_worktrees(clone)) == 1
+
+
+def test_a_scenario_run_defaults_to_its_own_horizon(monkeypatch):
+    calls = []
+
+    def pairs(root, parent, change, scenario, n, horizon, log):
+        calls.append((scenario, horizon))
+        raise SystemExit(0)
+
+    monkeypatch.setattr(bench_pairs, "run_scenario_pairs", pairs)
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda signum, handler: None)
+    monkeypatch.chdir(ROOT)
+    for scenario in ("big_tree", "long_horizon", "long_horizon_moving", "long_horizon_fresh"):
+        with pytest.raises(SystemExit):
+            bench_pairs.main(["HEAD", "HEAD", "--scenario", scenario])
+    assert calls == [("big_tree", bench_pairs.bench_record.BIG_TREE_HORIZON)] + [
+        (key, bench_pairs.bench_record.LONG_HORIZON)
+        for key in ("long_horizon", "long_horizon_moving", "long_horizon_fresh")]
+
+
 def test_a_workload_run_needs_a_seed(capsys):
     with pytest.raises(SystemExit):
         bench_pairs.main(["HEAD", "HEAD", "--workload", "dpp-sweep"])

@@ -425,6 +425,54 @@ class TestErrors:
         assert "Traceback" not in err
 
 
+    # (path into the scenario's model, value, message after "bad LQ model config: ")
+    LQ_LEAVES = [
+        (["stages", 1, "drift_state", 0, 0], "0.3287",
+         "field 'drift_state' at stage 1 must hold only numbers, got '0.3287'"),
+        (["stages", 1, "drift_state", 0, 0], True,
+         "field 'drift_state' at stage 1 must hold only numbers, got True"),
+        (["stages", 0, "cost_state", 0, 0], None,
+         "field 'cost_state' at stage 0 must hold only numbers, got None"),
+        (["terminal", "cost_state", 0, 0], "1.0",
+         "terminal field 'cost_state' must hold only numbers, got '1.0'"),
+        (["initial_law", "mean", 0], True,
+         "initial_law field 'mean' must hold only numbers, got True"),
+        (["stages", 2, "drift_state", 1], [0.1, 0.2, 0.3],
+         "field 'drift_state' at stage 2 has rows of lengths [2, 3]"),
+        (["stages", 2, "drift_state"], [[0.1, 0.2]],
+         "field 'drift_state' at stage 2 has shape (1, 2), against (2, 2) at stage 0"),
+    ]
+
+    @pytest.mark.parametrize("path, value, message", LQ_LEAVES,
+                             ids=["str", "bool", "null", "terminal", "mean", "row", "stage"])
+    def test_lq_blocks_take_only_numbers(self, tmp_path, capsys, path, value, message):
+        data = json.loads(fixture_text("lq_multivariate.json"))
+        parent = data["model"]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        out = tmp_path / "lq.json"
+        assert main(["riccati", _scenario(tmp_path, data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: bad LQ model config: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gain_state", "0.5", "policy field 'gain_state' at stage 1 must hold only numbers, "
+                              "got '0.5'"),
+        ("offset", False, "policy field 'offset' at stage 1 must hold only numbers, got False"),
+    ])
+    def test_lq_policy_files_take_only_numbers(self, tmp_path, capsys, field, value, message):
+        policy = AffinePolicy.zero(2, 1, 1).to_json()
+        leaf = policy[field][1]
+        while isinstance(leaf[0], list):
+            leaf = leaf[0]
+        leaf[0] = value
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(policy))
+        assert main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
+                     "10", "--seed", "1", "--policy", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 DEEP = "[" * 100_000 + "]" * 100_000   # past any recursion limit of a JSON decoder
 
 
@@ -523,18 +571,21 @@ _WRITERS = {
 }
 
 
+def _writer_argv(tmp_path, command):
+    """``command`` on its ``_WRITERS`` fixture, without outputs."""
+    fixture, _ = _WRITERS[command]
+    if fixture is None:
+        return [command, "--gamma", "1", "--b", "0.5", "--sigma", "1", "--delta", "1",
+                "--n", "2", "--x0", "1"]
+    argv = [command, _stage(tmp_path, fixture)]
+    return argv + (["--n-particles", "10", "--seed", "1"] if command == "simulate" else [])
+
+
 @pytest.mark.parametrize("target", ["directory", "missing_parent"])
 @pytest.mark.parametrize("command, flag", [(c, f) for c, (_, flags) in _WRITERS.items()
                                            for f in flags])
 def test_unwritable_output_path_is_config_error(tmp_path, capsys, command, flag, target):
-    fixture, _ = _WRITERS[command]
-    if fixture is None:
-        argv = [command, "--gamma", "1", "--b", "0.5", "--sigma", "1", "--delta", "1",
-                "--n", "2", "--x0", "1"]
-    else:
-        argv = [command, _stage(tmp_path, fixture)]
-    if command == "simulate":
-        argv += ["--n-particles", "10", "--seed", "1"]
+    argv = _writer_argv(tmp_path, command)
     bad = tmp_path / "missing" / "x.out" if target == "missing_parent" else tmp_path
     if flag != "--out":
         argv += ["--out", str(tmp_path / "ok.json")]
@@ -579,6 +630,111 @@ def test_a_failed_run_keeps_a_linked_output(tmp_path, capsys, failure, target):
                  "--out", str(link), "--trajectory-csv", str(table)]) == 2
     assert capsys.readouterr().out == ""
     assert link.is_symlink() and os.readlink(link) == str(dest)
+
+
+@pytest.mark.parametrize("out_kind", ["link", "file"])
+def test_an_unopenable_later_output_keeps_an_earlier_one(tmp_path, capsys, out_kind):
+    # the run fails before it writes anything, so it changes nothing it did not create
+    kept, out = tmp_path / "kept.json", tmp_path / "out.json"
+    kept.write_text('{"old": 1}')
+    if out_kind == "link":
+        out.symlink_to(kept)
+    else:
+        out.write_text('{"old": 1}')
+    assert main(["solve-finite", _stage(tmp_path, "finite_mean_reverting.json"),
+                 "--out", str(out), "--trajectory-csv", str(tmp_path / "missing" / "t.csv")]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert kept.read_bytes() == out.read_bytes() == b'{"old": 1}'
+    assert out.is_symlink() == (out_kind == "link")
+
+
+@pytest.mark.parametrize("old", [b"x" * 100_000, b"x" * 10], ids=["longer", "shorter"])
+@pytest.mark.parametrize("command", list(_WRITERS))
+def test_a_rerun_over_an_old_output_writes_the_same_bytes(tmp_path, command, old):
+    flags = _WRITERS[command][1]
+    fresh = [tmp_path / f"fresh{i}" for i in range(len(flags))]
+    over = [tmp_path / f"over{i}" for i in range(len(flags))]
+    for path in over:
+        path.write_bytes(old)
+    for paths in (fresh, over):
+        argv = _writer_argv(tmp_path, command)
+        for flag, path in zip(flags, paths):
+            argv += [flag, str(path)]
+        assert main(argv) == 0
+    for a, b in zip(fresh, over):
+        assert a.read_bytes() == b.read_bytes() and len(b.read_bytes()) > 10
+
+
+@pytest.mark.parametrize("out_kind", ["link", "file"])
+def test_a_failure_mid_write_removes_a_file_and_empties_a_linked_one(tmp_path, capsys,
+                                                                        out_kind):
+    # the closed-form constant overflows while the output is written
+    target, out = tmp_path / "target.json", tmp_path / "mv.json"
+    target.write_bytes(b"x" * 100_000)
+    if out_kind == "link":
+        out.symlink_to(target)
+    else:
+        target.rename(out)
+    with np.errstate(over="ignore", divide="ignore"):
+        assert main(["meanvariance", "--gamma", "1", "--b", "1e100", "--sigma", "1",
+                     "--delta", "1", "--n", "2", "--x0", "1", "--out", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    if out_kind == "link":
+        assert out.is_symlink() and target.read_bytes() == b""
+    else:
+        assert not out.exists() and not target.exists()
+
+
+def test_a_device_given_through_a_link_is_written(tmp_path, capsys):
+    link = tmp_path / "null.json"
+    link.symlink_to(os.devnull)
+    assert main(["solve-finite", _stage(tmp_path, "finite_zero.json"), "--out", str(link)]) == 0
+    assert capsys.readouterr().out == ""
+    assert link.is_symlink()
+
+
+@pytest.mark.parametrize("command", list(_WRITERS))
+def test_no_output_is_opened_with_truncation(tmp_path, monkeypatch, command):
+    flags = _WRITERS[command][1]
+    paths = [str(tmp_path / f"out{i}") for i in range(len(flags))]
+    for path in paths[1:]:   # one output is created, the others exist already
+        with open(path, "w") as fh:
+            fh.write("old")
+    opened = []
+    real = os.open
+
+    def recorded(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recorded)
+    argv = _writer_argv(tmp_path, command)
+    for flag, path in zip(flags, paths):
+        argv += [flag, path]
+    assert main(argv) == 0
+    assert sorted(path for path, _ in opened if path in paths) == sorted(paths)
+    assert not any(flags & os.O_TRUNC for path, flags in opened if path in paths)
+
+
+@pytest.mark.parametrize("spelling, existed", [("dot", False), ("dot", True),
+                                               ("absolute", False), ("absolute", True),
+                                               ("hard_link", True)])
+def test_one_file_under_two_spellings_is_config_error(tmp_path, capsys, monkeypatch, spelling,
+                                                       existed):
+    # whichever spelling created the file, nothing is left that was not there before
+    monkeypatch.chdir(tmp_path)
+    scenario = _stage(tmp_path, "finite_mean_reverting.json")
+    if existed:
+        (tmp_path / "out.json").write_text('{"old": 1}')
+    table = {"dot": "./out.json", "absolute": str(tmp_path / "out.json"),
+             "hard_link": "linked.json"}[spelling]
+    if spelling == "hard_link":
+        os.link("out.json", "linked.json")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["solve-finite", scenario, "--out", "out.json", "--trajectory-csv", table]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output ") and "is given twice" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):

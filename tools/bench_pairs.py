@@ -4,17 +4,21 @@ Run from the repository root::
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload riccati-long --pairs 10 --seed 1
     python3 tools/bench_pairs.py PARENT CHANGE --scenario big_tree --pairs 10
+    python3 tools/bench_pairs.py PARENT CHANGE --scenario long_horizon --pairs 10
 
 Both revisions are checked out with ``git worktree`` into a temporary
 directory, and each run is made in each checkout, once per side per pair; the
 parent runs first in even pairs and the change in odd ones.  A ``--workload``
 run is ``benchmarks/run.py --trace 0`` for ``--seconds`` (default 15), and
 must read ``correct: true``.  A ``--scenario`` run is the in-process
-scenario of ``tools/bench_record.py`` of that name at ``--horizon`` stages
-(``big_tree``: ``LONG_RUNS`` solves of the ``dpp-tree`` scenario of seed
-``bench_record.SEED``, by default at ``BIG_TREE_HORIZON``), with the
-checkout's ``src`` on ``PYTHONPATH`` as an absolute path; its metrics are the
-median wall time of its solves and the peak RSS of its process.
+scenario of ``tools/bench_record.py`` of that name at ``--horizon`` stages,
+``LONG_RUNS`` solves in one fresh process with the checkout's ``src`` on
+``PYTHONPATH`` as an absolute path.  ``big_tree`` solves the ``dpp-tree``
+scenario of seed ``bench_record.SEED``, by default at ``BIG_TREE_HORIZON``
+stages; its metrics are the median wall time of its solves and the peak RSS
+of its process.  ``long_horizon``, ``long_horizon_moving`` and
+``long_horizon_fresh`` solve the ``LONG_SCENARIOS`` entry of that key, by
+default at ``LONG_HORIZON`` stages; their metric is the median wall time.
 ``PAIRS_<change>.json`` at the root gets one entry per workload and seed, or
 per scenario and horizon: each run's metrics and, per metric (those of
 ``BENCHMARK.json`` for a workload), each side's median and quartiles, the
@@ -41,7 +45,8 @@ from bench_record import _git
 SECONDS = 15   # benchmark run length, as BENCHMARK.json's run_seconds
 MIN_PAIRS = 10   # the fewest pairs that can show a gain
 # the metrics of each in-process scenario, with the direction that is better
-SCENARIOS = {"big_tree": {"wall_s": "lower", "peak_rss_mb": "lower"}}
+SCENARIOS = {"big_tree": {"wall_s": "lower", "peak_rss_mb": "lower"}} | {
+    key: {"wall_s": "lower"} for key in bench_record.LONG_SCENARIOS}
 
 
 def quartiles(values):
@@ -122,9 +127,13 @@ def run_pairs(root, parent, change, workload, pairs, seed, seconds, log=print):
 def run_scenario_pairs(root, parent, change, scenario, pairs, horizon, log=print):
     """The :func:`compare` summary of each metric of ``SCENARIOS[scenario]`` over
     ``pairs`` alternating runs of that ``bench_record`` scenario at ``horizon``
-    stages at the commits ``parent`` and ``change``, with each run's metrics and
-    nodes per stage."""
+    stages at the commits ``parent`` and ``change``, with each run's metrics
+    (and, for ``big_tree``, its nodes per stage)."""
     def run(tree):
+        if scenario != "big_tree":
+            out = bench_record.long_horizon(tree, horizon, bench_record.LONG_RUNS,
+                                            log=lambda msg: None, key=scenario)
+            return {"wall_s": out["wall_s"]["median"]}
         out = bench_record.big_tree(tree, horizon, bench_record.LONG_RUNS, log=lambda msg: None)
         return {"wall_s": out["wall_s"]["median"], "peak_rss_mb": out["peak_rss_mb"],
                 "nodes_per_stage": out["nodes_per_stage"]}
@@ -162,8 +171,9 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, help="required with --workload")
     parser.add_argument("--seconds", type=float, default=SECONDS)
-    parser.add_argument("--horizon", type=int, default=bench_record.BIG_TREE_HORIZON,
-                        help="stages of a --scenario run")
+    parser.add_argument("--horizon", type=int,
+                        help="stages of a --scenario run (default: LONG_HORIZON, or "
+                             "BIG_TREE_HORIZON for big_tree)")
     args = parser.parse_args(argv)
     if args.workload and args.seed is None:
         parser.error("--workload needs --seed")
@@ -179,6 +189,9 @@ def main(argv=None):
         print(msg, file=sys.stderr)
 
     if args.scenario:
+        if args.horizon is None:
+            args.horizon = (bench_record.BIG_TREE_HORIZON if args.scenario == "big_tree"
+                            else bench_record.LONG_HORIZON)
         entry = run_scenario_pairs(root, args.parent, args.change, args.scenario, args.pairs,
                                    args.horizon, log)
         key = f"{args.scenario} horizon {args.horizon}"
