@@ -424,7 +424,6 @@ class TestErrors:
         assert "drift_control has shape (3, 2), expected (3, 2, 2)" in err
         assert "Traceback" not in err
 
-
     # (path into the scenario's model, value, message after "bad LQ model config: ")
     LQ_LEAVES = [
         (["stages", 1, "drift_state", 0, 0], "0.3287",
@@ -472,6 +471,7 @@ class TestErrors:
         assert main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
                      "10", "--seed", "1", "--policy", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 DEEP = "[" * 100_000 + "]" * 100_000   # past any recursion limit of a JSON decoder
 
