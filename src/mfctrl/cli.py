@@ -32,18 +32,24 @@ MAX_STAGES = 10**6
 MAX_PARTICLES = 10**8
 
 
-def _load_scenario(path):
+def _read_json(path, what):
+    """The JSON object in the file ``path``; an error names the file as ``what``."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ValueError(f"cannot read config {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read {what} {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path!r} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{what} {path!r} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise ValueError(f"config {path!r} is nested too deeply to decode") from exc
+        raise ValueError(f"{what} {path!r} is nested too deeply to decode") from exc
     if not isinstance(data, dict):
-        raise ValueError(f"config {path!r} must be a JSON object, got {type(data).__name__}")
+        raise ValueError(f"{what} {path!r} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _load_scenario(path):
+    data = _read_json(path, "config")
     if "run" in data:
         raise ValueError("config field 'run' is not supported; use the --node-budget, --out, "
                          "--trajectory-csv and --stages-csv flags")
@@ -375,14 +381,7 @@ def _load_policy(args, model):
     if source == "zero":
         return (model.tabular_policy(np.zeros(model.n_states, dtype=int)) if finite
                 else lq.AffinePolicy.zero(model.horizon, model.state_dim, model.control_dim))
-    try:
-        with open(source) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read policy file: {exc}") from exc
-    except RecursionError as exc:
-        raise ValueError(f"policy file {source!r} is nested too deeply to decode") from exc
-    return (TabularMap if finite else lq.AffinePolicy).from_json(payload)
+    return (TabularMap if finite else lq.AffinePolicy).from_json(_read_json(source, "policy file"))
 
 
 def _cmd_simulate(args):

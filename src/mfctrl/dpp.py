@@ -25,7 +25,8 @@ Oracles
 * :func:`classical_factorization_check` compares against per-state backward
   induction when the model has no mean-field interaction.
 * :func:`first_order_check` compares against the pairwise tensor recursion
-  when the model declares first-order interactions.
+  when the model declares first-order interactions, reading the pairwise
+  kernel and costs as the model's own at Dirac laws.
 
 All three evaluate the model through its scalar callables and
 :class:`~mfctrl.measure.DiscreteMeasure` laws, independently of the batched
@@ -399,11 +400,12 @@ def first_order_value_tensors(model: FiniteMFModel) -> list:
     The stage-``k`` tensor has ``2**(n-k+1)`` axes of length ``S``; axes are
     ordered ``(x_1..x_p, y_1..y_p)``.  Each entry minimizes, over all tabular
     maps, the pairwise stage cost of the leading pair plus the contraction of
-    the next tensor with one pairwise kernel row per axis.
+    the next tensor with one pairwise kernel row per axis.  The pairwise
+    kernel and costs of ``(x, y, a, b)`` are the model's own kernel and costs
+    at ``x`` and ``a`` under the Dirac laws at ``y`` and ``b``.
     """
-    if model.first_order is None:
+    if not model.first_order:
         raise ValueError("model does not declare a first-order decomposition; refusing")
-    fo = model.first_order
     S, M, n = model.n_states, model.n_actions, model.horizon
     if S > FIRST_ORDER_MAX_STATES or n > FIRST_ORDER_MAX_HORIZON:
         raise BudgetExceeded(
@@ -414,8 +416,9 @@ def first_order_value_tensors(model: FiniteMFModel) -> list:
         raise BudgetExceeded(
             f"stage-0 tensor would hold {entries} entries (cap {FIRST_ORDER_MAX_ENTRIES})")
     maps = list(itertools.product(range(M), repeat=S))
+    ys, bs = ([DiscreteMeasure.dirac(p) for p in grid] for grid in (model.states, model.actions))
 
-    terminal = np.array([[fo.gtilde(ix, iy) for iy in range(S)] for ix in range(S)])
+    terminal = np.array([[model.terminal_cost(ix, ys[iy]) for iy in range(S)] for ix in range(S)])
     tensors = [None] * (n + 1)
     tensors[n] = terminal
     for k in range(n - 1, -1, -1):
@@ -423,10 +426,10 @@ def first_order_value_tensors(model: FiniteMFModel) -> list:
         pairs = vnext.ndim
         per_map = []
         for m in maps:
-            kern = np.array([[fo.ptilde(k, ix, iy, m[ix], m[iy]) for iy in range(S)]
+            kern = np.array([[model.kernel(k, ix, ys[iy], m[ix], bs[m[iy]]) for iy in range(S)]
                              for ix in range(S)])            # (x, y, x')
-            fmat = np.array([[fo.ftilde(k, ix, iy, m[ix], m[iy]) for iy in range(S)]
-                             for ix in range(S)])            # (x1, y1)
+            fmat = np.array([[model.stage_cost(k, ix, ys[iy], m[ix], bs[m[iy]])
+                              for iy in range(S)] for ix in range(S)])   # (x1, y1)
             res = vnext
             for _ in range(pairs):
                 # contract the leading next-state axis; appends (x_i, y_i) axes

@@ -35,13 +35,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields
-from functools import reduce
-from operator import iadd
 from typing import Optional
 
 import numpy as np
 
-from .measure import SYM_TOL, DiscreteMeasure, _BuiltOnRead, as_integer, short_repr
+from .measure import SYM_TOL, DiscreteMeasure, _BuiltOnRead, _numbers, as_integer
 
 PSD_EIG_TOL = -1e-10   # least eigenvalue of a PSD matrix, here and in moments
 PD_EIG_TOL = 1e-10
@@ -100,24 +98,6 @@ _SHAPES = {
     "terminal_linear": "d", "terminal_linear_mean": "d",
     "initial_mean": "d", "initial_cov": "dd",
 }
-
-
-def _numbers(value, what) -> np.ndarray:
-    """``value``, a JSON number or nested lists of them, as a float array of
-    the shape of its nesting.  Each level is checked in one flat pass: every
-    row's length, then every leaf's type, which must be ``int`` or ``float``
-    (no bool, string or null)."""
-    shape, level = [], [value]
-    while (kinds := set(map(type, level))) == {list}:
-        lengths = set(map(len, level))
-        if len(lengths) > 1:
-            raise ValueError(f"{what} has rows of lengths {sorted(lengths)}")
-        shape.append(lengths.pop())
-        level = reduce(iadd, level, [])   # one list.extend per row
-    if not kinds <= {int, float}:
-        bad = next(v for v in level if type(v) not in (int, float))
-        raise ValueError(f"{what} must hold only numbers, got {short_repr(bad)}")
-    return np.array(level, dtype=float).reshape(shape)
 
 
 def _stacked(column, what) -> np.ndarray:

@@ -17,6 +17,8 @@ Conventions
 from __future__ import annotations
 
 import reprlib
+from functools import reduce
+from operator import iadd
 
 import numpy as np
 
@@ -46,6 +48,24 @@ def as_integer(value, what) -> int:
             or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{what} must be an integer, got {short_repr(value)}")
     return int(value)
+
+
+def _numbers(value, what) -> np.ndarray:
+    """``value``, a JSON number or nested lists of them, as a float array of
+    the shape of its nesting.  Each level is checked in one flat pass: every
+    row's length, then every leaf's type, which must be ``int`` or ``float``
+    (no bool, string or null)."""
+    shape, level = [], [value]
+    while (kinds := set(map(type, level))) == {list}:
+        lengths = set(map(len, level))
+        if len(lengths) > 1:
+            raise ValueError(f"{what} has rows of lengths {sorted(lengths)}")
+        shape.append(lengths.pop())
+        level = reduce(iadd, level, [])   # one list.extend per row
+    if not kinds <= {int, float}:
+        bad = next(v for v in level if type(v) not in (int, float))
+        raise ValueError(f"{what} must hold only numbers, got {short_repr(bad)}")
+    return np.array(level, dtype=float).reshape(shape)
 
 
 class _BuiltOnRead:
@@ -249,7 +269,7 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json(cls, payload: dict) -> "DiscreteMeasure":
-        return cls(payload["support"], payload["weights"])
+        return cls(*(_numbers(payload[name], f"field {name!r}") for name in ("support", "weights")))
 
 
 def grid_laws_json(grid: np.ndarray, rows) -> list:
@@ -359,7 +379,7 @@ class TabularMap:
 
     @classmethod
     def from_json(cls, payload: dict) -> "TabularMap":
-        return cls(payload["domain"], payload["values"])
+        return cls(*(_numbers(payload[name], f"field {name!r}") for name in ("domain", "values")))
 
 
 def image_measure(mu: DiscreteMeasure, policy: TabularMap) -> DiscreteMeasure:

@@ -8,9 +8,10 @@ dependence makes full tabulation impossible in general.
 The module also provides the lifted costs (expected stage/terminal cost as a
 functional of the law and the feedback map), a sampling validator, and a JSON
 config loader with a small set of documented kernel/cost families.  Each
-family's callables also carry a ``batched`` form that evaluates the same
-formula for many (law, feedback map) pairs at once from a :class:`LawBatch`
-of moments.  :func:`evaluate` evaluates a model's components on laws given as
+family writes its formula once, over a :class:`LawBatch` of moments for many
+(law, feedback map) pairs at once; the loader wraps it into the scalar
+callable, which evaluates it at one cell and carries it as its ``batched``
+form.  :func:`evaluate` evaluates a model's components on laws given as
 weight vectors, through ``batched`` when present; the DPP engine, the finite
 particle pass and :func:`validate` all go through it.
 """
@@ -32,6 +33,7 @@ from .measure import (
     TabularMap,
     _as_points,
     _feedback,
+    _numbers,
     as_integer,
     match_indices,
     short_repr,
@@ -43,20 +45,6 @@ TerminalCostFn = Callable[[int, DiscreteMeasure], float]
 
 VALIDATE_TUPLES = 512   # stage tuples :func:`validate` checks at most
 VALIDATE_SEED = 0       # seed of its draw when there are more
-
-
-@dataclass(frozen=True)
-class FirstOrderSpec:
-    """Pairwise decomposition of a model with first-order interactions.
-
-    ``ptilde(stage, ix, iy, ia, ib)`` is the next-state row for the pair
-    ``(x_ix, y_iy)`` with actions ``(a_ia, b_ib)``; ``ftilde`` and ``gtilde``
-    are the pairwise stage and terminal costs.
-    """
-
-    ptilde: Callable[[int, int, int, int, int], np.ndarray]
-    ftilde: Callable[[int, int, int, int, int], float]
-    gtilde: Callable[[int, int], float]
 
 
 def _check_grid(name: str, grid: np.ndarray) -> None:
@@ -89,8 +77,10 @@ class FiniteMFModel:
         and :func:`validate` for ``stage_free``).
     mean_field_free : bool
         Declares that kernel and costs ignore the measure arguments.
-    first_order : FirstOrderSpec, optional
-        Pairwise decomposition, when the model has first-order interactions.
+    first_order : bool
+        Declares first-order interactions: kernel and costs are their values
+        at Dirac laws ``(delta_y, delta_b)``, the pairwise forms, integrated
+        over ``y ~ mu`` and ``b ~ lam``.
     """
 
     states: np.ndarray
@@ -100,7 +90,7 @@ class FiniteMFModel:
     stage_cost: StageCostFn
     terminal_cost: TerminalCostFn
     mean_field_free: bool = False
-    first_order: Optional[FirstOrderSpec] = None
+    first_order: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "states", _as_points(self.states))
@@ -523,19 +513,60 @@ def evaluate(model: FiniteMFModel, stage: int, weights: np.ndarray, cells: np.nd
 # Declarative kernel / cost families (see README for the formulas)
 #
 # Each tag writes its formula once, broadcasting over grid indices and law
-# moments.  The scalar callable computes the moments from its measure
-# arguments; its ``batched`` attribute reads them from a :class:`LawBatch`
-# (kernels and stage costs take ``(stage, batch)``, terminal costs take
-# ``batch``).  :func:`evaluate` uses ``batched`` when a component has one.
-# A kernel whose formula reads no action law declares ``action_law_free`` on
-# its ``batched`` form, and is then evaluated once per (law, state, action).
-# A kernel or stage cost whose formula reads no stage (all but a 4-D
-# ``table``) declares ``stage_free``; :func:`validate` reads such a model at
-# stage 0 only.
-# A builder takes ``(states, actions, horizon, params)``, the grids as float
-# arrays, and returns the component and its pairwise form for
-# :class:`FirstOrderSpec`, or ``None`` when it has none.
+# moments read from a :class:`LawBatch`: kernels and stage costs take
+# ``(stage, batch)``, terminal costs take ``batch``.  A builder takes
+# ``(states, actions, horizon, params)``, the grids as float arrays, and
+# returns the formula, which becomes the component's ``batched`` form.  A
+# kernel formula that reads no action law declares ``action_law_free``, and
+# is then evaluated once per (law, state, action); a kernel or stage cost
+# formula that reads no stage (all but a 4-D ``table``) declares
+# ``stage_free``, and :func:`validate` reads such a model at stage 0 only.
+# The loader wraps each formula into the scalar callable, which evaluates it
+# at one :class:`_Cell`.
 # ---------------------------------------------------------------------------
+
+class _Cell:
+    """One cell of a scalar call, with the fields of a :class:`LawBatch`.
+
+    ``state`` and ``action`` are grid indices.  Each moment is computed from
+    the cell's :class:`DiscreteMeasure` laws, the state law ``mu`` and the
+    action law ``lam``, when the formula reads it.
+    """
+
+    def __init__(self, states, actions, state, mu, action=None, lam=None):
+        self.state, self.action = state, action
+        self._grids, self._mu, self._lam = (states, actions), mu, lam
+
+    mean = property(lambda self: self._mu.mean())
+    second = property(lambda self: self._mu.quadratic_moment(np.eye(self._grids[0].shape[1])))
+    variance = property(lambda self: self._mu.variance_form(np.eye(self._grids[0].shape[1])))
+    mass = property(lambda self: np.array([self._mu.mass_at(x) for x in self._grids[0]]))
+    action_mass = property(lambda self: np.array([self._lam.mass_at(b) for b in self._grids[1]]))
+    action_mean = property(lambda self: self._lam.mean())
+
+
+def _scalar_callables(states, actions, rows, f, g):
+    """The kernel, stage cost and terminal cost of the formulas ``rows``, ``f``
+    and ``g``: each evaluates its formula at one cell, and carries it as its
+    ``batched`` form."""
+    def kernel(k, i, mu, a, lam):
+        return rows(k, _Cell(states, actions, i, mu, a, lam))
+
+    def stage_cost(k, i, mu, a, lam):
+        return float(f(k, _Cell(states, actions, i, mu, a, lam)))
+
+    def terminal_cost(i, mu):
+        return float(g(_Cell(states, actions, i, mu)))
+
+    kernel.batched, stage_cost.batched, terminal_cost.batched = rows, f, g
+    return kernel, stage_cost, terminal_cost
+
+
+def _declared(formula, action_law_free=False, stage_free=False):
+    """``formula`` with its declarations set."""
+    formula.action_law_free, formula.stage_free = action_law_free, stage_free
+    return formula
+
 
 def _dot(u, v):
     """Inner product over the trailing (coordinate) axis."""
@@ -549,12 +580,7 @@ def _two_state_rows(p):
 
 def _kernel_identity(states, actions, horizon, params):
     eye = np.eye(len(states))
-
-    def rows(k, i, mu, a, lam):
-        return eye[i]
-    rows.batched = lambda k, b: eye[b.state]
-    rows.batched.action_law_free = rows.batched.stage_free = True
-    return rows, None
+    return _declared(lambda k, b: eye[b.state], action_law_free=True, stage_free=True)
 
 
 def _kernel_table(states, actions, horizon, params):
@@ -573,13 +599,8 @@ def _kernel_table(states, actions, horizon, params):
                              f"expected exactly {horizon}")
     else:
         raise ValueError("table kernel needs a 3- or 4-dimensional 'rows' array")
-
-    def rows(k, i, mu, a, lam):
-        return table[k, i, a]
-    rows.batched = lambda k, b: table[k, b.state, b.action]
-    rows.batched.action_law_free = True
-    rows.batched.stage_free = stationary
-    return rows, None
+    return _declared(lambda k, b: table[k, b.state, b.action], action_law_free=True,
+                     stage_free=stationary)
 
 
 def _kernel_mean_reverting(states, actions, horizon, params):
@@ -591,17 +612,12 @@ def _kernel_mean_reverting(states, actions, horizon, params):
     grid = states[:, 0]
     acts = actions[:, 0]
 
-    def formula(i, a, mbar):
-        target = (1.0 - theta) * grid[i] + theta * mbar + eta * acts[a]
+    def rows(k, b):
+        target = (1.0 - theta) * grid[b.state] + theta * b.mean[..., 0] + eta * acts[b.action]
         logits = -((grid - target[..., None]) ** 2) / tau
         w = np.exp(logits - fold_last(np.maximum, logits)[..., None])
         return w / sum_last(w)[..., None]
-
-    def rows(k, i, mu, a, lam):
-        return formula(i, a, mu.mean()[0])
-    rows.batched = lambda k, b: formula(b.state, b.action, b.mean[..., 0])
-    rows.batched.action_law_free = rows.batched.stage_free = True
-    return rows, None
+    return _declared(rows, action_law_free=True, stage_free=True)
 
 
 def _kernel_mean_clamp(states, actions, horizon, params):
@@ -610,14 +626,9 @@ def _kernel_mean_clamp(states, actions, horizon, params):
     shift = float(params.get("shift", 0.0))
     acts = actions[:, 0]
 
-    def formula(a, mbar):
-        return _two_state_rows(np.clip(mbar + shift * acts[a], 0.0, 1.0))
-
-    def rows(k, i, mu, a, lam):
-        return formula(a, mu.mean()[0])
-    rows.batched = lambda k, b: formula(b.action, b.mean[..., 0])
-    rows.batched.action_law_free = rows.batched.stage_free = True
-    return rows, None
+    def rows(k, b):
+        return _two_state_rows(np.clip(b.mean[..., 0] + shift * acts[b.action], 0.0, 1.0))
+    return _declared(rows, action_law_free=True, stage_free=True)
 
 
 def _check_first_order_betas(betas):
@@ -637,28 +648,16 @@ def _kernel_first_order(states, actions, horizon, params):
                   for k in ("beta0", "beta_x", "beta_y", "beta_a", "beta_b"))
     _check_first_order_betas(betas)
     b0, bx, by, ba, bb = betas
-    second_state = states[1]
-    second_action = actions[1]
 
-    def formula(i, a, mass_y, mass_b):
-        # mass_y, mass_b: weights of the second state / action under mu, lam
-        return _two_state_rows(b0 + bx * (i == 1) + ba * (a == 1) + by * mass_y + bb * mass_b)
-
-    def rows(k, i, mu, a, lam):
-        return formula(i, a, mu.mass_at(second_state), lam.mass_at(second_action))
-    rows.batched = lambda k, b: formula(b.state, b.action, b.mass[..., 1],
-                                        b.action_mass[..., 1])
-    rows.batched.stage_free = True
-    # the pairwise form: the formula with the laws of y and b Diracs at iy and ib
-    return rows, lambda k, ix, iy, ia, ib: formula(ix, ia, float(iy == 1), float(ib == 1))
+    def rows(k, b):
+        # the masses are the weights of the second state and action under mu and lam
+        return _two_state_rows(b0 + bx * (b.state == 1) + ba * (b.action == 1)
+                               + by * b.mass[..., 1] + bb * b.action_mass[..., 1])
+    return _declared(rows, stage_free=True)
 
 
 def _zero(states, actions, horizon, params):
-    def zero(*args):
-        return 0.0
-    zero.batched = zero   # every argument list gives 0.0, batched or not
-    zero.stage_free = True
-    return zero, zero
+    return _declared(lambda *args: 0.0, stage_free=True)
 
 
 def _quadratic_state_terms(params):
@@ -674,29 +673,17 @@ def _quadratic_state_terms(params):
 def _cost_quadratic(states, actions, horizon, params):
     state_terms = _quadratic_state_terms(params)
     ra, rm, cam, la = (float(params.get(k, 0.0)) for k in ("ra", "rm", "cam", "la"))
-    eye_s = np.eye(states.shape[1])
 
-    def formula(x, act, mbar, var, lbar):
-        return (state_terms(x, mbar, var) + ra * _dot(act, act) + rm * _dot(lbar, lbar)
-                + cam * _dot(act, lbar) + la * sum_last(act))
-
-    def f(k, i, mu, a, lam):
-        return float(formula(states[i], actions[a], mu.mean(), mu.variance_form(eye_s),
-                             lam.mean()))
-    f.batched = lambda k, b: formula(states[b.state], actions[b.action], b.mean,
-                                     b.variance, b.action_mean)
-    f.batched.stage_free = True
-    return f, None
+    def f(k, b):
+        act, lbar = actions[b.action], b.action_mean
+        return (state_terms(states[b.state], b.mean, b.variance) + ra * _dot(act, act)
+                + rm * _dot(lbar, lbar) + cam * _dot(act, lbar) + la * sum_last(act))
+    return _declared(f, stage_free=True)
 
 
 def _terminal_quadratic(states, actions, horizon, params):
     state_terms = _quadratic_state_terms(params)
-    eye_s = np.eye(states.shape[1])
-
-    def g(i, mu):
-        return float(state_terms(states[i], mu.mean(), mu.variance_form(eye_s)))
-    g.batched = lambda b: state_terms(states[b.state], b.mean, b.variance)
-    return g, None
+    return lambda b: state_terms(states[b.state], b.mean, b.variance)
 
 
 def _cost_fo_pinned(states, actions, horizon, params):
@@ -711,16 +698,11 @@ def _cost_fo_pinned(states, actions, horizon, params):
     if pinned.shape != (len(states),):
         raise ValueError("fo_pinned needs one pinned action index per state")
 
-    def formula(i, a, mbar):
+    def f(k, b):
+        i, a, mbar = b.state, b.action, b.mean[..., 0]
         return (kappa * (acts[a] - acts[pinned[i]]) ** 2
                 + p_xy * xs[i] * mbar + p_a * acts[a] + p_ay * acts[a] * mbar + p_x * xs[i])
-
-    def f(k, i, mu, a, lam):
-        return float(formula(i, a, mu.mean()[0]))
-    f.batched = lambda k, b: formula(b.state, b.action, b.mean[..., 0])
-    f.batched.stage_free = True
-    # the pairwise form: the formula with the law of y a Dirac at x_iy
-    return f, lambda k, ix, iy, ia, ib: formula(ix, ia, xs[iy])
+    return _declared(f, stage_free=True)
 
 
 def _terminal_fo_bilinear(states, actions, horizon, params):
@@ -729,19 +711,15 @@ def _terminal_fo_bilinear(states, actions, horizon, params):
     t_yy = float(params.get("t_yy", 0.0))
     t_x = float(params.get("t_x", 0.0))
     xs = states[:, 0]
-    eye_s = np.eye(states.shape[1])
 
-    def formula(i, mbar, m2):
-        return t_xy * xs[i] * mbar + t_xx * xs[i] ** 2 + t_yy * m2 + t_x * xs[i]
-
-    def g(i, mu):
-        return float(formula(i, mu.mean()[0], mu.quadratic_moment(eye_s)))
-    g.batched = lambda b: formula(b.state, b.mean[..., 0], b.second)
-    return g, lambda ix, iy: formula(ix, xs[iy], xs[iy] ** 2)   # the law of y a Dirac at x_iy
+    def g(b):
+        x = xs[b.state]
+        return t_xy * x * b.mean[..., 0] + t_xx * x ** 2 + t_yy * b.second + t_x * x
+    return g
 
 
 # One table per component kind: tag -> builder, with, for a cost, the kernels
-# it serves (True: ``first_order``, the one kernel with a pairwise form).
+# it serves (True: ``first_order``, the one first-order kernel).
 _KERNELS = {
     "identity": _kernel_identity,
     "table": _kernel_table,
@@ -761,20 +739,21 @@ _TERMINAL_COSTS = {
 }
 
 
-def _cost_builder(table, tag, pairwise, kind, needs):
+def _cost_builder(table, tag, first_order, kind, needs):
     """The builder of the ``kind`` cost ``tag`` if it serves the kernel, else a
     ``ValueError``: the tag is unknown, or, after a ``first_order`` kernel,
     ``needs`` names what that kernel needs."""
     # a JSON list or object as the tag is unknown too, not an unhashable key
     build, serves = table.get(tag, (None, ())) if isinstance(tag, str) else (None, ())
-    if pairwise not in serves:
-        raise ValueError(f"first_order kernel needs {needs} {short_repr(tag)}" if pairwise
+    if first_order not in serves:
+        raise ValueError(f"first_order kernel needs {needs} {short_repr(tag)}" if first_order
                          else f"unknown {kind} tag {short_repr(tag)}")
     return build
 
 
-def _finite_leaves(value) -> bool:
-    """Whether every float in a JSON value, nested lists and objects included, is finite.
+def _check_leaves(value, what):
+    """Raise ``ValueError`` unless every leaf of a JSON value, nested lists and
+    objects included, is a finite number: a bool, string or null is none.
 
     The walk keeps its own stack, so no nesting depth exhausts the interpreter's.
     """
@@ -783,9 +762,10 @@ def _finite_leaves(value) -> bool:
         value = pending.pop()
         if isinstance(value, (dict, list)):
             pending.extend(value.values() if isinstance(value, dict) else value)
+        elif value is None or isinstance(value, (bool, str)):
+            raise ValueError(f"{what} must hold only numbers, got {short_repr(value)}")
         elif isinstance(value, float) and not math.isfinite(value):
-            return False
-    return True
+            raise ValueError(f"{what} has non-finite entries")
 
 
 def _tagged(config: dict, name: str):
@@ -795,8 +775,7 @@ def _tagged(config: dict, name: str):
     if not isinstance(params, dict):
         raise ValueError(f"{name} must be an object with a 'params' object")
     for key, value in params.items():
-        if not _finite_leaves(value):
-            raise ValueError(f"{name} param {short_repr(key)} has non-finite entries")
+        _check_leaves(value, f"{name} param {short_repr(key)}")
     return block["tag"], params
 
 
@@ -805,34 +784,30 @@ def finite_model_from_config(config: dict) -> FiniteMFModel:
 
     See the README for the recognized kernel and cost tags and their formulas.
     The kernel, the stage cost and the terminal cost are each looked up in
-    their table and built, in that order.
+    their table and built, in that order.  The model is first-order exactly
+    when its kernel is the ``first_order`` tag.
     """
     if not isinstance(config, dict):
         raise ValueError(f"model config must be an object, got {type(config).__name__}")
-    states = _as_points(config["states"])
-    actions = _as_points(config["actions"])
+    states = _as_points(_numbers(config["states"], "states"))
+    actions = _as_points(_numbers(config["actions"], "actions"))
     _check_grid("states", states)
     _check_grid("actions", actions)
     horizon = as_integer(config["horizon"], "horizon")
     ktag, kparams = _tagged(config, "kernel")
     ctag, cparams = _tagged(config, "stage_cost")
     ttag, tparams = _tagged(config, "terminal_cost")
+    mean_field_free = config.get("mean_field_free", False)
+    if not isinstance(mean_field_free, bool):
+        raise ValueError(f"mean_field_free must be true or false, got {short_repr(mean_field_free)}")
 
     if not isinstance(ktag, str) or ktag not in _KERNELS:   # a list tag is unknown too
         raise ValueError(f"unknown kernel tag {short_repr(ktag)}")
-    rows, ptilde = _KERNELS[ktag](states, actions, horizon, kparams)
-    pairwise = ptilde is not None
-    f, ftilde = _cost_builder(_STAGE_COSTS, ctag, pairwise, "stage cost",
-                              "a pairwise stage cost, got tag")(states, actions, horizon, cparams)
-    g, gtilde = _cost_builder(_TERMINAL_COSTS, ttag, pairwise, "terminal cost",
-                              "terminal tag 'fo_bilinear', got")(states, actions, horizon, tparams)
-    return FiniteMFModel(
-        states=states,
-        actions=actions,
-        horizon=horizon,
-        kernel=rows,
-        stage_cost=f,
-        terminal_cost=g,
-        mean_field_free=bool(config.get("mean_field_free", False)),
-        first_order=FirstOrderSpec(ptilde, ftilde, gtilde) if pairwise else None,
-    )
+    rows = _KERNELS[ktag](states, actions, horizon, kparams)
+    first_order = ktag == "first_order"
+    f = _cost_builder(_STAGE_COSTS, ctag, first_order, "stage cost",
+                      "a pairwise stage cost, got tag")(states, actions, horizon, cparams)
+    g = _cost_builder(_TERMINAL_COSTS, ttag, first_order, "terminal cost",
+                      "terminal tag 'fo_bilinear', got")(states, actions, horizon, tparams)
+    return FiniteMFModel(states, actions, horizon, *_scalar_callables(states, actions, rows, f, g),
+                         mean_field_free=mean_field_free, first_order=first_order)

@@ -178,3 +178,46 @@ def test_a_terminated_run_removes_its_worktrees(tmp_path):
     assert subprocess.run(["git", "status", "--porcelain", "--untracked-files=all"],
                           cwd=clone, capture_output=True, text=True,
                           check=True).stdout == ""
+
+
+def _commit(clone, path, text, message):
+    """Append ``text`` to ``path`` in ``clone`` and commit it; return the commit."""
+    with open(os.path.join(clone, path), "a") as fh:
+        fh.write(text)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(git + ["commit", "--quiet", "-am", message], cwd=clone, check=True)
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=clone, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def _outputs(clone, parent, change):
+    return subprocess.run([sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"),
+                           parent, change, "--outputs", "--workload", "dpp-sweep",
+                           "--seed", "1"],
+                          cwd=clone, capture_output=True, text=True, timeout=600)
+
+
+def test_outputs_of_two_commits(tmp_path):
+    # a commit that changes no output, then one that writes a line to stderr
+    clone = _clone(tmp_path)
+    quiet = _commit(clone, "README.md", "\n", "Touch the README")
+    loud = _commit(clone, os.path.join("src", "mfctrl", "__init__.py"),
+                   "\nimport sys\nsys.stderr.write('loud\\n')\n", "Write to stderr")
+    same = _outputs(clone, "HEAD~2", quiet)
+    assert same.returncode == 0, same.stderr
+    assert same.stdout == "dpp-sweep seed 1: 0 of 10 ops differ\n"
+    differ = _outputs(clone, quiet, loud)
+    assert differ.returncode == 1, differ.stderr
+    lines = differ.stdout.splitlines()
+    assert lines[-1] == "dpp-sweep seed 1: 10 of 10 ops differ"
+    assert len(lines) == 11 and all(line.endswith(": stderr differ") for line in lines[:-1])
+    assert len(_worktrees(clone)) == 1
+    assert subprocess.run(["git", "status", "--porcelain", "--untracked-files=all"],
+                          cwd=clone, capture_output=True, text=True,
+                          check=True).stdout == ""
+
+
+def test_outputs_need_a_workload(capsys):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["HEAD", "HEAD", "--outputs", "--scenario", "big_tree"])
+    assert "--outputs needs --workload" in capsys.readouterr().err

@@ -399,7 +399,7 @@ class TestErrors:
         assert main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
                      "10", "--seed", "1", "--policy", str(tmp_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: cannot read policy file: ")
+        assert err.startswith(f"config error: cannot read policy file {str(tmp_path)!r}: ")
         assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("shape, message", [
@@ -471,6 +471,66 @@ class TestErrors:
         assert main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
                      "10", "--seed", "1", "--policy", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    # (path into the finite scenario, value, message after "config error: ")
+    FINITE_LEAVES = [
+        (["model", "kernel", "params", "theta"], "0.4",
+         "bad finite model config: kernel param 'theta' must hold only numbers, got '0.4'"),
+        (["model", "kernel", "params", "theta"], None,
+         "bad finite model config: kernel param 'theta' must hold only numbers, got None"),
+        (["model", "stage_cost", "params", "qx"], [0.3, [True]],
+         "bad finite model config: stage_cost param 'qx' must hold only numbers, got True"),
+        (["model", "states", 0], ["-1.0"],
+         "bad finite model config: states must hold only numbers, got '-1.0'"),
+        (["model", "actions", 1], [False],
+         "bad finite model config: actions must hold only numbers, got False"),
+        (["model", "mean_field_free"], "false",
+         "bad finite model config: mean_field_free must be true or false, got 'false'"),
+        (["model", "mean_field_free"], 1,
+         "bad finite model config: mean_field_free must be true or false, got 1"),
+        (["initial_law", "weights", 0], "0.2",
+         "bad initial_law: field 'weights' must hold only numbers, got '0.2'"),
+        (["initial_law", "support", 2], [None],
+         "bad initial_law: field 'support' must hold only numbers, got None"),
+    ]
+
+    @pytest.mark.parametrize("path, value, message", FINITE_LEAVES,
+                             ids=["str-param", "null-param", "bool-in-list", "str-state",
+                                  "bool-action", "str-flag", "int-flag", "str-weight",
+                                  "null-support"])
+    def test_finite_scenarios_take_only_numbers(self, tmp_path, capsys, path, value, message):
+        data = json.loads(fixture_text("finite_mean_reverting.json"))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        out = tmp_path / "solve.json"
+        assert main(["solve-finite", _scenario(tmp_path, data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_finite_policy_files_take_only_numbers(self, tmp_path, capsys):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"domain": [["-1.0"], [0.0], [1.0]],
+                                    "values": [[0.0], [1.0], [0.0]]}))
+        assert main(["simulate", _stage(tmp_path, "finite_mean_reverting.json"), "--n-particles",
+                     "10", "--seed", "1", "--policy", str(path)]) == 2
+        assert capsys.readouterr().err == ("config error: field 'domain' must hold only numbers, "
+                                           "got '-1.0'\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "is not valid JSON: Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1)"),
+        ("[1, 2]", "must be a JSON object, got list"),
+    ], ids=["not-json", "list"])
+    def test_a_bad_policy_file_is_named(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "sim.json"
+        assert main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
+                     "10", "--seed", "1", "--policy", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: policy file {str(path)!r} {message}\n"
+        assert not out.exists()
 
 
 DEEP = "[" * 100_000 + "]" * 100_000   # past any recursion limit of a JSON decoder

@@ -208,18 +208,6 @@ class TestConfig:
                 "stage_cost": {"tag": "zero"},
                 "terminal_cost": {"tag": "zero"}})
 
-    def test_first_order_fixture_roundtrips_kernel_and_pairwise_form(self):
-        model, mu0 = load_finite("fo_coupled_costs.json")
-        fo = model.first_order
-        lam = DiscreteMeasure(model.actions, [0.4, 0.6])
-        # mixing the pairwise kernel over y against mu reproduces the model kernel
-        for i in range(2):
-            for a in range(2):
-                mixed = sum(w * fo.ptilde(0, i, iy, a, 0)
-                            for iy, w in enumerate(mu0.weights_on_grid(model.states)))
-                np.testing.assert_allclose(
-                    mixed, model.kernel(0, i, mu0, a, lam), atol=1e-14)
-
 
 @pytest.mark.parametrize("field", ["states", "actions"])
 def test_coinciding_grid_points_rejected(field):

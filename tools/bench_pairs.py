@@ -5,6 +5,7 @@ Run from the repository root::
     python3 tools/bench_pairs.py PARENT CHANGE --workload riccati-long --pairs 10 --seed 1
     python3 tools/bench_pairs.py PARENT CHANGE --scenario big_tree --pairs 10
     python3 tools/bench_pairs.py PARENT CHANGE --scenario long_horizon --pairs 10
+    python3 tools/bench_pairs.py PARENT CHANGE --outputs --workload dpp-sweep --seed 1
 
 Both revisions are checked out with ``git worktree`` into a temporary
 directory, and each run is made in each checkout, once per side per pair; the
@@ -27,15 +28,24 @@ pairs the change wins (ties count for neither), the median paired difference
 pairs, nine tenths of them won, and the medians apart by more than the
 parent's interquartile range.  Runs are sequential; run nothing else
 meanwhile.
+
+With ``--outputs`` nothing is timed or recorded: the ops of the workload at
+``--seed``, from ``benchmarks/workloads.build`` of the repository root, are
+written once into a temporary directory, and each op is run once by the
+command line of each checkout (``python -m mfctrl.cli``).  The tool lists
+every op whose exit code, standard output, standard error or output bytes
+differ, and exits 1 if there is one.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
 import statistics
+import subprocess
 import sys
 import tempfile
 
@@ -73,27 +83,35 @@ def compare(parent, change, better):
                 gain=len(parent) >= MIN_PAIRS and wins >= 0.9 * len(parent) and lead > spread)
 
 
-def _alternate(root, parent, change, pairs, run, label, log):
-    """The commits ``parent`` and ``change`` resolved, and each side's results of
-    ``run(tree)`` in a worktree of its commit, over ``pairs`` alternating pairs."""
+@contextlib.contextmanager
+def _worktrees(root, parent, change):
+    """The commits ``parent`` and ``change`` resolved, and a worktree of each,
+    by side; the worktrees are removed on exit."""
     commits = {"parent": _git(root, "rev-parse", "--verify", parent + "^{commit}"),
                "change": _git(root, "rev-parse", "--verify", change + "^{commit}")}
-    runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: os.path.join(tmp, side) for side in commits}
         try:
             for side, commit in commits.items():
                 _git(root, "worktree", "add", "--detach", trees[side], commit)
-            for i in range(pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    log(f"{label}: pair {i + 1}/{pairs}, {side}")
-                    runs[side].append(run(trees[side]) | {"first": side == order[0]})
+            yield commits, trees
         finally:
             for tree in trees.values():
                 if os.path.isdir(tree):
                     _git(root, "worktree", "remove", "--force", tree)
             _git(root, "worktree", "prune")
+
+
+def _alternate(root, parent, change, pairs, run, label, log):
+    """The commits ``parent`` and ``change`` resolved, and each side's results of
+    ``run(tree)`` in a worktree of its commit, over ``pairs`` alternating pairs."""
+    runs = {"parent": [], "change": []}
+    with _worktrees(root, parent, change) as (commits, trees):
+        for i in range(pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                log(f"{label}: pair {i + 1}/{pairs}, {side}")
+                runs[side].append(run(trees[side]) | {"first": side == order[0]})
     return commits, runs
 
 
@@ -145,6 +163,45 @@ def run_scenario_pairs(root, parent, change, scenario, pairs, horizon, log=print
             "metrics": _summaries(runs, SCENARIOS[scenario])}
 
 
+def _run_op(tree, op):
+    """The exit code, standard output, standard error and output bytes (``None``
+    for no output file) of the op ``op`` run by the command line of ``tree``."""
+    if os.path.exists(op.out):
+        os.remove(op.out)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(os.path.join(tree, "src")), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "mfctrl.cli", *op.argv], cwd=tree, env=env,
+                          capture_output=True)
+    output = None
+    if os.path.exists(op.out):
+        with open(op.out, "rb") as fh:
+            output = fh.read()
+    return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+            "output": output}
+
+
+def compare_outputs(root, parent, change, workload, seed, log=print):
+    """The ops of ``workload`` at ``seed``, each run once at the commits ``parent``
+    and ``change``: the label of each op, mapped to the fields of
+    :func:`_run_op` that differ between the two (none when it is the same)."""
+    sys.path.insert(0, os.path.join(root, "benchmarks"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    differ = {}
+    with _worktrees(root, parent, change) as (commits, trees), \
+            tempfile.TemporaryDirectory() as run_dir:
+        for op in workloads.build(workload, seed, run_dir):
+            results = {}
+            for side, tree in trees.items():
+                log(f"{workload} seed {seed}: {op.label}, {side}")
+                results[side] = _run_op(tree, op)
+            differ[op.label] = [field for field, value in results["parent"].items()
+                                if results["change"][field] != value]
+    return differ
+
+
 def record(path, key, entry, machine):
     """Add ``entry`` to the ``PAIRS_*.json`` file ``path`` under ``key``,
     replacing an earlier entry of the same pair of commits."""
@@ -168,6 +225,8 @@ def main(argv=None):
     which = parser.add_mutually_exclusive_group(required=True)
     which.add_argument("--workload")
     which.add_argument("--scenario", choices=sorted(SCENARIOS))
+    parser.add_argument("--outputs", action="store_true",
+                        help="compare each op's exit code and bytes out, once per side")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, help="required with --workload")
     parser.add_argument("--seconds", type=float, default=SECONDS)
@@ -177,6 +236,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.workload and args.seed is None:
         parser.error("--workload needs --seed")
+    if args.outputs and not args.workload:
+        parser.error("--outputs needs --workload")
     root = os.getcwd()
     if not os.path.isfile(os.path.join(root, "BENCHMARK.json")):
         sys.exit("run from the repository root (BENCHMARK.json not found)")
@@ -188,6 +249,14 @@ def main(argv=None):
     def log(msg):
         print(msg, file=sys.stderr)
 
+    if args.outputs:
+        differ = compare_outputs(root, args.parent, args.change, args.workload, args.seed, log)
+        for label, fields in differ.items():
+            if fields:
+                print(f"{label}: {', '.join(fields)} differ")
+        bad = sum(map(bool, differ.values()))
+        print(f"{args.workload} seed {args.seed}: {bad} of {len(differ)} ops differ")
+        return 1 if bad else 0
     if args.scenario:
         if args.horizon is None:
             args.horizon = (bench_record.BIG_TREE_HORIZON if args.scenario == "big_tree"
