@@ -7,7 +7,8 @@ import pytest
 from conftest import load_finite
 from mfctrl import dpp
 from mfctrl.measure import DiscreteMeasure
-from mfctrl.model import FiniteMFModel, lifted_terminal_cost
+from mfctrl.fixtures import list_fixtures, load_fixture
+from mfctrl.model import FiniteMFModel, finite_model_from_config, lifted_terminal_cost
 
 FO_FIXTURES = ("fo_coupled_costs.json", "fo_degenerate.json", "fo_kernel_coupled.json")
 
@@ -32,6 +33,14 @@ def test_components_are_double_mixtures_of_their_dirac_values(name):
         for i in range(2):
             assert sum(wy[y] * model.terminal_cost(i, ys[y]) for y in range(2)) == \
                 pytest.approx(model.terminal_cost(i, mu), rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", [n for n in list_fixtures() if n.startswith(("fo_", "finite_"))])
+def test_a_config_is_first_order_exactly_with_the_first_order_kernel(name):
+    data = load_fixture(name)
+    model = finite_model_from_config(data["model"])
+    assert model.first_order is (data["model"]["kernel"]["tag"] == "first_order")
+    assert model.first_order is name.startswith("fo_")
 
 
 def test_terminal_tensor_with_state_only_pair_cost():

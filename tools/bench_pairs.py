@@ -168,10 +168,8 @@ def _run_op(tree, op):
     for no output file) of the op ``op`` run by the command line of ``tree``."""
     if os.path.exists(op.out):
         os.remove(op.out)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.abspath(os.path.join(tree, "src")), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "mfctrl.cli", *op.argv], cwd=tree, env=env,
-                          capture_output=True)
+    proc = subprocess.run([sys.executable, "-m", "mfctrl.cli", *op.argv], cwd=tree,
+                          env=bench_record._src_env(tree), capture_output=True)
     output = None
     if os.path.exists(op.out):
         with open(op.out, "rb") as fh:

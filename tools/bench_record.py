@@ -165,12 +165,16 @@ def _benchmark(root, workload, seed, seconds, trace):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _timed(root, argv):
+def _src_env(root):
+    """The environment with the checkout's ``src`` first on ``PYTHONPATH``."""
     # an absolute path: the big tree's peak RSS moved by 32 MB with a relative one
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.abspath(os.path.join(root, "src")), os.environ.get("PYTHONPATH")])))
+
+
+def _timed(root, argv):
     start = time.perf_counter()
-    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=root, env=_src_env(root), capture_output=True, text=True)
     elapsed = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": elapsed, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}
