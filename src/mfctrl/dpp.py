@@ -298,19 +298,24 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
     )
 
 
+def _finite(cost: float, what: str, k: int) -> float:
+    if not math.isfinite(cost):
+        raise ValueError(f"non-finite lifted {what} cost at stage {k}")
+    return cost
+
+
 def rollforward(model: FiniteMFModel, mu0: DiscreteMeasure, policy_sequence):
-    """Total lifted cost and law trajectory of a feedback-map sequence (scalar oracle)."""
+    """Total lifted cost and law trajectory of a feedback-map sequence (scalar
+    oracle); a lifted stage or terminal cost that is not finite raises ``ValueError``."""
     if len(policy_sequence) != model.horizon:
         raise ValueError(
             f"need {model.horizon} maps, got {len(policy_sequence)}")
-    mu = mu0
-    trajectory = [mu]
-    total = 0.0
+    mu, trajectory, total = mu0, [mu0], 0.0
     for k, policy in enumerate(policy_sequence):
-        total += lifted_stage_cost(model, k, mu, policy)
+        total += _finite(lifted_stage_cost(model, k, mu, policy), "stage", k)
         mu = pushforward(mu, policy, model, k)
         trajectory.append(mu)
-    total += lifted_terminal_cost(model, mu)
+    total += _finite(lifted_terminal_cost(model, mu), "terminal", model.horizon)
     return float(total), trajectory
 
 

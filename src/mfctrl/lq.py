@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
-from .measure import SYM_TOL, DiscreteMeasure, _BuiltOnRead, _numbers, as_integer
+from .measure import SYM_TOL, DiscreteMeasure, _numbers, as_integer
 
 PSD_EIG_TOL = -1e-10   # least eigenvalue of a PSD matrix, here and in moments
 PD_EIG_TOL = 1e-10
@@ -363,19 +364,25 @@ class StageConditions:
     evaluated: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class ConditionReport:
     """The conditions at every stage and at the terminal cost.
 
     ``ok`` and ``first_failure`` are set by the backward pass; the
-    :class:`StageConditions` rows of ``stages`` are built on first read, since
-    a solve reads only ``first_failure``.
+    :class:`StageConditions` rows of ``stages`` are built by ``build_rows`` on
+    first read, since a solve reads only ``first_failure``.  Equality compares them too.
     """
 
-    stages: list = _BuiltOnRead()
+    build_rows: Callable[[], list] = field(repr=False)
     terminal_ok: bool
     terminal_failures: list
     first_failure: Optional[tuple]
+
+    stages = cached_property(lambda self: self.build_rows())
+
+    def __eq__(self, other):
+        key = lambda r: (r.stages, r.terminal_ok, r.terminal_failures, r.first_failure)
+        return type(other) is ConditionReport and key(self) == key(other)
 
     @property
     def ok(self) -> bool:

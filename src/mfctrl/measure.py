@@ -17,6 +17,7 @@ Conventions
 from __future__ import annotations
 
 import reprlib
+from dataclasses import dataclass
 from functools import reduce
 from operator import iadd
 
@@ -68,38 +69,25 @@ def _numbers(value, what) -> np.ndarray:
     return np.array(level, dtype=float).reshape(shape)
 
 
-class _BuiltOnRead:
-    """Dataclass field whose value may be given as a function building it.
+# The rank of each array of the finite JSON readers; an empty list passes, for its reader to name
+_RANKS = {"states": 2, "actions": 2, "support": 2, "domain": 2, "values": 2, "weights": 1}
 
-    The function runs on the first read, and its result replaces it.
-    """
 
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.slot)      # the field has no default
-        value = getattr(obj, self.slot)
-        if callable(value):
-            value = value()
-            setattr(obj, self.slot, value)
-        return value
-
-    def __set__(self, obj, value):
-        setattr(obj, self.slot, value)
+def _ranked(payload: dict, name: str, what: str) -> np.ndarray:
+    """:func:`_numbers` of ``payload[name]``, of the rank ``_RANKS[name]``."""
+    arr = _numbers(payload[name], what)
+    if arr.ndim != _RANKS[name] and arr.shape != (0,):
+        due = "a list of points" if _RANKS[name] == 2 else "a flat list of numbers"
+        raise ValueError(f"{what} must be {due}, got {short_repr(payload[name])}")
+    return arr
 
 
 def _as_points(points) -> np.ndarray:
     """Coerce scalars / vectors / (n, d) data to a float array of shape (n, d)."""
     arr = np.asarray(points, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    elif arr.ndim != 2:
+    if arr.ndim > 2:
         raise ValueError(f"points must be at most 2-dimensional, got shape {arr.shape}")
-    return arr
+    return arr if arr.ndim == 2 else arr.reshape(-1, 1)
 
 
 def _as_point(point) -> np.ndarray:
@@ -132,6 +120,7 @@ def _merge_points(points: np.ndarray, weights: np.ndarray):
     return np.array(out_pts), np.array(out_wts)
 
 
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Probability measure on a finite set of points in ``R^d``.
 
@@ -150,11 +139,15 @@ class DiscreteMeasure:
         one, or shape mismatch.
     """
 
-    __slots__ = ("_support", "_weights")
+    # not slots=True: on Python 3.11 the class it copies leaves the frozen
+    # __setattr__ raising TypeError, not AttributeError, for a name not a field
+    __slots__ = ("support", "weights")
+    support: np.ndarray
+    weights: np.ndarray
 
-    def __init__(self, support, weights):
-        pts = _as_points(support)
-        wts = np.asarray(weights, dtype=float).reshape(-1)
+    def __post_init__(self):
+        pts = _as_points(self.support)
+        wts = np.asarray(self.weights, dtype=float).reshape(-1)
         if len(pts) != len(wts):
             raise ValueError(f"{len(pts)} support points but {len(wts)} weights")
         if pts.size == 0:
@@ -177,27 +170,15 @@ class DiscreteMeasure:
         wts = wts / wts.sum()
         pts.setflags(write=False)
         wts.setflags(write=False)
-        object.__setattr__(self, "_support", pts)
-        object.__setattr__(self, "_weights", wts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiscreteMeasure is immutable")
-
-    # -- basic accessors -----------------------------------------------------
-    @property
-    def support(self) -> np.ndarray:
-        return self._support
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
+        object.__setattr__(self, "support", pts)
+        object.__setattr__(self, "weights", wts)
 
     @property
     def dim(self) -> int:
-        return self._support.shape[1]
+        return self.support.shape[1]
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self.weights)
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure({len(self)} points, d={self.dim})"
@@ -215,7 +196,7 @@ class DiscreteMeasure:
     # -- moments ---------------------------------------------------------------
     def mean(self) -> np.ndarray:
         """First moment, shape ``(d,)``."""
-        return self._weights @ self._support
+        return self.weights @ self.support
 
     def _check_symmetric(self, quad) -> np.ndarray:
         lam = np.asarray(quad, dtype=float)
@@ -228,7 +209,7 @@ class DiscreteMeasure:
         return lam
 
     def _quadratic_moment(self, lam: np.ndarray) -> float:
-        return float(np.einsum("i,ij,jk,ik->", self._weights, self._support, lam, self._support))
+        return float(np.einsum("i,ij,jk,ik->", self.weights, self.support, lam, self.support))
 
     def quadratic_moment(self, quad) -> float:
         """``sum_i w_i x_i' Q x_i`` for a symmetric matrix ``Q``."""
@@ -243,33 +224,30 @@ class DiscreteMeasure:
     def covariance(self) -> np.ndarray:
         """Second central moment matrix, shape ``(d, d)``."""
         m = self.mean()
-        centered = self._support - m
-        return np.einsum("i,ij,ik->jk", self._weights, centered, centered)
+        centered = self.support - m
+        return np.einsum("i,ij,ik->jk", self.weights, centered, centered)
 
     def mass_at(self, point) -> float:
         """Total weight within ``MERGE_TOL`` (max-norm) of ``point``."""
         p = _as_point(point)
-        hit = np.max(np.abs(self._support - p), axis=1) <= MERGE_TOL
-        return float(self._weights[hit].sum())
+        hit = np.max(np.abs(self.support - p), axis=1) <= MERGE_TOL
+        return float(self.weights[hit].sum())
 
     def weights_on_grid(self, grid: np.ndarray) -> np.ndarray:
         """Full weight vector over ``grid`` rows (zeros off the support)."""
         grid = _as_points(grid)
         out = np.zeros(len(grid))
-        idx = match_indices(self._support, grid)
-        out[idx] = self._weights
+        idx = match_indices(self.support, grid)
+        out[idx] = self.weights
         return out
 
     # -- serialization ------------------------------------------------------------
     def to_json(self) -> dict:
-        return {
-            "support": [list(map(float, p)) for p in self._support],
-            "weights": [float(w) for w in self._weights],
-        }
+        return {"support": self.support.tolist(), "weights": self.weights.tolist()}
 
     @classmethod
     def from_json(cls, payload: dict) -> "DiscreteMeasure":
-        return cls(*(_numbers(payload[name], f"field {name!r}") for name in ("support", "weights")))
+        return cls(*(_ranked(payload, name, f"field {name!r}") for name in ("support", "weights")))
 
 
 def grid_laws_json(grid: np.ndarray, rows) -> list:
@@ -317,6 +295,7 @@ def match_indices(points: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return hits.argmax(axis=1)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class TabularMap:
     """Total map from a finite point set to action points in ``R^m``.
 
@@ -328,35 +307,22 @@ class TabularMap:
         One action point per domain point.
     """
 
-    __slots__ = ("_domain", "_values")
+    __slots__ = ("domain", "values")   # as in DiscreteMeasure
+    domain: np.ndarray
+    values: np.ndarray
 
-    def __init__(self, domain, values):
-        dom = _as_points(domain)
-        val = _as_points(values)
+    def __post_init__(self):
+        dom, val = _as_points(self.domain), _as_points(self.values)
         if len(dom) != len(val):
             raise ValueError(f"{len(dom)} domain points but {len(val)} values")
         dom.setflags(write=False)
         val.setflags(write=False)
-        object.__setattr__(self, "_domain", dom)
-        object.__setattr__(self, "_values", val)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TabularMap is immutable")
-
-    @property
-    def domain(self) -> np.ndarray:
-        return self._domain
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    def __len__(self) -> int:
-        return len(self._domain)
+        object.__setattr__(self, "domain", dom)
+        object.__setattr__(self, "values", val)
 
     def _indices(self, points) -> np.ndarray:
         try:
-            return match_indices(points, self._domain)
+            return match_indices(points, self.domain)
         except NotOnGrid as exc:
             raise ValueError(f"map is not defined at point {exc.point}") from None
 
@@ -365,21 +331,24 @@ class TabularMap:
         return int(self._indices(_as_point(point)[None, :])[0])
 
     def __call__(self, point) -> np.ndarray:
-        return self._values[self.index_of(point)]
+        return self.values[self.index_of(point)]
 
     def at(self, points) -> np.ndarray:
         """Values at each of ``points`` (shape ``(n, m)``), by the rule of :meth:`index_of`."""
-        return self._values[self._indices(points)]
+        return self.values[self._indices(points)]
 
     def to_json(self) -> dict:
-        return {
-            "domain": [list(map(float, p)) for p in self._domain],
-            "values": [list(map(float, v)) for v in self._values],
-        }
+        return {"domain": self.domain.tolist(), "values": self.values.tolist()}
 
     @classmethod
     def from_json(cls, payload: dict) -> "TabularMap":
-        return cls(*(_numbers(payload[name], f"field {name!r}") for name in ("domain", "values")))
+        return cls(*(_ranked(payload, name, f"field {name!r}") for name in ("domain", "values")))
+
+
+def _row_faults(low, mass):
+    """The kernel row check, by each row's least entry and entry sum: (an entry
+    below ``-MASS_TOL``, a mass not within ``MASS_TOL`` of 1, NaN included)."""
+    return low < -MASS_TOL, ~(np.abs(mass - 1.0) <= MASS_TOL)
 
 
 def image_measure(mu: DiscreteMeasure, policy: TabularMap) -> DiscreteMeasure:
@@ -423,9 +392,8 @@ def pushforward(mu: DiscreteMeasure, policy: TabularMap, model, stage: int) -> D
     new_weights = np.zeros(n_states)
     for w, i, a in zip(mu.weights, state_idx, action_idx):
         row = np.asarray(model.kernel(stage, int(i), mu, int(a), lam), dtype=float)
-        if row.shape != (n_states,) or np.any(row < -MASS_TOL) or abs(row.sum() - 1.0) > MASS_TOL:
-            raise ValueError(
-                f"kernel row is not a probability vector at stage {stage}, state index {int(i)}"
-            )
+        if row.shape != (n_states,) or any(_row_faults(row.min(), row.sum())):
+            raise ValueError(f"kernel row is not a probability vector at stage {stage}, "
+                             f"state index {int(i)}")
         new_weights += w * np.clip(row, 0.0, None)
     return DiscreteMeasure(model.states, new_weights / new_weights.sum())

@@ -26,14 +26,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .measure import (
-    MASS_TOL,
     MERGE_TOL,
     WEIGHT_FLOOR,
     DiscreteMeasure,
     TabularMap,
     _as_points,
     _feedback,
-    _numbers,
+    _ranked,
+    _row_faults,
     as_integer,
     match_indices,
     short_repr,
@@ -401,9 +401,9 @@ class Evaluation:
 
     @property
     def bad(self):
-        """The row check per row: (an entry below ``-MASS_TOL``, mass off 1 by more
-        than ``MASS_TOL``).  A misshapen row is evaluated as zeros, so fails the mass."""
-        return self.low < -MASS_TOL, ~(np.abs(self.mass - 1.0) <= MASS_TOL)
+        """:func:`~mfctrl.measure._row_faults` per row.  A misshapen row is
+        evaluated as zeros, so fails the mass."""
+        return _row_faults(self.low, self.mass)
 
     def checked(self) -> "Evaluation":
         """This evaluation; raises ``ValueError`` naming the first cell, in pair
@@ -789,8 +789,8 @@ def finite_model_from_config(config: dict) -> FiniteMFModel:
     """
     if not isinstance(config, dict):
         raise ValueError(f"model config must be an object, got {type(config).__name__}")
-    states = _as_points(_numbers(config["states"], "states"))
-    actions = _as_points(_numbers(config["actions"], "actions"))
+    states = _as_points(_ranked(config, "states", "states"))
+    actions = _as_points(_ranked(config, "actions", "actions"))
     _check_grid("states", states)
     _check_grid("actions", actions)
     horizon = as_integer(config["horizon"], "horizon")

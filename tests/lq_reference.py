@@ -145,7 +145,7 @@ def backward_pass(model):
 
     failures = [_stage_failures(row) for row in rows] + [terminal_failures]
     first_failure = next(((k, "; ".join(f)) for k, f in enumerate(failures) if f), None)
-    report = ConditionReport(rows, not terminal_failures, terminal_failures, first_failure)
+    report = ConditionReport(lambda: rows, not terminal_failures, terminal_failures, first_failure)
     if error is not None:
         return report, None, error
     return report, RiccatiSolution(var_weight, mean_weight, linear, constant,

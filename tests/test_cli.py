@@ -20,7 +20,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "benchmarks"))
 
 import workloads  # noqa: E402
-from mfctrl import cli
+from mfctrl import cli, moments
 from mfctrl.cli import main
 from mfctrl.dpp import BudgetExceeded
 from mfctrl.fixtures import fixture_text, list_fixtures
@@ -265,6 +265,17 @@ class TestSimulate:
                          "--out", str(out)]) == 0
         assert out1.read_text() == out2.read_text()
 
+    def test_lq_simulation_with_zero_policy(self, tmp_path):
+        out = tmp_path / "sim.json"
+        assert main(["simulate", _stage(tmp_path, "lq_mean_variance.json"), "--n-particles",
+                     "20000", "--seed", "5", "--policy", "zero", "--closure", "oracle-law",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        model = mean_variance_model(1.0, 0.5, 1.0, 1.0, 2, 1.0)
+        zero = AffinePolicy.zero(model.horizon, model.state_dim, model.control_dim)
+        assert payload == simulate(model, zero, 20000, 5, closure="oracle-law").to_json()
+        assert abs(payload["estimate"] - moments.exact_cost(model, zero)) <= 4 * payload["std_error"]
+
     def test_finite_simulation_with_zero_policy(self, tmp_path):
         cfg = _stage(tmp_path, "finite_mean_clamp.json")
         out = tmp_path / "sim.json"
@@ -508,6 +519,44 @@ class TestErrors:
         assert main(["solve-finite", _scenario(tmp_path, data), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+    FINITE_RANKS = [
+        (["initial_law"], {"support": 0.0, "weights": 1},
+         "bad initial_law: field 'support' must be a list of points, got 0.0"),
+        (["initial_law", "weights"], [[0.5], [0.5]],
+         "bad initial_law: field 'weights' must be a flat list of numbers, got [[0.5], [0.5]]"),
+        (["model", "actions"], 0.0,
+         "bad finite model config: actions must be a list of points, got 0.0"),
+        (["model", "states"], 5, "bad finite model config: states must be a list of points, got 5"),
+        (["model", "states"], [-1.0, 0.0, 1.0],
+         "bad finite model config: states must be a list of points, got [-1.0, 0.0, 1.0]"),
+    ]
+
+    @pytest.mark.parametrize("path, value, message", FINITE_RANKS,
+                             ids=["number-law", "nested-weights", "number-actions",
+                                  "number-states", "flat-states"])
+    def test_finite_fields_have_their_rank(self, tmp_path, capsys, path, value, message):
+        data = json.loads(fixture_text("finite_zero.json"))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        out = tmp_path / "solve.json"
+        assert main(["solve-finite", _scenario(tmp_path, data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy, message", [
+        ({"domain": 0.0, "values": 0.0}, "field 'domain' must be a list of points, got 0.0"),
+        ({"domain": [[-1.0], [0.0], [1.0]], "values": [0.0, 1.0, 0.0]},
+         "field 'values' must be a list of points, got [0.0, 1.0, 0.0]"),
+    ], ids=["numbers", "flat-values"])
+    def test_finite_policy_fields_have_their_rank(self, tmp_path, capsys, policy, message):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(policy))
+        assert main(["simulate", _stage(tmp_path, "finite_zero.json"), "--n-particles", "10",
+                     "--seed", "1", "--policy", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_finite_policy_files_take_only_numbers(self, tmp_path, capsys):
         path = tmp_path / "policy.json"

@@ -107,6 +107,60 @@ def test_solve_rejects_invalid_model():
         dpp.solve(bad, DiscreteMeasure(states, [0.5, 0.5]))
 
 
+_TWO_STATES = np.array([[0.0], [1.0]])
+
+
+def _two_state_model(actions, kernel, stage_cost=lambda k, i, mu, a, lam: 0.0,
+                     terminal_cost=lambda i, mu: 0.0):
+    return FiniteMFModel(_TWO_STATES, np.array(actions), 1, kernel, stage_cost, terminal_cost)
+
+
+def _pole(i, mu):
+    """A terminal cost infinite only at a law of mean 0.75."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / (mu.mean()[0] - 0.75)
+
+
+def test_oracles_check_a_kernel_row_by_the_engines_rule():
+    model = _two_state_model([[0.0]], lambda k, i, mu, a, lam: np.array([0.5, 0.5]) if i == 0
+                             else np.array([np.nan, np.nan]))
+    mu0, named = DiscreteMeasure.uniform(_TWO_STATES), "stage 0, state index 1$"
+    with pytest.raises(ValueError, match="stage 0 state 1: row mass nan"):
+        dpp.solve(model, mu0)
+    with pytest.raises(ValueError, match=f"^kernel row is not a probability vector at {named}"):
+        dpp.rollforward(model, mu0, [model.tabular_policy([0, 0])])
+    with pytest.raises(ValueError, match=f"^kernel row is not a probability vector at {named}"):
+        dpp.brute_force_value(model, mu0)
+
+
+@pytest.mark.parametrize("case", ["stage-cost", "terminal-cost"])
+def test_oracles_refuse_a_non_finite_lifted_cost(case):
+    mu0 = DiscreteMeasure.uniform(_TWO_STATES)
+    if case == "stage-cost":   # NaN at state 1 under action 1, which solve's validate sees
+        model = _two_state_model([[0.0], [1.0]], lambda k, i, mu, a, lam: np.eye(2)[i],
+                                 lambda k, i, mu, a, lam: np.nan if (i, a) == (1, 1) else 0.0)
+        solved, refused = "invalid model: .*non-finite stage cost", "stage cost at stage 0"
+        sequence = [model.tabular_policy([0, 1])]
+    else:                      # infinite only at the stage-1 law, mean 0.75
+        model = _two_state_model([[0.0]], lambda k, i, mu, a, lam: np.array([0.25, 0.75]),
+                                 terminal_cost=_pole)
+        solved, refused = "^non-finite terminal value at stage 1$", "terminal cost at stage 1"
+        sequence = [model.tabular_policy([0, 0])]
+    with pytest.raises(ValueError, match=solved):
+        dpp.solve(model, mu0)
+    for oracle in (lambda: dpp.rollforward(model, mu0, sequence),
+                   lambda: dpp.brute_force_value(model, mu0)):
+        with pytest.raises(ValueError, match=f"^non-finite lifted {refused}$"):
+            oracle()
+
+
+def test_rollforward_needs_one_map_per_stage():
+    model, mu0 = load_finite("finite_mean_reverting.json")
+    policy = model.tabular_policy([0] * model.n_states)
+    with pytest.raises(ValueError, match=f"^need {model.horizon} maps, got 1$"):
+        dpp.rollforward(model, mu0, [policy])
+
+
 def test_randomized_models_solve_equals_brute_force(rng):
     for trial in range(4):
         model = random_finite_model(rng, 3 if trial % 2 else 2, 2, 2)

@@ -108,3 +108,13 @@ def test_size_guard():
                         first_order=model.first_order)
     with pytest.raises(dpp.BudgetExceeded):
         dpp.first_order_value_tensors(big)
+
+
+def test_entries_cap():
+    # S = 3 and n = 3 pass the size guard, but the stage-0 tensor has 3^16 entries
+    states = [[0.0], [1.0], [2.0]]
+    model = FiniteMFModel(states, [[0.0]], 3, lambda k, i, mu, a, lam: np.eye(3)[i],
+                          lambda k, i, mu, a, lam: 0.0, lambda i, mu: 0.0, first_order=True)
+    with pytest.raises(dpp.BudgetExceeded, match=r"^stage-0 tensor would hold 43046721 entries "
+                                                 r"\(cap 1000000\)$"):
+        dpp.first_order_value_tensors(model)

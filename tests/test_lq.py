@@ -260,6 +260,25 @@ class TestConditions:
             solve_riccati(degenerate)
         assert info.value.report == check_conditions(degenerate)
 
+    def test_a_failure_of_the_terminal_cost_alone_names_the_last_stage(self):
+        payload = mean_variance_model(1.0, 0.5, 1.0, 1.0, 3, 1.0).to_json()
+        payload["terminal"]["cost_state"] = [[-0.1]]
+        payload["terminal"]["cost_state_mean"] = [[0.0]]
+        for stage in payload["stages"]:
+            stage["cost_control"] = [[1.0]]
+        model = LQModel.from_json(payload)
+        report = check_conditions(model)
+        assert [lq._stage_failures(row) for row in report.stages] == [[], [], []]
+        assert not report.terminal_ok
+        with pytest.raises(ConditionsNotMet, match="^conditions violated at stage 3: terminal "
+                                                   "state cost not PSD; terminal state\\+mean "
+                                                   "cost not PSD$"):
+            solve_riccati(model)
+        forced = solve_riccati(model, force=True)
+        for name in SOLUTION_FIELDS:
+            np.testing.assert_allclose(getattr(forced, name), getattr(
+                lq_reference.solve_riccati(model, force=True), name), rtol=PARITY_RTOL, atol=0)
+
     def test_stages_before_a_failed_hessian_are_unevaluated(self):
         payload = scalar_lq(n=4, B=1.0, C=1.0, R=1.0, QT=1.0).to_json()
         payload["stages"][2]["drift_control"] = [[0.0]]
@@ -709,9 +728,9 @@ class TestFloatLoop:
     ], ids=["passing", "conditions-not-met", "not-positive-definite", "matrix-blocks"])
     def test_report_rows_are_built_on_first_read(self, model, ok):
         report = check_conditions(model)
-        assert callable(report.__dict__["_stages"])
+        assert "stages" not in report.__dict__   # cached_property's storage
         rows = report.stages
-        assert report.__dict__["_stages"] is rows
+        assert report.__dict__["stages"] is rows and report.stages is rows
         assert rows == lq_reference.check_conditions(model).stages
         failures = [(k, "; ".join(f)) for k, f in
                     enumerate([lq._stage_failures(row) for row in rows]

@@ -116,6 +116,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             mu.support[0, 0] = 2.0
 
+    def test_value_types_are_frozen_and_compared_by_identity(self):
+        mu = DiscreteMeasure(weights=[0.25, 0.75], support=[[0.0], [1.0]])
+        policy = TabularMap(values=[[5.0], [6.0]], domain=[[0.0], [1.0]])
+        for value, name in ((mu, "support"), (mu, "weights"), (policy, "domain"),
+                            (policy, "values"), (mu, "extra"), (policy, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, np.zeros((2, 1)))
+        assert not hasattr(mu, "__dict__") and not hasattr(policy, "__dict__")
+        twin = DiscreteMeasure(mu.support, mu.weights)
+        assert mu == mu and mu != twin and hash(mu) != hash(twin)
+        assert TabularMap(policy.domain, policy.values) != policy
+        assert repr(mu) == "DiscreteMeasure(2 points, d=1)"
+
     def test_json_round_trip(self):
         mu = DiscreteMeasure([[-1.0], [0.5]], [0.3, 0.7])
         back = DiscreteMeasure.from_json(mu.to_json())
@@ -195,6 +208,16 @@ class TestPushforward:
         policy = TabularMap(states, [0.0, 0.0])
         with pytest.raises(ValueError, match="stage 3, state index 0"):
             pushforward(mu, policy, model, 3)
+
+    def test_a_nan_row_is_not_a_probability_vector(self):
+        # NaN fails the mass check as it does in model.evaluate, not the measure's finite check
+        states = [0.0, 1.0]
+        model = _model(states, [0.0], lambda k, i, mu, a, lam: np.array([0.5, 0.5]) if i == 0
+                       else np.array([np.nan, np.nan]))
+        mu = DiscreteMeasure(states, [0.5, 0.5])
+        with pytest.raises(ValueError, match="^kernel row is not a probability vector at "
+                                             "stage 0, state index 1$"):
+            pushforward(mu, TabularMap(states, [0.0, 0.0]), model, 0)
 
     def test_mixture_linearity_for_measure_free_kernel(self):
         states = [0.0, 1.0, 2.0]
