@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import gc
 import json
 import math
 import os
@@ -33,7 +34,10 @@ MAX_PARTICLES = 10**8
 
 
 def _read_json(path, what):
-    """The JSON object in the file ``path``; an error names the file as ``what``."""
+    """The JSON object in the file ``path``; an error names the file as ``what``.
+    The collector is paused while decoding, which builds no cycles for it to find."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -43,6 +47,9 @@ def _read_json(path, what):
         raise ValueError(f"{what} {path!r} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValueError(f"{what} {path!r} is nested too deeply to decode") from exc
+    finally:
+        if enabled:
+            gc.enable()
     if not isinstance(data, dict):
         raise ValueError(f"{what} {path!r} must be a JSON object, got {type(data).__name__}")
     return data

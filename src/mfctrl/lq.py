@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .measure import SYM_TOL, DiscreteMeasure, _numbers, as_integer
+from .measure import (SYM_TOL, ArrayRecord, DiscreteMeasure, ValueRecord, _numbers,
+                      array_fields, as_integer)
 
 PSD_EIG_TOL = -1e-10   # least eigenvalue of a PSD matrix, here and in moments
 PD_EIG_TOL = 1e-10
@@ -116,7 +117,7 @@ def _stacked(column, what) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LQModel:
+class LQModel(ValueRecord):
     """Coefficients of a linear-quadratic mean-field model, of the shapes in ``_SHAPES``.
 
     Per stage, ``drift_<x>`` and ``drift_<x>_mean`` act on ``x`` (the state or
@@ -151,25 +152,22 @@ class LQModel:
     initial_cov: np.ndarray
     initial_measure: Optional[DiscreteMeasure] = None
 
-    def __post_init__(self):
-        for name in _SHAPES:
-            value = np.asarray(getattr(self, name), dtype=float)
+    def _arrays(self) -> dict:
+        arrays = {name: np.asarray(getattr(self, name), dtype=float) for name in _SHAPES}
+        for name, value in arrays.items():
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} has non-finite entries")
-            object.__setattr__(self, name, value)
-        n, d, _ = self.drift_state.shape
-        dims = {"n": n, "d": d, "m": self.drift_control.shape[-1]}
+        n, d, _ = arrays["drift_state"].shape
+        dims = {"n": n, "d": d, "m": arrays["drift_control"].shape[-1]}
         for name, axes in _SHAPES.items():
             shape = tuple(dims[axis] for axis in axes)
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ValueError(f"{name} has shape {got}, expected {shape} "
+            if arrays[name].shape != shape:
+                raise ValueError(f"{name} has shape {arrays[name].shape}, expected {shape} "
                                  "(stage lists must have exactly horizon entries)")
         for name in ["cost_state", "cost_state_mean", "cost_control", "cost_control_mean",
                      "terminal_state", "terminal_state_mean", "initial_cov"]:
-            object.__setattr__(self, name, _check_sym(name, getattr(self, name)))
-        for name in _SHAPES:
-            getattr(self, name).setflags(write=False)
+            arrays[name] = _check_sym(name, arrays[name])
+        return arrays
 
     @property
     def horizon(self) -> int:
@@ -299,26 +297,12 @@ def _stage_matrix(cost, dyn, weights, out):
     np.multiply(0.5, np.add(full, full.swapaxes(-1, -2), out=out), out=out)
 
 
-def array_fields(record) -> dict:
-    """The arrays of a ``RiccatiSolution``, ``AffinePolicy`` or
-    ``ExplicitControls`` by field name: its ``to_json()`` before each array
-    becomes nested lists."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
-
-
-class _Arrays:
-    """A dataclass of arrays, whose JSON form holds each of them as nested lists."""
-
-    def to_json(self) -> dict:
-        return {name: value.tolist() for name, value in array_fields(self).items()}
-
-
 def _not_finite(k: int) -> FloatingPointError:
     return FloatingPointError(f"Riccati recursion not finite at stage {k}")
 
 
-@dataclass
-class RiccatiSolution(_Arrays):
+@dataclass(frozen=True)
+class RiccatiSolution(ArrayRecord):
     """Backward coefficient sequences of the quadratic value function.
 
     ``var_weight[k]`` weighs the dispersion of the law, ``mean_weight[k]`` the
@@ -562,7 +546,6 @@ def _backward_pass(model: LQModel):
     finite &= np.isfinite(weight).all(axis=(1, 2, 3))
     if not finite.all():
         raise _not_finite(int(np.flatnonzero(~finite)[-1]))
-    var_weight, mean_weight = weight.swapaxes(0, 1).copy()
 
     # the coercivity alternatives meet the weights of the next stage; stages
     # before a failed Hessian have no weights to test against
@@ -607,9 +590,8 @@ def _backward_pass(model: LQModel):
     if error is not None:
         return report, None, error
     parts = stages.swapaxes(0, 1)   # the stage matrices by component, (2, n, d+m, d+m)
-    return report, RiccatiSolution(var_weight, mean_weight, linear, constant,
-                                   *parts[..., d:, d:].copy(), *parts[..., :d, d:].copy(),
-                                   mean_transition), None
+    return report, RiccatiSolution(*weight.swapaxes(0, 1), linear, constant, *parts[..., d:, d:],
+                                   *parts[..., :d, d:], mean_transition), None
 
 
 def check_conditions(model: LQModel) -> ConditionReport:
@@ -680,8 +662,8 @@ def mean_variance_closed_form(gamma: float, b: float, sigma: float, delta: float
 # Policies and values
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AffinePolicy(_Arrays):
+@dataclass(frozen=True)
+class AffinePolicy(ArrayRecord):
     """Per-stage affine feedback ``a = G (x - xbar) + Gbar xbar + c``.
 
     ``gain_state`` acts on the deviation from the current state mean,
@@ -692,15 +674,15 @@ class AffinePolicy(_Arrays):
     gain_mean: np.ndarray    # (n, m, d)
     offset: np.ndarray       # (n, m)
 
-    def __post_init__(self):
-        for name in ("gain_state", "gain_mean", "offset"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        n, m, d = self.gain_state.shape
-        if self.gain_mean.shape != (n, m, d) or self.offset.shape != (n, m):
+    def _arrays(self) -> dict:
+        arrays = {name: np.asarray(v, dtype=float) for name, v in array_fields(self).items()}
+        n, m, d = arrays["gain_state"].shape
+        if arrays["gain_mean"].shape != (n, m, d) or arrays["offset"].shape != (n, m):
             raise ValueError("inconsistent policy coefficient shapes")
-        for name in ("gain_state", "gain_mean", "offset"):
-            if not np.isfinite(getattr(self, name)).all():
+        for name, value in arrays.items():
+            if not np.isfinite(value).all():
                 raise ValueError(f"policy {name} has non-finite entries")
+        return arrays
 
     @property
     def horizon(self) -> int:
@@ -752,8 +734,8 @@ def optimal_policy(model: LQModel, sol: RiccatiSolution) -> AffinePolicy:
     return AffinePolicy(gain_state, gain_mean, offset)
 
 
-@dataclass
-class ExplicitControls(_Arrays):
+@dataclass(frozen=True)
+class ExplicitControls(ArrayRecord):
     """Stage coefficients expressing the optimal control from the state alone.
 
     ``action_k(x) = feedback[k] @ x + constant[k]``, with ``constant`` built
@@ -798,7 +780,7 @@ def explicit_control_coefficients(model: LQModel, sol: RiccatiSolution,
             means[k + 1] = sol.mean_transition[k] @ means[k] + drive[k]
     constant = np.einsum("kmd,kd->km", policy.gain_mean - policy.gain_state,
                          means[:-1]) + policy.offset
-    return ExplicitControls(policy.gain_state.copy(), constant, means)
+    return ExplicitControls(policy.gain_state, constant, means)
 
 
 def value_at(sol: RiccatiSolution, stage: int, law) -> float:

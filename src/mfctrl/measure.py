@@ -17,7 +17,7 @@ Conventions
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from operator import iadd
 
@@ -82,6 +82,40 @@ def _ranked(payload: dict, name: str, what: str) -> np.ndarray:
     return arr
 
 
+def read_only_copy(value) -> np.ndarray:
+    """A read-only float64 copy of ``value``: the one way a value record keeps an array."""
+    arr = np.array(value, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+def array_fields(record) -> dict:
+    """The fields of the dataclass ``record`` by name."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+class ValueRecord:
+    """Base of the frozen dataclasses that own their arrays: ``__post_init__`` stores a
+    :func:`read_only_copy` of each array ``_arrays()`` returns by field name, so no record
+    aliases or freezes its caller's array; ``_arrays()`` checks them, by default all fields."""
+
+    __slots__ = ()
+    _arrays = array_fields
+
+    def __post_init__(self):
+        for name, value in self._arrays().items():
+            object.__setattr__(self, name, read_only_copy(value))
+
+
+class ArrayRecord(ValueRecord):
+    """A value record of arrays alone, whose JSON form holds each as nested lists."""
+
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        return {name: value.tolist() for name, value in array_fields(self).items()}
+
+
 def _as_points(points) -> np.ndarray:
     """Coerce scalars / vectors / (n, d) data to a float array of shape (n, d)."""
     arr = np.asarray(points, dtype=float)
@@ -121,7 +155,7 @@ def _merge_points(points: np.ndarray, weights: np.ndarray):
 
 
 @dataclass(frozen=True, eq=False)
-class DiscreteMeasure:
+class DiscreteMeasure(ArrayRecord):
     """Probability measure on a finite set of points in ``R^d``.
 
     Parameters
@@ -145,7 +179,7 @@ class DiscreteMeasure:
     support: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
+    def _arrays(self) -> dict:
         pts = _as_points(self.support)
         wts = np.asarray(self.weights, dtype=float).reshape(-1)
         if len(pts) != len(wts):
@@ -162,16 +196,10 @@ class DiscreteMeasure:
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
         pts, wts = _merge_points(pts, wts)
-        keep = wts >= WEIGHT_FLOOR
+        keep = wts >= WEIGHT_FLOOR   # not all of them: they sum to 1 within MASS_TOL
         if not keep.all():
             pts, wts = pts[keep], wts[keep]
-            if len(wts) == 0:
-                raise ValueError("all weights below the pruning floor")
-        wts = wts / wts.sum()
-        pts.setflags(write=False)
-        wts.setflags(write=False)
-        object.__setattr__(self, "support", pts)
-        object.__setattr__(self, "weights", wts)
+        return {"support": pts, "weights": wts / wts.sum()}
 
     @property
     def dim(self) -> int:
@@ -242,9 +270,6 @@ class DiscreteMeasure:
         return out
 
     # -- serialization ------------------------------------------------------------
-    def to_json(self) -> dict:
-        return {"support": self.support.tolist(), "weights": self.weights.tolist()}
-
     @classmethod
     def from_json(cls, payload: dict) -> "DiscreteMeasure":
         return cls(*(_ranked(payload, name, f"field {name!r}") for name in ("support", "weights")))
@@ -296,7 +321,7 @@ def match_indices(points: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class TabularMap:
+class TabularMap(ArrayRecord):
     """Total map from a finite point set to action points in ``R^m``.
 
     Parameters
@@ -311,14 +336,14 @@ class TabularMap:
     domain: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
+    def _arrays(self) -> dict:
         dom, val = _as_points(self.domain), _as_points(self.values)
         if len(dom) != len(val):
             raise ValueError(f"{len(dom)} domain points but {len(val)} values")
-        dom.setflags(write=False)
-        val.setflags(write=False)
-        object.__setattr__(self, "domain", dom)
-        object.__setattr__(self, "values", val)
+        for name, arr in (("domain", dom), ("values", val)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"map {name} must be finite")
+        return {"domain": dom, "values": val}
 
     def _indices(self, points) -> np.ndarray:
         try:
@@ -336,9 +361,6 @@ class TabularMap:
     def at(self, points) -> np.ndarray:
         """Values at each of ``points`` (shape ``(n, m)``), by the rule of :meth:`index_of`."""
         return self.values[self._indices(points)]
-
-    def to_json(self) -> dict:
-        return {"domain": self.domain.tolist(), "values": self.values.tolist()}
 
     @classmethod
     def from_json(cls, payload: dict) -> "TabularMap":

@@ -30,6 +30,7 @@ from .measure import (
     WEIGHT_FLOOR,
     DiscreteMeasure,
     TabularMap,
+    ValueRecord,
     _as_points,
     _feedback,
     _ranked,
@@ -55,7 +56,7 @@ def _check_grid(name: str, grid: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class FiniteMFModel:
+class FiniteMFModel(ValueRecord):
     """Finite mean-field control model.
 
     Parameters
@@ -92,21 +93,19 @@ class FiniteMFModel:
     mean_field_free: bool = False
     first_order: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", _as_points(self.states))
-        object.__setattr__(self, "actions", _as_points(self.actions))
-        self.states.setflags(write=False)
-        self.actions.setflags(write=False)
+    def _arrays(self) -> dict:
+        grids = {"states": _as_points(self.states), "actions": _as_points(self.actions)}
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         # a law is a weight vector over the grid, one entry per point
-        for name, grid in (("states", self.states), ("actions", self.actions)):
+        for name, grid in grids.items():
             _check_grid(name, grid)
             first = match_indices(grid, grid)
             if np.any(first != np.arange(len(grid))):
                 i = int(np.flatnonzero(first != np.arange(len(grid)))[0])
                 raise ValueError(f"{name} {i} and {int(first[i])} coincide "
                                  f"(max-norm distance <= {MERGE_TOL:g})")
+        return grids
 
     @property
     def n_states(self) -> int:
@@ -751,9 +750,10 @@ def _cost_builder(table, tag, first_order, kind, needs):
     return build
 
 
-def _check_leaves(value, what):
-    """Raise ``ValueError`` unless every leaf of a JSON value, nested lists and
-    objects included, is a finite number: a bool, string or null is none.
+def _check_leaves(value, name, key):
+    """Raise ``ValueError``, naming the param ``key`` of the block ``name`` only then,
+    unless every leaf of its JSON value, nested lists and objects included, is a
+    finite number: a bool, string or null is none.
 
     The walk keeps its own stack, so no nesting depth exhausts the interpreter's.
     """
@@ -763,9 +763,10 @@ def _check_leaves(value, what):
         if isinstance(value, (dict, list)):
             pending.extend(value.values() if isinstance(value, dict) else value)
         elif value is None or isinstance(value, (bool, str)):
-            raise ValueError(f"{what} must hold only numbers, got {short_repr(value)}")
+            raise ValueError(f"{name} param {short_repr(key)} must hold only numbers, "
+                             f"got {short_repr(value)}")
         elif isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{what} has non-finite entries")
+            raise ValueError(f"{name} param {short_repr(key)} has non-finite entries")
 
 
 def _tagged(config: dict, name: str):
@@ -775,7 +776,7 @@ def _tagged(config: dict, name: str):
     if not isinstance(params, dict):
         raise ValueError(f"{name} must be an object with a 'params' object")
     for key, value in params.items():
-        _check_leaves(value, f"{name} param {short_repr(key)}")
+        _check_leaves(value, name, key)
     return block["tag"], params
 
 

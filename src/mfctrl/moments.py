@@ -13,17 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lq import PSD_EIG_TOL, AffinePolicy, LQModel
-from .measure import SYM_TOL
+from .measure import SYM_TOL, ValueRecord
 
 
 @dataclass(frozen=True)
-class GaussianState:
+class GaussianState(ValueRecord):
     """Mean and covariance of a (Gaussian-compatible) state law."""
 
     mean: np.ndarray
     cov: np.ndarray
 
-    def __post_init__(self):
+    def _arrays(self) -> dict:
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (mean.size, mean.size):
@@ -33,10 +33,7 @@ class GaussianState:
         cov = 0.5 * (cov + cov.T)
         if float(np.linalg.eigvalsh(cov).min()) < PSD_EIG_TOL:
             raise ValueError("covariance is not positive semidefinite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        self.mean.setflags(write=False)
-        self.cov.setflags(write=False)
+        return {"mean": mean, "cov": cov}
 
     @property
     def dim(self) -> int:

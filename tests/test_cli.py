@@ -3,6 +3,7 @@ import contextlib
 import copy
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -947,6 +948,53 @@ class TestNonFinitePolicy:
         err = capsys.readouterr().err
         assert f"policy {field} has non-finite entries" in err and "Traceback" not in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("field, row, value", [("values", 1, math.nan),
+                                                   ("domain", 0, -math.inf),
+                                                   ("domain", 2, math.inf)])
+    def test_simulate_non_finite_finite_policy_file_is_config_error(self, tmp_path, capsys,
+                                                                    field, row, value):
+        # before the map checked its own entries, a NaN value failed only in the
+        # grid lookup and an Inf domain point as a point the map is not defined at
+        policy = {"domain": [[-1.0], [0.0], [1.0]], "values": [[0.0], [1.0], [0.0]]}
+        policy[field][row] = [value]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(policy))
+        out = tmp_path / "sim.json"
+        code = main(["simulate", _stage(tmp_path, "finite_mean_reverting.json"), "--n-particles",
+                     "10", "--seed", "1", "--policy", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: map {field} must be finite\n"
+        assert not out.exists()
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("was_enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("text", ['{"a": [1, 2]}', "{"], ids=["object", "not-json"])
+    def test_the_collector_is_paused_while_decoding_and_restored(self, tmp_path, monkeypatch,
+                                                               was_enabled, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        states = []
+        real_load = json.load
+
+        def load(fh):
+            states.append(gc.isenabled())
+            return real_load(fh)
+
+        monkeypatch.setattr(json, "load", load)
+        (gc.enable if was_enabled else gc.disable)()
+        try:
+            if text == "{":
+                with pytest.raises(ValueError, match="is not valid JSON"):
+                    cli._read_json(str(path), "config")
+            else:
+                assert cli._read_json(str(path), "config") == {"a": [1, 2]}
+            assert states == [False]
+            assert gc.isenabled() is was_enabled
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("cls, old_base", [

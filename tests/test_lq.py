@@ -737,3 +737,17 @@ class TestFloatLoop:
                               + [report.terminal_failures]) if f]
         assert report.first_failure == (failures[0] if failures else None)
         assert report.ok is ok
+
+
+def test_solution_dimensions_and_a_passing_report():
+    model = random_lq_model(np.random.default_rng(7), 3, 2, 4)
+    sol = solve_riccati(model)
+    assert (sol.horizon, sol.state_dim, sol.control_dim) == (4, 3, 2)
+    assert check_conditions(model).message() == "all conditions hold at every stage"
+
+
+@pytest.mark.parametrize("stage", [-1, 4])
+def test_value_at_needs_a_stage_of_the_solution(stage):
+    sol = mean_variance_closed_form(1.0, 0.5, 1.0, 1.0, 3)
+    with pytest.raises(ValueError, match=rf"stage {stage} out of range \[0, 3\]"):
+        value_at(sol, stage, ([1.0], [[0.0]]))

@@ -388,3 +388,14 @@ def test_grid_laws_json_is_the_measures_json(S, dim):
         rows = np.vstack([_canonical(raw), raw / raw.sum(axis=1, keepdims=True)])
         laws = grid_laws_json(grid, rows)
         assert repr(laws) == repr([DiscreteMeasure(grid, w).to_json() for w in rows])
+
+
+def test_points_of_more_than_two_axes_are_rejected():
+    with pytest.raises(ValueError, match=r"at most 2-dimensional, got shape \(1, 1, 1\)"):
+        DiscreteMeasure(np.zeros((1, 1, 1)), [1.0])
+
+
+def test_a_quadratic_form_of_the_wrong_shape_is_rejected():
+    mu = DiscreteMeasure([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"quadratic form has shape \(1, 1\), expected \(2, 2\)"):
+        mu.quadratic_moment(1.0)

@@ -340,6 +340,17 @@ def test_non_finite_params_rejected(fixture, block, path, value):
         finite_model_from_config(config)
 
 
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_a_valid_config_formats_no_error_text(name, monkeypatch):
+    # the loader quotes a value only in the message of a failed check
+    def no_repr(value):
+        raise AssertionError(f"formatted an error text for {value!r} on a valid config")
+
+    monkeypatch.setattr(mfctrl.model, "short_repr", no_repr)
+    model = finite_model_from_config(load_fixture(name)["model"])
+    assert model.horizon >= 1
+
+
 def _injected(model, rows=None, costs=None, terminal=None):
     """``model`` with the kernel row ``rows[k, i, a]``, the stage cost ``costs[k, i, a]``
     and the terminal cost ``terminal[i]`` put in at the listed cells."""
@@ -539,3 +550,14 @@ def test_mean_reverting_rows_keep_the_max_shift_formula(S):
         mu, a = DiscreteMeasure(model.states, weights[p]), int(action[p, i])
         assert np.array_equal(_bits(model.kernel(0, i, mu, a, None)),
                               _bits(formula(i, a, mu.mean()[0])))
+
+
+def test_tabular_policy_needs_one_action_index_per_state():
+    model, _ = load_finite("finite_mean_reverting.json")
+    with pytest.raises(ValueError, match=r"need one action index per state, got shape \(2,\)"):
+        model.tabular_policy([0, 1])
+
+
+def test_a_passing_validation_summary_counts_its_tuples():
+    report = validate(load_finite("finite_zero.json")[0])
+    assert report.ok and report.summary() == f"ok ({report.checked} sampled tuples)"

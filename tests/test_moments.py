@@ -152,3 +152,10 @@ class TestOneStepValueIdentity:
                 rhs = (stage_cost_moments(model, k, state, policy)
                        + value_at(sol, k + 1, exact_moment_step(model, k, state, policy)))
                 assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+@pytest.mark.parametrize("stage", [-1, 2])
+def test_a_moment_step_needs_a_stage_of_the_model(stage):
+    model = mean_variance_model(1.0, 0.5, 1.0, 1.0, 2, 1.0)
+    with pytest.raises(ValueError, match=rf"stage {stage} out of range \[0, 2\)"):
+        exact_moment_step(model, stage, initial_state(model), AffinePolicy.zero(2, 1, 1))

@@ -25,6 +25,7 @@ from mfctrl import particles
 from mfctrl.particles import (
     _AHEAD,
     _BLOCK,
+    _ahead,
     _CHUNK,
     _STREAM_INIT_COMPONENT,
     _STREAM_INIT_DISCRETE,
@@ -169,6 +170,8 @@ class TestLQSimulation:
             simulate(model, policy, 10, seed=1, closure="magic")
         with pytest.raises(TypeError, match="AffinePolicy"):
             simulate(model, "not a policy", 10, seed=1)
+        with pytest.raises(TypeError, match="unsupported model type str"):
+            simulate("not a model", policy, 10, seed=1)
 
 
 def _assert_parity(actual, desired):
@@ -522,3 +525,10 @@ def test_chaos_convergence_no_error_growth():
         rms.append(float(np.sqrt(np.mean(np.square(errs)))))
     scaled = np.sqrt(sizes) * np.array(rms)
     assert scaled.max() / scaled.min() < 3.0
+
+
+@pytest.mark.parametrize("n_calls", [0, 1, _AHEAD + 1, 3 * _AHEAD + 2])
+def test_ahead_returns_every_result_in_order_and_stops_when_drained(n_calls):
+    with ThreadPoolExecutor(1) as pool:
+        assert list(_ahead(pool, pow, [(2, k) for k in range(n_calls)])) == \
+            [2 ** k for k in range(n_calls)]
