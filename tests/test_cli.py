@@ -949,7 +949,6 @@ class TestNonFinitePolicy:
         assert f"policy {field} has non-finite entries" in err and "Traceback" not in err
         assert not out.exists()
 
-
     @pytest.mark.parametrize("field, row, value", [("values", 1, math.nan),
                                                    ("domain", 0, -math.inf),
                                                    ("domain", 2, math.inf)])

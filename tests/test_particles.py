@@ -25,12 +25,12 @@ from mfctrl import particles
 from mfctrl.particles import (
     _AHEAD,
     _BLOCK,
-    _ahead,
     _CHUNK,
     _STREAM_INIT_COMPONENT,
     _STREAM_INIT_DISCRETE,
     _STREAM_KERNEL,
     _STREAM_STAGE_NOISE,
+    _ahead,
     normals,
     simulate,
     uniforms,
