@@ -125,7 +125,8 @@ def _outputs(*paths):
     ``"-"`` is standard output and ``None`` no output.  A file is written over
     in place, not truncated first, which would free its blocks only for the
     rewrite to allocate new ones; a longer one is then cut at the end of the
-    run's text.  Two outputs on one file, however spelled, are a config error.
+    run's text.  Two outputs on one file, however spelled, or both on ``"-"``,
+    are a config error.
 
     If the run fails, an output it created is removed; once it has begun to
     write, every output file is cut to zero length and removed if regular at
@@ -137,6 +138,8 @@ def _outputs(*paths):
         try:
             for path in paths:
                 if path in (None, "-"):
+                    if path and sys.stdout in streams:
+                        raise ValueError("output '-' is given twice")
                     streams.append(sys.stdout if path else None)
                     continue
                 created = not os.path.lexists(path)

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measure import KEY_DECIMALS, DiscreteMeasure, pushforward
+from .measure import KEY_DECIMALS, DiscreteMeasure, pushforward, read_only
 from .model import (
     FiniteMFModel,
     evaluate,
@@ -71,13 +71,13 @@ class BudgetExceeded(ArithmeticError, RuntimeError):
     """Raised when a reachable tree or an enumeration outgrows its budget."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Value and optimal maps from the initial law, and every node of the tree.
 
     ``optimal_law_path`` holds the ``(S,)`` grid weights of the node laws the
     optimal maps visit, stages ``0..n``.  The tree is kept as :func:`solve`
-    builds it, one array per stage ``k``: ``laws[k]`` holds the read-only
+    builds it, one read-only array per stage ``k``: ``laws[k]`` holds the
     ``(L_k, S)`` canonical weights of its nodes, in node order, ``values[k]``
     their ``(L_k,)`` values and, for ``k < n``, ``maps[k]`` the ``(L_k,)``
     numbers of their minimizing maps, in the order of :func:`_map_actions`.
@@ -225,9 +225,7 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
                 f"node budget {node_budget} exceeded; the reachable tree needs more "
                 f"(worst-case bound {bound} nodes)")
 
-    root = mu0.weights_on_grid(model.states)[None, :]
-    root.setflags(write=False)
-    stages = [_Stage(root)]
+    stages = [_Stage(read_only(mu0.weights_on_grid(model.states)[None, :]))]
     nodes = 1
     check_budget(nodes)
     for k in range(n):
@@ -256,9 +254,7 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
                     parts, count = [merged], len(merged)
                 check_budget(nodes + count)
         nodes += count
-        laws, = parts
-        laws.setflags(write=False)
-        stages.append(_Stage(laws))
+        stages.append(_Stage(read_only(*parts)))   # the stage's one merged part
 
     last, rows = stages[n].laws, max(1, EXPANSION_ENTRIES // S)
     values = np.empty(len(last))
@@ -278,7 +274,7 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
             stage.best = cand.argmin(axis=1)   # first minimum: lexicographic tie-break
             stage.values = cand[np.arange(len(stage.best)), stage.best]
 
-    seq, path, law = [], [root[0]], 0
+    seq, path, law = [], [stages[0].laws[0]], 0
     policies: dict = {}   # one TabularMap per optimal map number
     for stage, after in zip(stages[:n], stages[1:]):
         m = int(stage.best[law])
@@ -293,8 +289,8 @@ def solve(model: FiniteMFModel, mu0: DiscreteMeasure,
         optimal_law_path=path,
         reachable_tree_size=nodes,
         laws=[stage.laws for stage in stages],
-        values=[stage.values for stage in stages],
-        maps=[stage.best for stage in stages[:n]],
+        values=[read_only(stage.values) for stage in stages],
+        maps=[read_only(stage.best) for stage in stages[:n]],
     )
 
 

@@ -116,7 +116,7 @@ def _stacked(column, what) -> np.ndarray:
                          f"against {shapes[0]} at stage 0") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LQModel(ValueRecord):
     """Coefficients of a linear-quadratic mean-field model, of the shapes in ``_SHAPES``.
 
@@ -301,7 +301,7 @@ def _not_finite(k: int) -> FloatingPointError:
     return FloatingPointError(f"Riccati recursion not finite at stage {k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiccatiSolution(ArrayRecord):
     """Backward coefficient sequences of the quadratic value function.
 
@@ -662,7 +662,7 @@ def mean_variance_closed_form(gamma: float, b: float, sigma: float, delta: float
 # Policies and values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinePolicy(ArrayRecord):
     """Per-stage affine feedback ``a = G (x - xbar) + Gbar xbar + c``.
 
@@ -734,7 +734,7 @@ def optimal_policy(model: LQModel, sol: RiccatiSolution) -> AffinePolicy:
     return AffinePolicy(gain_state, gain_mean, offset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitControls(ArrayRecord):
     """Stage coefficients expressing the optimal control from the state alone.
 

@@ -82,11 +82,15 @@ def _ranked(payload: dict, name: str, what: str) -> np.ndarray:
     return arr
 
 
-def read_only_copy(value) -> np.ndarray:
-    """A read-only float64 copy of ``value``: the one way a value record keeps an array."""
-    arr = np.array(value, dtype=float)
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only in place: how a record or an engine's result keeps an array."""
     arr.setflags(write=False)
     return arr
+
+
+def read_only_copy(value) -> np.ndarray:
+    """A read-only float64 copy of ``value``: the one way a value record keeps an array."""
+    return read_only(np.array(value, dtype=float))
 
 
 def array_fields(record) -> dict:

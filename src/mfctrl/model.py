@@ -55,7 +55,7 @@ def _check_grid(name: str, grid: np.ndarray) -> None:
         raise ValueError(f"{name} grid has non-finite entries")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMFModel(ValueRecord):
     """Finite mean-field control model.
 

@@ -16,7 +16,7 @@ from .lq import PSD_EIG_TOL, AffinePolicy, LQModel
 from .measure import SYM_TOL, ValueRecord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState(ValueRecord):
     """Mean and covariance of a (Gaussian-compatible) state law."""
 

@@ -44,7 +44,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .lq import AffinePolicy, LQModel
-from .measure import DiscreteMeasure, TabularMap, match_indices
+from .measure import DiscreteMeasure, TabularMap, match_indices, read_only
 from .model import FiniteMFModel, evaluate
 from .moments import exact_trajectory
 
@@ -79,7 +79,7 @@ def normals(seed: int, stream: int, count: int, *, start: int = 0) -> np.ndarray
     return ndtri(uniforms(seed, stream, count, start=start))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ParticleCloud:
     """Positions of an interacting particle system at one stage."""
 
@@ -88,7 +88,7 @@ class ParticleCloud:
     seed: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     estimate: float
     std_error: float
@@ -201,7 +201,7 @@ def _finalize(costs: np.ndarray, means, variances, n: int, seed: int,
     else:
         se = float("nan")
     return SimulationResult(estimate, se, n, seed, closure,
-                            np.array(means), np.array(variances), clouds)
+                            read_only(np.array(means)), read_only(np.array(variances)), clouds)
 
 
 def _stage_coefficients(model: LQModel, policy: AffinePolicy, k: int, mean: np.ndarray):
@@ -271,7 +271,7 @@ def _simulate_lq(model: LQModel, policy: AffinePolicy, n: int, seed: int,
             means.append(mean)
             variances.append(m2 / (n - 1) if n > 1 else np.zeros(d))
             if keep_clouds:
-                clouds.append(ParticleCloud(x.T.copy(), k, seed))
+                clouds.append(ParticleCloud(read_only(x.T.copy()), k, seed))
             ref = oracle[k].mean if oracle is not None else mean
             W, const, offset = _stage_coefficients(model, policy, k, ref)
             for start, xb in _blocks(x):
@@ -312,7 +312,7 @@ def _simulate_finite(model: FiniteMFModel, policy: TabularMap, n: int, seed: int
             variances.append(counts @ np.square(states - mean) / (n - 1) if n > 1
                              else np.zeros(states.shape[1]))
             if keep_clouds:
-                clouds.append(ParticleCloud(states[idx], k, seed))
+                clouds.append(ParticleCloud(read_only(states[idx]), k, seed))
             if closure == "empirical":
                 law = counts[None, :] / n
             # the oracle law's support is evaluated too, to step it

@@ -720,6 +720,19 @@ def test_unwritable_table_leaves_standard_output_empty(tmp_path, capsys, command
     assert "cannot write output" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command, flag", [(c, f) for c, (_, flags) in _WRITERS.items()
+                                           for f in flags if f != "--out"])
+def test_standard_output_for_two_outputs_is_config_error(tmp_path, capsys, command, flag):
+    # the JSON and the table would interleave on standard output
+    argv = [command, _stage(tmp_path, _WRITERS[command][0]), "--out", "-", flag, "-"]
+    if command == "simulate":
+        argv += ["--n-particles", "10", "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: output '-' is given twice\n"
+    assert captured.out == ""
+
+
 def test_one_path_for_two_outputs_is_config_error(tmp_path, capsys):
     out = tmp_path / "both.out"
     assert main(["solve-finite", _stage(tmp_path, "finite_mean_reverting.json"),

@@ -187,14 +187,17 @@ def test_solve_result_is_a_dataclass():
     assert [f.name for f in dataclasses.fields(result)] == [
         "v0", "optimal_policy_sequence", "optimal_law_path", "reachable_tree_size",
         "laws", "values", "maps"]
-    # equality and replace read the stage arrays like any other field
+    # replace keeps the stage arrays; a result compares by identity, never by its arrays
     copy = dataclasses.replace(result)
-    assert copy == result and copy.laws is result.laws
-    assert dataclasses.replace(result, laws=[]) != result
+    assert copy != result and copy == copy
+    assert all(getattr(copy, f.name) is getattr(result, f.name)
+               for f in dataclasses.fields(result))
     rebuilt = dpp.SolveResult(result.v0, result.optimal_policy_sequence,
                               result.optimal_law_path, result.reachable_tree_size,
                               list(result.laws), list(result.values), list(result.maps))
-    assert rebuilt == result
+    for name in ("laws", "values", "maps"):
+        pairs = zip(getattr(rebuilt, name), getattr(result, name), strict=True)
+        assert all(a is b for a, b in pairs)
 
 
 def test_one_step_lookup_holds_on_a_dpp_tree_scenario():

@@ -1,8 +1,11 @@
-"""The value records own their arrays, and the package exports work as the README shows.
+"""The value records own their arrays, the engines' results are frozen, and the
+package exports work as the README shows.
 
 Each record keeps a read-only float64 copy of every array it is given: building
 one leaves the caller's array writable and unchanged, a later write to that
-array does not reach the record, and no field can be assigned.
+array does not reach the record, and no field can be assigned.  An engine's
+result freezes the arrays it builds in place.  Records and results alike compare
+by identity, so ``==`` never compares arrays.
 """
 
 import dataclasses
@@ -12,15 +15,20 @@ import re
 import numpy as np
 import pytest
 
+from mfctrl import dpp
 from mfctrl.lq import (
     AffinePolicy,
     ExplicitControls,
     mean_variance_closed_form,
     mean_variance_model,
+    optimal_policy,
+    solve_riccati,
 )
 from mfctrl.measure import DiscreteMeasure, TabularMap
 from mfctrl.model import FiniteMFModel
 from mfctrl.moments import GaussianState
+from mfctrl.particles import simulate
+from mfctrl.verify import load_finite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -74,6 +82,48 @@ def test_a_record_owns_read_only_copies_of_its_arrays(name):
             value[...] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(record, field, given)
+    # compared by identity: a record built from equal arrays is another record
+    assert (record == record) is True
+    assert (record != build(given)) is True
+
+
+def _solve(seed):
+    # the DPP draws nothing: every run is the same solve
+    return dpp.solve(*load_finite("finite_mean_reverting.json"))
+
+
+def _simulate(seed):
+    model = mean_variance_model(1.0, 0.5, 1.0, 1.0, 2, 1.0)
+    return simulate(model, optimal_policy(model, solve_riccati(model)), 64, seed, keep_clouds=True)
+
+
+# result name: a run of its engine at a seed
+RESULTS = {
+    "SolveResult": _solve,
+    "SimulationResult": _simulate,
+    "ParticleCloud": lambda seed: _simulate(seed).clouds[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESULTS))
+def test_an_engine_result_is_frozen_with_read_only_arrays(name):
+    run = RESULTS[name]
+    result = run(7)
+    arrays = []
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        items = value if isinstance(value, list) else [value]
+        arrays += [item for item in items if isinstance(item, np.ndarray)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, f.name, value)
+    assert arrays
+    for value in arrays:
+        assert not value.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0
+    # two runs of the same seed are two results
+    assert (result == run(7)) is False
+    assert (result == result) is True
 
 
 def test_the_readme_library_example_runs_through_the_package_exports():
